@@ -129,6 +129,8 @@ def _parse_pump(doc: dict) -> SumFrequencySpectrum:
 
 
 def _parse_sample(doc, base_dir: Path) -> Sample:
+    if not isinstance(doc, dict):
+        raise ScenarioError("sample must be a JSON object")
     if set(doc) == {"path"}:
         path = Path(doc["path"])
         if not path.is_absolute():
@@ -235,9 +237,7 @@ def cmd_simulate(args) -> int:
     else:
         transmitted, surviving = incident, 1.0
 
-    interferogram = simulate_interferogram(
-        transmitted.renormalized(), scenario.time_grid, chunk_size=args.chunk_size
-    )
+    interferogram = simulate_interferogram(transmitted.renormalized(), scenario.time_grid)
     trace = correlation_trace(interferogram)
 
     io.write_spectrum_csv(out / "spectrum.csv", incident)
@@ -332,6 +332,16 @@ def cmd_presets(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="noonspec",
@@ -345,14 +355,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory")
         p.add_argument("--seed", type=int, help="override the noise seed")
 
+    def add_chunk_size_arg(p):
+        p.add_argument(
+            "--chunk-size",
+            type=_positive_int,
+            default=None,
+            help="delay bins per count-sampling block (results are identical for any value)",
+        )
+
     p_sim = sub.add_parser("simulate", help="forward-simulate a scenario")
     add_scenario_args(p_sim)
-    p_sim.add_argument(
-        "--chunk-size",
-        type=int,
-        default=8192,
-        help="delay points per evaluation block (results are identical for any value)",
-    )
+    add_chunk_size_arg(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_rec = sub.add_parser("recover", help="recover a spectrum from a trace CSV")
@@ -376,12 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated pairs-per-bin values",
     )
     p_ns.add_argument("--repeats", type=int, default=50)
-    p_ns.add_argument(
-        "--chunk-size",
-        type=int,
-        default=None,
-        help="bins per sampling block (results are identical for any value)",
-    )
+    add_chunk_size_arg(p_ns)
     p_ns.set_defaults(func=cmd_noise_study)
 
     p_pre = sub.add_parser("presets", help="inspect bundled scenarios")

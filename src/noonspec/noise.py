@@ -44,6 +44,9 @@ class CountRecord:
             raise ValueError("coincidences must lie in [0, pairs_sent]")
 
 
+MAX_PAIRS_PER_BIN = 2**31
+
+
 @dataclass(frozen=True)
 class NoiseConfig:
     pairs_per_bin: int
@@ -52,8 +55,9 @@ class NoiseConfig:
     efficiency: float = 1.0
 
     def __post_init__(self):
-        if self.pairs_per_bin < 1:
-            raise ValueError("pairs_per_bin must be positive")
+        if not (1 <= self.pairs_per_bin <= MAX_PAIRS_PER_BIN):
+            # binom.ppf returns NaN at 2**53 pairs and does not return at 2**62
+            raise ValueError(f"pairs_per_bin must lie in [1, {MAX_PAIRS_PER_BIN}]")
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must fit in 64 bits")
         if self.dark_rate < 0:
@@ -97,8 +101,9 @@ def sample_counts(
     The per-bin success probability ``efficiency^2 * P + dark_rate`` is
     clamped into [0, 1]; a clamp event is reported on the result. Counts
     are the binomial inverse CDF of one keyed uniform per bin, so the
-    draw is deterministic and partition-independent. ``stream``
-    distinguishes repeated experiments under the same seed.
+    draw is deterministic and partition-independent: ``chunk_size`` bins
+    are drawn per block (all at once when None) without changing a bit.
+    ``stream`` distinguishes repeated experiments under the same seed.
     """
     p_raw = config.efficiency**2 * np.asarray(interferogram.values) + config.dark_rate
     clamped = bool(np.any(p_raw > 1.0))
@@ -107,6 +112,8 @@ def sample_counts(
     nbins = interferogram.grid.count
     if chunk_size is None:
         chunk_size = nbins
+    elif chunk_size < 1:
+        raise ValueError("chunk_size must be positive")
     counts = np.empty(nbins, dtype=np.int64)
     for lo in range(0, nbins, chunk_size):
         hi = min(lo + chunk_size, nbins)
@@ -209,7 +216,7 @@ def error_scaling_study(
 
         grid = default_time_grid()
 
-    pattern = simulate_interferogram(spectrum, grid, chunk_size=chunk_size or 8192)
+    pattern = simulate_interferogram(spectrum, grid)
     rows = []
     for i_n, n_trials in enumerate(trial_counts):
         heights = np.empty(repeats)

@@ -153,6 +153,31 @@ class TestSimulate:
         proc = run_cli("simulate", "--out", str(tmp_path / "o"))
         assert proc.returncode == 2
 
+    def test_non_positive_chunk_size_exits_2(self, tmp_path):
+        cfg = write_config(tmp_path, small_scenario())  # no noise section
+        for value in ("0", "-5"):
+            proc = run_cli(
+                "simulate", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                "--chunk-size", value,
+            )
+            assert proc.returncode == 2
+            assert "--chunk-size" in proc.stderr
+
+    def test_sample_as_list_exits_2(self, tmp_path):
+        cfg = write_config(tmp_path, small_scenario(sample=["path"]))
+        proc = run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "sample must be a JSON object" in proc.stderr
+
+    def test_huge_pairs_per_bin_exits_2(self, tmp_path):
+        doc = small_scenario(noise={"pairs_per_bin": 1e30, "seed": 1})
+        cfg = write_config(tmp_path, doc)
+        proc = run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "pairs_per_bin" in proc.stderr
+
     def test_scenario_outputs_field_used_without_out_flag(self, tmp_path):
         doc = small_scenario(outputs=str(tmp_path / "from_config"))
         cfg = write_config(tmp_path, doc)
@@ -283,6 +308,16 @@ class TestNoiseStudy:
         lines = (out / "scaling.csv").read_text().splitlines()
         assert lines[0] == "n_trials,std_height,std_center"
         assert len(lines) == 2
+
+    def test_non_positive_chunk_size_exits_2(self, tmp_path):
+        cfg = self.scenario(tmp_path)
+        for value in ("0", "-5"):
+            proc = run_cli(
+                "noise-study", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                "--trials", "300", "--repeats", "2", "--chunk-size", value,
+            )
+            assert proc.returncode == 2
+            assert "--chunk-size" in proc.stderr
 
     def test_fixed_seed_reruns_byte_identical(self, tmp_path):
         cfg = self.scenario(tmp_path)

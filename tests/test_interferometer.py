@@ -20,7 +20,7 @@ from noonspec import (
     simulate_interferogram,
     sum_frequency_marginal,
 )
-from conftest import centered_time_grid, single_bin_spectrum
+from conftest import centered_time_grid, direct_sum_reference, single_bin_spectrum
 
 
 class TestSimulateInterferogram:
@@ -60,14 +60,48 @@ class TestSimulateInterferogram:
         with pytest.raises(ValueError):
             simulate_interferogram(raw, centered_time_grid(5e-4, 64))
 
-    def test_chunk_size_does_not_change_bits(self):
+
+class TestChirpZAgainstDirectSum:
+    """The chirp-z synthesis against an extended-precision direct sum."""
+
+    TOL = 1e-14
+
+    def assert_matches_direct_sum(self, spec, tg, idx=slice(None)):
+        got = simulate_interferogram(spec, tg).values[idx]
+        ref = direct_sum_reference(spec, tg.values[idx])
+        assert np.max(np.abs(got - ref)) <= self.TOL
+
+    def test_matches_longdouble_direct_sum(self):
         grid = make_frequency_grid(739.8, 0.002, 301)
         spec = gaussian_pump_spectrum(grid, 740.1, 0.1)
-        tg = centered_time_grid(5e-4, 2048)
-        full = simulate_interferogram(spec, tg, chunk_size=2048)
-        for chunk in (7, 100, 513):
-            again = simulate_interferogram(spec, tg, chunk_size=chunk)
-            assert np.array_equal(full.values, again.values)
+        self.assert_matches_direct_sum(spec, centered_time_grid(5e-4, 2048))  # m > n
+        self.assert_matches_direct_sum(spec, centered_time_grid(5e-4, 97))  # n > m
+
+    def test_two_point_axes(self):
+        two_bins = SumFrequencySpectrum(
+            make_frequency_grid(740.1, 0.004, 2), np.array([100.0, 150.0]), normalized=True
+        )
+        grid = make_frequency_grid(739.8, 0.002, 301)
+        spec = gaussian_pump_spectrum(grid, 740.1, 0.1)
+        self.assert_matches_direct_sum(two_bins, centered_time_grid(5e-4, 300))
+        self.assert_matches_direct_sum(spec, TimeGrid(-0.0123, 7e-4, 2))
+        self.assert_matches_direct_sum(two_bins, TimeGrid(3.1, 5e-4, 2))
+
+    def test_window_far_from_zero(self):
+        grid = make_frequency_grid(739.8, 0.002, 301)
+        spec = gaussian_pump_spectrum(grid, 740.1, 0.1)
+        self.assert_matches_direct_sum(spec, TimeGrid(16.0123, 5e-4, 400))
+        self.assert_matches_direct_sum(spec, TimeGrid(-16.3837, 5e-4, 400))
+        self.assert_matches_direct_sum(single_bin_spectrum(740.215), TimeGrid(16.0009, 3e-4, 300))
+
+    def test_default_grid_broad_spectrum(self):
+        # the chirp phase reaches ~4e3 cycles here; spot-check the centre
+        # and both window edges
+        grid = make_frequency_grid(737.25, 0.004, 1501)
+        spec = gaussian_pump_spectrum(grid, 740.25, 2.0)
+        tg = default_time_grid()
+        idx = np.r_[0:40, 32748:32788, tg.count - 40 : tg.count]
+        self.assert_matches_direct_sum(spec, tg, idx)
 
 
 class TestCorrelationTrace:
@@ -222,3 +256,5 @@ class TestInvariants:
             g = correlation_trace(p)
             assert np.all(p.values >= 0) and np.all(p.values <= 1)
             assert np.all(np.abs(g.values) <= 1)
+            ref = direct_sum_reference(spec, tg.values)
+            assert np.max(np.abs(p.values - ref)) <= TestChirpZAgainstDirectSum.TOL

@@ -55,6 +55,13 @@ class TestSampleCounts:
         other_stream = sample_counts(pattern, cfg, stream=1)
         assert other_stream.records != full.records
 
+    def test_non_positive_chunk_size_rejected(self):
+        pattern = small_interferogram()
+        cfg = NoiseConfig(pairs_per_bin=100, seed=1)
+        for chunk in (0, -5):
+            with pytest.raises(ValueError, match="chunk_size"):
+                sample_counts(pattern, cfg, chunk_size=chunk)
+
     def test_probability_clamp_flag(self):
         pattern = small_interferogram()
         clean = sample_counts(pattern, NoiseConfig(pairs_per_bin=100, seed=1))
@@ -154,6 +161,12 @@ class TestCountRecordValidation:
             NoiseConfig(pairs_per_bin=0, seed=1)
         with pytest.raises(ValueError):
             NoiseConfig(pairs_per_bin=10, seed=1, efficiency=1.5)
+
+    def test_pairs_per_bin_capped_at_2_pow_31(self):
+        NoiseConfig(pairs_per_bin=2**31, seed=1)
+        for huge in (2**31 + 1, 2**53, int(1e30)):
+            with pytest.raises(ValueError, match="pairs_per_bin"):
+                NoiseConfig(pairs_per_bin=huge, seed=1)
 
 
 class TestErrorScalingStudy:
