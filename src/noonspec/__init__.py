@@ -41,7 +41,6 @@ from .interferometer import (
 )
 from .noise import (
     CountData,
-    CountRecord,
     NoiseConfig,
     ScalingRow,
     ScalingStudy,
@@ -78,7 +77,6 @@ __all__ = [
     "CombLine",
     "CorrelationTrace",
     "CountData",
-    "CountRecord",
     "CoverageError",
     "FrequencyGrid",
     "GridMismatchError",

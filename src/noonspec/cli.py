@@ -58,23 +58,40 @@ class Scenario:
     outputs: str | None
 
 
+def _require_object(doc, context: str) -> None:
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"{context} must be a JSON object")
+
+
 def _require_keys(doc: dict, allowed: set, context: str) -> None:
+    _require_object(doc, context)
     extra = set(doc) - allowed
     if extra:
         raise ScenarioError(f"unknown keys in {context}: {sorted(extra)}")
+
+
+def _integer(doc: dict, key: str) -> int:
+    """``doc[key]`` as an int; a boolean or a non-integral number is an error."""
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+        isinstance(value, float) and not value.is_integer()
+    ):
+        raise ScenarioError(f"{key} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _parse_frequency_grid(doc: dict, context: str):
     _require_keys(doc, {"start_thz", "step_thz", "count"}, context)
     try:
         return make_frequency_grid(
-            float(doc["start_thz"]), float(doc["step_thz"]), int(doc["count"])
+            float(doc["start_thz"]), float(doc["step_thz"]), _integer(doc, "count")
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"bad {context}: {exc}") from exc
 
 
 def _parse_pump(doc: dict) -> SumFrequencySpectrum:
+    _require_object(doc, "pump")
     kind = doc.get("kind")
     try:
         if kind == "gaussian":
@@ -129,8 +146,7 @@ def _parse_pump(doc: dict) -> SumFrequencySpectrum:
 
 
 def _parse_sample(doc, base_dir: Path) -> Sample:
-    if not isinstance(doc, dict):
-        raise ScenarioError("sample must be a JSON object")
+    _require_object(doc, "sample")
     if set(doc) == {"path"}:
         path = Path(doc["path"])
         if not path.is_absolute():
@@ -147,7 +163,7 @@ def _parse_sample(doc, base_dir: Path) -> Sample:
 def _parse_time_grid(doc: dict) -> TimeGrid:
     _require_keys(doc, {"start_ps", "step_ps", "count"}, "time_grid")
     try:
-        return TimeGrid(float(doc["start_ps"]), float(doc["step_ps"]), int(doc["count"]))
+        return TimeGrid(float(doc["start_ps"]), float(doc["step_ps"]), _integer(doc, "count"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"bad time_grid: {exc}") from exc
 
@@ -156,8 +172,8 @@ def _parse_noise(doc: dict) -> NoiseConfig:
     _require_keys(doc, {"pairs_per_bin", "seed", "dark_rate", "efficiency"}, "noise")
     try:
         return NoiseConfig(
-            pairs_per_bin=int(doc["pairs_per_bin"]),
-            seed=int(doc["seed"]),
+            pairs_per_bin=_integer(doc, "pairs_per_bin"),
+            seed=_integer(doc, "seed"),
             dark_rate=float(doc.get("dark_rate", 0.0)),
             efficiency=float(doc.get("efficiency", 1.0)),
         )
@@ -166,8 +182,6 @@ def _parse_noise(doc: dict) -> NoiseConfig:
 
 
 def parse_scenario(doc: dict, base_dir: Path) -> Scenario:
-    if not isinstance(doc, dict):
-        raise ScenarioError("scenario must be a JSON object")
     _require_keys(
         doc, {"version", "pump", "sample", "time_grid", "noise", "outputs"}, "scenario"
     )
@@ -254,10 +268,8 @@ def cmd_simulate(args) -> int:
     }
     if scenario.noise is not None:
         counts = sample_counts(interferogram, scenario.noise, chunk_size=args.chunk_size)
-        io.write_counts_csv(out / "counts.csv", counts.records)
-        estimated = estimate_trace(
-            counts.records, scenario.noise.efficiency, scenario.noise.dark_rate
-        )
+        io.write_counts_csv(out / "counts.csv", counts)
+        estimated = estimate_trace(counts, scenario.noise.efficiency, scenario.noise.dark_rate)
         io.write_trace_csv(out / "trace_estimated.csv", estimated)
         summary["noise_seed"] = scenario.noise.seed
         summary["pairs_per_bin"] = scenario.noise.pairs_per_bin

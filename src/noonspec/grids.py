@@ -9,6 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NonUniformGridError
+
 
 @dataclass(frozen=True)
 class FrequencyGrid:
@@ -70,3 +72,21 @@ class TimeGrid:
 
     def __len__(self) -> int:
         return self.count
+
+
+def infer_grid(values, grid_type=TimeGrid):
+    """The uniform ``grid_type`` axis whose points are ``values``, as read from disk.
+
+    The step comes from the endpoints, which loses far less precision than
+    any single difference; every difference must match it to 1e-9 of
+    max(step, 1). Raises ``NonUniformGridError`` for an uneven axis and
+    ``ValueError`` for fewer than two points.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.size < 2:
+        raise ValueError("axis needs at least two points")
+    step = float((values[-1] - values[0]) / (values.size - 1))
+    steps = np.diff(values)
+    if step <= 0 or np.any(np.abs(steps - step) > 1e-9 * max(abs(step), 1.0)):
+        raise NonUniformGridError("axis is not uniformly spaced")
+    return grid_type(float(values[0]), step, int(values.size))

@@ -11,10 +11,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NonUniformGridError
-from .grids import FrequencyGrid, TimeGrid
+from .grids import FrequencyGrid, infer_grid
 from .interferometer import CorrelationTrace, Interferogram
-from .noise import CountRecord, ScalingStudy
+from .noise import CountData, ScalingStudy
 from .recovery import RecoveredSpectrum, SpectralFeature
 from .spectral import SumFrequencySpectrum
 
@@ -61,7 +60,7 @@ def read_spectrum_csv(path, normalized: bool = False) -> SumFrequencySpectrum:
     if body.shape[1] != 2:
         raise ValueError(f"{path}: expected two columns")
     nu, weights = body[:, 0], body[:, 1]
-    grid = _uniform_frequency_grid(nu)
+    grid = infer_grid(nu, FrequencyGrid)
     return SumFrequencySpectrum(grid, weights, normalized=normalized)
 
 
@@ -100,7 +99,7 @@ def read_trace_csv(path) -> CorrelationTrace:
     body = _read_columns(path, "t_ps,g")
     if body.shape[1] != 2:
         raise ValueError(f"{path}: expected two columns")
-    grid = _uniform_time_grid(body[:, 0])
+    grid = infer_grid(body[:, 0])
     return CorrelationTrace(grid, body[:, 1])
 
 
@@ -132,21 +131,23 @@ def write_peaks_json(path, features: Sequence[SpectralFeature]) -> None:
         fh.write("\n")
 
 
-def write_counts_csv(path, records: Sequence[CountRecord]) -> None:
+def write_counts_csv(path, counts: CountData) -> None:
     _write_rows(
         path,
         "t_ps,coincidences,pairs_sent",
-        ((_fmt(r.delay), str(r.coincidences), str(r.pairs_sent)) for r in records),
+        zip(
+            map(_fmt, counts.delays),
+            map(str, counts.coincidences.tolist()),
+            map(str, counts.pairs_sent.tolist()),
+        ),
     )
 
 
-def read_counts_csv(path) -> list:
+def read_counts_csv(path) -> CountData:
     body = _read_columns(path, "t_ps,coincidences,pairs_sent")
     if body.shape[1] != 3:
         raise ValueError(f"{path}: expected three columns")
-    return [
-        CountRecord(float(t), int(c), int(n)) for t, c, n in body
-    ]
+    return CountData(body[:, 0], body[:, 1], body[:, 2])
 
 
 def write_scaling_csv(path, study: ScalingStudy) -> None:
@@ -158,24 +159,3 @@ def write_scaling_csv(path, study: ScalingStudy) -> None:
             for row in study.rows
         ),
     )
-
-
-def _uniform_frequency_grid(values: np.ndarray) -> FrequencyGrid:
-    step, start, count = _uniform_axis(values)
-    return FrequencyGrid(start, step, count)
-
-
-def _uniform_time_grid(values: np.ndarray) -> TimeGrid:
-    step, start, count = _uniform_axis(values)
-    return TimeGrid(start, step, count)
-
-
-def _uniform_axis(values: np.ndarray):
-    if values.size < 2:
-        raise ValueError("axis needs at least two points")
-    # endpoint-based step loses far less precision than any single diff
-    step = float((values[-1] - values[0]) / (values.size - 1))
-    steps = np.diff(values)
-    if step <= 0 or np.any(np.abs(steps - step) > 1e-9 * max(abs(step), 1.0)):
-        raise NonUniformGridError("axis is not uniformly spaced")
-    return step, float(values[0]), int(values.size)

@@ -3,11 +3,14 @@
 Coincidence detection is modeled per delay bin as Binomial(pairs_per_bin,
 efficiency^2 * P(t) + dark_rate): a fixed number of pairs is sent at each
 delay and each survives detection independently. Dark counts enter as an
-additive probability floor.
+additive probability floor. Counts are held as columns (delays,
+coincidences, pairs sent) in a :class:`CountData`.
 
 Randomness is drawn from counter-based Philox streams keyed by
 (seed, stream), with the bin index selecting the position inside the
-stream. Each bin's count is therefore a pure function of
+stream. Each bin's count is the binomial quantile of its uniform, found
+by a guided search on ``scipy.stats.binom.cdf`` that returns what
+``binom.ppf`` returns. Each count is therefore a pure function of
 (seed, stream, bin): results are bit-identical however the bins are
 partitioned across workers, which is what makes chunked or parallel
 execution reproducible.
@@ -20,28 +23,13 @@ from typing import Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
+from scipy.special import ndtri
 from scipy.stats import binom
 
-from .errors import NonUniformGridError
-from .grids import TimeGrid
+from .grids import TimeGrid, infer_grid
 from .interferometer import CorrelationTrace, Interferogram, simulate_interferogram
 from .recovery import _parabolic_vertex, fold_one_sided, fourier_recover
 from .spectral import SumFrequencySpectrum
-
-
-@dataclass(frozen=True)
-class CountRecord:
-    """Coincidences observed out of ``pairs_sent`` at one delay."""
-
-    delay: float
-    coincidences: int
-    pairs_sent: int
-
-    def __post_init__(self):
-        if self.pairs_sent < 1:
-            raise ValueError("pairs_sent must be positive")
-        if not (0 <= self.coincidences <= self.pairs_sent):
-            raise ValueError("coincidences must lie in [0, pairs_sent]")
 
 
 MAX_PAIRS_PER_BIN = 2**31
@@ -56,7 +44,8 @@ class NoiseConfig:
 
     def __post_init__(self):
         if not (1 <= self.pairs_per_bin <= MAX_PAIRS_PER_BIN):
-            # binom.ppf returns NaN at 2**53 pairs and does not return at 2**62
+            # the sampler is checked against binom.ppf up to here; binom.ppf
+            # returns NaN at 2**53 pairs and does not return at 2**62
             raise ValueError(f"pairs_per_bin must lie in [1, {MAX_PAIRS_PER_BIN}]")
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must fit in 64 bits")
@@ -66,12 +55,47 @@ class NoiseConfig:
             raise ValueError("efficiency must lie in (0, 1]")
 
 
-@dataclass(frozen=True)
-class CountData:
-    """Sampled records plus a flag marking probability clamping at 1."""
+def _integer_column(values, name: str) -> np.ndarray:
+    column = np.asarray(values)
+    if column.dtype.kind == "f" and np.all(
+        (column == np.round(column)) & (np.abs(column) <= 2**53)
+    ):
+        column = column.astype(np.int64)
+    if column.dtype.kind not in "iu":
+        raise ValueError(f"{name} must hold integers")
+    return column.astype(np.int64, copy=False)
 
-    records: tuple
-    clamped: bool
+
+@dataclass(frozen=True, eq=False)
+class CountData:
+    """Coincidences observed out of ``pairs_sent`` at each delay, as columns.
+
+    ``delays`` (float), ``coincidences`` and ``pairs_sent`` (int64) are
+    equal-length 1-D arrays; ``clamped`` marks a success probability
+    clamped at 1 while sampling. ``len()`` is the number of delay bins.
+    """
+
+    delays: np.ndarray
+    coincidences: np.ndarray
+    pairs_sent: np.ndarray
+    clamped: bool = False
+
+    def __post_init__(self):
+        delays = np.asarray(self.delays, dtype=float)
+        coincidences = _integer_column(self.coincidences, "coincidences")
+        pairs_sent = _integer_column(self.pairs_sent, "pairs_sent")
+        if delays.ndim != 1 or not (delays.shape == coincidences.shape == pairs_sent.shape):
+            raise ValueError("delays, coincidences and pairs_sent must be 1-D and of equal length")
+        if np.any(pairs_sent < 1):
+            raise ValueError("pairs_sent must be positive")
+        if np.any((coincidences < 0) | (coincidences > pairs_sent)):
+            raise ValueError("coincidences must lie in [0, pairs_sent]")
+        object.__setattr__(self, "delays", delays)
+        object.__setattr__(self, "coincidences", coincidences)
+        object.__setattr__(self, "pairs_sent", pairs_sent)
+
+    def __len__(self) -> int:
+        return self.delays.size
 
 
 def _keyed_uniforms(seed: int, stream: int, n: int, offset: int = 0) -> np.ndarray:
@@ -90,6 +114,61 @@ def _keyed_uniforms(seed: int, stream: int, n: int, offset: int = 0) -> np.ndarr
     return gen.random(n)
 
 
+def _binomial_quantile(u: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
+    """``np.clip(binom.ppf(u, n, p), 0, n)`` as int64, by a guided search.
+
+    Each bin starts from the continuity-corrected Cornish-Fisher guess
+    ``ceil(n p + sigma z + (z^2 - 1)(1 - 2p)/6 - 1/2)``, ``z = ndtri(u)``,
+    and steps until ``binom.cdf(k-1) < u <= binom.cdf(k)``: about two CDF
+    evaluations per bin, against the root finder inside ``binom.ppf``.
+    Three rules of ``binom.ppf`` are kept: ``u <= (1-p)**n`` (by libm
+    ``pow``) and ``u <= binom.pmf(0)`` give 0, and a run of k whose CDF
+    equals u exactly resolves to its last member. Where the root finder of
+    ``binom.ppf`` stops short (for u very close to 0 or 1, mostly with an
+    "Unable to bracket root" warning) this still returns the quantile.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = ndtri(u)
+        sigma = np.sqrt(n * p * (1 - p))
+        guess = np.ceil(n * p + sigma * z + (z * z - 1) * (1 - 2 * p) / 6 - 0.5)
+    k = np.clip(np.nan_to_num(guess), 0, n)
+
+    # numpy's vectorised power may differ from libm pow in the last bits,
+    # so it only preselects the bins to test with math.pow
+    near = np.flatnonzero(u <= (1.0 - p) ** n * (1 + 2**-40))
+    zero = np.zeros(u.size, dtype=bool)
+    zero[near] = [
+        ui <= math.pow(1.0 - pi, n) for ui, pi in zip(u[near].tolist(), p[near].tolist())
+    ]
+    k[zero] = 0
+
+    c = np.ones_like(u)  # binom.cdf(k) of every searched bin
+    todo = np.flatnonzero(~zero)
+    c[todo] = binom.cdf(k[todo], n, p[todo])
+    i = todo[c[todo] < u[todo]]
+    down = todo[(c[todo] >= u[todo]) & (k[todo] > 0)]
+    while i.size:
+        k[i] += 1
+        c[i] = binom.cdf(k[i], n, p[i])
+        i = i[c[i] < u[i]]
+    i = down
+    while i.size:
+        below = binom.cdf(k[i] - 1, n, p[i])
+        moved = below >= u[i]
+        i = i[moved]
+        k[i] -= 1
+        c[i] = below[moved]
+        i = i[k[i] > 0]
+    i = np.flatnonzero((c == u) & (k < n))
+    while i.size:
+        i = i[binom.cdf(k[i] + 1, n, p[i]) == u[i]]
+        k[i] += 1
+        i = i[k[i] < n]
+    i = np.flatnonzero(k == 1)
+    k[i[u[i] <= binom.pmf(0, n, p[i])]] = 0
+    return k.astype(np.int64)
+
+
 def sample_counts(
     interferogram: Interferogram,
     config: NoiseConfig,
@@ -99,8 +178,9 @@ def sample_counts(
     """Draw coincidence counts for every delay bin.
 
     The per-bin success probability ``efficiency^2 * P + dark_rate`` is
-    clamped into [0, 1]; a clamp event is reported on the result. Counts
-    are the binomial inverse CDF of one keyed uniform per bin, so the
+    clamped into [0, 1]; a clamp event is reported on the result. Each
+    count is the binomial quantile of one keyed uniform, found by a guided
+    search on ``binom.cdf`` that gives what ``binom.ppf`` gives, so the
     draw is deterministic and partition-independent: ``chunk_size`` bins
     are drawn per block (all at once when None) without changing a bit.
     ``stream`` distinguishes repeated experiments under the same seed.
@@ -118,42 +198,24 @@ def sample_counts(
     for lo in range(0, nbins, chunk_size):
         hi = min(lo + chunk_size, nbins)
         u = _keyed_uniforms(config.seed, stream, hi - lo, offset=lo)
-        drawn = binom.ppf(u, config.pairs_per_bin, p[lo:hi])
-        # ppf(0, ...) is -1 by convention and random() can return exactly 0
-        counts[lo:hi] = np.clip(drawn, 0, config.pairs_per_bin).astype(np.int64)
-
-    delays = interferogram.grid.values
-    records = tuple(
-        CountRecord(float(delays[i]), int(counts[i]), config.pairs_per_bin)
-        for i in range(nbins)
-    )
-    return CountData(records, clamped)
-
-
-def _grid_from_delays(delays: np.ndarray) -> TimeGrid:
-    if delays.size < 2:
-        raise ValueError("need at least two records")
-    step = float((delays[-1] - delays[0]) / (delays.size - 1))
-    steps = np.diff(delays)
-    if step <= 0 or np.any(np.abs(steps - step) > 1e-9 * max(abs(step), 1.0)):
-        raise NonUniformGridError("records are not on a uniform delay grid")
-    return TimeGrid(float(delays[0]), step, delays.size)
+        counts[lo:hi] = _binomial_quantile(u, config.pairs_per_bin, p[lo:hi])
+    pairs = np.full(nbins, config.pairs_per_bin, dtype=np.int64)
+    return CountData(interferogram.grid.values, counts, pairs, clamped)
 
 
 def estimate_trace(
-    records: Sequence[CountRecord], efficiency: float, dark_rate: float = 0.0
+    counts: CountData, efficiency: float, dark_rate: float = 0.0
 ) -> CorrelationTrace:
     """Efficiency- and dark-corrected correlation estimate from counts.
 
     P_hat = (coincidences/pairs_sent - dark_rate)/efficiency^2 clamped to
-    [0, 1], then G_hat = 2 P_hat - 1. The output feeds
-    :func:`noonspec.recovery.fourier_recover` unchanged.
+    [0, 1], then G_hat = 2 P_hat - 1. The delays must form a uniform grid.
+    The output feeds :func:`noonspec.recovery.fourier_recover` unchanged.
     """
     if not (0 < efficiency <= 1):
         raise ValueError("efficiency must lie in (0, 1]")
-    delays = np.array([r.delay for r in records], dtype=float)
-    grid = _grid_from_delays(delays)
-    rates = np.array([r.coincidences / r.pairs_sent for r in records])
+    grid = infer_grid(counts.delays)
+    rates = counts.coincidences / counts.pairs_sent
     p_hat = np.clip((rates - dark_rate) / efficiency**2, 0.0, 1.0)
     return CorrelationTrace(grid, 2.0 * p_hat - 1.0)
 
@@ -231,7 +293,7 @@ def error_scaling_study(
             counts = sample_counts(
                 pattern, cfg, stream=i_n * repeats + r, chunk_size=chunk_size
             )
-            trace = estimate_trace(counts.records, cfg.efficiency, cfg.dark_rate)
+            trace = estimate_trace(counts, cfg.efficiency, cfg.dark_rate)
             folded = fold_one_sided(fourier_recover(trace))
             centers[r], heights[r] = _dominant_peak(folded)
         rows.append(

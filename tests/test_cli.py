@@ -5,6 +5,8 @@ import sys
 import numpy as np
 import pytest
 
+from noonspec.cli import main
+
 SMALL_TIME_GRID = {"start_ps": -1.024, "step_ps": 5e-4, "count": 4096}
 
 
@@ -169,6 +171,50 @@ class TestSimulate:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert "sample must be a JSON object" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "where, value",
+        [("pump", [1]), ("pump.grid", [1]), ("pump.lines[]", 1)],
+    )
+    def test_non_object_pump_parts_exit_2(self, tmp_path, capsys, where, value):
+        doc = small_scenario()
+        if where == "pump":
+            doc["pump"] = value
+        elif where == "pump.grid":
+            doc["pump"]["grid"] = value
+        else:
+            doc["pump"] = {"kind": "comb", "grid": doc["pump"]["grid"], "lines": [value]}
+        cfg = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"{where} must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("time_grid.count", 1024.5),
+            ("pump.grid.count", 751.5),
+            ("noise.pairs_per_bin", 1000.7),
+            ("noise.seed", 1.5),
+        ],
+    )
+    def test_non_integral_integer_field_exits_2(self, tmp_path, capsys, field, bad):
+        # int() used to truncate these silently
+        section, key = field.rsplit(".", 1)
+        for value in (bad, True):
+            doc = small_scenario(noise={"pairs_per_bin": 1000, "seed": 1})
+            holder = doc
+            for part in section.split("."):
+                holder = holder[part]
+            holder[key] = value
+            cfg = write_config(tmp_path, doc)
+            assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+            assert f"{key} must be an integer, got {value!r}" in capsys.readouterr().err
+
+    def test_integral_float_integer_field_accepted(self, tmp_path):
+        doc = small_scenario(noise={"pairs_per_bin": 1000.0, "seed": 1})
+        doc["time_grid"]["count"] = 4096.0
+        cfg = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
     def test_huge_pairs_per_bin_exits_2(self, tmp_path):
         doc = small_scenario(noise={"pairs_per_bin": 1e30, "seed": 1})

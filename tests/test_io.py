@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from noonspec import (
-    CountRecord,
+    CountData,
     NonUniformGridError,
     RecoveredSpectrum,
     FrequencyGrid,
@@ -122,12 +122,30 @@ def test_peaks_json_schema(tmp_path):
 
 
 def test_counts_roundtrip(tmp_path):
-    records = [CountRecord(-0.5, 3, 10), CountRecord(0.0, 7, 10), CountRecord(0.5, 10, 10)]
+    counts = CountData([-0.5, 0.0, 0.5], [3, 7, 10], [10, 10, 10])
     path = tmp_path / "counts.csv"
-    io.write_counts_csv(path, records)
+    io.write_counts_csv(path, counts)
     assert path.read_text().splitlines()[0] == "t_ps,coincidences,pairs_sent"
     back = io.read_counts_csv(path)
-    assert back == records
+    for column in ("delays", "coincidences", "pairs_sent"):
+        np.testing.assert_array_equal(getattr(back, column), getattr(counts, column))
+
+
+def test_counts_columns_written_as_rows(tmp_path):
+    counts = CountData([-0.5, 0.25], [3, 1000], [10, 2**31])
+    path = tmp_path / "counts.csv"
+    io.write_counts_csv(path, counts)
+    assert path.read_text().splitlines()[1:] == ["-0.5,3,10", "0.25,1000,2147483648"]
+    back = io.read_counts_csv(path)
+    assert back.coincidences.dtype == back.pairs_sent.dtype == np.int64
+    assert len(back) == 2
+
+
+def test_counts_fractional_count_rejected(tmp_path):
+    path = tmp_path / "counts.csv"
+    path.write_text("t_ps,coincidences,pairs_sent\n0,3.5,10\n0.5,1,10\n")
+    with pytest.raises(ValueError, match="coincidences"):
+        io.read_counts_csv(path)
 
 
 def test_scaling_csv(tmp_path):

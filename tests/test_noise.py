@@ -1,10 +1,14 @@
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy.stats import binom
 
 from noonspec import (
-    CountRecord,
+    CountData,
     FrequencyGrid,
     Interferogram,
     NoiseConfig,
@@ -18,6 +22,9 @@ from noonspec import (
     sample_counts,
     simulate_interferogram,
 )
+from noonspec.cli import parse_scenario
+from noonspec.noise import _binomial_quantile, _keyed_uniforms
+from noonspec.presets import preset_scenario
 from conftest import centered_time_grid
 
 
@@ -35,15 +42,15 @@ class TestSampleCounts:
         cfg = NoiseConfig(pairs_per_bin=10**6, seed=11, efficiency=0.8)
         data = sample_counts(pattern, cfg)
         p = 0.8**2 * pattern.values
-        for rec, p_bin in zip(data.records, p):
+        for c, sent, p_bin in zip(data.coincidences, data.pairs_sent, p):
             sigma = math.sqrt(max(p_bin * (1 - p_bin), 1e-12) / cfg.pairs_per_bin)
-            assert abs(rec.coincidences / rec.pairs_sent - p_bin) <= 3 * sigma + 1e-9
+            assert abs(c / sent - p_bin) <= 3 * sigma + 1e-9
 
     def test_dark_free_zero_pattern_gives_zero_counts(self):
         tg = centered_time_grid(5e-4, 16)
         pattern = Interferogram(tg, np.zeros(16))
         data = sample_counts(pattern, NoiseConfig(pairs_per_bin=1000, seed=3))
-        assert all(r.coincidences == 0 for r in data.records)
+        assert np.all(data.coincidences == 0)
 
     def test_same_seed_same_counts_any_partition(self):
         pattern = small_interferogram(64)
@@ -51,9 +58,12 @@ class TestSampleCounts:
         full = sample_counts(pattern, cfg)
         for chunk in (1, 5, 17, 64):
             again = sample_counts(pattern, cfg, chunk_size=chunk)
-            assert again.records == full.records
+            for column in ("delays", "coincidences", "pairs_sent"):
+                np.testing.assert_array_equal(
+                    getattr(again, column), getattr(full, column)
+                )
         other_stream = sample_counts(pattern, cfg, stream=1)
-        assert other_stream.records != full.records
+        assert not np.array_equal(other_stream.coincidences, full.coincidences)
 
     def test_non_positive_chunk_size_rejected(self):
         pattern = small_interferogram()
@@ -70,18 +80,88 @@ class TestSampleCounts:
             pattern, NoiseConfig(pairs_per_bin=100, seed=1, dark_rate=0.5)
         )
         assert noisy.clamped
-        assert all(r.coincidences <= r.pairs_sent for r in noisy.records)
+        assert np.all(noisy.coincidences <= noisy.pairs_sent)
+
+
+class TestBinomialQuantile:
+    """The guided search against ``binom.ppf``, on the uniforms the sampler draws.
+
+    ``Generator.random`` returns multiples of 2**-53 in [0, 1), so u is
+    drawn as such a multiple (0 included).
+    """
+
+    cases = dict(
+        n=st.integers(1, 2**31),
+        p=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        u=st.integers(0, 2**53 - 1).map(lambda m: m * 2.0**-53),
+    )
+
+    @staticmethod
+    def quantile(u, n, p):
+        return int(_binomial_quantile(np.array([u]), n, np.array([p]))[0])
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(**cases)
+    # draws where binom.ppf returns 0 by its u <= pmf(0) rule and by its
+    # u <= (1-p)**n rule with libm pow (numpy's power is an ulp lower there)
+    @example(n=25, p=2.5751329311206176e-16, u=0.9999999999999973)
+    @example(n=423796804, p=5.885845183849274e-10, u=0.7792368496041203)
+    def test_equals_binom_ppf(self, n, p, u):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            expected = int(np.clip(binom.ppf(u, n, p), 0, n))
+        # binom.ppf's root finder sometimes stops short of the quantile, and
+        # its answer then contradicts binom.cdf: a few draws in 10**4 with u
+        # within 1e-7 of 0 or 1 or p within an ulp of 1, most of them with an
+        # "Unable to bracket root" warning. There it is no oracle.
+        if expected > 0 and not (
+            binom.cdf(expected - 1, n, p) <= u <= binom.cdf(expected, n, p)
+        ):
+            return
+        assert self.quantile(u, n, p) == expected
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(**cases)
+    @example(n=25, p=2.5751329311206176e-16, u=0.9999999999999973)
+    @example(n=423796804, p=5.885845183849274e-10, u=0.7792368496041203)
+    def test_is_the_cdf_quantile(self, n, p, u):
+        k = self.quantile(u, n, p)
+        assert 0 <= k <= n
+        zero_rule = u <= math.pow(1.0 - p, n) or u <= binom.pmf(0, n, p)
+        if k == 0:
+            assert zero_rule or binom.cdf(0, n, p) >= u
+            return
+        assert not zero_rule
+        below, at = binom.cdf(k - 1, n, p), binom.cdf(k, n, p)
+        # a run of k with cdf == u exactly ends at its last member
+        assert below < u <= at or below == u == at
+        if at == u and k < n:
+            assert binom.cdf(k + 1, n, p) != u
+
+    def test_sample_counts_match_binom_ppf_on_noise_gauss(self):
+        scenario = parse_scenario(preset_scenario("noise-gauss"), Path.cwd())
+        pattern = simulate_interferogram(scenario.spectrum, scenario.time_grid)
+        eff = scenario.noise.efficiency
+        p = np.clip(eff**2 * pattern.values + scenario.noise.dark_rate, 0.0, 1.0)
+        for pairs in (1000, 10**4, 10**5):
+            cfg = NoiseConfig(pairs_per_bin=pairs, seed=scenario.noise.seed, efficiency=eff)
+            for stream in (0, 7):
+                u = _keyed_uniforms(cfg.seed, stream, pattern.grid.count)
+                expected = np.clip(binom.ppf(u, pairs, p), 0, pairs).astype(np.int64)
+                drawn = sample_counts(pattern, cfg, stream=stream)
+                np.testing.assert_array_equal(drawn.coincidences, expected)
 
 
 class TestEstimateTrace:
     def test_noiseless_records_invert_exactly(self):
         pairs = 10000
         p_values = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
-        records = [
-            CountRecord(0.1 * i, int(p * pairs), pairs)
-            for i, p in enumerate(p_values)
-        ]
-        trace = estimate_trace(records, efficiency=1.0)
+        counts = CountData(
+            0.1 * np.arange(p_values.size),
+            [int(p * pairs) for p in p_values],
+            np.full(p_values.size, pairs),
+        )
+        trace = estimate_trace(counts, efficiency=1.0)
         np.testing.assert_allclose(trace.values, 2 * p_values - 1)
 
     def test_efficiency_and_dark_corrected(self):
@@ -89,11 +169,10 @@ class TestEstimateTrace:
         p_true = 0.6
         eff, dark = 0.9, 0.01
         observed = eff**2 * p_true + dark
-        records = [
-            CountRecord(0.0, round(observed * pairs), pairs),
-            CountRecord(0.5, round(observed * pairs), pairs),
-        ]
-        trace = estimate_trace(records, efficiency=eff, dark_rate=dark)
+        counts = CountData(
+            [0.0, 0.5], [round(observed * pairs)] * 2, [pairs] * 2
+        )
+        trace = estimate_trace(counts, efficiency=eff, dark_rate=dark)
         assert trace.values[0] == pytest.approx(2 * p_true - 1, abs=1e-5)
 
     def test_noise_scales_with_inverse_sqrt_pairs(self):
@@ -106,7 +185,7 @@ class TestEstimateTrace:
             cfg = NoiseConfig(pairs_per_bin=n, seed=5)
             samples = [
                 estimate_trace(
-                    sample_counts(pattern, cfg, stream=s).records, 1.0
+                    sample_counts(pattern, cfg, stream=s), 1.0
                 ).values[0]
                 for s in range(2000)
             ]
@@ -118,18 +197,14 @@ class TestEstimateTrace:
     def test_estimated_trace_feeds_recovery(self):
         pattern = small_interferogram(128)
         cfg = NoiseConfig(pairs_per_bin=5000, seed=9)
-        trace = estimate_trace(sample_counts(pattern, cfg).records, 1.0)
+        trace = estimate_trace(sample_counts(pattern, cfg), 1.0)
         rec = fourier_recover(trace)
         assert rec.grid.count == 128
 
     def test_non_uniform_records_rejected(self):
-        records = [
-            CountRecord(0.0, 1, 10),
-            CountRecord(0.1, 1, 10),
-            CountRecord(0.3, 1, 10),
-        ]
+        counts = CountData([0.0, 0.1, 0.3], [1, 1, 1], [10, 10, 10])
         with pytest.raises(NonUniformGridError):
-            estimate_trace(records, 1.0)
+            estimate_trace(counts, 1.0)
 
     def test_unbiasedness(self):
         tg = centered_time_grid(5e-4, 2)
@@ -142,7 +217,7 @@ class TestEstimateTrace:
             * (
                 1
                 + estimate_trace(
-                    sample_counts(pattern, cfg, stream=s).records, 0.85
+                    sample_counts(pattern, cfg, stream=s), 0.85
                 ).values[0]
             )
             for s in range(streams)
@@ -151,16 +226,36 @@ class TestEstimateTrace:
         assert abs(np.mean(est) - p_bin) <= 3 * se
 
 
-class TestCountRecordValidation:
+class TestCountDataValidation:
     def test_bounds(self):
         with pytest.raises(ValueError):
-            CountRecord(0.0, -1, 10)
+            CountData([0.0], [-1], [10])
         with pytest.raises(ValueError):
-            CountRecord(0.0, 11, 10)
+            CountData([0.0], [11], [10])
         with pytest.raises(ValueError):
             NoiseConfig(pairs_per_bin=0, seed=1)
         with pytest.raises(ValueError):
             NoiseConfig(pairs_per_bin=10, seed=1, efficiency=1.5)
+
+    def test_columns_rejected(self):
+        with pytest.raises(ValueError, match="equal length"):
+            CountData([0.0, 0.5], [1], [10, 10])
+        with pytest.raises(ValueError, match="equal length"):
+            CountData([[0.0, 0.5]], [[1, 1]], [[10, 10]])
+        with pytest.raises(ValueError, match="pairs_sent"):
+            CountData([0.0, 0.5], [0, 0], [10, 0])
+        with pytest.raises(ValueError, match="coincidences"):
+            CountData([0.0, 0.5], [2.5, 1.0], [10, 10])
+        with pytest.raises(ValueError, match="coincidences"):
+            CountData([0.0, 0.5], [3, 12], [10, 10])
+
+    def test_columns_and_length(self):
+        counts = CountData([0.0, 0.5, 1.0], [1.0, 2.0, 3.0], [10, 10, 10], clamped=True)
+        assert len(counts) == 3
+        assert counts.coincidences.dtype == np.int64
+        assert counts.pairs_sent.dtype == np.int64
+        np.testing.assert_array_equal(counts.coincidences, [1, 2, 3])
+        assert counts.clamped
 
     def test_pairs_per_bin_capped_at_2_pow_31(self):
         NoiseConfig(pairs_per_bin=2**31, seed=1)
