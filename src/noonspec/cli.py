@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -80,11 +81,24 @@ def _integer(doc: dict, key: str) -> int:
     return int(value)
 
 
+def _real(doc: dict, key: str) -> float:
+    """``doc[key]`` as a finite float; a string, a boolean or a non-finite number is an error."""
+    value = doc[key]
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ScenarioError(f"{key} must be a finite number, got {value!r}")
+
+
 def _parse_frequency_grid(doc: dict, context: str):
     _require_keys(doc, {"start_thz", "step_thz", "count"}, context)
     try:
         return make_frequency_grid(
-            float(doc["start_thz"]), float(doc["step_thz"]), _integer(doc, "count")
+            _real(doc, "start_thz"), _real(doc, "step_thz"), _integer(doc, "count")
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"bad {context}: {exc}") from exc
@@ -98,7 +112,7 @@ def _parse_pump(doc: dict) -> SumFrequencySpectrum:
             _require_keys(doc, {"kind", "center_thz", "fwhm_thz", "grid"}, "pump")
             grid = _parse_frequency_grid(doc["grid"], "pump.grid")
             return gaussian_pump_spectrum(
-                grid, float(doc["center_thz"]), float(doc["fwhm_thz"])
+                grid, _real(doc, "center_thz"), _real(doc, "fwhm_thz")
             )
         if kind == "comb":
             _require_keys(doc, {"kind", "lines", "grid"}, "pump")
@@ -108,9 +122,9 @@ def _parse_pump(doc: dict) -> SumFrequencySpectrum:
                 _require_keys(entry, {"center_thz", "fwhm_thz", "weight"}, "pump.lines[]")
                 lines.append(
                     CombLine(
-                        float(entry["center_thz"]),
-                        float(entry["fwhm_thz"]),
-                        float(entry["weight"]),
+                        _real(entry, "center_thz"),
+                        _real(entry, "fwhm_thz"),
+                        _real(entry, "weight"),
                     )
                 )
             return comb_pump_spectrum(grid, lines)
@@ -131,9 +145,9 @@ def _parse_pump(doc: dict) -> SumFrequencySpectrum:
             jsi = gaussian_jsi(
                 _parse_frequency_grid(doc["signal_grid"], "pump.signal_grid"),
                 _parse_frequency_grid(doc["idler_grid"], "pump.idler_grid"),
-                float(doc["pump_center_thz"]),
-                float(doc["pump_fwhm_thz"]),
-                float(doc["phasematch_fwhm_thz"]),
+                _real(doc, "pump_center_thz"),
+                _real(doc, "pump_fwhm_thz"),
+                _real(doc, "phasematch_fwhm_thz"),
             )
             return sum_frequency_marginal(
                 jsi, _parse_frequency_grid(doc["sum_grid"], "pump.sum_grid")
@@ -163,7 +177,7 @@ def _parse_sample(doc, base_dir: Path) -> Sample:
 def _parse_time_grid(doc: dict) -> TimeGrid:
     _require_keys(doc, {"start_ps", "step_ps", "count"}, "time_grid")
     try:
-        return TimeGrid(float(doc["start_ps"]), float(doc["step_ps"]), _integer(doc, "count"))
+        return TimeGrid(_real(doc, "start_ps"), _real(doc, "step_ps"), _integer(doc, "count"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"bad time_grid: {exc}") from exc
 
@@ -174,8 +188,8 @@ def _parse_noise(doc: dict) -> NoiseConfig:
         return NoiseConfig(
             pairs_per_bin=_integer(doc, "pairs_per_bin"),
             seed=_integer(doc, "seed"),
-            dark_rate=float(doc.get("dark_rate", 0.0)),
-            efficiency=float(doc.get("efficiency", 1.0)),
+            dark_rate=_real(doc, "dark_rate") if "dark_rate" in doc else 0.0,
+            efficiency=_real(doc, "efficiency") if "efficiency" in doc else 1.0,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"bad noise config: {exc}") from exc
@@ -194,6 +208,8 @@ def parse_scenario(doc: dict, base_dir: Path) -> Scenario:
     tgrid = _parse_time_grid(doc["time_grid"]) if "time_grid" in doc else default_time_grid()
     noise = _parse_noise(doc["noise"]) if doc.get("noise") else None
     outputs = doc.get("outputs")
+    if outputs is not None and not isinstance(outputs, str):
+        raise ScenarioError(f"outputs must be a directory path string, got {outputs!r}")
     return Scenario(spectrum, sample, tgrid, noise, outputs)
 
 

@@ -224,6 +224,75 @@ class TestSimulate:
         assert "Traceback" not in proc.stderr
         assert "pairs_per_bin" in proc.stderr
 
+    @pytest.mark.parametrize("bad", ['"740.25"', "true", "1e400", "-1e400", "NaN"])
+    @pytest.mark.parametrize(
+        "group, field",
+        [
+            ("gaussian", "pump.center_thz"),
+            ("gaussian", "pump.fwhm_thz"),
+            ("gaussian", "pump.grid.start_thz"),
+            ("gaussian", "pump.grid.step_thz"),
+            ("comb", "pump.lines.0.center_thz"),
+            ("comb", "pump.lines.0.fwhm_thz"),
+            ("comb", "pump.lines.0.weight"),
+            ("jsi", "pump.pump_center_thz"),
+            ("jsi", "pump.pump_fwhm_thz"),
+            ("jsi", "pump.phasematch_fwhm_thz"),
+            ("jsi", "pump.sum_grid.step_thz"),
+            ("gaussian", "time_grid.start_ps"),
+            ("gaussian", "time_grid.step_ps"),
+            ("noise", "noise.dark_rate"),
+            ("noise", "noise.efficiency"),
+        ],
+    )
+    def test_non_finite_or_non_number_float_field_exits_2(
+        self, tmp_path, capsys, group, field, bad
+    ):
+        # float() used to accept strings, and JSON's 1e400 parses as inf
+        doc = small_scenario()
+        if group == "comb":
+            doc["pump"] = {
+                "kind": "comb",
+                "grid": doc["pump"]["grid"],
+                "lines": [{"center_thz": 740.25, "fwhm_thz": 0.1, "weight": 1.0}],
+            }
+        elif group == "jsi":
+            side = {"start_thz": 369.5, "step_thz": 0.01, "count": 51}
+            doc["pump"] = {
+                "kind": "jsi",
+                "pump_center_thz": 740.25,
+                "pump_fwhm_thz": 0.5,
+                "phasematch_fwhm_thz": 1.0,
+                "signal_grid": side,
+                "idler_grid": side,
+                "sum_grid": {"start_thz": 739.0, "step_thz": 0.01, "count": 101},
+            }
+        elif group == "noise":
+            doc["noise"] = {"pairs_per_bin": 10, "seed": 1, "dark_rate": 0.0, "efficiency": 0.9}
+        *section, key = field.split(".")
+        holder = doc
+        for part in section:
+            holder = holder[int(part)] if part.isdigit() else holder[part]
+        holder[key] = "@BAD@"
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps(doc).replace('"@BAD@"', bad))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"{key} must be a finite number, got " in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("outputs", [5, ["x"], True, {"dir": "x"}])
+    def test_non_string_outputs_exits_2(self, tmp_path, capsys, monkeypatch, outputs):
+        # 5 used to end in a TypeError traceback from Path()
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, small_scenario(outputs=outputs))
+        for verb in ("simulate", "noise-study"):
+            assert main([verb, "--config", str(cfg)]) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: outputs must be a directory path string, got {outputs!r}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
+
     def test_scenario_outputs_field_used_without_out_flag(self, tmp_path):
         doc = small_scenario(outputs=str(tmp_path / "from_config"))
         cfg = write_config(tmp_path, doc)

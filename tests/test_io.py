@@ -1,7 +1,9 @@
 import json
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from noonspec import (
     CountData,
@@ -174,3 +176,92 @@ def test_float_format_roundtrips_exactly(tmp_path):
     back = io.read_spectrum_csv(path)
     assert back.grid.start == value
     assert back.weights[0] == value
+
+
+BLOCK = io._BLOCK_ROWS
+TINY = sys.float_info.min * sys.float_info.epsilon  # smallest subnormal
+SPECIAL_FLOATS = [
+    0.0, -0.0, TINY, -TINY, sys.float_info.min / 3, -sys.float_info.min,
+    sys.float_info.max, -sys.float_info.max, float("inf"), float("-inf"), float("nan"),
+]
+SPECIAL_INTS = [0, -1, 2**53 + 1, 2**63 - 1, -(2**63)]  # beyond 17 digits or a float's 53 bits
+
+
+@st.composite
+def csv_columns(draw):
+    """1 to 4 mixed float64/int64 columns of one length around the block size.
+
+    Each column repeats a drawn pool of values in a drawn order, so special
+    values land anywhere in the rows, block edges included.
+    """
+    n = draw(st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]))
+    kinds = draw(st.lists(st.sampled_from(["float", "int"]), min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for kind in kinds:
+        if kind == "float":
+            values = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(width=64))
+            pool = np.array(draw(st.lists(values, min_size=1, max_size=12)), dtype=float)
+        else:
+            values = st.one_of(st.sampled_from(SPECIAL_INTS), st.integers(-(2**63), 2**63 - 1))
+            pool = np.array(draw(st.lists(values, min_size=1, max_size=12)), dtype=np.int64)
+        columns.append(pool[rng.integers(0, pool.size, n)])
+    return kinds, columns
+
+
+def per_row_oracle(header, kinds, columns):
+    """The CSV as a per-value writer formats it: ``.17g`` floats, ``str`` integers."""
+    cell = {"float": lambda x: format(float(x), ".17g"), "int": lambda x: str(int(x))}
+    lines = [header]
+    for i in range(len(columns[0])):
+        lines.append(",".join(cell[k](c[i]) for k, c in zip(kinds, columns)))
+    return "\n".join(lines) + "\n"
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(csv_columns())
+def test_write_columns_equals_per_row_format(tmp_path, drawn):
+    kinds, columns = drawn
+    header = ",".join(f"c{j}" for j in range(len(kinds)))
+    formats = [io._FLOAT if k == "float" else io._INT for k in kinds]
+    path = tmp_path / "columns.csv"
+    io._write_columns(path, header, columns, formats)
+    assert path.read_bytes() == per_row_oracle(header, kinds, columns).encode()
+
+
+def test_write_columns_rejects_ragged_columns(tmp_path):
+    with pytest.raises(ValueError, match="length"):
+        io._write_columns(tmp_path / "x.csv", "a,b", ([1.0, 2.0], [1.0]), ["%.17g"] * 2)
+
+
+def test_recovered_abs_equals_scalar_complex_abs(tmp_path):
+    # np.abs on a complex array takes a SIMD path that is an ulp off scalar
+    # abs() on about a third of ordinary draws on AVX-512 machines; the
+    # column must match Python's abs(complex) bit for bit
+    rng = np.random.default_rng(20250808)
+    m = 512
+
+    def extreme():  # random signs, magnitudes from the smallest subnormal to 2**1021
+        return rng.choice([-1.0, 1.0], m) * 2.0 ** rng.uniform(-1074, 1021, m)
+
+    amp = np.concatenate(
+        [
+            rng.normal(size=m) + 1j * rng.normal(size=m),
+            extreme() + 1j * extreme(),
+            [0j, complex(-0.0, -0.0), TINY + 0j, complex(3e-310, -4e-310), complex(1e307, 1e307)],
+        ]
+    )
+    rec = RecoveredSpectrum(
+        FrequencyGrid(-1.0, 2.0 / amp.size, amp.size), amp, window_ps=1.0, time_step_ps=0.5
+    )
+    path = tmp_path / "recovered.csv"
+    io.write_recovered_csv(path, rec)
+    body = np.loadtxt(path, delimiter=",", skiprows=1)
+    expected = np.array([abs(complex(z)) for z in amp])
+    assert np.array_equal(body[:, 1], expected)
+    assert np.array_equal(body[:, 2], amp.real) and np.array_equal(body[:, 3], amp.imag)
