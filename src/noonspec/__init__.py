@@ -29,7 +29,7 @@ from .errors import (
     NoSignalError,
     WindowTooShortError,
 )
-from .grids import FrequencyGrid, TimeGrid
+from .grids import FrequencyGrid, TimeGrid, UniformGrid
 from .interferometer import (
     CorrelationTrace,
     Interferogram,
@@ -95,6 +95,7 @@ __all__ = [
     "TimeGrid",
     "TransmissionProfile",
     "TransmissionResult",
+    "UniformGrid",
     "WindowTooShortError",
     "comb_pump_spectrum",
     "correlation_trace",

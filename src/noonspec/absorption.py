@@ -12,9 +12,8 @@ strength is a free parameter in [0, 1].
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
+
 import numpy as np
 
 from .errors import GridMismatchError
@@ -51,31 +50,6 @@ class Sample:
                 raise TypeError(f"expected AbsorptionLine, got {type(ln).__name__}")
         object.__setattr__(self, "lines", lines)
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "Sample":
-        """Build from ``{"name": str, "lines": [{"center_thz", "fwhm_thz", "strength"}]}``."""
-        extra = set(doc) - {"name", "lines"}
-        if extra:
-            raise ValueError(f"unknown sample keys: {sorted(extra)}")
-        lines = []
-        for entry in doc.get("lines", []):
-            bad = set(entry) - {"center_thz", "fwhm_thz", "strength"}
-            if bad:
-                raise ValueError(f"unknown line keys: {sorted(bad)}")
-            lines.append(
-                AbsorptionLine(
-                    center=float(entry["center_thz"]),
-                    fwhm=float(entry["fwhm_thz"]),
-                    strength=float(entry["strength"]),
-                )
-            )
-        return cls(lines=tuple(lines), name=str(doc.get("name", "")))
-
-    @classmethod
-    def from_json(cls, path) -> "Sample":
-        with open(Path(path), encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
-
 
 @dataclass(frozen=True)
 class TransmissionProfile:
@@ -98,11 +72,11 @@ class TransmissionResult:
     clamped: bool
 
 
-def _line_sum(sample: Sample, nu: np.ndarray) -> np.ndarray:
-    total = np.zeros_like(nu)
-    for ln in sample.lines:
-        total += ln.strength * gaussian_profile(nu, ln.center, ln.fwhm)
-    return total
+def _line_matrix(sample: Sample, nu: np.ndarray) -> np.ndarray:
+    """``strength * profile`` of each line on ``nu``: one row per line, one column per bin."""
+    return np.array(
+        [ln.strength * gaussian_profile(nu, ln.center, ln.fwhm) for ln in sample.lines]
+    ).reshape(len(sample.lines), nu.size)
 
 
 def transmission_profile(sample: Sample, grid: FrequencyGrid) -> TransmissionProfile:
@@ -111,7 +85,7 @@ def transmission_profile(sample: Sample, grid: FrequencyGrid) -> TransmissionPro
     Over-complete line sets drive the raw sum above 1; the result is
     clamped into [0, 1] and the event reported via ``clamped``.
     """
-    raw = 1.0 - _line_sum(sample, grid.values)
+    raw = 1.0 - _line_matrix(sample, grid.values).sum(axis=0)
     clamped = bool(np.any(raw < 0) or np.any(raw > 1))
     return TransmissionProfile(grid, np.clip(raw, 0.0, 1.0), clamped)
 
@@ -145,17 +119,8 @@ def excitation_probabilities(
     """
     if not incident.normalized:
         raise ValueError("incident spectrum must be normalized")
-    nu = incident.grid.values
-    step = incident.grid.step
-    return np.array(
-        [
-            step
-            * np.sum(
-                incident.weights * ln.strength * gaussian_profile(nu, ln.center, ln.fwhm)
-            )
-            for ln in sample.lines
-        ]
-    )
+    absorbed = incident.weights * _line_matrix(sample, incident.grid.values)
+    return incident.grid.step * absorbed.sum(axis=1)
 
 
 def recover_absorption_spectrum(

@@ -19,9 +19,9 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import io
-from .absorption import Sample, transmitted_spectrum
+from .absorption import AbsorptionLine, Sample, transmitted_spectrum
 from .errors import AliasingError, NonUniformGridError
-from .grids import TimeGrid
+from .grids import TimeGrid, UniformGrid
 from .interferometer import (
     correlation_trace,
     default_time_grid,
@@ -36,7 +36,6 @@ from .spectral import (
     comb_pump_spectrum,
     gaussian_jsi,
     gaussian_pump_spectrum,
-    make_frequency_grid,
     sum_frequency_marginal,
 )
 
@@ -94,12 +93,21 @@ def _real(doc: dict, key: str) -> float:
     raise ScenarioError(f"{key} must be a finite number, got {value!r}")
 
 
-def _parse_frequency_grid(doc: dict, context: str):
-    _require_keys(doc, {"start_thz", "step_thz", "count"}, context)
+def _read_json(path: Path, what: str):
     try:
-        return make_frequency_grid(
-            _real(doc, "start_thz"), _real(doc, "step_thz"), _integer(doc, "count")
-        )
+        return json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ScenarioError(f"cannot read {what}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(f"{what} is not valid JSON: {exc}") from exc
+
+
+def _parse_grid(doc: dict, context: str, unit: str) -> UniformGrid:
+    """A uniform axis from ``start_<unit>``, ``step_<unit>`` and ``count``."""
+    start, step = f"start_{unit}", f"step_{unit}"
+    _require_keys(doc, {start, step, "count"}, context)
+    try:
+        return UniformGrid(_real(doc, start), _real(doc, step), _integer(doc, "count"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"bad {context}: {exc}") from exc
 
@@ -110,13 +118,13 @@ def _parse_pump(doc: dict) -> SumFrequencySpectrum:
     try:
         if kind == "gaussian":
             _require_keys(doc, {"kind", "center_thz", "fwhm_thz", "grid"}, "pump")
-            grid = _parse_frequency_grid(doc["grid"], "pump.grid")
+            grid = _parse_grid(doc["grid"], "pump.grid", "thz")
             return gaussian_pump_spectrum(
                 grid, _real(doc, "center_thz"), _real(doc, "fwhm_thz")
             )
         if kind == "comb":
             _require_keys(doc, {"kind", "lines", "grid"}, "pump")
-            grid = _parse_frequency_grid(doc["grid"], "pump.grid")
+            grid = _parse_grid(doc["grid"], "pump.grid", "thz")
             lines = []
             for entry in doc.get("lines", []):
                 _require_keys(entry, {"center_thz", "fwhm_thz", "weight"}, "pump.lines[]")
@@ -143,14 +151,14 @@ def _parse_pump(doc: dict) -> SumFrequencySpectrum:
                 "pump",
             )
             jsi = gaussian_jsi(
-                _parse_frequency_grid(doc["signal_grid"], "pump.signal_grid"),
-                _parse_frequency_grid(doc["idler_grid"], "pump.idler_grid"),
+                _parse_grid(doc["signal_grid"], "pump.signal_grid", "thz"),
+                _parse_grid(doc["idler_grid"], "pump.idler_grid", "thz"),
                 _real(doc, "pump_center_thz"),
                 _real(doc, "pump_fwhm_thz"),
                 _real(doc, "phasematch_fwhm_thz"),
             )
             return sum_frequency_marginal(
-                jsi, _parse_frequency_grid(doc["sum_grid"], "pump.sum_grid")
+                jsi, _parse_grid(doc["sum_grid"], "pump.sum_grid", "thz")
             )
     except ScenarioError:
         raise
@@ -160,26 +168,32 @@ def _parse_pump(doc: dict) -> SumFrequencySpectrum:
 
 
 def _parse_sample(doc, base_dir: Path) -> Sample:
+    """The inline ``{"name", "lines"}`` form, or ``{"path"}`` to a file holding it."""
     _require_object(doc, "sample")
     if set(doc) == {"path"}:
-        path = Path(doc["path"])
-        if not path.is_absolute():
-            path = base_dir / path
-        if not path.exists():
-            raise ScenarioError(f"sample file not found: {path}")
-        return Sample.from_json(path)
+        if not isinstance(doc["path"], str):
+            raise ScenarioError(f"sample path must be a string, got {doc['path']!r}")
+        doc = _read_json(base_dir / doc["path"], "sample file")
+    _require_keys(doc, {"name", "lines"}, "sample")
+    name = doc.get("name", "")
+    if not isinstance(name, str):
+        raise ScenarioError(f"sample name must be a string, got {name!r}")
     try:
-        return Sample.from_dict(doc)
+        lines = []
+        for entry in doc.get("lines", []):
+            _require_keys(entry, {"center_thz", "fwhm_thz", "strength"}, "sample.lines[]")
+            lines.append(
+                AbsorptionLine(
+                    _real(entry, "center_thz"),
+                    _real(entry, "fwhm_thz"),
+                    _real(entry, "strength"),
+                )
+            )
+    except ScenarioError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"bad sample: {exc}") from exc
-
-
-def _parse_time_grid(doc: dict) -> TimeGrid:
-    _require_keys(doc, {"start_ps", "step_ps", "count"}, "time_grid")
-    try:
-        return TimeGrid(_real(doc, "start_ps"), _real(doc, "step_ps"), _integer(doc, "count"))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioError(f"bad time_grid: {exc}") from exc
+    return Sample(tuple(lines), name)
 
 
 def _parse_noise(doc: dict) -> NoiseConfig:
@@ -205,7 +219,11 @@ def parse_scenario(doc: dict, base_dir: Path) -> Scenario:
         raise ScenarioError("scenario requires a pump section")
     spectrum = _parse_pump(doc["pump"])
     sample = _parse_sample(doc["sample"], base_dir) if doc.get("sample") else None
-    tgrid = _parse_time_grid(doc["time_grid"]) if "time_grid" in doc else default_time_grid()
+    tgrid = (
+        _parse_grid(doc["time_grid"], "time_grid", "ps")
+        if "time_grid" in doc
+        else default_time_grid()
+    )
     noise = _parse_noise(doc["noise"]) if doc.get("noise") else None
     outputs = doc.get("outputs")
     if outputs is not None and not isinstance(outputs, str):
@@ -218,13 +236,7 @@ def load_scenario(args) -> Scenario:
         raise ScenarioError("give either --config or --preset, not both")
     if args.config:
         path = Path(args.config)
-        try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise ScenarioError(f"cannot read config: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"config is not valid JSON: {exc}") from exc
-        return parse_scenario(doc, path.parent)
+        return parse_scenario(_read_json(path, "config"), path.parent)
     if args.preset:
         try:
             doc = preset_scenario(args.preset)

@@ -1,7 +1,10 @@
-"""Uniform frequency and delay axes.
+"""The one uniform axis type, for frequencies and delays alike.
 
 Units are fixed package-wide: ordinary frequency in THz, time in ps, so
-that ``nu * t`` is dimensionless and no 2*pi bookkeeping is needed.
+that ``nu * t`` is dimensionless and no 2*pi bookkeeping is needed. A
+frequency axis and a delay axis differ only in their unit, so both are a
+:class:`UniformGrid`; ``FrequencyGrid`` and ``TimeGrid`` name the same
+class where a signature wants to say which axis it expects.
 """
 from __future__ import annotations
 
@@ -13,8 +16,8 @@ from .errors import NonUniformGridError
 
 
 @dataclass(frozen=True)
-class FrequencyGrid:
-    """Uniform frequency axis: ``start + k*step`` for k in [0, count)."""
+class UniformGrid:
+    """Uniform axis ``start + k*step`` for k in [0, count), in THz or ps."""
 
     start: float
     step: float
@@ -37,45 +40,25 @@ class FrequencyGrid:
         """Last grid point, ``start + (count-1)*step``."""
         return self.start + (self.count - 1) * self.step
 
-    def index_of(self, nu: float) -> int:
-        """Index of the grid point nearest to ``nu``."""
-        return int(np.clip(round((nu - self.start) / self.step), 0, self.count - 1))
-
-    def __len__(self) -> int:
-        return self.count
-
-
-@dataclass(frozen=True)
-class TimeGrid:
-    """Uniform delay axis in ps."""
-
-    start: float
-    step: float
-    count: int
-
-    def __post_init__(self):
-        if not np.isfinite(self.start):
-            raise ValueError("grid start must be finite")
-        if not (self.step > 0 and np.isfinite(self.step)):
-            raise ValueError(f"grid step must be positive, got {self.step}")
-        if int(self.count) != self.count or self.count < 2:
-            raise ValueError(f"grid count must be an integer >= 2, got {self.count}")
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.start + self.step * np.arange(self.count)
-
     @property
     def window(self) -> float:
-        """Total scanned window ``count*step`` in ps."""
+        """Total scanned span ``count*step``; 1/window is the transform resolution."""
         return self.count * self.step
+
+    def index_of(self, x: float) -> int:
+        """Index of the grid point nearest to ``x``."""
+        return int(np.clip(round((x - self.start) / self.step), 0, self.count - 1))
 
     def __len__(self) -> int:
         return self.count
 
 
-def infer_grid(values, grid_type=TimeGrid):
-    """The uniform ``grid_type`` axis whose points are ``values``, as read from disk.
+FrequencyGrid = UniformGrid
+TimeGrid = UniformGrid
+
+
+def infer_grid(values) -> UniformGrid:
+    """The uniform axis whose points are ``values``, as read from disk.
 
     The step comes from the endpoints, which loses far less precision than
     any single difference; every difference must match it to 1e-9 of
@@ -89,4 +72,4 @@ def infer_grid(values, grid_type=TimeGrid):
     steps = np.diff(values)
     if step <= 0 or np.any(np.abs(steps - step) > 1e-9 * max(abs(step), 1.0)):
         raise NonUniformGridError("axis is not uniformly spaced")
-    return grid_type(float(values[0]), step, int(values.size))
+    return UniformGrid(float(values[0]), step, int(values.size))

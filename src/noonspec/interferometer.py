@@ -8,7 +8,9 @@ with normalized sum-frequency density F is
 so the oscillation period tracks the sum frequency and the envelope is
 the Fourier pair of the spectral lineshape. The affine rescale
 G = 2P - 1 is then the discrete cosine transform of F, which is what the
-recovery stage inverts.
+recovery stage inverts. P and G are both one finite value per point of a
+delay grid and share one check; they differ only in the lower bound of
+their range, 0 for P and -1 for G.
 
 The forward synthesis is a Bluestein chirp-z transform (Rabiner, Schafer
 & Rader 1969; Bluestein 1970): both axes are uniform, so with
@@ -27,6 +29,7 @@ very frequencies and delays written to CSV, accurate to a few ulp.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy.fft import fft, ifft, next_fast_len
@@ -50,39 +53,35 @@ def default_time_grid(
 
 
 @dataclass(frozen=True)
-class Interferogram:
-    """Coincidence probability P(t) on a uniform delay grid."""
+class _DelaySeries:
+    """Finite values on a uniform delay grid, one per delay, in [low, 1]."""
 
     grid: TimeGrid
     values: np.ndarray
+    low: ClassVar[float] = 0.0
 
     def __post_init__(self):
         v = _as_readonly(self.values)
         object.__setattr__(self, "values", v)
+        name = type(self).__name__
         if v.shape != (self.grid.count,):
-            raise ValueError("values length does not match grid count")
+            raise ValueError(f"{name} values length does not match grid count")
         if not np.all(np.isfinite(v)):
-            raise ValueError("interferogram values must be finite")
-        if np.any(v < -RANGE_TOL) or np.any(v > 1 + RANGE_TOL):
-            raise ValueError("interferogram values must lie in [0, 1]")
+            raise ValueError(f"{name} values must be finite")
+        if np.any(v < self.low - RANGE_TOL) or np.any(v > 1 + RANGE_TOL):
+            raise ValueError(f"{name} values must lie in [{self.low:g}, 1]")
 
 
 @dataclass(frozen=True)
-class CorrelationTrace:
+class Interferogram(_DelaySeries):
+    """Coincidence probability P(t) on a uniform delay grid, 0 <= P <= 1."""
+
+
+@dataclass(frozen=True)
+class CorrelationTrace(_DelaySeries):
     """Second-order correlation G(t) on a uniform delay grid, |G| <= 1."""
 
-    grid: TimeGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = _as_readonly(self.values)
-        object.__setattr__(self, "values", v)
-        if v.shape != (self.grid.count,):
-            raise ValueError("values length does not match grid count")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("trace values must be finite")
-        if np.any(np.abs(v) > 1 + RANGE_TOL):
-            raise ValueError("trace values must lie in [-1, 1]")
+    low: ClassVar[float] = -1.0
 
 
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter for float64
@@ -169,20 +168,10 @@ def simulate_interferogram(spectrum: SumFrequencySpectrum, grid: TimeGrid) -> In
     return Interferogram(grid, values)
 
 
-def correlation_trace(
-    interferogram: Interferogram, sign_convention: int = +1
-) -> CorrelationTrace:
-    """G(t) = 2P(t) - 1, the cosine transform of the source spectrum.
-
-    ``sign_convention=-1`` selects the inverted form G = 1 - 2P for
-    workflows that define the correlation with the opposite sign; the
-    default keeps G(0) = +1 for normalized spectra.
-    """
-    if sign_convention not in (+1, -1):
-        raise ValueError("sign_convention must be +1 or -1")
-    return CorrelationTrace(
-        interferogram.grid, sign_convention * (2.0 * interferogram.values - 1.0)
-    )
+def correlation_trace(interferogram: Interferogram) -> CorrelationTrace:
+    """G(t) = 2P(t) - 1, the cosine transform of the source spectrum; G(0) = +1
+    for a normalized spectrum."""
+    return CorrelationTrace(interferogram.grid, 2.0 * interferogram.values - 1.0)
 
 
 def envelope(trace: CorrelationTrace) -> np.ndarray:

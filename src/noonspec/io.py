@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grids import FrequencyGrid, infer_grid
+from .grids import infer_grid
 from .interferometer import CorrelationTrace, Interferogram
 from .noise import CountData, ScalingStudy
 from .recovery import RecoveredSpectrum, SpectralFeature
@@ -46,7 +46,7 @@ def _write_columns(path, header: str, columns, formats) -> None:
 
 
 def _read_columns(path, expected_header: str) -> np.ndarray:
-    """Numeric body of a CSV whose header must match exactly."""
+    """Numeric body of a CSV whose header must match exactly, one column per header field."""
     with open(Path(path), encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != expected_header:
@@ -59,6 +59,9 @@ def _read_columns(path, expected_header: str) -> np.ndarray:
             raise ValueError(f"malformed CSV body in {path}: {exc}") from exc
     if body.size == 0:
         raise ValueError(f"{path} contains no data rows")
+    columns = expected_header.count(",") + 1
+    if body.shape[1] != columns:
+        raise ValueError(f"{path}: expected {columns} columns, found {body.shape[1]}")
     return body
 
 
@@ -70,10 +73,8 @@ def write_spectrum_csv(path, spectrum: SumFrequencySpectrum) -> None:
 
 def read_spectrum_csv(path, normalized: bool = False) -> SumFrequencySpectrum:
     body = _read_columns(path, "nu_thz,weight")
-    if body.shape[1] != 2:
-        raise ValueError(f"{path}: expected two columns")
     nu, weights = body[:, 0], body[:, 1]
-    grid = infer_grid(nu, FrequencyGrid)
+    grid = infer_grid(nu)
     return SumFrequencySpectrum(grid, weights, normalized=normalized)
 
 
@@ -101,8 +102,6 @@ def write_trace_csv(path, trace: CorrelationTrace) -> None:
 
 def read_trace_csv(path) -> CorrelationTrace:
     body = _read_columns(path, "t_ps,g")
-    if body.shape[1] != 2:
-        raise ValueError(f"{path}: expected two columns")
     grid = infer_grid(body[:, 0])
     return CorrelationTrace(grid, body[:, 1])
 
@@ -144,8 +143,6 @@ def write_counts_csv(path, counts: CountData) -> None:
 
 def read_counts_csv(path) -> CountData:
     body = _read_columns(path, "t_ps,coincidences,pairs_sent")
-    if body.shape[1] != 3:
-        raise ValueError(f"{path}: expected three columns")
     return CountData(body[:, 0], body[:, 1], body[:, 2])
 
 

@@ -28,7 +28,7 @@ from scipy.stats import binom
 
 from .grids import TimeGrid, infer_grid
 from .interferometer import CorrelationTrace, Interferogram, simulate_interferogram
-from .recovery import _parabolic_vertex, fold_one_sided, fourier_recover
+from .recovery import _refined, fold_one_sided, fourier_recover
 from .spectral import SumFrequencySpectrum
 
 
@@ -244,10 +244,7 @@ def _dominant_peak(folded: SumFrequencySpectrum) -> tuple:
     """(center, height) of the strongest non-DC bin, parabolically refined."""
     w = folded.weights
     i = 1 + int(np.argmax(w[1:]))
-    if 0 < i < w.size - 1:
-        delta, height = _parabolic_vertex(w[i - 1], w[i], w[i + 1])
-    else:
-        delta, height = 0.0, float(w[i])
+    delta, height = _refined(w, i)
     return folded.grid.start + (i + delta) * folded.grid.step, height
 
 

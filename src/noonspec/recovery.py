@@ -139,13 +139,16 @@ def fold_one_sided(
     return folded.renormalized() if renormalize else folded
 
 
-def _parabolic_vertex(y_left: float, y_mid: float, y_right: float) -> tuple:
-    """Sub-bin offset in [-0.5, 0.5] and refined height of a 3-point maximum."""
+def _refined(signal: np.ndarray, i: int) -> tuple:
+    """Sub-bin offset in [-0.5, 0.5] and height of the 3-point parabola through
+    the maximum ``signal[i]``; an edge or non-concave sample is kept as is."""
+    if not 0 < i < signal.size - 1:
+        return 0.0, float(signal[i])
+    y_left, y_mid, y_right = signal[i - 1], signal[i], signal[i + 1]
     denom = y_left + y_right - 2.0 * y_mid
-    if denom >= 0:  # flat or non-concave; keep the sample itself
+    if denom >= 0:  # flat or non-concave
         return 0.0, y_mid
-    delta = 0.5 * (y_left - y_right) / denom
-    delta = float(np.clip(delta, -0.5, 0.5))
+    delta = float(np.clip(0.5 * (y_left - y_right) / denom, -0.5, 0.5))
     return delta, y_mid - 0.25 * (y_left - y_right) * delta
 
 
@@ -181,10 +184,7 @@ def detect_features(
     features = []
     nu = spectrum.grid.values
     for i, w in zip(idx, widths):
-        if 0 < i < signal.size - 1:
-            delta, height = _parabolic_vertex(signal[i - 1], signal[i], signal[i + 1])
-        else:
-            delta, height = 0.0, float(signal[i])
+        delta, height = _refined(signal, i)
         features.append(
             SpectralFeature(
                 center=float(nu[i] + delta * spectrum.grid.step),

@@ -213,20 +213,3 @@ class TestSampleValidation:
             AbsorptionLine(740.0, 0.1, 1.2)
         with pytest.raises(ValueError):
             AbsorptionLine(740.0, -0.1, 0.5)
-
-    def test_from_dict_rejects_unknown_keys(self):
-        with pytest.raises(ValueError):
-            Sample.from_dict({"name": "x", "lines": [], "extra": 1})
-        with pytest.raises(ValueError):
-            Sample.from_dict(
-                {"lines": [{"center_thz": 740, "fwhm_thz": 0.1, "oops": 2}]}
-            )
-
-    def test_from_json(self, tmp_path):
-        path = tmp_path / "sample.json"
-        path.write_text(
-            '{"name": "demo", "lines": [{"center_thz": 740.0, "fwhm_thz": 0.1, "strength": 0.5}]}'
-        )
-        sample = Sample.from_json(path)
-        assert sample.name == "demo"
-        assert sample.lines[0].center == 740.0

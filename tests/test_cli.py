@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from noonspec.cli import main
+from noonspec.cli import ScenarioError, main, parse_scenario
 
 SMALL_TIME_GRID = {"start_ps": -1.024, "step_ps": 5e-4, "count": 4096}
 
@@ -323,6 +323,79 @@ class TestSimulate:
         assert (out_a / "counts.csv").read_bytes() != (out_c / "counts.csv").read_bytes()
 
 
+class TestSampleSection:
+    LINE = {"center_thz": 740.0, "fwhm_thz": 0.1, "strength": 0.5}
+
+    def config(self, tmp_path, sample, form):
+        """A scenario holding ``sample`` inline, or through a ``path`` file.
+
+        An infinite value is written as the JSON number ``1e400``.
+        """
+        if form == "path":
+            (tmp_path / "sample.json").write_text(json.dumps(sample).replace("Infinity", "1e400"))
+            sample = {"path": "sample.json"}
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps(small_scenario(sample=sample)).replace("Infinity", "1e400"))
+        return cfg
+
+    def test_sample_file_loads_name_and_lines(self, tmp_path):
+        cfg = self.config(tmp_path, {"name": "demo", "lines": [self.LINE]}, "path")
+        sample = parse_scenario(json.loads(cfg.read_text()), tmp_path).sample
+        assert sample.name == "demo"
+        assert sample.lines[0].center == 740.0
+
+    @pytest.mark.parametrize("form", ["inline", "path"])
+    def test_unknown_keys_rejected(self, tmp_path, form):
+        bad_line = {"center_thz": 740, "fwhm_thz": 0.1, "oops": 2}
+        for sample, key in (
+            ({"name": "x", "lines": [], "extra": 1}, "extra"),
+            ({"lines": [bad_line]}, "oops"),
+        ):
+            cfg = self.config(tmp_path, sample, form)
+            with pytest.raises(ScenarioError, match=f"unknown keys in sample.*{key}"):
+                parse_scenario(json.loads(cfg.read_text()), tmp_path)
+
+    @pytest.mark.parametrize("form", ["inline", "path"])
+    @pytest.mark.parametrize(
+        "sample, message",
+        [
+            ({"lines": [1]}, "sample.lines[] must be a JSON object"),
+            ({"lines": [{"center_thz": 740.0, "strength": 0.5}]}, "bad sample: 'fwhm_thz'"),
+            ({"lines": 5}, "bad sample: "),
+            ({"lines": [{**LINE, "center_thz": "739.7"}]}, "center_thz must be a finite number"),
+            ({"lines": [{**LINE, "center_thz": 1e400}]}, "center_thz must be a finite number"),
+            ({"lines": [{**LINE, "strength": True}]}, "strength must be a finite number"),
+            ({"lines": [{**LINE, "fwhm_thz": 0}]}, "bad sample: line fwhm must be positive"),
+            ({"name": 5, "lines": [LINE]}, "sample name must be a string, got 5"),
+        ],
+    )
+    def test_bad_sample_exits_2_with_one_line(self, tmp_path, capsys, form, sample, message):
+        cfg = self.config(tmp_path, sample, form)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "path, message",
+        [
+            (5, "sample path must be a string, got 5"),
+            ("missing.json", "cannot read sample file: "),
+            ("bad.json", "sample file is not valid JSON: "),
+            ("list.json", "sample must be a JSON object"),
+        ],
+    )
+    def test_bad_sample_file_exits_2(self, tmp_path, capsys, path, message):
+        (tmp_path / "bad.json").write_text("{not json")
+        (tmp_path / "list.json").write_text("[]")
+        cfg = write_config(tmp_path, small_scenario(sample={"path": path}))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert err.count("\n") == 1
+
+
 class TestRecover:
     @pytest.fixture
     def trace_path(self, tmp_path):
@@ -376,6 +449,14 @@ class TestRecover:
         path.write_text("t_ps,g\nnope,1\n")
         proc = run_cli("recover", str(path), "--out", str(tmp_path / "rec"))
         assert proc.returncode == 2
+
+    def test_three_column_trace_exits_2(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("t_ps,g\n0.0,0.1,7\n0.001,0.2,7\n0.002,0.3,7\n")
+        proc = run_cli("recover", str(path), "--out", str(tmp_path / "rec"))
+        assert proc.returncode == 2
+        assert proc.stderr.count("\n") == 1
+        assert "expected 2 columns, found 3" in proc.stderr
 
     def test_non_uniform_grid_exits_4(self, tmp_path):
         path = tmp_path / "jagged.csv"

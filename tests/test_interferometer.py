@@ -4,6 +4,7 @@ import pytest
 from noonspec import (
     AliasingError,
     CombLine,
+    CorrelationTrace,
     Interferogram,
     NoSignalError,
     SumFrequencySpectrum,
@@ -20,6 +21,7 @@ from noonspec import (
     simulate_interferogram,
     sum_frequency_marginal,
 )
+from noonspec.interferometer import RANGE_TOL
 from conftest import centered_time_grid, direct_sum_reference, single_bin_spectrum
 
 
@@ -125,15 +127,28 @@ class TestCorrelationTrace:
         expected = np.cos(2 * np.pi * nu0 * tg.values)
         assert np.max(np.abs(g.values - expected)) < 1e-9
 
-    def test_inverted_sign_convention(self):
-        spec = single_bin_spectrum(740.25)
-        tg = centered_time_grid(2e-4, 256)
-        p = simulate_interferogram(spec, tg)
-        plus = correlation_trace(p, sign_convention=+1)
-        minus = correlation_trace(p, sign_convention=-1)
-        assert np.array_equal(plus.values, -minus.values)
-        with pytest.raises(ValueError):
-            correlation_trace(p, sign_convention=0)
+
+@pytest.mark.parametrize("series, low", [(Interferogram, 0.0), (CorrelationTrace, -1.0)])
+class TestDelaySeriesValidation:
+    def test_bounds_accepted_within_tolerance(self, series, low):
+        values = [low - RANGE_TOL, low, low + RANGE_TOL, 1 - RANGE_TOL, 1.0, 1 + RANGE_TOL]
+        got = series(centered_time_grid(1e-3, len(values)), values)
+        assert got.values.tolist() == values
+        assert not got.values.flags.writeable
+
+    @pytest.mark.parametrize("bad", ["below", "above", "nan", "inf", "short", "long"])
+    def test_rejected_values_name_the_type(self, series, low, bad):
+        tg = centered_time_grid(1e-3, 4)
+        values = {
+            "below": [low - 2 * RANGE_TOL, 0.5, 0.5, 0.5],
+            "above": [0.5, 0.5, 0.5, 1 + 2 * RANGE_TOL],
+            "nan": [0.5, np.nan, 0.5, 0.5],
+            "inf": [0.5, 0.5, -np.inf, 0.5],
+            "short": [0.5, 0.5, 0.5],
+            "long": [0.5] * 5,
+        }[bad]
+        with pytest.raises(ValueError, match=f"^{series.__name__} values"):
+            series(tg, values)
 
 
 class TestEnvelopeCoherenceTime:

@@ -65,6 +65,13 @@ def test_trace_malformed_body(tmp_path):
         io.read_trace_csv(path)
 
 
+def test_body_wider_than_header_rejected(tmp_path):
+    path = tmp_path / "wide.csv"
+    path.write_text("nu_thz,weight\n740.0,1.0,9\n740.5,2.0,9\n")
+    with pytest.raises(ValueError, match="expected 2 columns, found 3"):
+        io.read_spectrum_csv(path)
+
+
 def test_trace_non_uniform_grid(tmp_path):
     path = tmp_path / "jagged.csv"
     path.write_text("t_ps,g\n0.0,0.1\n0.1,0.2\n0.3,0.3\n")
