@@ -218,13 +218,10 @@ def parse_scenario(doc: dict, base_dir: Path) -> Scenario:
     if "pump" not in doc:
         raise ScenarioError("scenario requires a pump section")
     spectrum = _parse_pump(doc["pump"])
-    sample = _parse_sample(doc["sample"], base_dir) if doc.get("sample") else None
-    tgrid = (
-        _parse_grid(doc["time_grid"], "time_grid", "ps")
-        if "time_grid" in doc
-        else default_time_grid()
-    )
-    noise = _parse_noise(doc["noise"]) if doc.get("noise") else None
+    sample = None if doc.get("sample") is None else _parse_sample(doc["sample"], base_dir)
+    tgrid = doc.get("time_grid")
+    tgrid = default_time_grid() if tgrid is None else _parse_grid(tgrid, "time_grid", "ps")
+    noise = None if doc.get("noise") is None else _parse_noise(doc["noise"])
     outputs = doc.get("outputs")
     if outputs is not None and not isinstance(outputs, str):
         raise ScenarioError(f"outputs must be a directory path string, got {outputs!r}")
@@ -313,14 +310,13 @@ def cmd_recover(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    recovered = fourier_recover(trace, window=args.window, downshift_thz=args.downshift_thz)
+    recovered = fourier_recover(trace, window=args.window)
     folded = fold_one_sided(recovered)
 
     prominence = args.min_prominence
-    if prominence is None:
-        peak = float(folded.weights.max())
-        prominence = 0.05 * peak if peak > 0 else None
-    features = detect_features(folded, min_prominence=prominence) if prominence else []
+    if prominence is None:  # 5% of the folded maximum; a zero trace has no peaks
+        prominence = 0.05 * float(folded.weights.max())
+    features = detect_features(folded, min_prominence=prominence) if prominence > 0 else []
 
     io.write_recovered_csv(out / "recovered.csv", recovered)
     io.write_spectrum_csv(out / "folded.csv", folded)
@@ -382,6 +378,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="noonspec",
@@ -412,10 +418,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("trace", help="trace CSV with header t_ps,g")
     p_rec.add_argument("--out", required=True, help="output directory")
     p_rec.add_argument("--window", choices=["rect", "hann"], default="rect")
-    p_rec.add_argument("--downshift-thz", type=float, default=0.0)
     p_rec.add_argument(
         "--min-prominence",
-        type=float,
+        type=_positive_float,
         default=None,
         help="peak prominence threshold (default: 5%% of the folded maximum)",
     )

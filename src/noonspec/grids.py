@@ -60,16 +60,30 @@ TimeGrid = UniformGrid
 def infer_grid(values) -> UniformGrid:
     """The uniform axis whose points are ``values``, as read from disk.
 
-    The step comes from the endpoints, which loses far less precision than
-    any single difference; every difference must match it to 1e-9 of
-    max(step, 1). Raises ``NonUniformGridError`` for an uneven axis and
-    ``ValueError`` for fewer than two points.
+    Of three candidate steps (the endpoint step, its shortest decimal
+    within the endpoints' rounding, the first difference) the first whose
+    ``start + step*arange(n)`` reproduces ``values`` bit for bit is taken.
+    Failing all three, the endpoint step stands if every difference matches
+    it to 1e-9 of max(step, 1). Raises ``NonUniformGridError`` for an
+    uneven axis and ``ValueError`` for fewer than two points.
     """
     values = np.asarray(values, dtype=float)
-    if values.size < 2:
+    n = values.size
+    if n < 2:
         raise ValueError("axis needs at least two points")
-    step = float((values[-1] - values[0]) / (values.size - 1))
-    steps = np.diff(values)
-    if step <= 0 or np.any(np.abs(steps - step) > 1e-9 * max(abs(step), 1.0)):
+    start, stop = float(values[0]), float(values[-1])
+    step = (stop - start) / (n - 1)
+    if step <= 0:
         raise NonUniformGridError("axis is not uniformly spaced")
-    return UniformGrid(float(values[0]), step, int(values.size))
+    tol = 4 * np.finfo(float).eps * (abs(start) + abs(stop)) / (n - 1)
+    decimals = (float(f"{step:.{digits}g}") for digits in range(1, 18))
+    shortest = next((d for d in decimals if abs(d - step) <= tol), step)
+    for candidate in dict.fromkeys((step, shortest, float(values[1]) - start)):
+        if candidate > 0:
+            grid = UniformGrid(start, candidate, n)
+            if np.array_equal(grid.values, values):
+                return grid
+    grid = UniformGrid(start, step, n)  # rejects a non-finite start or step
+    if not np.all(np.abs(np.diff(values) - step) <= 1e-9 * max(step, 1.0)):
+        raise NonUniformGridError("axis is not uniformly spaced")
+    return grid

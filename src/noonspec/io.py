@@ -2,6 +2,8 @@
 
 All CSVs use '.' as the decimal separator, LF line endings and UTF-8;
 floats are written with 17 significant digits so a read-back is exact.
+In memory every series carries its grid; a grid is inferred from a delay
+or frequency column (``grids.infer_grid``) only here, where a CSV is read.
 Every CSV writer goes through one columnar writer, ``_write_columns``,
 which formats whole columns a block of rows at a time with one ``%``
 operation per block, so its memory is bounded by the block. ``%.17g``
@@ -136,14 +138,14 @@ def write_counts_csv(path, counts: CountData) -> None:
     _write_columns(
         path,
         "t_ps,coincidences,pairs_sent",
-        (counts.delays, counts.coincidences, counts.pairs_sent),
+        (counts.grid.values, counts.coincidences, counts.pairs_sent),
         (_FLOAT, _INT, _INT),
     )
 
 
 def read_counts_csv(path) -> CountData:
     body = _read_columns(path, "t_ps,coincidences,pairs_sent")
-    return CountData(body[:, 0], body[:, 1], body[:, 2])
+    return CountData(infer_grid(body[:, 0]), body[:, 1], body[:, 2])
 
 
 def write_scaling_csv(path, study: ScalingStudy) -> None:

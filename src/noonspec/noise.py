@@ -3,8 +3,8 @@
 Coincidence detection is modeled per delay bin as Binomial(pairs_per_bin,
 efficiency^2 * P(t) + dark_rate): a fixed number of pairs is sent at each
 delay and each survives detection independently. Dark counts enter as an
-additive probability floor. Counts are held as columns (delays,
-coincidences, pairs sent) in a :class:`CountData`.
+additive probability floor. A :class:`CountData` holds the delay grid
+and two integer columns, coincidences and pairs sent.
 
 Randomness is drawn from counter-based Philox streams keyed by
 (seed, stream), with the bin index selecting the position inside the
@@ -26,7 +26,7 @@ from numpy.random import Generator, Philox
 from scipy.special import ndtri
 from scipy.stats import binom
 
-from .grids import TimeGrid, infer_grid
+from .grids import TimeGrid
 from .interferometer import CorrelationTrace, Interferogram, simulate_interferogram
 from .recovery import _refined, fold_one_sided, fourier_recover
 from .spectral import SumFrequencySpectrum
@@ -68,34 +68,32 @@ def _integer_column(values, name: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CountData:
-    """Coincidences observed out of ``pairs_sent`` at each delay, as columns.
+    """Coincidences observed out of ``pairs_sent`` at each delay of ``grid``.
 
-    ``delays`` (float), ``coincidences`` and ``pairs_sent`` (int64) are
-    equal-length 1-D arrays; ``clamped`` marks a success probability
-    clamped at 1 while sampling. ``len()`` is the number of delay bins.
+    ``coincidences`` and ``pairs_sent`` are int64 columns with one entry
+    per grid point; ``clamped`` marks a success probability clamped at 1
+    while sampling. ``len()`` is the number of delay bins.
     """
 
-    delays: np.ndarray
+    grid: TimeGrid
     coincidences: np.ndarray
     pairs_sent: np.ndarray
     clamped: bool = False
 
     def __post_init__(self):
-        delays = np.asarray(self.delays, dtype=float)
         coincidences = _integer_column(self.coincidences, "coincidences")
         pairs_sent = _integer_column(self.pairs_sent, "pairs_sent")
-        if delays.ndim != 1 or not (delays.shape == coincidences.shape == pairs_sent.shape):
-            raise ValueError("delays, coincidences and pairs_sent must be 1-D and of equal length")
+        if not (coincidences.shape == pairs_sent.shape == (self.grid.count,)):
+            raise ValueError("coincidences and pairs_sent need one entry per grid point")
         if np.any(pairs_sent < 1):
             raise ValueError("pairs_sent must be positive")
         if np.any((coincidences < 0) | (coincidences > pairs_sent)):
             raise ValueError("coincidences must lie in [0, pairs_sent]")
-        object.__setattr__(self, "delays", delays)
         object.__setattr__(self, "coincidences", coincidences)
         object.__setattr__(self, "pairs_sent", pairs_sent)
 
     def __len__(self) -> int:
-        return self.delays.size
+        return self.grid.count
 
 
 def _keyed_uniforms(seed: int, stream: int, n: int, offset: int = 0) -> np.ndarray:
@@ -200,7 +198,7 @@ def sample_counts(
         u = _keyed_uniforms(config.seed, stream, hi - lo, offset=lo)
         counts[lo:hi] = _binomial_quantile(u, config.pairs_per_bin, p[lo:hi])
     pairs = np.full(nbins, config.pairs_per_bin, dtype=np.int64)
-    return CountData(interferogram.grid.values, counts, pairs, clamped)
+    return CountData(interferogram.grid, counts, pairs, clamped)
 
 
 def estimate_trace(
@@ -209,15 +207,14 @@ def estimate_trace(
     """Efficiency- and dark-corrected correlation estimate from counts.
 
     P_hat = (coincidences/pairs_sent - dark_rate)/efficiency^2 clamped to
-    [0, 1], then G_hat = 2 P_hat - 1. The delays must form a uniform grid.
+    [0, 1], then G_hat = 2 P_hat - 1, on the counts' own delay grid.
     The output feeds :func:`noonspec.recovery.fourier_recover` unchanged.
     """
     if not (0 < efficiency <= 1):
         raise ValueError("efficiency must lie in (0, 1]")
-    grid = infer_grid(counts.delays)
     rates = counts.coincidences / counts.pairs_sent
     p_hat = np.clip((rates - dark_rate) / efficiency**2, 0.0, 1.0)
-    return CorrelationTrace(grid, 2.0 * p_hat - 1.0)
+    return CorrelationTrace(counts.grid, 2.0 * p_hat - 1.0)
 
 
 @dataclass(frozen=True)

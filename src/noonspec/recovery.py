@@ -26,14 +26,12 @@ HERMITIAN_TOL = 1e-6
 class RecoveredSpectrum:
     """Two-sided complex spectrum on a grid symmetric about zero.
 
-    ``window_ps`` and ``time_step_ps`` record the transform geometry; the
-    frequency resolution is ``1/window_ps`` and the span ``+-1/(2*time_step_ps)``.
+    The grid carries the transform geometry: its step is the resolution
+    1/window of the delay scan, so no window or delay step is stored apart.
     """
 
     grid: FrequencyGrid
     amplitudes: np.ndarray
-    window_ps: float
-    time_step_ps: float
 
     def __post_init__(self):
         amp = _as_readonly(self.amplitudes, dtype=complex)
@@ -61,24 +59,15 @@ class SpectralFeature:
     kind: str  # "peak" or "dip"
 
 
-def fourier_recover(
-    trace: CorrelationTrace, window: str = "rect", downshift_thz: float = 0.0
-) -> RecoveredSpectrum:
+def fourier_recover(trace: CorrelationTrace, window: str = "rect") -> RecoveredSpectrum:
     """Discrete transform F(nu_k) = step_t * sum_n G(t_n) exp(+i 2 pi nu_k t_n).
 
     The output grid spans +-1/(2*step_t) at resolution 1/(count*step_t).
     ``window="hann"`` tapers the trace before the transform for
     leakage-sensitive comb work (default is rectangular, i.e. none).
-
-    ``downshift_thz`` multiplies the trace by exp(+i 2 pi nu_ref t) before
-    transforming, then re-centers the result onto the physical grid; the
-    reference is snapped to the nearest transform bin so the operation is
-    an exact relabeling. Useful to keep a high-frequency band aligned
-    across differently sized transforms.
     """
     n = trace.grid.count
     dt = trace.grid.step
-    t = trace.grid.values
     df = 1.0 / (n * dt)
 
     g = np.asarray(trace.values, dtype=float)
@@ -87,24 +76,15 @@ def fourier_recover(
     elif window != "rect":
         raise ValueError(f"unknown window {window!r} (expected 'rect' or 'hann')")
 
-    shift_bins = int(round(downshift_thz / df))
-    work = g if shift_bins == 0 else g * np.exp(2j * np.pi * (shift_bins * df) * t)
-
     # ifft carries the +i kernel; undo its 1/n and add the t-origin phase
-    raw = n * dt * np.fft.ifft(work)
+    raw = n * dt * np.fft.ifft(g)
     raw *= np.exp(2j * np.pi * np.fft.fftfreq(n, d=dt) * trace.grid.start)
-    amplitudes = np.fft.fftshift(raw)
-    if shift_bins != 0:
-        # transform bin k held F(nu_k + nu_ref); roll back onto nu_k
-        amplitudes = np.roll(amplitudes, shift_bins)
 
     grid = FrequencyGrid(start=-(n // 2) * df, step=df, count=n)
-    return RecoveredSpectrum(grid, amplitudes, window_ps=n * dt, time_step_ps=dt)
+    return RecoveredSpectrum(grid, np.fft.fftshift(raw))
 
 
-def fold_one_sided(
-    recovered: RecoveredSpectrum, renormalize: bool = False
-) -> SumFrequencySpectrum:
+def fold_one_sided(recovered: RecoveredSpectrum) -> SumFrequencySpectrum:
     """Fold the two-sided spectrum onto nu >= 0, conserving total mass.
 
     Mirror-bin magnitudes add (so interior bins double), the DC bin is
@@ -133,10 +113,9 @@ def fold_one_sided(
     weights = np.zeros(i0 + 1)
     weights[: pos_mag.size] = pos_mag
     weights[1 : neg_mag.size + 1] += neg_mag
-    folded = SumFrequencySpectrum(
+    return SumFrequencySpectrum(
         FrequencyGrid(0.0, recovered.grid.step, i0 + 1), weights, normalized=False
     )
-    return folded.renormalized() if renormalize else folded
 
 
 def _refined(signal: np.ndarray, i: int) -> tuple:

@@ -1,8 +1,9 @@
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
-import numpy as np
 import pytest
 
 from noonspec.cli import ScenarioError, main, parse_scenario
@@ -123,6 +124,56 @@ class TestSimulate:
         assert proc.returncode == 0, proc.stderr
         assert (out / "counts.csv").exists()
         assert (out / "trace_estimated.csv").exists()
+
+    def test_estimated_trace_keeps_the_delay_grid(self, tmp_path):
+        # the endpoint step of this grid is 0.0004999999999999999, not 5e-4
+        doc = small_scenario(
+            time_grid={"start_ps": -0.3076, "step_ps": 5e-4, "count": 3069},
+            noise={"pairs_per_bin": 400, "seed": 5},
+        )
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        trace, counts, estimated = (
+            [row.split(",")[0] for row in (out / name).read_text().splitlines()[1:]]
+            for name in ("trace.csv", "counts.csv", "trace_estimated.csv")
+        )
+        assert len(trace) == 3069
+        assert trace == counts == estimated
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("sample", v) for v in (0, False, "", [])]
+        + [("noise", v) for v in (0, False, [], {})]
+        + [("time_grid", v) for v in (0, False, [], {})],
+    )
+    def test_falsy_optional_section_exits_2(self, tmp_path, capsys, key, value):
+        # only a missing key or null means absent; these used to run without the section
+        cfg = write_config(tmp_path, small_scenario(**{key: value}))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert key in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key", ["sample", "time_grid", "noise"])
+    def test_null_section_same_bytes_as_missing(self, tmp_path, key):
+        outputs = {}
+        for form in ("missing", "null"):
+            doc = small_scenario()
+            doc.pop(key, None)
+            if form == "null":
+                doc[key] = None
+            cfg = write_config(tmp_path, doc, name=f"{form}.json")
+            assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / form)]) == 0
+            outputs[form] = {p.name: p.read_bytes() for p in (tmp_path / form).iterdir()}
+        assert outputs["null"] == outputs["missing"]
+
+    def test_empty_sample_object_is_an_empty_absorber(self, tmp_path):
+        cfg = write_config(tmp_path, small_scenario(sample={}))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "transmitted.csv").read_bytes() == (out / "spectrum.csv").read_bytes()
 
     def test_invalid_json_exits_2(self, tmp_path):
         cfg = tmp_path / "broken.json"
@@ -416,24 +467,22 @@ class TestRecover:
         assert (out / "recovered.csv").exists()
         assert (out / "folded.csv").exists()
 
-    def test_downshift_matches_plain_recovery(self, trace_path, tmp_path):
-        out_a = tmp_path / "plain"
-        out_b = tmp_path / "shifted"
-        assert run_cli("recover", str(trace_path), "--out", str(out_a)).returncode == 0
-        assert (
-            run_cli(
-                "recover",
-                str(trace_path),
-                "--out",
-                str(out_b),
-                "--downshift-thz",
-                "740.0",
-            ).returncode
-            == 0
-        )
-        a = np.loadtxt(out_a / "folded.csv", delimiter=",", skiprows=1)
-        b = np.loadtxt(out_b / "folded.csv", delimiter=",", skiprows=1)
-        assert np.max(np.abs(a - b)) < 1e-9 * a[:, 1].max()
+    def test_explicit_min_prominence_used(self, trace_path, tmp_path):
+        for value, expected in (("0.01", 1), ("1e6", 0)):
+            out = tmp_path / f"rec-{value}"
+            argv = ["recover", str(trace_path), "--out", str(out), "--min-prominence", value]
+            assert main(argv) == 0
+            assert len(json.loads((out / "peaks.json").read_text())) == expected
+
+    @pytest.mark.parametrize("value", ["0", "-1", "inf", "nan", "lots"])
+    def test_bad_min_prominence_exits_2(self, tmp_path, capsys, value):
+        # 0 and inf used to report no peaks with exit 0, nan to exit 2 with library text
+        out = tmp_path / "rec"
+        with pytest.raises(SystemExit) as exc:
+            main(["recover", str(tmp_path / "t.csv"), "--out", str(out), "--min-prominence", value])
+        assert exc.value.code == 2
+        assert "argument --min-prominence" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_zero_trace_gives_empty_report(self, tmp_path):
         path = tmp_path / "zero.csv"
@@ -544,3 +593,20 @@ class TestNoiseStudy:
         )
         assert proc.returncode == 0, proc.stderr
         assert len((out / "scaling.csv").read_text().splitlines()) == 3
+
+
+def test_readme_command_line_flags_are_in_help(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    checked = 0
+    for line in block.splitlines():
+        words = line.split("#", 1)[0].split()
+        if words[:1] != ["noonspec"]:
+            continue
+        with pytest.raises(SystemExit):
+            main([words[1], "--help"])
+        help_text = capsys.readouterr().out
+        for flag in re.findall(r"--[a-z][a-z-]*", " ".join(words)):
+            assert flag in help_text, f"{flag} of `noonspec {words[1]}` is not in its --help"
+            checked += 1
+    assert checked >= 8

@@ -2,8 +2,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from noonspec import FrequencyGrid, TimeGrid, UniformGrid, io
+from noonspec import (
+    CorrelationTrace,
+    FrequencyGrid,
+    NonUniformGridError,
+    SumFrequencySpectrum,
+    TimeGrid,
+    UniformGrid,
+    gaussian_pump_spectrum,
+    io,
+    make_frequency_grid,
+    recover_absorption_spectrum,
+)
 from noonspec.cli import parse_scenario
 from noonspec.grids import infer_grid
 from noonspec.presets import PRESETS, preset_scenario
@@ -49,3 +61,74 @@ def test_infer_grid_of_spectrum_csv_equals_the_writing_grid(tmp_path, preset):
     nu = np.loadtxt(path, delimiter=",", skiprows=1)[:, 0]
     assert infer_grid(nu) == spectrum.grid
     assert io.read_spectrum_csv(path).grid == spectrum.grid
+
+
+def decimal(mantissa: int, exponent: int) -> float:
+    return float(f"{mantissa}e{exponent}")
+
+
+@st.composite
+def decimal_grids(draw):
+    """Grids as a scenario or ``make_frequency_grid`` caller writes them: decimal start and step."""
+    start = decimal(draw(st.integers(-(10**7), 10**7)), -draw(st.integers(0, 6)))
+    step = decimal(draw(st.integers(1, 10**4)), -draw(st.integers(1, 7)))
+    return UniformGrid(start, step, draw(st.integers(2, 3000)))
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(decimal_grids())
+def test_grid_survives_spectrum_and_trace_csv(tmp_path, grid):
+    spectrum_path, trace_path = tmp_path / "spectrum.csv", tmp_path / "trace.csv"
+    io.write_spectrum_csv(spectrum_path, SumFrequencySpectrum(grid, np.ones(grid.count)))
+    io.write_trace_csv(trace_path, CorrelationTrace(grid, np.zeros(grid.count)))
+    for back in (io.read_spectrum_csv(spectrum_path).grid, io.read_trace_csv(trace_path).grid):
+        # the read-back grid reproduces the values on disk and is a fixed point
+        assert back.start == grid.start and back.count == grid.count
+        assert np.array_equal(back.values, grid.values)
+        assert infer_grid(back.values) == back
+
+
+def test_read_back_spectrum_shares_the_writing_grid(tmp_path):
+    # the endpoint step of this axis is 0.002000000000000076, which does not reproduce it
+    written = gaussian_pump_spectrum(make_frequency_grid(739.8, 0.002, 301), 740.1, 0.1)
+    path = tmp_path / "spectrum.csv"
+    io.write_spectrum_csv(path, written)
+    read_back = io.read_spectrum_csv(path, normalized=True)
+    assert read_back.grid == written.grid
+    assert recover_absorption_spectrum(written, read_back).total_mass == 0.0
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [UniformGrid(-0.3076, 5e-4, 3069), UniformGrid(-1.18, 0.9470646336638853, 272)],
+    ids=["shortest-decimal", "first-difference"],
+)
+def test_grid_found_where_the_endpoint_step_fails(grid):
+    endpoint = (grid.values[-1] - grid.values[0]) / (grid.count - 1)
+    assert not np.array_equal(UniformGrid(grid.start, endpoint, grid.count).values, grid.values)
+    assert infer_grid(grid.values) == grid
+
+
+def test_endpoint_step_comes_first():
+    # the endpoint step 0.10000000000002274 reproduces these values as 0.1 does,
+    # and it is the step inferred before, so it is kept
+    values = UniformGrid(-1936.0, 0.1, 3).values
+    endpoint = (values[-1] - values[0]) / 2
+    assert endpoint != 0.1
+    assert infer_grid(values) == UniformGrid(-1936.0, endpoint, 3)
+    assert np.array_equal(infer_grid(values).values, values)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[0.0, 0.1, 0.3], [0.0, np.nan, 0.2], [0.0, 0.2, 0.1, 0.3], [0.3, 0.2, 0.1]],
+    ids=["uneven", "nan-inside", "out-of-order", "descending"],
+)
+def test_non_uniform_axis_rejected(values):
+    with pytest.raises(NonUniformGridError):
+        infer_grid(values)

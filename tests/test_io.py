@@ -13,6 +13,7 @@ from noonspec import (
     ScalingRow,
     ScalingStudy,
     SpectralFeature,
+    TimeGrid,
     correlation_trace,
     gaussian_jsi,
     gaussian_pump_spectrum,
@@ -107,9 +108,7 @@ def test_jsi_row_major(tmp_path):
 
 def test_recovered_csv_columns(tmp_path):
     grid = FrequencyGrid(-1.0, 1.0, 3)
-    rec = RecoveredSpectrum(
-        grid, np.array([1 - 2j, 3 + 0j, 1 + 2j]), window_ps=2.0, time_step_ps=0.5
-    )
+    rec = RecoveredSpectrum(grid, np.array([1 - 2j, 3 + 0j, 1 + 2j]))
     path = tmp_path / "recovered.csv"
     io.write_recovered_csv(path, rec)
     lines = path.read_text().splitlines()
@@ -131,17 +130,25 @@ def test_peaks_json_schema(tmp_path):
 
 
 def test_counts_roundtrip(tmp_path):
-    counts = CountData([-0.5, 0.0, 0.5], [3, 7, 10], [10, 10, 10])
+    counts = CountData(TimeGrid(-0.5, 0.5, 3), [3, 7, 10], [10, 10, 10])
     path = tmp_path / "counts.csv"
     io.write_counts_csv(path, counts)
     assert path.read_text().splitlines()[0] == "t_ps,coincidences,pairs_sent"
     back = io.read_counts_csv(path)
-    for column in ("delays", "coincidences", "pairs_sent"):
+    assert back.grid == counts.grid
+    for column in ("coincidences", "pairs_sent"):
         np.testing.assert_array_equal(getattr(back, column), getattr(counts, column))
 
 
+def test_non_uniform_counts_csv_rejected(tmp_path):
+    path = tmp_path / "counts.csv"
+    path.write_text("t_ps,coincidences,pairs_sent\n0.0,1,10\n0.1,1,10\n0.3,1,10\n")
+    with pytest.raises(NonUniformGridError):
+        io.read_counts_csv(path)
+
+
 def test_counts_columns_written_as_rows(tmp_path):
-    counts = CountData([-0.5, 0.25], [3, 1000], [10, 2**31])
+    counts = CountData(TimeGrid(-0.5, 0.75, 2), [3, 1000], [10, 2**31])
     path = tmp_path / "counts.csv"
     io.write_counts_csv(path, counts)
     assert path.read_text().splitlines()[1:] == ["-0.5,3,10", "0.25,1000,2147483648"]
@@ -263,9 +270,7 @@ def test_recovered_abs_equals_scalar_complex_abs(tmp_path):
             [0j, complex(-0.0, -0.0), TINY + 0j, complex(3e-310, -4e-310), complex(1e307, 1e307)],
         ]
     )
-    rec = RecoveredSpectrum(
-        FrequencyGrid(-1.0, 2.0 / amp.size, amp.size), amp, window_ps=1.0, time_step_ps=0.5
-    )
+    rec = RecoveredSpectrum(FrequencyGrid(-1.0, 2.0 / amp.size, amp.size), amp)
     path = tmp_path / "recovered.csv"
     io.write_recovered_csv(path, rec)
     body = np.loadtxt(path, delimiter=",", skiprows=1)

@@ -12,8 +12,8 @@ from noonspec import (
     FrequencyGrid,
     Interferogram,
     NoiseConfig,
-    NonUniformGridError,
     SumFrequencySpectrum,
+    TimeGrid,
     error_scaling_study,
     estimate_trace,
     fourier_recover,
@@ -58,7 +58,8 @@ class TestSampleCounts:
         full = sample_counts(pattern, cfg)
         for chunk in (1, 5, 17, 64):
             again = sample_counts(pattern, cfg, chunk_size=chunk)
-            for column in ("delays", "coincidences", "pairs_sent"):
+            assert again.grid == full.grid
+            for column in ("coincidences", "pairs_sent"):
                 np.testing.assert_array_equal(
                     getattr(again, column), getattr(full, column)
                 )
@@ -157,7 +158,7 @@ class TestEstimateTrace:
         pairs = 10000
         p_values = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
         counts = CountData(
-            0.1 * np.arange(p_values.size),
+            TimeGrid(0.0, 0.1, p_values.size),
             [int(p * pairs) for p in p_values],
             np.full(p_values.size, pairs),
         )
@@ -170,7 +171,7 @@ class TestEstimateTrace:
         eff, dark = 0.9, 0.01
         observed = eff**2 * p_true + dark
         counts = CountData(
-            [0.0, 0.5], [round(observed * pairs)] * 2, [pairs] * 2
+            TimeGrid(0.0, 0.5, 2), [round(observed * pairs)] * 2, [pairs] * 2
         )
         trace = estimate_trace(counts, efficiency=eff, dark_rate=dark)
         assert trace.values[0] == pytest.approx(2 * p_true - 1, abs=1e-5)
@@ -198,13 +199,9 @@ class TestEstimateTrace:
         pattern = small_interferogram(128)
         cfg = NoiseConfig(pairs_per_bin=5000, seed=9)
         trace = estimate_trace(sample_counts(pattern, cfg), 1.0)
+        assert trace.grid == pattern.grid
         rec = fourier_recover(trace)
         assert rec.grid.count == 128
-
-    def test_non_uniform_records_rejected(self):
-        counts = CountData([0.0, 0.1, 0.3], [1, 1, 1], [10, 10, 10])
-        with pytest.raises(NonUniformGridError):
-            estimate_trace(counts, 1.0)
 
     def test_unbiasedness(self):
         tg = centered_time_grid(5e-4, 2)
@@ -226,31 +223,38 @@ class TestEstimateTrace:
         assert abs(np.mean(est) - p_bin) <= 3 * se
 
 
+TWO_BINS = TimeGrid(0.0, 0.5, 2)
+
+
 class TestCountDataValidation:
     def test_bounds(self):
         with pytest.raises(ValueError):
-            CountData([0.0], [-1], [10])
+            CountData(TWO_BINS, [-1, 0], [10, 10])
         with pytest.raises(ValueError):
-            CountData([0.0], [11], [10])
+            CountData(TWO_BINS, [11, 0], [10, 10])
         with pytest.raises(ValueError):
             NoiseConfig(pairs_per_bin=0, seed=1)
         with pytest.raises(ValueError):
             NoiseConfig(pairs_per_bin=10, seed=1, efficiency=1.5)
 
     def test_columns_rejected(self):
-        with pytest.raises(ValueError, match="equal length"):
-            CountData([0.0, 0.5], [1], [10, 10])
-        with pytest.raises(ValueError, match="equal length"):
-            CountData([[0.0, 0.5]], [[1, 1]], [[10, 10]])
+        with pytest.raises(ValueError, match="one entry per grid point"):
+            CountData(TWO_BINS, [1], [10, 10])
+        with pytest.raises(ValueError, match="one entry per grid point"):
+            CountData(TWO_BINS, [[1, 1]], [[10, 10]])
+        with pytest.raises(ValueError, match="one entry per grid point"):
+            CountData(TWO_BINS, [1, 1, 1], [10, 10, 10])
         with pytest.raises(ValueError, match="pairs_sent"):
-            CountData([0.0, 0.5], [0, 0], [10, 0])
+            CountData(TWO_BINS, [0, 0], [10, 0])
         with pytest.raises(ValueError, match="coincidences"):
-            CountData([0.0, 0.5], [2.5, 1.0], [10, 10])
+            CountData(TWO_BINS, [2.5, 1.0], [10, 10])
         with pytest.raises(ValueError, match="coincidences"):
-            CountData([0.0, 0.5], [3, 12], [10, 10])
+            CountData(TWO_BINS, [3, 12], [10, 10])
 
     def test_columns_and_length(self):
-        counts = CountData([0.0, 0.5, 1.0], [1.0, 2.0, 3.0], [10, 10, 10], clamped=True)
+        grid = TimeGrid(0.0, 0.5, 3)
+        counts = CountData(grid, [1.0, 2.0, 3.0], [10, 10, 10], clamped=True)
+        assert counts.grid is grid
         assert len(counts) == 3
         assert counts.coincidences.dtype == np.int64
         assert counts.pairs_sent.dtype == np.int64
