@@ -42,7 +42,6 @@ from .interferometer import (
 from .noise import (
     CountData,
     NoiseConfig,
-    ScalingRow,
     ScalingStudy,
     error_scaling_study,
     estimate_trace,
@@ -88,7 +87,6 @@ __all__ = [
     "NoSignalError",
     "RecoveredSpectrum",
     "Sample",
-    "ScalingRow",
     "ScalingStudy",
     "SpectralFeature",
     "SumFrequencySpectrum",

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatchError
-from .grids import FrequencyGrid
-from .spectral import SumFrequencySpectrum, _as_readonly, gaussian_profile
+from .grids import FrequencyGrid, _column
+from .spectral import SumFrequencySpectrum, gaussian_profile
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ class TransmissionProfile:
     clamped: bool
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _as_readonly(self.values))
+        _column(self, "values", (self.grid.count,), low=0, high=1)
 
 
 @dataclass(frozen=True)

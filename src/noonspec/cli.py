@@ -6,8 +6,9 @@ report), ``noise-study`` (counting-statistics scaling table) and
 ``presets list``. Every command is deterministic given its config and
 seed: reruns produce byte-identical files.
 
-Exit codes: 0 success, 2 config or CSV parse error, 3 Nyquist violation,
-4 non-uniform delay grid.
+Exit codes: 0 success, 2 config or CSV parse error (any ``ValueError``,
+``OSError`` or ``MemoryError``), 3 Nyquist violation, 4 non-uniform
+delay grid.
 """
 from __future__ import annotations
 
@@ -361,8 +362,6 @@ def cmd_noise_study(args) -> int:
 
 
 def cmd_presets(args) -> int:
-    if args.action != "list":
-        raise ScenarioError(f"unknown presets action {args.action!r}")
     for name in sorted(PRESETS):
         print(f"{name}\t{DESCRIPTIONS[name]}")
     return EXIT_OK
@@ -454,8 +453,11 @@ def main(argv=None) -> int:
     except NonUniformGridError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONUNIFORM
-    except (ScenarioError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # a scenario asking for more memory than there is
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CONFIG
 
 

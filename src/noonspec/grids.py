@@ -5,6 +5,9 @@ that ``nu * t`` is dimensionless and no 2*pi bookkeeping is needed. A
 frequency axis and a delay axis differ only in their unit, so both are a
 :class:`UniformGrid`; ``FrequencyGrid`` and ``TimeGrid`` name the same
 class where a signature wants to say which axis it expects.
+
+Every quantity on an axis is a column with one entry per grid point, and
+every series type checks its columns with one rule, :func:`_column`.
 """
 from __future__ import annotations
 
@@ -30,6 +33,9 @@ class UniformGrid:
             raise ValueError(f"grid step must be positive, got {self.step}")
         if int(self.count) != self.count or self.count < 2:
             raise ValueError(f"grid count must be an integer >= 2, got {self.count}")
+        if self.step < np.spacing(max(abs(self.start), abs(self.stop))):
+            # points this close round onto each other: the axis is degenerate
+            raise ValueError(f"grid step {self.step} is below the float spacing of its points")
 
     @property
     def values(self) -> np.ndarray:
@@ -55,6 +61,41 @@ class UniformGrid:
 
 FrequencyGrid = UniformGrid
 TimeGrid = UniformGrid
+
+
+def _column(owner, field: str, shape: tuple, dtype=float, low=None, high=None) -> None:
+    """Check ``owner.<field>`` and store it back as a read-only ``dtype`` copy.
+
+    The column must have ``shape`` and finite values within ``[low, high]``;
+    either bound may be None, a number or an array broadcast against the
+    column. An integer ``dtype`` takes a float column only when every value
+    is integral and at most 2**53 in magnitude. Every message names the
+    owner's type and the field.
+    """
+    name = f"{type(owner).__name__} {field}"
+    values = np.asarray(getattr(owner, field))
+    if np.dtype(dtype).kind in "iu":
+        if values.dtype.kind == "f" and np.all(
+            (values == np.round(values)) & (np.abs(values) <= 2**53)
+        ):
+            values = values.astype(dtype)
+        if values.dtype.kind not in "iu":
+            raise ValueError(f"{name} must hold integers")
+    column = np.array(values, dtype=dtype)
+    column.setflags(write=False)
+    object.__setattr__(owner, field, column)
+    if column.shape != shape:
+        raise ValueError(f"{name} needs one entry per grid point")
+    if not np.all(np.isfinite(column)):
+        raise ValueError(f"{name} must be finite")
+    if low is not None and np.any(column < low):
+        raise ValueError(f"{name} must be at least {_bound(low)}")
+    if high is not None and np.any(column > high):
+        raise ValueError(f"{name} must be at most {_bound(high)}")
+
+
+def _bound(bound) -> str:
+    return f"{bound:g}" if np.ndim(bound) == 0 else "its bound at each point"
 
 
 def infer_grid(values) -> UniformGrid:

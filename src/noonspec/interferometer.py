@@ -36,8 +36,8 @@ from scipy.fft import fft, ifft, next_fast_len
 from scipy.signal import hilbert
 
 from .errors import AliasingError, NoSignalError, WindowTooShortError
-from .grids import TimeGrid
-from .spectral import SumFrequencySpectrum, _as_readonly
+from .grids import TimeGrid, _column
+from .spectral import SumFrequencySpectrum
 
 DEFAULT_TIME_STEP = 5e-4  # ps; Nyquist-safe for the 740 THz band
 DEFAULT_TIME_COUNT = 2**16
@@ -61,15 +61,8 @@ class _DelaySeries:
     low: ClassVar[float] = 0.0
 
     def __post_init__(self):
-        v = _as_readonly(self.values)
-        object.__setattr__(self, "values", v)
-        name = type(self).__name__
-        if v.shape != (self.grid.count,):
-            raise ValueError(f"{name} values length does not match grid count")
-        if not np.all(np.isfinite(v)):
-            raise ValueError(f"{name} values must be finite")
-        if np.any(v < self.low - RANGE_TOL) or np.any(v > 1 + RANGE_TOL):
-            raise ValueError(f"{name} values must lie in [{self.low:g}, 1]")
+        shape = (self.grid.count,)
+        _column(self, "values", shape, low=self.low - RANGE_TOL, high=1 + RANGE_TOL)
 
 
 @dataclass(frozen=True)

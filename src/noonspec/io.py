@@ -6,10 +6,12 @@ In memory every series carries its grid; a grid is inferred from a delay
 or frequency column (``grids.infer_grid``) only here, where a CSV is read.
 Every CSV writer goes through one columnar writer, ``_write_columns``,
 which formats whole columns a block of rows at a time with one ``%``
-operation per block, so its memory is bounded by the block. ``%.17g``
-and ``format(x, ".17g")`` share CPython's float-to-string conversion and
-``%d`` prints an integer as ``str`` does, so the bytes are those of
-formatting each value on its own.
+operation per block, so its memory is bounded by the block. Each
+column's format follows its dtype: ``%.17g`` for floats, ``%d`` for
+integers; any other dtype is refused. ``%.17g`` and ``format(x, ".17g")``
+share CPython's float-to-string conversion and ``%d`` prints an integer
+as ``str`` does, so the bytes are those of formatting each value on its
+own.
 """
 from __future__ import annotations
 
@@ -29,17 +31,23 @@ from .spectral import SumFrequencySpectrum
 
 _BLOCK_ROWS = 4096  # rows formatted per string; bounds the transient lists
 
-_FLOAT = "%.17g"
-_INT = "%d"
+
+def _format(column: np.ndarray) -> str:
+    """``%.17g`` for a float column, ``%d`` for an integer one."""
+    if column.dtype.kind == "f":
+        return "%.17g"
+    if column.dtype.kind in "iu":
+        return "%d"
+    raise ValueError(f"cannot write a column of dtype {column.dtype} to CSV")
 
 
-def _write_columns(path, header: str, columns, formats) -> None:
-    """Write equal-length 1-D ``columns`` as CSV rows, one ``formats`` entry per column."""
+def _write_columns(path, header: str, columns) -> None:
+    """Write equal-length 1-D ``columns`` as CSV rows, each formatted by its dtype."""
     columns = [np.asarray(c) for c in columns]
     n = len(columns[0])
     if any(len(c) != n for c in columns):
         raise ValueError("CSV columns differ in length")
-    row = ",".join(formats) + "\n"
+    row = ",".join(_format(c) for c in columns) + "\n"
     with open(Path(path), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         for start in range(0, n, _BLOCK_ROWS):
@@ -68,9 +76,7 @@ def _read_columns(path, expected_header: str) -> np.ndarray:
 
 
 def write_spectrum_csv(path, spectrum: SumFrequencySpectrum) -> None:
-    _write_columns(
-        path, "nu_thz,weight", (spectrum.grid.values, spectrum.weights), (_FLOAT, _FLOAT)
-    )
+    _write_columns(path, "nu_thz,weight", (spectrum.grid.values, spectrum.weights))
 
 
 def read_spectrum_csv(path, normalized: bool = False) -> SumFrequencySpectrum:
@@ -88,18 +94,15 @@ def write_jsi_csv(path, jsi) -> None:
         path,
         "nu_s_thz,nu_i_thz,density",
         (np.repeat(nu_s, len(nu_i)), np.tile(nu_i, len(nu_s)), jsi.density.ravel()),
-        (_FLOAT, _FLOAT, _FLOAT),
     )
 
 
 def write_interferogram_csv(path, interferogram: Interferogram) -> None:
-    _write_columns(
-        path, "t_ps,p", (interferogram.grid.values, interferogram.values), (_FLOAT, _FLOAT)
-    )
+    _write_columns(path, "t_ps,p", (interferogram.grid.values, interferogram.values))
 
 
 def write_trace_csv(path, trace: CorrelationTrace) -> None:
-    _write_columns(path, "t_ps,g", (trace.grid.values, trace.values), (_FLOAT, _FLOAT))
+    _write_columns(path, "t_ps,g", (trace.grid.values, trace.values))
 
 
 def read_trace_csv(path) -> CorrelationTrace:
@@ -115,7 +118,6 @@ def write_recovered_csv(path, recovered: RecoveredSpectrum) -> None:
         path,
         "nu_thz,amplitude_abs,amplitude_re,amplitude_im",
         (recovered.grid.values, np.hypot(amp.real, amp.imag), amp.real, amp.imag),
-        (_FLOAT, _FLOAT, _FLOAT, _FLOAT),
     )
 
 
@@ -139,7 +141,6 @@ def write_counts_csv(path, counts: CountData) -> None:
         path,
         "t_ps,coincidences,pairs_sent",
         (counts.grid.values, counts.coincidences, counts.pairs_sent),
-        (_FLOAT, _INT, _INT),
     )
 
 
@@ -149,14 +150,8 @@ def read_counts_csv(path) -> CountData:
 
 
 def write_scaling_csv(path, study: ScalingStudy) -> None:
-    rows = study.rows
     _write_columns(
         path,
         "n_trials,std_height,std_center",
-        (
-            [row.n_trials for row in rows],
-            [row.std_height for row in rows],
-            [row.std_center for row in rows],
-        ),
-        (_INT, _FLOAT, _FLOAT),
+        (study.n_trials, study.std_height, study.std_center),
     )

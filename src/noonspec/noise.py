@@ -7,18 +7,19 @@ additive probability floor. A :class:`CountData` holds the delay grid
 and two integer columns, coincidences and pairs sent.
 
 Randomness is drawn from counter-based Philox streams keyed by
-(seed, stream), with the bin index selecting the position inside the
-stream. Each bin's count is the binomial quantile of its uniform, found
-by a guided search on ``scipy.stats.binom.cdf`` that returns what
-``binom.ppf`` returns. Each count is therefore a pure function of
-(seed, stream, bin): results are bit-identical however the bins are
-partitioned across workers, which is what makes chunked or parallel
-execution reproducible.
+(seed, stream): one draw per stream gives every bin its uniform, the bin
+index selecting the position inside the stream. Each bin's count is the
+binomial quantile of its uniform, found by a guided search on
+``scipy.stats.binom.cdf`` that returns what ``binom.ppf`` returns. Each
+count is therefore a pure function of (seed, stream, bin): however the
+search is split into blocks of bins (``chunk_size``), the counts are
+bit-identical. A :class:`ScalingStudy` is columnar too, one entry per
+trial count.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -26,13 +27,24 @@ from numpy.random import Generator, Philox
 from scipy.special import ndtri
 from scipy.stats import binom
 
-from .grids import TimeGrid
-from .interferometer import CorrelationTrace, Interferogram, simulate_interferogram
+from .grids import TimeGrid, _column
+from .interferometer import (
+    CorrelationTrace,
+    Interferogram,
+    default_time_grid,
+    simulate_interferogram,
+)
 from .recovery import _refined, fold_one_sided, fourier_recover
 from .spectral import SumFrequencySpectrum
 
 
 MAX_PAIRS_PER_BIN = 2**31
+
+
+def _check_efficiency(efficiency: float) -> None:
+    # below about 1e-162 efficiency**2 is 0, and the trace estimate 0/0
+    if not (0 < efficiency <= 1) or efficiency**2 == 0:
+        raise ValueError("efficiency must lie in (0, 1] and square to a positive float")
 
 
 @dataclass(frozen=True)
@@ -51,19 +63,7 @@ class NoiseConfig:
             raise ValueError("seed must fit in 64 bits")
         if self.dark_rate < 0:
             raise ValueError("dark_rate must be non-negative")
-        if not (0 < self.efficiency <= 1):
-            raise ValueError("efficiency must lie in (0, 1]")
-
-
-def _integer_column(values, name: str) -> np.ndarray:
-    column = np.asarray(values)
-    if column.dtype.kind == "f" and np.all(
-        (column == np.round(column)) & (np.abs(column) <= 2**53)
-    ):
-        column = column.astype(np.int64)
-    if column.dtype.kind not in "iu":
-        raise ValueError(f"{name} must hold integers")
-    return column.astype(np.int64, copy=False)
+        _check_efficiency(self.efficiency)
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,35 +81,17 @@ class CountData:
     clamped: bool = False
 
     def __post_init__(self):
-        coincidences = _integer_column(self.coincidences, "coincidences")
-        pairs_sent = _integer_column(self.pairs_sent, "pairs_sent")
-        if not (coincidences.shape == pairs_sent.shape == (self.grid.count,)):
-            raise ValueError("coincidences and pairs_sent need one entry per grid point")
-        if np.any(pairs_sent < 1):
-            raise ValueError("pairs_sent must be positive")
-        if np.any((coincidences < 0) | (coincidences > pairs_sent)):
-            raise ValueError("coincidences must lie in [0, pairs_sent]")
-        object.__setattr__(self, "coincidences", coincidences)
-        object.__setattr__(self, "pairs_sent", pairs_sent)
+        shape = (self.grid.count,)
+        _column(self, "pairs_sent", shape, dtype=np.int64, low=1)
+        _column(self, "coincidences", shape, dtype=np.int64, low=0, high=self.pairs_sent)
 
     def __len__(self) -> int:
         return self.grid.count
 
 
-def _keyed_uniforms(seed: int, stream: int, n: int, offset: int = 0) -> np.ndarray:
-    """Uniforms [offset, offset+n) of the Philox stream keyed by (seed, stream).
-
-    Philox advances in blocks of four 64-bit draws, so the jump lands on
-    the enclosing block and discards the remainder; any partition of the
-    index range reproduces the same values.
-    """
-    bg = Philox(key=np.array([seed, stream], dtype=np.uint64))
-    if offset:
-        bg.advance(offset // 4)
-    gen = Generator(bg)
-    if offset % 4:
-        gen.random(offset % 4)
-    return gen.random(n)
+def _keyed_uniforms(seed: int, stream: int, n: int) -> np.ndarray:
+    """The first ``n`` uniforms of the Philox stream keyed by (seed, stream)."""
+    return Generator(Philox(key=np.array([seed, stream], dtype=np.uint64))).random(n)
 
 
 def _binomial_quantile(u: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
@@ -179,8 +161,9 @@ def sample_counts(
     clamped into [0, 1]; a clamp event is reported on the result. Each
     count is the binomial quantile of one keyed uniform, found by a guided
     search on ``binom.cdf`` that gives what ``binom.ppf`` gives, so the
-    draw is deterministic and partition-independent: ``chunk_size`` bins
-    are drawn per block (all at once when None) without changing a bit.
+    draw is deterministic and partition-independent: the search runs on
+    blocks of ``chunk_size`` bins (all at once when None) without changing
+    a bit.
     ``stream`` distinguishes repeated experiments under the same seed.
     """
     p_raw = config.efficiency**2 * np.asarray(interferogram.values) + config.dark_rate
@@ -192,11 +175,11 @@ def sample_counts(
         chunk_size = nbins
     elif chunk_size < 1:
         raise ValueError("chunk_size must be positive")
+    u = _keyed_uniforms(config.seed, stream, nbins)
     counts = np.empty(nbins, dtype=np.int64)
     for lo in range(0, nbins, chunk_size):
-        hi = min(lo + chunk_size, nbins)
-        u = _keyed_uniforms(config.seed, stream, hi - lo, offset=lo)
-        counts[lo:hi] = _binomial_quantile(u, config.pairs_per_bin, p[lo:hi])
+        block = slice(lo, lo + chunk_size)
+        counts[block] = _binomial_quantile(u[block], config.pairs_per_bin, p[block])
     pairs = np.full(nbins, config.pairs_per_bin, dtype=np.int64)
     return CountData(interferogram.grid, counts, pairs, clamped)
 
@@ -210,31 +193,39 @@ def estimate_trace(
     [0, 1], then G_hat = 2 P_hat - 1, on the counts' own delay grid.
     The output feeds :func:`noonspec.recovery.fourier_recover` unchanged.
     """
-    if not (0 < efficiency <= 1):
-        raise ValueError("efficiency must lie in (0, 1]")
+    _check_efficiency(efficiency)
     rates = counts.coincidences / counts.pairs_sent
-    p_hat = np.clip((rates - dark_rate) / efficiency**2, 0.0, 1.0)
+    with np.errstate(over="ignore"):  # an overflow to +-inf clips to the bound it passed
+        p_hat = np.clip((rates - dark_rate) / efficiency**2, 0.0, 1.0)
     return CorrelationTrace(counts.grid, 2.0 * p_hat - 1.0)
 
 
-@dataclass(frozen=True)
-class ScalingRow:
-    n_trials: int
-    std_height: float
-    std_center: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScalingStudy:
     """Empirical spread of the recovered peak versus pairs per bin.
 
+    Three columns with one entry per trial count (the points of the
+    study's axis): ``n_trials`` (int64, positive) and the sample standard
+    deviations ``std_height`` and ``std_center`` (float, non-negative).
     ``exponent`` is the fitted slope of log(std_height) against
     log(n_trials); NaN when fewer than two usable points exist (a single
-    trial count, or noise-free runs with zero spread).
+    trial count, or noise-free runs with zero spread). ``len()`` is the
+    number of trial counts.
     """
 
-    rows: tuple
+    n_trials: np.ndarray
+    std_height: np.ndarray
+    std_center: np.ndarray
     exponent: float
+
+    def __post_init__(self):
+        _column(self, "n_trials", (np.size(self.n_trials),), dtype=np.int64, low=1)
+        shape = self.n_trials.shape
+        _column(self, "std_height", shape, low=0)
+        _column(self, "std_center", shape, low=0)
+
+    def __len__(self) -> int:
+        return self.n_trials.size
 
 
 def _dominant_peak(folded: SumFrequencySpectrum) -> tuple:
@@ -257,8 +248,8 @@ def error_scaling_study(
 
     For each entry of ``trial_counts`` the full pipeline (sample counts,
     estimate the trace, transform, fold, locate the dominant peak) runs
-    ``repeats`` times on independent keyed streams; the rows report the
-    sample standard deviations of the refined peak height and center.
+    ``repeats`` times on independent keyed streams; the study's columns
+    hold the sample standard deviations of the refined peak height and center.
     Counting statistics put the height spread on a 1/sqrt(N) law, so the
     fitted exponent sits near -0.5. At least 20 repeats are recommended
     for a stable estimate.
@@ -268,21 +259,16 @@ def error_scaling_study(
     if not trial_counts:
         raise ValueError("trial_counts must not be empty")
     if grid is None:
-        from .interferometer import default_time_grid
-
         grid = default_time_grid()
 
     pattern = simulate_interferogram(spectrum, grid)
-    rows = []
-    for i_n, n_trials in enumerate(trial_counts):
+    n_trials = np.array([int(n) for n in trial_counts])
+    std_height = np.empty(n_trials.size)
+    std_center = np.empty(n_trials.size)
+    for i_n, pairs in enumerate(n_trials.tolist()):
         heights = np.empty(repeats)
         centers = np.empty(repeats)
-        cfg = NoiseConfig(
-            pairs_per_bin=int(n_trials),
-            seed=config.seed,
-            dark_rate=config.dark_rate,
-            efficiency=config.efficiency,
-        )
+        cfg = replace(config, pairs_per_bin=pairs)
         for r in range(repeats):
             counts = sample_counts(
                 pattern, cfg, stream=i_n * repeats + r, chunk_size=chunk_size
@@ -290,18 +276,13 @@ def error_scaling_study(
             trace = estimate_trace(counts, cfg.efficiency, cfg.dark_rate)
             folded = fold_one_sided(fourier_recover(trace))
             centers[r], heights[r] = _dominant_peak(folded)
-        rows.append(
-            ScalingRow(
-                int(n_trials),
-                float(np.std(heights, ddof=1)),
-                float(np.std(centers, ddof=1)),
-            )
-        )
+        std_height[i_n] = np.std(heights, ddof=1)
+        std_center[i_n] = np.std(centers, ddof=1)
 
-    usable = [(row.n_trials, row.std_height) for row in rows if row.std_height > 0]
-    if len(usable) >= 2:
-        ns, stds = zip(*usable)
-        exponent = float(np.polyfit(np.log(ns), np.log(stds), 1)[0])
+    usable = std_height > 0
+    if np.count_nonzero(usable) >= 2:
+        slope = np.polyfit(np.log(n_trials[usable]), np.log(std_height[usable]), 1)[0]
+        exponent = float(slope)
     else:
         exponent = math.nan
-    return ScalingStudy(tuple(rows), exponent)
+    return ScalingStudy(n_trials, std_height, std_center, exponent)

@@ -15,9 +15,9 @@ import numpy as np
 from scipy.signal import find_peaks, peak_widths
 
 from .errors import AsymmetryError, GridMismatchError
-from .grids import FrequencyGrid
+from .grids import FrequencyGrid, _column
 from .interferometer import CorrelationTrace
-from .spectral import SumFrequencySpectrum, _as_readonly
+from .spectral import SumFrequencySpectrum
 
 HERMITIAN_TOL = 1e-6
 
@@ -34,10 +34,7 @@ class RecoveredSpectrum:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amp = _as_readonly(self.amplitudes, dtype=complex)
-        object.__setattr__(self, "amplitudes", amp)
-        if amp.shape != (self.grid.count,):
-            raise ValueError("amplitudes length does not match grid count")
+        _column(self, "amplitudes", (self.grid.count,), dtype=complex)
 
     @property
     def zero_index(self) -> int:

@@ -1,14 +1,35 @@
 import json
+import math
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from noonspec import (
+    AliasingError,
+    AsymmetryError,
+    NonUniformGridError,
+    WindowTooShortError,
+    cli,
+)
 from noonspec.cli import ScenarioError, main, parse_scenario
+from noonspec.presets import preset_scenario
 
 SMALL_TIME_GRID = {"start_ps": -1.024, "step_ps": 5e-4, "count": 4096}
+TINY_TIME_GRID = {"start_ps": -0.064, "step_ps": 5e-4, "count": 256}
+JSI_PUMP = {
+    "kind": "jsi",
+    "pump_center_thz": 740.25,
+    "pump_fwhm_thz": 0.5,
+    "phasematch_fwhm_thz": 1.0,
+    "signal_grid": {"start_thz": 369.625, "step_thz": 0.01, "count": 101},
+    "idler_grid": {"start_thz": 369.625, "step_thz": 0.01, "count": 101},
+    "sum_grid": {"start_thz": 739.25, "step_thz": 0.01, "count": 201},
+}
 
 
 def run_cli(*args, cwd=None):
@@ -593,6 +614,163 @@ class TestNoiseStudy:
         )
         assert proc.returncode == 0, proc.stderr
         assert len((out / "scaling.csv").read_text().splitlines()) == 3
+
+
+class TestExitCodes:
+    """Errors that reach ``main`` end in their documented exit code and one line."""
+
+    @pytest.mark.parametrize(
+        "pump, message",
+        [
+            (  # the sum grid starts above the pump center: 77% of the mass is lost
+                dict(JSI_PUMP, sum_grid={"start_thz": 740.4, "step_thz": 0.01, "count": 86}),
+                "output grid misses 7.",
+            ),
+            (
+                {
+                    "kind": "gaussian",
+                    "center_thz": 740.25,
+                    "fwhm_thz": 0.01,
+                    "grid": {"start_thz": 800.0, "step_thz": 0.004, "count": 501},
+                },
+                "grid carries no mass of the requested Gaussian",
+            ),
+            (  # bin indices near 7e302 used to warn in the cast to int64
+                dict(JSI_PUMP, sum_grid={"start_thz": 0.0, "step_thz": 1e-300, "count": 201}),
+                "output grid misses 1.000e+00",
+            ),
+        ],
+        ids=["jsi-sum-grid", "gaussian-grid", "jsi-fine-sum-grid"],
+    )
+    def test_coverage_error_exits_2(self, tmp_path, capsys, pump, message):
+        cfg = write_config(tmp_path, small_scenario(pump=pump))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "exc, code, line",
+        [
+            # a pump grid of 1e13 points used to end in a numpy traceback with exit 1
+            (MemoryError("Unable to allocate 72.8 TiB"), 2, "Unable to allocate 72.8 TiB"),
+            (MemoryError(), 2, "out of memory"),
+            (AsymmetryError("broken"), 2, "broken"),
+            (WindowTooShortError("short"), 2, "short"),
+            (AliasingError("aliased"), 3, "aliased"),
+            (NonUniformGridError("uneven"), 4, "uneven"),
+        ],
+    )
+    def test_error_in_a_stage_exits_with_its_code(
+        self, tmp_path, capsys, monkeypatch, exc, code, line
+    ):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "simulate_interferogram", fail)
+        cfg = write_config(tmp_path, small_scenario())
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
+        assert capsys.readouterr().err == f"error: {line}\n"
+
+    @pytest.mark.parametrize(
+        "path, value, code, message",
+        [
+            # exp(-inf) = 0 is right, but the overflow on the way printed a warning
+            ("sample.lines.0.fwhm_thz", 1e-300, 0, ""),
+            ("pump.fwhm_thz", 1e-300, 0, ""),
+            # efficiency**2 underflowed to 0, and the trace estimate divided 0 by it
+            ("noise.efficiency", 1e-300, 2, "efficiency must lie in (0, 1]"),
+            # every point of the grid rounds to 737.25
+            ("pump.grid.step_thz", 2.2e-309, 2, "below the float spacing of its points"),
+        ],
+    )
+    def test_edge_value_ends_without_a_warning(self, tmp_path, capsys, path, value, code, message):
+        doc = preset_scenario("tpa3")
+        doc["time_grid"] = dict(TINY_TIME_GRID)
+        doc["noise"] = {"pairs_per_bin": 1000, "seed": 1}
+        *section, key = path.split(".")
+        holder = doc
+        for part in section:
+            holder = holder[int(part)] if part.isdigit() else holder[part]
+        holder[key] = value
+        cfg = write_config(tmp_path, doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == (code != 0)
+
+
+def _fuzz_bases() -> list:
+    """tpa3, noise-gauss, comb5 and a jsi scenario, each on a 256-point delay grid."""
+    docs = [preset_scenario(name) for name in ("tpa3", "noise-gauss", "comb5")]
+    docs.append({"version": 1, "pump": JSI_PUMP})
+    return [dict(doc, time_grid=TINY_TIME_GRID) for doc in docs]
+
+
+def _slots(doc) -> list:
+    """(container, key) of every member of every object and list in ``doc``."""
+    members = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    slots = []
+    for key, value in members:
+        slots.append((doc, key))
+        if isinstance(value, (dict, list)):
+            slots.extend(_slots(value))
+    return slots
+
+
+# Numbers stay within +-1e3 (plus the edge values), so a fuzzed grid has
+# at most 1e3 points and a fuzzed jsi at most 1e6 cells.
+JSON_NUMBERS = st.one_of(
+    st.integers(-1000, 1000),
+    st.floats(-1e3, 1e3),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e-300]),
+)
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), JSON_NUMBERS, st.text(max_size=6))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=10,
+)
+SCHEMA_KEYS = sorted(
+    {key for doc in _fuzz_bases() for container, key in _slots(doc) if isinstance(key, str)}
+    | {"sample", "noise", "time_grid", "outputs", "path", "name", "lines"}
+)
+
+
+@st.composite
+def fuzzed_scenarios(draw):
+    """A valid scenario with one member replaced by, or joined by, arbitrary JSON."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(_fuzz_bases()))))
+    container, key = draw(st.sampled_from(_slots(doc)))
+    value = draw(JSON_NUMBERS | JSON_VALUES)  # numbers most often reach the physics
+    if draw(st.booleans()):
+        container[key] = value
+    elif isinstance(container, list):
+        container.insert(key, value)
+    else:
+        container[draw(st.sampled_from(SCHEMA_KEYS) | st.text(max_size=6))] = value
+    return doc
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(fuzzed_scenarios())
+def test_fuzzed_scenario_ends_in_a_documented_exit(tmp_path, capsys, doc):
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps(doc))  # nan and inf become NaN and Infinity, as JSON readers accept
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc in (0, 2, 3, 4)
+    assert err.count("\n") == (rc != 0) and (err.startswith("error: ") or rc == 0)
 
 
 def test_readme_command_line_flags_are_in_help(capsys):

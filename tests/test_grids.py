@@ -7,9 +7,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from noonspec import (
     CorrelationTrace,
     FrequencyGrid,
+    JointSpectralIntensity,
     NonUniformGridError,
+    RecoveredSpectrum,
+    ScalingStudy,
     SumFrequencySpectrum,
     TimeGrid,
+    TransmissionProfile,
     UniformGrid,
     gaussian_pump_spectrum,
     io,
@@ -42,6 +46,72 @@ def test_frequency_and_time_grid_are_the_uniform_grid():
 def test_bad_start_step_or_count_rejected(grid_type, args):
     with pytest.raises(ValueError, match="grid (start|step|count)"):
         grid_type(*args)
+
+
+THREE = UniformGrid(0.0, 0.5, 3)
+NAN = float("nan")
+
+# (series built from one column, the type and field its messages name, bad columns)
+COLUMN_CASES = [
+    (
+        lambda col: SumFrequencySpectrum(THREE, col),
+        "SumFrequencySpectrum weights",
+        [[1.0, -1.0, 1.0], [1.0, NAN, 1.0], [1.0, 1.0]],
+    ),
+    (
+        lambda col: JointSpectralIntensity(THREE, THREE, np.reshape(col, (3, -1))),
+        "JointSpectralIntensity density",
+        [[-1.0] + [1.0] * 8, [np.inf] + [1.0] * 8, [1.0] * 6],
+    ),
+    (
+        lambda col: TransmissionProfile(THREE, col, False),
+        "TransmissionProfile values",
+        [[0.5, 1.5, 0.5], [0.5, -0.5, 0.5], [0.5, NAN, 0.5], [0.5] * 4],
+    ),
+    (
+        lambda col: RecoveredSpectrum(THREE, col),
+        "RecoveredSpectrum amplitudes",
+        [[1j, complex(NAN, 0), 1.0], [1.0, complex(0, np.inf), 1.0], [1.0, 1.0]],
+    ),
+    (
+        lambda col: ScalingStudy(col, [0.1, 0.2], [0.01, 0.02], -0.5),
+        "ScalingStudy n_trials",
+        [[1000, 0], [1000, 2.5], [[1000, 10000]]],
+    ),
+    (
+        lambda col: ScalingStudy([1000, 10000], col, [0.01, 0.02], -0.5),
+        "ScalingStudy std_height",
+        [[0.1, -0.2], [0.1, NAN], [0.1]],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "build, name, bad",
+    [(build, name, bad) for build, name, cases in COLUMN_CASES for bad in cases],
+)
+def test_every_series_checks_its_columns_by_one_rule(build, name, bad):
+    with pytest.raises(ValueError, match=f"^{name} "):
+        build(bad)
+
+
+def test_checked_columns_are_read_only_copies():
+    weights = np.array([1.0, 2.0, 1.0])
+    spectrum = SumFrequencySpectrum(THREE, weights)
+    weights[0] = 5.0
+    assert spectrum.weights.tolist() == [1.0, 2.0, 1.0]
+    assert not spectrum.weights.flags.writeable
+    study = ScalingStudy([1000.0, 10000.0], [0.1, 0.2], [0.01, 0.02], -0.5)
+    assert study.n_trials.dtype == np.int64 and len(study) == 2
+    assert not study.std_center.flags.writeable
+
+
+def test_step_below_float_spacing_rejected():
+    # every point of this grid rounds to 737.25; it used to reach the pump
+    # normalization and overflow there
+    with pytest.raises(ValueError, match="grid step .* below the float spacing"):
+        UniformGrid(737.25, 2.2e-309, 1501)
+    UniformGrid(0.0, 5e-324, 3)  # distinct subnormal points are an axis
 
 
 def test_one_grid_has_every_member():

@@ -10,7 +10,6 @@ from noonspec import (
     NonUniformGridError,
     RecoveredSpectrum,
     FrequencyGrid,
-    ScalingRow,
     ScalingStudy,
     SpectralFeature,
     TimeGrid,
@@ -165,10 +164,7 @@ def test_counts_fractional_count_rejected(tmp_path):
 
 
 def test_scaling_csv(tmp_path):
-    study = ScalingStudy(
-        rows=(ScalingRow(1000, 0.01, 0.002), ScalingRow(10000, 0.003, 0.0007)),
-        exponent=-0.5,
-    )
+    study = ScalingStudy([1000, 10000], [0.01, 0.003], [0.002, 0.0007], exponent=-0.5)
     path = tmp_path / "scaling.csv"
     io.write_scaling_csv(path, study)
     lines = path.read_text().splitlines()
@@ -242,15 +238,20 @@ def per_row_oracle(header, kinds, columns):
 def test_write_columns_equals_per_row_format(tmp_path, drawn):
     kinds, columns = drawn
     header = ",".join(f"c{j}" for j in range(len(kinds)))
-    formats = [io._FLOAT if k == "float" else io._INT for k in kinds]
     path = tmp_path / "columns.csv"
-    io._write_columns(path, header, columns, formats)
+    io._write_columns(path, header, columns)
     assert path.read_bytes() == per_row_oracle(header, kinds, columns).encode()
 
 
 def test_write_columns_rejects_ragged_columns(tmp_path):
     with pytest.raises(ValueError, match="length"):
-        io._write_columns(tmp_path / "x.csv", "a,b", ([1.0, 2.0], [1.0]), ["%.17g"] * 2)
+        io._write_columns(tmp_path / "x.csv", "a,b", ([1.0, 2.0], [1.0]))
+
+
+@pytest.mark.parametrize("column", [[1j, 2j], [True, False], ["a", "b"]])
+def test_write_columns_refuses_other_dtypes(tmp_path, column):
+    with pytest.raises(ValueError, match="cannot write a column of dtype"):
+        io._write_columns(tmp_path / "x.csv", "a,b", ([1.0, 2.0], column))
 
 
 def test_recovered_abs_equals_scalar_complex_abs(tmp_path):
