@@ -25,6 +25,10 @@ rounding of the float64 grid values off the ideal lines, computed
 exactly, enters to first order (the neglected second-order term is
 about 1e-23 on the default grid), so the result is the transform of the
 very frequencies and delays written to CSV, accurate to a few ulp.
+
+Every transform here is ``numpy.fft``, so the module loads no scipy;
+``numpy.fft`` and ``scipy.fft`` give the same bits on these complex
+transforms and on the real one behind :func:`envelope`.
 """
 from __future__ import annotations
 
@@ -32,8 +36,6 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-from scipy.fft import fft, ifft, next_fast_len
-from scipy.signal import hilbert
 
 from .errors import AliasingError, NoSignalError, WindowTooShortError
 from .grids import TimeGrid, _column
@@ -110,6 +112,27 @@ def _cycles(a, b):
     )
 
 
+def _next_fast_len(n: int) -> int:
+    """The smallest 11-smooth integer >= n (n >= 1), a fast FFT length."""
+    best = 2 * n  # a power of two lies in [n, 2n)
+    p11 = 1
+    while p11 < best:
+        p7 = p11
+        while p7 < best:
+            p5 = p7
+            while p5 < best:
+                p3 = p5
+                while p3 < best:
+                    # the least power of two that lifts p3 to n or beyond
+                    p2 = p3 << (-(-n // p3) - 1).bit_length()
+                    best = min(best, p2)
+                    p3 *= 3
+                p5 *= 5
+            p7 *= 7
+        p11 *= 11
+    return best
+
+
 def _off_grid(grid) -> np.ndarray:
     """values[i] - (start + i*step) of a uniform grid, exact up to one rounding."""
     v = grid.values
@@ -140,7 +163,7 @@ def simulate_interferogram(spectrum: SumFrequencySpectrum, grid: TimeGrid) -> In
     pre = np.exp(2j * np.pi * _frac(chirp[:n] + _cycles(k, twist) + k * twist_err))
     post = np.exp(2j * np.pi * _frac(chirp[:m] + _cycles(fgrid.start, t)))
 
-    size = next_fast_len(n + m - 1)
+    size = _next_fast_len(n + m - 1)
     kernel = np.zeros(size, dtype=complex)
     kernel[:m] = np.exp(-2j * np.pi * chirp[:m])
     kernel[size - n + 1 :] = np.exp(-2j * np.pi * chirp[n - 1 : 0 : -1])
@@ -149,9 +172,11 @@ def simulate_interferogram(spectrum: SumFrequencySpectrum, grid: TimeGrid) -> In
     # offset in the phase
     rows = np.zeros((3, size), dtype=complex)
     rows[:, :n] = pre * np.stack([np.ones(n), _off_grid(fgrid), k * fgrid.step]) * weights
-    rows = fft(rows, axis=1, overwrite_x=True)
-    rows *= fft(kernel, overwrite_x=True)
-    sums = ifft(rows, axis=1, overwrite_x=True)[:, :m]
+    # in place (out=): a fresh complex array per transform would add a third
+    # to the call's peak memory
+    np.fft.fft(rows, axis=1, out=rows)
+    rows *= np.fft.fft(kernel, out=kernel)
+    sums = np.fft.ifft(rows, axis=1, out=rows)[:, :m]
     sums *= post
     # Re(S0 + 2 pi i (t S1 + t_off S2)): the offsets' phases to first order
     total = sums[0].real - 2 * np.pi * (t * sums[1].imag + t_off * sums[2].imag)
@@ -168,8 +193,20 @@ def correlation_trace(interferogram: Interferogram) -> CorrelationTrace:
 
 
 def envelope(trace: CorrelationTrace) -> np.ndarray:
-    """Magnitude of the analytic (positive-frequency) reconstruction of G."""
-    return np.abs(hilbert(np.asarray(trace.values)))
+    """Magnitude of the analytic (positive-frequency) reconstruction of G.
+
+    The analytic signal is built in the frequency domain (Marple 1999): the
+    DC and, for even n, Nyquist bins kept, the other positive bins doubled,
+    the negative ones zeroed. The half spectrum comes from the real
+    transform, as in ``scipy.signal.hilbert``, so the bits are the same.
+    """
+    g = np.asarray(trace.values)
+    n = g.size
+    half = np.fft.rfft(g)
+    spec = np.zeros(n, dtype=complex)
+    spec[: half.size] = half
+    spec[1 : (n + 1) // 2] *= 2
+    return np.abs(np.fft.ifft(spec))
 
 
 def envelope_coherence_time(trace: CorrelationTrace) -> float:

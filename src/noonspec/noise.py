@@ -9,23 +9,27 @@ and two integer columns, coincidences and pairs sent.
 Randomness is drawn from counter-based Philox streams keyed by
 (seed, stream): one draw per stream gives every bin its uniform, the bin
 index selecting the position inside the stream. Each bin's count is the
-binomial quantile of its uniform, found by a guided search on
-``scipy.stats.binom.cdf`` that returns what ``binom.ppf`` returns. Each
+binomial quantile of its uniform, found by a guided search on the
+binomial CDF that returns what ``scipy.stats.binom.ppf`` returns. Each
 count is therefore a pure function of (seed, stream, bin): however the
 search is split into blocks of bins (``chunk_size``), the counts are
 bit-identical. A :class:`ScalingStudy` is columnar too, one entry per
 trial count.
+
+The CDF is the ``scipy.special`` ufunc behind ``binom.cdf``, loaded on
+the first draw, so importing this module loads no scipy and drawing
+loads no ``scipy.stats`` (a scipy without that ufunc falls back to
+``binom.cdf`` itself).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.special import ndtri
-from scipy.stats import binom
 
 from .grids import TimeGrid, _column
 from .interferometer import (
@@ -94,6 +98,13 @@ def _keyed_uniforms(seed: int, stream: int, n: int) -> np.ndarray:
     return Generator(Philox(key=np.array([seed, stream], dtype=np.uint64))).random(n)
 
 
+def _clipped(binom_ufunc, k: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
+    """``binom.cdf`` or ``binom.pmf`` at integral k in [0, n], from the ufunc
+    behind ``binom._cdf`` or ``binom._pmf``: there ``rv_discrete`` only clips
+    it into [0, 1] (the CDF ufunc itself gives 1 at k = n)."""
+    return np.clip(binom_ufunc(k, n, p), 0, 1)
+
+
 def _binomial_quantile(u: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
     """``np.clip(binom.ppf(u, n, p), 0, n)`` as int64, by a guided search.
 
@@ -107,6 +118,19 @@ def _binomial_quantile(u: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
     ``binom.ppf`` stops short (for u very close to 0 or 1, mostly with an
     "Unable to bracket root" warning) this still returns the quantile.
     """
+    # only the noise layer draws counts, so only it loads scipy.special; the
+    # binomial ufuncs give binom.cdf/pmf's bits without loading scipy.stats
+    from scipy.special import ndtri
+
+    try:
+        from scipy.special._ufuncs import _binom_cdf, _binom_pmf
+    except ImportError:  # a scipy whose binom does not expose them
+        from scipy.stats import binom
+
+        cdf, pmf = binom.cdf, binom.pmf
+    else:
+        cdf = partial(_clipped, _binom_cdf)
+        pmf = partial(_clipped, _binom_pmf)
     with np.errstate(divide="ignore", invalid="ignore"):
         z = ndtri(u)
         sigma = np.sqrt(n * p * (1 - p))
@@ -124,16 +148,16 @@ def _binomial_quantile(u: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
 
     c = np.ones_like(u)  # binom.cdf(k) of every searched bin
     todo = np.flatnonzero(~zero)
-    c[todo] = binom.cdf(k[todo], n, p[todo])
+    c[todo] = cdf(k[todo], n, p[todo])
     i = todo[c[todo] < u[todo]]
     down = todo[(c[todo] >= u[todo]) & (k[todo] > 0)]
     while i.size:
         k[i] += 1
-        c[i] = binom.cdf(k[i], n, p[i])
+        c[i] = cdf(k[i], n, p[i])
         i = i[c[i] < u[i]]
     i = down
     while i.size:
-        below = binom.cdf(k[i] - 1, n, p[i])
+        below = cdf(k[i] - 1, n, p[i])
         moved = below >= u[i]
         i = i[moved]
         k[i] -= 1
@@ -141,11 +165,11 @@ def _binomial_quantile(u: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
         i = i[k[i] > 0]
     i = np.flatnonzero((c == u) & (k < n))
     while i.size:
-        i = i[binom.cdf(k[i] + 1, n, p[i]) == u[i]]
+        i = i[cdf(k[i] + 1, n, p[i]) == u[i]]
         k[i] += 1
         i = i[k[i] < n]
     i = np.flatnonzero(k == 1)
-    k[i[u[i] <= binom.pmf(0, n, p[i])]] = 0
+    k[i[u[i] <= pmf(0, n, p[i])]] = 0
     return k.astype(np.int64)
 
 
@@ -258,11 +282,13 @@ def error_scaling_study(
         raise ValueError("repeats must be at least 2")
     if not trial_counts:
         raise ValueError("trial_counts must not be empty")
+    n_trials = np.array([int(n) for n in trial_counts])
+    if np.unique(n_trials).size < n_trials.size:  # one row per point of the axis
+        raise ValueError("trial_counts must be distinct")
     if grid is None:
         grid = default_time_grid()
 
     pattern = simulate_interferogram(spectrum, grid)
-    n_trials = np.array([int(n) for n in trial_counts])
     std_height = np.empty(n_trials.size)
     std_center = np.empty(n_trials.size)
     for i_n, pairs in enumerate(n_trials.tolist()):

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks, peak_widths
 
 from .errors import AsymmetryError, GridMismatchError
 from .grids import FrequencyGrid, _column
@@ -141,6 +140,9 @@ def detect_features(
     center; two lines closer than one grid bin merge into a single
     feature. An empty report is a valid result.
     """
+    # of the verbs only `recover` detects features, so only it loads scipy.signal
+    from scipy.signal import find_peaks, peak_widths
+
     if not (min_prominence > 0):
         raise ValueError("min_prominence must be positive")
     if baseline is not None:

@@ -39,6 +39,21 @@ def gaussian_profile(nu: np.ndarray, center: float, fwhm: float) -> np.ndarray:
         return np.exp(-FOUR_LN2 * ((nu - center) / fwhm) ** 2)
 
 
+def _per_unit_mass(density: np.ndarray, mass: float) -> np.ndarray:
+    """``density / mass`` for a non-negative density of positive mass.
+
+    Raises ValueError when the quotient or its sum leaves the float range:
+    a unit-mass density is about 1/step, so a grid step near 1e-308 or
+    below has none.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        out = density / mass
+        total = out.sum()
+    if not np.isfinite(total):
+        raise ValueError(f"a unit-mass density overflows at a grid mass of {float(mass)!r}")
+    return out
+
+
 @dataclass(frozen=True)
 class SumFrequencySpectrum:
     """Discretized sum-frequency intensity F(nu_p) on a uniform grid.
@@ -68,7 +83,7 @@ class SumFrequencySpectrum:
         mass = self.total_mass
         if mass <= 0:
             raise ValueError("cannot normalize a zero spectrum")
-        return replace(self, weights=self.weights / mass, normalized=True)
+        return replace(self, weights=_per_unit_mass(self.weights, mass), normalized=True)
 
 
 @dataclass(frozen=True)
@@ -130,7 +145,7 @@ def gaussian_pump_spectrum(
         raise CoverageError("grid carries no mass of the requested Gaussian")
     return SumFrequencySpectrum(
         grid,
-        shape / mass,
+        _per_unit_mass(shape, mass),
         normalized=True,
         coverage_warning=not _covers(grid, center, fwhm),
     )
@@ -157,7 +172,7 @@ def comb_pump_spectrum(
         unit = gaussian_pump_spectrum(grid, line.center, line.fwhm)
         weights = weights + line.weight * unit.weights
         warn = warn or unit.coverage_warning
-    weights /= grid.step * weights.sum()
+    weights = _per_unit_mass(weights, grid.step * weights.sum())
     return SumFrequencySpectrum(grid, weights, normalized=True, coverage_warning=warn)
 
 
@@ -186,7 +201,7 @@ def gaussian_jsi(
     mass = signal_grid.step * idler_grid.step * density.sum()
     if mass <= 0:
         raise CoverageError("grids carry no mass of the requested joint intensity")
-    return JointSpectralIntensity(signal_grid, idler_grid, density / mass)
+    return JointSpectralIntensity(signal_grid, idler_grid, _per_unit_mass(density, mass))
 
 
 def sum_frequency_marginal(
@@ -216,6 +231,6 @@ def sum_frequency_marginal(
     binned = np.bincount(
         idx[inside].astype(np.int64), weights=cell_mass[inside], minlength=output_grid.count
     )
-    weights = binned / output_grid.step
-    weights /= output_grid.step * weights.sum()
+    weights = _per_unit_mass(binned, output_grid.step)
+    weights = _per_unit_mass(weights, output_grid.step * weights.sum())
     return SumFrequencySpectrum(output_grid, weights, normalized=True)

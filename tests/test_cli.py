@@ -585,6 +585,17 @@ class TestNoiseStudy:
             assert proc.returncode == 2
             assert "--chunk-size" in proc.stderr
 
+    def test_repeated_trial_count_exits_2(self, tmp_path):
+        cfg = self.scenario(tmp_path)
+        out = tmp_path / "study"
+        proc = run_cli(
+            "noise-study", "--config", str(cfg), "--out", str(out),
+            "--trials", "1000,1000", "--repeats", "3",
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "error: trial_counts must be distinct\n"
+        assert not (out / "scaling.csv").exists()
+
     def test_fixed_seed_reruns_byte_identical(self, tmp_path):
         cfg = self.scenario(tmp_path)
         args = ("--trials", "300,1200", "--repeats", "8")
@@ -649,6 +660,39 @@ class TestExitCodes:
             assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert message in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "pump",
+        [
+            {  # a subnormal grid mass: the unit-mass density is about 2e323
+                "kind": "gaussian",
+                "grid": {"start_thz": 0.0, "step_thz": 5e-324, "count": 1501},
+                "center_thz": 0.0,
+                "fwhm_thz": 1e-320,
+            },
+            {  # every weight is finite, but their sum, 1/step, is not
+                "kind": "gaussian",
+                "grid": {"start_thz": 0.0, "step_thz": 1e-309, "count": 1501},
+                "center_thz": 0.0,
+                "fwhm_thz": 1.0,
+            },
+            {
+                "kind": "comb",
+                "grid": {"start_thz": 0.0, "step_thz": 5e-324, "count": 1501},
+                "lines": [{"center_thz": 0.0, "fwhm_thz": 1e-320, "weight": 1.0}],
+            },
+        ],
+        ids=["gaussian-subnormal-mass", "gaussian-overflowing-sum", "comb-subnormal-mass"],
+    )
+    def test_unit_mass_overflow_exits_2(self, tmp_path, capsys, pump):
+        doc = dict(preset_scenario("tpa3"), pump=pump)
+        cfg = write_config(tmp_path, doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad pump section: a unit-mass density overflows")
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize(

@@ -1,5 +1,10 @@
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+import scipy.fft
+import scipy.signal
 
 from noonspec import (
     AliasingError,
@@ -21,7 +26,9 @@ from noonspec import (
     simulate_interferogram,
     sum_frequency_marginal,
 )
-from noonspec.interferometer import RANGE_TOL
+from noonspec.cli import parse_scenario
+from noonspec.interferometer import RANGE_TOL, _next_fast_len, envelope
+from noonspec.presets import PRESETS, preset_scenario
 from conftest import centered_time_grid, direct_sum_reference, single_bin_spectrum
 
 
@@ -104,6 +111,26 @@ class TestChirpZAgainstDirectSum:
         tg = default_time_grid()
         idx = np.r_[0:40, 32748:32788, tg.count - 40 : tg.count]
         self.assert_matches_direct_sum(spec, tg, idx)
+
+
+class TestScipyOracles:
+    """The numpy transforms against the scipy functions they replace."""
+
+    def test_next_fast_len_equals_scipy(self):
+        sizes = list(range(1, 20001))
+        for name in PRESETS:  # the chirp-z lengths n + m - 1 of every preset
+            scenario = parse_scenario(preset_scenario(name), Path.cwd())
+            sizes.append(scenario.spectrum.grid.count + scenario.time_grid.count - 1)
+        assert [_next_fast_len(n) for n in sizes] == list(map(scipy.fft.next_fast_len, sizes))
+
+    @pytest.mark.parametrize("n", [*range(1, 40), 1000, 1001, 4096, 65536, 65537])
+    def test_envelope_equals_scipy_hilbert(self, n):
+        g = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+        if n > 1:
+            trace = CorrelationTrace(TimeGrid(0.0, 5e-4, n), g)
+        else:  # a delay grid has at least two points; envelope reads only the values
+            trace = SimpleNamespace(values=g)
+        np.testing.assert_array_equal(envelope(trace), np.abs(scipy.signal.hilbert(g)))
 
 
 class TestCorrelationTrace:

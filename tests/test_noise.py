@@ -1,10 +1,12 @@
 import math
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.special import _ufuncs
 from scipy.stats import binom
 
 from noonspec import (
@@ -23,7 +25,7 @@ from noonspec import (
     simulate_interferogram,
 )
 from noonspec.cli import parse_scenario
-from noonspec.noise import _binomial_quantile, _keyed_uniforms
+from noonspec.noise import _binomial_quantile, _clipped, _keyed_uniforms
 from noonspec.presets import preset_scenario
 from conftest import centered_time_grid
 
@@ -151,6 +153,37 @@ class TestBinomialQuantile:
                 expected = np.clip(binom.ppf(u, pairs, p), 0, pairs).astype(np.int64)
                 drawn = sample_counts(pattern, cfg, stream=stream)
                 np.testing.assert_array_equal(drawn.coincidences, expected)
+
+
+class TestBinomialUfuncs:
+    """The binomial ufuncs, clipped as ``rv_discrete`` clips them, against
+    ``binom.cdf`` and ``binom.pmf``."""
+
+    @pytest.mark.skipif(
+        not hasattr(_ufuncs, "_binom_cdf"), reason="this scipy has no binomial ufuncs"
+    )
+    @pytest.mark.parametrize("n", [1, 7, 1000, 10**5, 2**31])
+    def test_equal_binom_at_edges_and_random_draws(self, n):
+        rng = np.random.default_rng(n)
+        k = np.floor(rng.uniform(0, n + 1, 20000))
+        p = rng.uniform(0.0, 1.0, k.size)
+        k[:30] = 0
+        k[30:60] = n
+        p[::7] = 0.0
+        p[3::7] = 1.0
+        cdf = _clipped(_ufuncs._binom_cdf, k, n, p)
+        pmf = _clipped(_ufuncs._binom_pmf, k, n, p)
+        np.testing.assert_array_equal(cdf, binom.cdf(k, n, p))
+        np.testing.assert_array_equal(pmf, binom.pmf(k, n, p))
+
+    def test_scipy_stats_fallback_draws_the_same_counts(self, monkeypatch):
+        u = _keyed_uniforms(3, 0, 5000)
+        p = np.random.default_rng(3).uniform(0.0, 1.0, u.size)
+        p[:10] = (0.0, 1.0) * 5
+        expected = _binomial_quantile(u, 1000, p)
+        # a scipy without the private ufuncs: their import fails
+        monkeypatch.setitem(sys.modules, "scipy.special._ufuncs", None)
+        np.testing.assert_array_equal(_binomial_quantile(u, 1000, p), expected)
 
 
 class TestEstimateTrace:
@@ -318,6 +351,17 @@ class TestErrorScalingStudy:
         with pytest.raises(ValueError):
             error_scaling_study(
                 spec, [], repeats=5, config=NoiseConfig(pairs_per_bin=1, seed=0)
+            )
+
+    def test_repeated_trial_count_rejected(self):
+        # a study has one row per trial count; a repeated one used to give two
+        # rows and a line fitted through a single abscissa
+        grid = make_frequency_grid(738.25, 0.004, 101)
+        spec = gaussian_pump_spectrum(grid, 738.45, 0.1)
+        with pytest.raises(ValueError, match="trial_counts must be distinct"):
+            error_scaling_study(
+                spec, [100, 300, 100], repeats=3, config=NoiseConfig(pairs_per_bin=1, seed=0),
+                grid=centered_time_grid(5e-4, 64),
             )
 
     def test_study_is_deterministic_across_partitioning(self):

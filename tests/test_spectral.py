@@ -198,6 +198,43 @@ class TestSumFrequencyMarginal:
             sum_frequency_marginal(jsi, out)
 
 
+class TestUnitMassOverflow:
+    """A unit-mass density is about 1/step: below a step near 1e-308 it has no
+    float value, and every normalizing constructor says so in a ValueError."""
+
+    MESSAGE = "unit-mass density overflows"
+
+    def test_gaussian_on_subnormal_grid(self):
+        grid = make_frequency_grid(0.0, 5e-324, 1501)
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            gaussian_pump_spectrum(grid, 0.0, 1e-320)
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            comb_pump_spectrum(grid, [CombLine(0.0, 1e-320, 1.0)])
+
+    def test_gaussian_whose_density_sum_overflows(self):
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            gaussian_pump_spectrum(make_frequency_grid(0.0, 1e-309, 1501), 0.0, 1.0)
+
+    def test_renormalized(self):
+        spec = SumFrequencySpectrum(make_frequency_grid(0.0, 5e-324, 3), np.ones(3))
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            spec.renormalized()
+
+    def test_jsi(self):
+        grid = make_frequency_grid(0.0, 1e-160, 5)  # a cell area of 1e-320
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            gaussian_jsi(grid, grid, 0.0, 1.0, 1.0)
+
+    def test_marginal(self):
+        # the mass of the cells at nu_i = 0 lands on a sum grid of subnormal step
+        density = np.array([[1.0, 0.0]] * 3)
+        jsi = JointSpectralIntensity(
+            make_frequency_grid(0.0, 5e-324, 3), make_frequency_grid(0.0, 1.0, 2), density
+        )
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            sum_frequency_marginal(jsi, make_frequency_grid(0.0, 5e-324, 3))
+
+
 class TestInvariants:
     def test_constructor_outputs_normalized(self):
         grid = make_frequency_grid(739.8, 0.001, 1001)
