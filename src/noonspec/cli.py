@@ -59,29 +59,31 @@ class Scenario:
     outputs: str | None
 
 
-def _require_object(doc, context: str) -> None:
+def _members(doc, context: str, required, optional=()) -> dict:
+    """``doc`` as a JSON object holding every ``required`` key and no key
+    beyond ``required`` and ``optional``; ``context`` is its dotted path."""
     if not isinstance(doc, dict):
         raise ScenarioError(f"{context} must be a JSON object")
-
-
-def _require_keys(doc: dict, allowed: set, context: str) -> None:
-    _require_object(doc, context)
-    extra = set(doc) - allowed
+    extra = set(doc) - set(required) - set(optional)
     if extra:
         raise ScenarioError(f"unknown keys in {context}: {sorted(extra)}")
+    for key in required:
+        if key not in doc:
+            raise ScenarioError(f"{context} needs {key}")
+    return doc
 
 
-def _integer(doc: dict, key: str) -> int:
+def _integer(doc: dict, key: str, context: str) -> int:
     """``doc[key]`` as an int; a boolean or a non-integral number is an error."""
     value = doc[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)) or (
         isinstance(value, float) and not value.is_integer()
     ):
-        raise ScenarioError(f"{key} must be an integer, got {value!r}")
+        raise ScenarioError(f"{context}.{key} must be an integer, got {value!r}")
     return int(value)
 
 
-def _real(doc: dict, key: str) -> float:
+def _real(doc: dict, key: str, context: str) -> float:
     """``doc[key]`` as a finite float; a string, a boolean or a non-finite number is an error."""
     value = doc[key]
     if isinstance(value, (int, float)) and not isinstance(value, bool):
@@ -91,7 +93,27 @@ def _real(doc: dict, key: str) -> float:
             number = math.inf
         if math.isfinite(number):
             return number
-    raise ScenarioError(f"{key} must be a finite number, got {value!r}")
+    raise ScenarioError(f"{context}.{key} must be a finite number, got {value!r}")
+
+
+def _lines(doc: dict, context: str, last: str) -> list:
+    """``(center_thz, fwhm_thz, <last>)`` of each object in ``doc["lines"]``;
+    an absent array has no lines."""
+    lines = doc.get("lines", [])
+    if not isinstance(lines, list):
+        raise ScenarioError(f"{context}.lines must be a JSON array, got {lines!r}")
+    where, keys = f"{context}.lines[]", ("center_thz", "fwhm_thz", last)
+    for entry in lines:
+        _members(entry, where, keys)
+    return [tuple(_real(entry, key, where) for key in keys) for entry in lines]
+
+
+def _build(section: str, make, *args):
+    """``make(*args)``, a ValueError from it reported as a bad ``section``."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ScenarioError(f"bad {section}: {exc}") from exc
 
 
 def _read_json(path: Path, what: str):
@@ -103,121 +125,83 @@ def _read_json(path: Path, what: str):
         raise ScenarioError(f"{what} is not valid JSON: {exc}") from exc
 
 
-def _parse_grid(doc: dict, context: str, unit: str) -> UniformGrid:
+def _parse_grid(doc, context: str, unit: str) -> UniformGrid:
     """A uniform axis from ``start_<unit>``, ``step_<unit>`` and ``count``."""
     start, step = f"start_{unit}", f"step_{unit}"
-    _require_keys(doc, {start, step, "count"}, context)
-    try:
-        return UniformGrid(_real(doc, start), _real(doc, step), _integer(doc, "count"))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioError(f"bad {context}: {exc}") from exc
+    _members(doc, context, (start, step, "count"))
+    return _build(
+        context,
+        UniformGrid,
+        _real(doc, start, context),
+        _real(doc, step, context),
+        _integer(doc, "count", context),
+    )
 
 
-def _parse_pump(doc: dict) -> SumFrequencySpectrum:
-    _require_object(doc, "pump")
-    kind = doc.get("kind")
-    try:
-        if kind == "gaussian":
-            _require_keys(doc, {"kind", "center_thz", "fwhm_thz", "grid"}, "pump")
-            grid = _parse_grid(doc["grid"], "pump.grid", "thz")
-            return gaussian_pump_spectrum(
-                grid, _real(doc, "center_thz"), _real(doc, "fwhm_thz")
-            )
-        if kind == "comb":
-            _require_keys(doc, {"kind", "lines", "grid"}, "pump")
-            grid = _parse_grid(doc["grid"], "pump.grid", "thz")
-            lines = []
-            for entry in doc.get("lines", []):
-                _require_keys(entry, {"center_thz", "fwhm_thz", "weight"}, "pump.lines[]")
-                lines.append(
-                    CombLine(
-                        _real(entry, "center_thz"),
-                        _real(entry, "fwhm_thz"),
-                        _real(entry, "weight"),
-                    )
-                )
-            return comb_pump_spectrum(grid, lines)
-        if kind == "jsi":
-            _require_keys(
-                doc,
-                {
-                    "kind",
-                    "pump_center_thz",
-                    "pump_fwhm_thz",
-                    "phasematch_fwhm_thz",
-                    "signal_grid",
-                    "idler_grid",
-                    "sum_grid",
-                },
-                "pump",
-            )
-            jsi = gaussian_jsi(
-                _parse_grid(doc["signal_grid"], "pump.signal_grid", "thz"),
-                _parse_grid(doc["idler_grid"], "pump.idler_grid", "thz"),
-                _real(doc, "pump_center_thz"),
-                _real(doc, "pump_fwhm_thz"),
-                _real(doc, "phasematch_fwhm_thz"),
-            )
-            return sum_frequency_marginal(
-                jsi, _parse_grid(doc["sum_grid"], "pump.sum_grid", "thz")
-            )
-    except ScenarioError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioError(f"bad pump section: {exc}") from exc
+def _parse_pump(doc) -> SumFrequencySpectrum:
+    # any keys with the kind; each kind then checks its own
+    kind = _members(doc, "pump", ("kind",), doc)["kind"]
+    if kind == "gaussian":
+        _members(doc, "pump", ("kind", "center_thz", "fwhm_thz", "grid"))
+        grid = _parse_grid(doc["grid"], "pump.grid", "thz")
+        return _build(
+            "pump section",
+            gaussian_pump_spectrum,
+            grid,
+            _real(doc, "center_thz", "pump"),
+            _real(doc, "fwhm_thz", "pump"),
+        )
+    if kind == "comb":
+        _members(doc, "pump", ("kind", "grid", "lines"))
+        grid = _parse_grid(doc["grid"], "pump.grid", "thz")
+        lines = [_build("pump section", CombLine, *line) for line in _lines(doc, "pump", "weight")]
+        return _build("pump section", comb_pump_spectrum, grid, lines)
+    if kind == "jsi":
+        reals = ("pump_center_thz", "pump_fwhm_thz", "phasematch_fwhm_thz")
+        _members(doc, "pump", ("kind", *reals, "signal_grid", "idler_grid", "sum_grid"))
+        jsi = _build(
+            "pump section",
+            gaussian_jsi,
+            _parse_grid(doc["signal_grid"], "pump.signal_grid", "thz"),
+            _parse_grid(doc["idler_grid"], "pump.idler_grid", "thz"),
+            *(_real(doc, key, "pump") for key in reals),
+        )
+        sum_grid = _parse_grid(doc["sum_grid"], "pump.sum_grid", "thz")
+        return _build("pump section", sum_frequency_marginal, jsi, sum_grid)
     raise ScenarioError(f"pump.kind must be gaussian, comb or jsi, got {kind!r}")
 
 
 def _parse_sample(doc, base_dir: Path) -> Sample:
     """The inline ``{"name", "lines"}`` form, or ``{"path"}`` to a file holding it."""
-    _require_object(doc, "sample")
-    if set(doc) == {"path"}:
+    if isinstance(doc, dict) and set(doc) == {"path"}:
         if not isinstance(doc["path"], str):
             raise ScenarioError(f"sample path must be a string, got {doc['path']!r}")
         doc = _read_json(base_dir / doc["path"], "sample file")
-    _require_keys(doc, {"name", "lines"}, "sample")
+    _members(doc, "sample", (), ("name", "lines"))
     name = doc.get("name", "")
     if not isinstance(name, str):
         raise ScenarioError(f"sample name must be a string, got {name!r}")
-    try:
-        lines = []
-        for entry in doc.get("lines", []):
-            _require_keys(entry, {"center_thz", "fwhm_thz", "strength"}, "sample.lines[]")
-            lines.append(
-                AbsorptionLine(
-                    _real(entry, "center_thz"),
-                    _real(entry, "fwhm_thz"),
-                    _real(entry, "strength"),
-                )
-            )
-    except ScenarioError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioError(f"bad sample: {exc}") from exc
+    lines = [_build("sample", AbsorptionLine, *line) for line in _lines(doc, "sample", "strength")]
     return Sample(tuple(lines), name)
 
 
-def _parse_noise(doc: dict) -> NoiseConfig:
-    _require_keys(doc, {"pairs_per_bin", "seed", "dark_rate", "efficiency"}, "noise")
-    try:
-        return NoiseConfig(
-            pairs_per_bin=_integer(doc, "pairs_per_bin"),
-            seed=_integer(doc, "seed"),
-            dark_rate=_real(doc, "dark_rate") if "dark_rate" in doc else 0.0,
-            efficiency=_real(doc, "efficiency") if "efficiency" in doc else 1.0,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioError(f"bad noise config: {exc}") from exc
+def _parse_noise(doc) -> NoiseConfig:
+    _members(doc, "noise", ("pairs_per_bin", "seed"), ("dark_rate", "efficiency"))
+    return _build(
+        "noise config",
+        NoiseConfig,
+        _integer(doc, "pairs_per_bin", "noise"),
+        _integer(doc, "seed", "noise"),
+        _real(doc, "dark_rate", "noise") if "dark_rate" in doc else 0.0,
+        _real(doc, "efficiency", "noise") if "efficiency" in doc else 1.0,
+    )
 
 
 def parse_scenario(doc: dict, base_dir: Path) -> Scenario:
-    _require_keys(
-        doc, {"version", "pump", "sample", "time_grid", "noise", "outputs"}, "scenario"
-    )
-    if doc.get("version") != 1:
-        raise ScenarioError(f"unsupported scenario version {doc.get('version')!r}")
-    if "pump" not in doc:
-        raise ScenarioError("scenario requires a pump section")
+    _members(doc, "scenario", ("version", "pump"), ("sample", "time_grid", "noise", "outputs"))
+    version = _integer(doc, "version", "scenario")
+    if version != 1:
+        raise ScenarioError(f"unsupported scenario version {version!r}")
     spectrum = _parse_pump(doc["pump"])
     sample = None if doc.get("sample") is None else _parse_sample(doc["sample"], base_dir)
     tgrid = doc.get("time_grid")
@@ -338,16 +322,9 @@ def cmd_noise_study(args) -> int:
     if scenario.sample is not None:
         spectrum = transmitted_spectrum(spectrum, scenario.sample).spectrum.renormalized()
 
-    try:
-        trials = [int(tok) for tok in args.trials.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ScenarioError(f"bad --trials list: {exc}") from exc
-    if not trials:
-        raise ScenarioError("--trials list is empty")
-
     study = error_scaling_study(
         spectrum,
-        trials,
+        args.trials,
         repeats=args.repeats,
         config=noise,
         grid=scenario.time_grid,
@@ -367,24 +344,25 @@ def cmd_presets(args) -> int:
     return EXIT_OK
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
-    return value
+def _positive(number, many: bool = False):
+    """An argparse type: a positive finite ``number``, or with ``many`` a
+    comma-separated list of them."""
 
+    def parse(text: str):
+        values = []
+        for token in text.split(",") if many else [text]:
+            try:
+                value = number(token)
+            except ValueError:
+                value = math.nan
+            if not 0 < value < math.inf:
+                raise argparse.ArgumentTypeError(
+                    f"expected a positive finite {number.__name__}, got {token!r}"
+                )
+            values.append(value)
+        return values if many else values[0]
 
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
-    return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -403,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_chunk_size_arg(p):
         p.add_argument(
             "--chunk-size",
-            type=_positive_int,
+            type=_positive(int),
             default=None,
             help="delay bins per count-sampling block (results are identical for any value)",
         )
@@ -419,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--window", choices=["rect", "hann"], default="rect")
     p_rec.add_argument(
         "--min-prominence",
-        type=_positive_float,
+        type=_positive(float),
         default=None,
         help="peak prominence threshold (default: 5%% of the folded maximum)",
     )
@@ -429,6 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_scenario_args(p_ns)
     p_ns.add_argument(
         "--trials",
+        type=_positive(int, many=True),
         default="1000,10000,100000",
         help="comma-separated pairs-per-bin values",
     )

@@ -9,6 +9,7 @@ makes the round trip self-consistent.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +65,9 @@ def fourier_recover(trace: CorrelationTrace, window: str = "rect") -> RecoveredS
     """
     n = trace.grid.count
     dt = trace.grid.step
+    # the kernel phase 2 pi nu t must stay finite up to the band edge 1/(2 dt)
+    if not math.isfinite(2 * math.pi / dt):
+        raise ValueError(f"delay step {dt!r} ps is too fine for a finite frequency band")
     df = 1.0 / (n * dt)
 
     g = np.asarray(trace.values, dtype=float)

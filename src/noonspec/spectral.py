@@ -114,8 +114,8 @@ class CombLine:
     def __post_init__(self):
         if not (self.fwhm > 0):
             raise ValueError(f"line fwhm must be positive, got {self.fwhm}")
-        if self.weight < 0:
-            raise ValueError(f"line weight must be non-negative, got {self.weight}")
+        if not 0 <= self.weight < np.inf:  # the comb divides by the largest weight
+            raise ValueError(f"line weight must be finite and non-negative, got {self.weight}")
 
 
 def make_frequency_grid(start: float, step: float, count: int) -> FrequencyGrid:
@@ -158,11 +158,13 @@ def comb_pump_spectrum(
 
     Each line enters with unit grid-area before weighting, so integrated
     line areas stay proportional to the line weights even when lines are
-    partially truncated by the grid.
+    partially truncated by the grid. Weights are relative: each is divided
+    by the largest, so their scale neither overflows nor underflows the sum.
     """
     if not lines:
         raise ValueError("comb needs at least one line")
-    if not any(line.weight > 0 for line in lines):
+    top = max(line.weight for line in lines)
+    if not top > 0:
         raise ValueError("comb needs at least one line with positive weight")
     weights = np.zeros(grid.count)
     warn = False
@@ -170,7 +172,7 @@ def comb_pump_spectrum(
         if line.weight == 0:
             continue
         unit = gaussian_pump_spectrum(grid, line.center, line.fwhm)
-        weights = weights + line.weight * unit.weights
+        weights = weights + (line.weight / top) * unit.weights
         warn = warn or unit.coverage_warning
     weights = _per_unit_mass(weights, grid.step * weights.sum())
     return SumFrequencySpectrum(grid, weights, normalized=True, coverage_warning=warn)

@@ -432,8 +432,8 @@ class TestSampleSection:
         "sample, message",
         [
             ({"lines": [1]}, "sample.lines[] must be a JSON object"),
-            ({"lines": [{"center_thz": 740.0, "strength": 0.5}]}, "bad sample: 'fwhm_thz'"),
-            ({"lines": 5}, "bad sample: "),
+            ({"lines": [{"center_thz": 740.0, "strength": 0.5}]}, "sample.lines[] needs fwhm_thz"),
+            ({"lines": 5}, "sample.lines must be a JSON array, got 5"),
             ({"lines": [{**LINE, "center_thz": "739.7"}]}, "center_thz must be a finite number"),
             ({"lines": [{**LINE, "center_thz": 1e400}]}, "center_thz must be a finite number"),
             ({"lines": [{**LINE, "strength": True}]}, "strength must be a finite number"),
@@ -466,6 +466,107 @@ class TestSampleSection:
         err = capsys.readouterr().err
         assert message in err
         assert err.count("\n") == 1
+
+
+COMB_PUMP = {
+    "kind": "comb",
+    "grid": {"start_thz": 738.75, "step_thz": 0.004, "count": 751},
+    "lines": [{"center_thz": 740.25, "fwhm_thz": 0.1, "weight": 1.0}],
+}
+
+
+def _shape_bases() -> dict:
+    """A small valid scenario for each section whose shape is checked."""
+    line = {"center_thz": 740.25, "fwhm_thz": 0.1, "strength": 0.5}
+    bases = {
+        "gaussian": small_scenario(),
+        "comb": small_scenario(pump=COMB_PUMP),
+        "jsi": small_scenario(pump=JSI_PUMP),
+        "sample": small_scenario(sample={"lines": [line]}),
+        "noise": small_scenario(noise={"pairs_per_bin": 10, "seed": 1}),
+    }
+    return json.loads(json.dumps(bases))  # the tests edit them in place
+
+
+def _holder(doc, path):
+    """The object at dotted ``path`` in ``doc``, digits indexing arrays."""
+    for part in filter(None, path.split(".")):
+        doc = doc[int(part)] if part.isdigit() else doc[part]
+    return doc
+
+
+def _required_keys() -> list:
+    """(base, path of the object, key) for every required key of every section."""
+    grid = ("start_thz", "step_thz", "count")
+    jsi_grids = ("signal_grid", "idler_grid", "sum_grid")
+    table = [
+        ("gaussian", "", ("version", "pump")),
+        ("gaussian", "pump", ("kind", "center_thz", "fwhm_thz", "grid")),
+        ("gaussian", "pump.grid", grid),
+        ("gaussian", "time_grid", ("start_ps", "step_ps", "count")),
+        ("comb", "pump", ("kind", "grid", "lines")),
+        ("comb", "pump.grid", grid),
+        ("comb", "pump.lines.0", ("center_thz", "fwhm_thz", "weight")),
+        ("jsi", "pump", ("kind", "pump_center_thz", "pump_fwhm_thz", "phasematch_fwhm_thz")),
+        ("jsi", "pump", jsi_grids),
+        *(("jsi", f"pump.{name}", grid) for name in jsi_grids),
+        ("sample", "sample.lines.0", ("center_thz", "fwhm_thz", "strength")),
+        ("noise", "noise", ("pairs_per_bin", "seed")),
+    ]
+    return [(base, path, key) for base, path, keys in table for key in keys]
+
+
+class TestScenarioShape:
+    """Every malformed object, array or field ends in one line naming its path."""
+
+    @pytest.mark.parametrize("base, path, key", _required_keys())
+    def test_missing_required_key_exits_2(self, tmp_path, capsys, base, path, key):
+        doc = _shape_bases()[base]
+        del _holder(doc, path)[key]
+        cfg = write_config(tmp_path, doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        context = path.replace(".0", "[]") or "scenario"
+        assert capsys.readouterr().err == f"error: {context} needs {key}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("value", ["", {}, None, 5, "abc", True])
+    @pytest.mark.parametrize("section", ["pump", "sample"])
+    def test_lines_not_an_array_exits_2(self, tmp_path, capsys, section, value):
+        # "" and {} used to run as a sample without lines
+        doc = _shape_bases()["comb" if section == "pump" else "sample"]
+        doc[section]["lines"] = value
+        cfg = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {section}.lines must be a JSON array, got {value!r}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("version, code", [(True, 2), ("1", 2), (1.5, 2), (1.0, 0)])
+    def test_version_is_the_integer_1(self, tmp_path, capsys, version, code):
+        cfg = write_config(tmp_path, small_scenario(version=version))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
+        err = capsys.readouterr().err
+        assert err == ("" if code == 0 else
+                       f"error: scenario.version must be an integer, got {version!r}\n")
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("pump.grid.count", "pump.grid.count must be an integer, got 1.5"),
+            ("pump.lines.0.weight", "pump.lines[].weight must be a finite number, got '1.5'"),
+            ("noise.seed", "noise.seed must be an integer, got 1.5"),
+        ],
+    )
+    def test_field_error_names_its_path(self, tmp_path, capsys, field, message):
+        doc = _shape_bases()["noise"]
+        doc["pump"] = _shape_bases()["comb"]["pump"]
+        path, key = field.rsplit(".", 1)
+        _holder(doc, path)[key] = "1.5" if key == "weight" else 1.5
+        cfg = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestRecover:
@@ -504,6 +605,17 @@ class TestRecover:
         assert exc.value.code == 2
         assert "argument --min-prominence" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("step, code", [(1e-310, 2), (5e-324, 2), (1e300, 0)])
+    def test_delay_step_needs_a_finite_resolution(self, tmp_path, capsys, step, code):
+        # 1e-310 and 5e-324 used to warn four times before a non-finite grid error
+        path = tmp_path / "fine.csv"
+        path.write_text("t_ps,g\n" + "".join(f"{i * step!r},1\n" for i in range(64)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["recover", str(path), "--out", str(tmp_path / "rec")]) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == (code != 0) and (code == 0 or "delay step" in err)
 
     def test_zero_trace_gives_empty_report(self, tmp_path):
         path = tmp_path / "zero.csv"
@@ -584,6 +696,17 @@ class TestNoiseStudy:
             )
             assert proc.returncode == 2
             assert "--chunk-size" in proc.stderr
+
+    @pytest.mark.parametrize("trials", ["", "abc", "1000,abc", "1000,", "0", "1000,-5", "1e3"])
+    def test_bad_trials_list_exits_2(self, tmp_path, capsys, trials):
+        # "abc" used to leak int()'s own message
+        out = tmp_path / "study"
+        with pytest.raises(SystemExit) as exc:
+            main(["noise-study", "--config", str(self.scenario(tmp_path)), "--out", str(out),
+                  "--trials", trials])
+        assert exc.value.code == 2
+        assert "argument --trials: expected a positive finite int" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_repeated_trial_count_exits_2(self, tmp_path):
         cfg = self.scenario(tmp_path)

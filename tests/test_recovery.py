@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,16 @@ class TestFourierRecover:
         lhs = tg.step * np.sum(g**2)
         rhs = rec.grid.step * np.sum(np.abs(rec.amplitudes) ** 2)
         assert abs(lhs - rhs) / lhs < 1e-6
+
+
+    @pytest.mark.parametrize("step", [1e-310, 5e-324])
+    def test_step_without_a_finite_resolution_rejected(self, step):
+        # the transform used to warn on its way to a non-finite grid
+        trace = CorrelationTrace(FrequencyGrid(0.0, step, 64), np.ones(64))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"delay step {step!r} ps is too fine"):
+                fourier_recover(trace)
 
 
 class TestFoldOneSided:

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -99,6 +102,22 @@ class TestCombPumpSpectrum:
         a1 = grid.step * comb.weights[split].sum()
         a2 = grid.step * comb.weights[~split].sum()
         assert abs(a1 / a2 - 2.0) < 1e-6
+
+    @pytest.mark.parametrize("weight, count", [(1e308, 2), (5e-324, 1)])
+    def test_weights_are_relative(self, weight, count):
+        # an overflowing sum used to warn, a subnormal one to lose its unit mass
+        grid = make_frequency_grid(739.8, 0.004, 301)
+        centers = (740.2, 740.6)[:count]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = comb_pump_spectrum(grid, [CombLine(c, 0.05, weight) for c in centers])
+        unit = comb_pump_spectrum(grid, [CombLine(c, 0.05, 1.0) for c in centers])
+        np.testing.assert_array_equal(scaled.weights, unit.weights)
+
+    @pytest.mark.parametrize("weight", [-1.0, math.nan, math.inf])
+    def test_weight_must_be_finite_and_non_negative(self, weight):
+        with pytest.raises(ValueError, match="line weight must be finite and non-negative"):
+            CombLine(740.0, 0.05, weight)
 
     def test_empty_comb_rejected(self):
         grid = make_frequency_grid(739.8, 0.001, 101)
