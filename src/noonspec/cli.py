@@ -4,7 +4,10 @@ Verbs: ``simulate`` (scenario -> spectrum/transmitted/interferogram/trace
 CSVs), ``recover`` (trace CSV -> recovered/folded spectra and a peak
 report), ``noise-study`` (counting-statistics scaling table) and
 ``presets list``. Every command is deterministic given its config and
-seed: reruns produce byte-identical files.
+seed: reruns produce byte-identical files. Each verb checks every input
+(the output path too, without creating it), computes every result, and
+only then creates the output directory and writes, so a failed run
+leaves nothing behind.
 
 Exit codes: 0 success, 2 config or CSV parse error (any ``ValueError``,
 ``OSError`` or ``MemoryError``), 3 Nyquist violation, 4 non-uniform
@@ -24,6 +27,7 @@ from .absorption import AbsorptionLine, Sample, transmitted_spectrum
 from .errors import AliasingError, NonUniformGridError
 from .grids import TimeGrid, UniformGrid
 from .interferometer import (
+    check_nyquist,
     correlation_trace,
     default_time_grid,
     simulate_interferogram,
@@ -57,6 +61,11 @@ class Scenario:
     time_grid: TimeGrid
     noise: NoiseConfig | None
     outputs: str | None
+
+    @property
+    def pump_max_thz(self) -> float:
+        """The largest |frequency| of the pump grid: the band Nyquist bounds."""
+        return max(abs(self.spectrum.grid.start), abs(self.spectrum.grid.stop))
 
 
 def _members(doc, context: str, required, optional=()) -> dict:
@@ -108,10 +117,10 @@ def _lines(doc: dict, context: str, last: str) -> list:
     return [tuple(_real(entry, key, where) for key in keys) for entry in lines]
 
 
-def _build(section: str, make, *args):
-    """``make(*args)``, a ValueError from it reported as a bad ``section``."""
+def _build(section: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, a ValueError from it reported as a bad ``section``."""
     try:
-        return make(*args)
+        return make(*args, **kwargs)
     except ValueError as exc:
         raise ScenarioError(f"bad {section}: {exc}") from exc
 
@@ -214,45 +223,51 @@ def parse_scenario(doc: dict, base_dir: Path) -> Scenario:
 
 
 def load_scenario(args) -> Scenario:
+    """The scenario of ``--config`` or ``--preset``, checked against Nyquist."""
     if args.config and args.preset:
         raise ScenarioError("give either --config or --preset, not both")
     if args.config:
         path = Path(args.config)
-        return parse_scenario(_read_json(path, "config"), path.parent)
-    if args.preset:
-        try:
-            doc = preset_scenario(args.preset)
-        except KeyError as exc:
-            raise ScenarioError(str(exc)) from exc
-        return parse_scenario(doc, Path.cwd())
-    raise ScenarioError("one of --config or --preset is required")
+        scenario = parse_scenario(_read_json(path, "config"), path.parent)
+    elif args.preset:
+        scenario = parse_scenario(preset_scenario(args.preset), Path.cwd())
+    else:
+        raise ScenarioError("one of --config or --preset is required")
+    check_nyquist(scenario.time_grid.step, scenario.pump_max_thz)
+    return scenario
 
 
-def _check_nyquist(scenario: Scenario) -> float:
-    nu_max = abs(scenario.spectrum.grid.stop)
-    if scenario.time_grid.step >= 1.0 / (2.0 * nu_max):
-        raise AliasingError(
-            f"time step {scenario.time_grid.step} ps aliases the pump band "
-            f"(max {nu_max} THz needs step < {1.0 / (2.0 * nu_max):.3e} ps)"
-        )
-    return nu_max
+def _seeded(noise: NoiseConfig | None, seed: int | None) -> NoiseConfig | None:
+    """``noise`` with ``--seed`` as its seed; a run without noise has nothing to seed."""
+    if seed is None:
+        return noise
+    if noise is None:
+        raise ScenarioError("--seed needs a scenario with a noise section")
+    return _build("--seed", replace, noise, seed=seed)
 
 
-def _resolve_out(args, scenario: Scenario) -> Path:
-    out = args.out or scenario.outputs
+def _out_dir(out: str | None) -> Path:
+    """The output directory, checked but not created (only ``_write`` creates it)."""
     if not out:
         raise ScenarioError("no output directory: pass --out or set scenario.outputs")
     path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    if path.exists() and not path.is_dir():
+        raise ScenarioError(f"output path {out} is not a directory")
     return path
+
+
+def _write(out: Path, artifacts: dict) -> int:
+    """The last step of every verb: create ``out``, write each ``name: (writer, value)``."""
+    out.mkdir(parents=True, exist_ok=True)
+    for name, (write, value) in artifacts.items():
+        write(out / name, value)
+    return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
     scenario = load_scenario(args)
-    if args.seed is not None and scenario.noise is not None:
-        scenario = replace(scenario, noise=replace(scenario.noise, seed=args.seed))
-    nu_max = _check_nyquist(scenario)
-    out = _resolve_out(args, scenario)
+    noise = _seeded(scenario.noise, args.seed)
+    out = _out_dir(args.out or scenario.outputs)
 
     incident = scenario.spectrum
     if scenario.sample is not None:
@@ -260,81 +275,63 @@ def cmd_simulate(args) -> int:
         transmitted, surviving = result.spectrum, result.surviving_fraction
     else:
         transmitted, surviving = incident, 1.0
-
     interferogram = simulate_interferogram(transmitted.renormalized(), scenario.time_grid)
-    trace = correlation_trace(interferogram)
-
-    io.write_spectrum_csv(out / "spectrum.csv", incident)
-    io.write_spectrum_csv(out / "transmitted.csv", transmitted)
-    io.write_interferogram_csv(out / "interferogram.csv", interferogram)
-    io.write_trace_csv(out / "trace.csv", trace)
-
+    artifacts = {
+        "spectrum.csv": (io.write_spectrum_csv, incident),
+        "transmitted.csv": (io.write_spectrum_csv, transmitted),
+        "interferogram.csv": (io.write_interferogram_csv, interferogram),
+        "trace.csv": (io.write_trace_csv, correlation_trace(interferogram)),
+    }
     summary = {
         "surviving_fraction": surviving,
-        "pump_max_thz": nu_max,
+        "pump_max_thz": scenario.pump_max_thz,
         "time_step_ps": scenario.time_grid.step,
         "time_count": scenario.time_grid.count,
         "resolution_thz": 1.0 / scenario.time_grid.window,
     }
-    if scenario.noise is not None:
-        counts = sample_counts(interferogram, scenario.noise, chunk_size=args.chunk_size)
-        io.write_counts_csv(out / "counts.csv", counts)
-        estimated = estimate_trace(counts, scenario.noise.efficiency, scenario.noise.dark_rate)
-        io.write_trace_csv(out / "trace_estimated.csv", estimated)
-        summary["noise_seed"] = scenario.noise.seed
-        summary["pairs_per_bin"] = scenario.noise.pairs_per_bin
+    if noise is not None:
+        counts = sample_counts(interferogram, noise, chunk_size=args.chunk_size)
+        estimated = estimate_trace(counts, noise.efficiency, noise.dark_rate)
+        artifacts["counts.csv"] = (io.write_counts_csv, counts)
+        artifacts["trace_estimated.csv"] = (io.write_trace_csv, estimated)
+        summary["noise_seed"] = noise.seed
+        summary["pairs_per_bin"] = noise.pairs_per_bin
         summary["probability_clamped"] = counts.clamped
-    with open(out / "summary.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
-    return EXIT_OK
+    artifacts["summary.json"] = (io.write_json, summary)
+    return _write(out, artifacts)
 
 
 def cmd_recover(args) -> int:
     trace = io.read_trace_csv(args.trace)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
 
     recovered = fourier_recover(trace, window=args.window)
     folded = fold_one_sided(recovered)
-
-    prominence = args.min_prominence
-    if prominence is None:  # 5% of the folded maximum; a zero trace has no peaks
-        prominence = 0.05 * float(folded.weights.max())
-    features = detect_features(folded, min_prominence=prominence) if prominence > 0 else []
-
-    io.write_recovered_csv(out / "recovered.csv", recovered)
-    io.write_spectrum_csv(out / "folded.csv", folded)
-    io.write_peaks_json(out / "peaks.json", features)
-    return EXIT_OK
+    peaks = [
+        {"center_thz": f.center, "height": f.height, "fwhm_thz": f.fwhm, "kind": f.kind}
+        for f in detect_features(folded, min_prominence=args.min_prominence)
+    ]
+    return _write(out, {
+        "recovered.csv": (io.write_recovered_csv, recovered),
+        "folded.csv": (io.write_spectrum_csv, folded),
+        "peaks.json": (io.write_json, peaks),
+    })
 
 
 def cmd_noise_study(args) -> int:
     scenario = load_scenario(args)
-    _check_nyquist(scenario)
-    out = _resolve_out(args, scenario)
-
-    noise = scenario.noise or NoiseConfig(pairs_per_bin=1000, seed=0)
-    if args.seed is not None:
-        noise = replace(noise, seed=args.seed)
+    noise = _seeded(scenario.noise or NoiseConfig(pairs_per_bin=1000, seed=0), args.seed)
+    out = _out_dir(args.out or scenario.outputs)
 
     spectrum = scenario.spectrum
     if scenario.sample is not None:
         spectrum = transmitted_spectrum(spectrum, scenario.sample).spectrum.renormalized()
-
     study = error_scaling_study(
-        spectrum,
-        args.trials,
-        repeats=args.repeats,
-        config=noise,
-        grid=scenario.time_grid,
-        chunk_size=args.chunk_size,
+        spectrum, args.trials, args.repeats, noise, scenario.time_grid, args.chunk_size
     )
-    io.write_scaling_csv(out / "scaling.csv", study)
-    if study.exponent == study.exponent:  # not NaN
-        print(f"fitted_exponent={study.exponent:.6f}")
-    else:
-        print("fitted_exponent=not-available")
+    _write(out, {"scaling.csv": (io.write_scaling_csv, study)})
+    exponent = "not-available" if math.isnan(study.exponent) else f"{study.exponent:.6f}"
+    print(f"fitted_exponent={exponent}")
     return EXIT_OK
 
 
@@ -377,8 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--preset", help="bundled scenario name (see `presets list`)")
         p.add_argument("--out", help="output directory")
         p.add_argument("--seed", type=int, help="override the noise seed")
-
-    def add_chunk_size_arg(p):
         p.add_argument(
             "--chunk-size",
             type=_positive(int),
@@ -388,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="forward-simulate a scenario")
     add_scenario_args(p_sim)
-    add_chunk_size_arg(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_rec = sub.add_parser("recover", help="recover a spectrum from a trace CSV")
@@ -412,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated pairs-per-bin values",
     )
     p_ns.add_argument("--repeats", type=int, default=50)
-    add_chunk_size_arg(p_ns)
     p_ns.set_defaults(func=cmd_noise_study)
 
     p_pre = sub.add_parser("presets", help="inspect bundled scenarios")

@@ -54,6 +54,16 @@ def default_time_grid(
     return TimeGrid(start=-(count // 2) * step, step=step, count=count)
 
 
+def check_nyquist(step: float, max_thz: float) -> None:
+    """Raise :class:`AliasingError` unless a delay ``step`` (ps) samples
+    content up to ``max_thz`` (THz): ``step < 1/(2 max_thz)``."""
+    if max_thz > 0 and step >= 1.0 / (2.0 * max_thz):
+        raise AliasingError(
+            f"time step {step} ps aliases content at {max_thz} THz "
+            f"(needs step < {1.0 / (2.0 * max_thz):.3e} ps)"
+        )
+
+
 @dataclass(frozen=True)
 class _DelaySeries:
     """Finite values on a uniform delay grid, one per delay, in [low, 1]."""
@@ -245,12 +255,10 @@ def dominant_oscillation_frequency(
 
     The DC bin is excluded. Ties resolve to the lower frequency (first
     maximum). If ``max_expected_thz`` is given, the delay step is checked
-    against it and :class:`AliasingError` raised when Nyquist is violated.
+    against it by :func:`check_nyquist`.
     """
-    if max_expected_thz is not None and trace.grid.step >= 1.0 / (2.0 * max_expected_thz):
-        raise AliasingError(
-            f"time step {trace.grid.step} ps aliases content at {max_expected_thz} THz"
-        )
+    if max_expected_thz is not None:
+        check_nyquist(trace.grid.step, max_expected_thz)
     g = np.asarray(trace.values)
     if not np.any(g != 0.0):
         raise NoSignalError("trace is identically zero")

@@ -11,21 +11,20 @@ column's format follows its dtype: ``%.17g`` for floats, ``%d`` for
 integers; any other dtype is refused. ``%.17g`` and ``format(x, ".17g")``
 share CPython's float-to-string conversion and ``%d`` prints an integer
 as ``str`` does, so the bytes are those of formatting each value on its
-own.
+own. Every JSON artifact goes through one writer, ``write_json``.
 """
 from __future__ import annotations
 
 import json
 from itertools import chain
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from .grids import infer_grid
 from .interferometer import CorrelationTrace, Interferogram
 from .noise import CountData, ScalingStudy
-from .recovery import RecoveredSpectrum, SpectralFeature
+from .recovery import RecoveredSpectrum
 from .spectral import SumFrequencySpectrum
 
 
@@ -121,16 +120,8 @@ def write_recovered_csv(path, recovered: RecoveredSpectrum) -> None:
     )
 
 
-def write_peaks_json(path, features: Sequence[SpectralFeature]) -> None:
-    doc = [
-        {
-            "center_thz": f.center,
-            "height": f.height,
-            "fwhm_thz": f.fwhm,
-            "kind": f.kind,
-        }
-        for f in features
-    ]
+def write_json(path, doc) -> None:
+    """``doc`` as JSON indented by 2, with a final newline."""
     with open(Path(path), "w", encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")

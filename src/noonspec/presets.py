@@ -92,5 +92,5 @@ DESCRIPTIONS = {
 
 def preset_scenario(name: str) -> dict:
     if name not in PRESETS:
-        raise KeyError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
+        raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
     return copy.deepcopy(PRESETS[name])

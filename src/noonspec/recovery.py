@@ -134,20 +134,23 @@ def _refined(signal: np.ndarray, i: int) -> tuple:
 def detect_features(
     spectrum: SumFrequencySpectrum,
     baseline: SumFrequencySpectrum | None = None,
-    min_prominence: float = 1e-6,
+    min_prominence: float | None = None,
 ) -> list[SpectralFeature]:
     """Locate peaks (or, against a baseline, absorption dips).
 
     With a baseline the maxima of ``baseline - spectrum`` are reported as
-    dips. Centers are refined by 3-point parabolic interpolation; widths
-    are half-prominence widths in THz. Features come back sorted by
-    center; two lines closer than one grid bin merge into a single
-    feature. An empty report is a valid result.
+    dips. A feature needs a prominence of at least ``min_prominence``,
+    by default 5% of the maximum of the searched signal; a signal whose
+    maximum is not positive then has no features. Centers are refined by
+    3-point parabolic interpolation; widths are half-prominence widths in
+    THz. Features come back sorted by center; two lines closer than one
+    grid bin merge into a single feature. An empty report is a valid
+    result.
     """
     # of the verbs only `recover` detects features, so only it loads scipy.signal
     from scipy.signal import find_peaks, peak_widths
 
-    if not (min_prominence > 0):
+    if not (min_prominence is None or min_prominence > 0):
         raise ValueError("min_prominence must be positive")
     if baseline is not None:
         if baseline.grid != spectrum.grid:
@@ -157,6 +160,10 @@ def detect_features(
     else:
         signal = np.asarray(spectrum.weights)
         kind = "peak"
+    if min_prominence is None:
+        min_prominence = 0.05 * float(signal.max())
+        if not min_prominence > 0:
+            return []
 
     idx, _ = find_peaks(signal, prominence=min_prominence)
     if idx.size == 0:

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import shutil
 import subprocess
 import sys
 import warnings
@@ -73,12 +74,13 @@ class TestPresets:
     def test_all_presets_parse_and_satisfy_nyquist(self, tmp_path):
         from pathlib import Path
 
-        from noonspec.cli import _check_nyquist, parse_scenario
+        from noonspec.cli import parse_scenario
+        from noonspec.interferometer import check_nyquist
         from noonspec.presets import PRESETS, preset_scenario
 
         for name in PRESETS:
             scenario = parse_scenario(preset_scenario(name), Path(tmp_path))
-            _check_nyquist(scenario)
+            check_nyquist(scenario.time_grid.step, scenario.pump_max_thz)
             assert abs(scenario.spectrum.total_mass - 1.0) <= 1e-9
 
     def test_line_preset_round_trips_through_cli(self, tmp_path):
@@ -222,6 +224,21 @@ class TestSimulate:
         cfg = write_config(tmp_path, doc)
         proc = run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "o"))
         assert proc.returncode == 3
+
+    @pytest.mark.parametrize("start, code", [(-1.0, 0), (-1000.0, 3)])
+    def test_pump_band_ending_at_zero_is_checked_by_its_largest_frequency(
+        self, tmp_path, capsys, start, code
+    ):
+        # a pump grid ending at 0 THz used to divide by zero in the Nyquist check
+        pump = {
+            "kind": "comb",
+            "grid": {"start_thz": start, "step_thz": -start / 100, "count": 101},
+            "lines": [{"center_thz": start / 2, "fwhm_thz": -start / 10, "weight": 1.0}],
+        }
+        cfg = write_config(tmp_path, small_scenario(pump=pump, time_grid=dict(TINY_TIME_GRID)))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
+        err = capsys.readouterr().err
+        assert (err == "") if code == 0 else err.startswith("error: time step 0.0005 ps aliases")
 
     def test_missing_scenario_source_exits_2(self, tmp_path):
         proc = run_cli("simulate", "--out", str(tmp_path / "o"))
@@ -393,6 +410,14 @@ class TestSimulate:
         )
         assert (out_a / "counts.csv").read_bytes() == (out_b / "counts.csv").read_bytes()
         assert (out_a / "counts.csv").read_bytes() != (out_c / "counts.csv").read_bytes()
+
+    def test_seed_flag_without_noise_section_exits_2(self, tmp_path, capsys):
+        # the flag used to be ignored with exit 0: there is no noise to seed
+        cfg = write_config(tmp_path, small_scenario())
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out), "--seed", "5"]) == 2
+        assert capsys.readouterr().err == "error: --seed needs a scenario with a noise section\n"
+        assert not out.exists()
 
 
 class TestSampleSection:
@@ -584,6 +609,8 @@ class TestRecover:
         assert proc.returncode == 0, proc.stderr
         peaks = json.loads((out / "peaks.json").read_text())
         assert len(peaks) == 1
+        assert list(peaks[0]) == ["center_thz", "height", "fwhm_thz", "kind"]
+        assert peaks[0]["kind"] == "peak"
         window = SMALL_TIME_GRID["step_ps"] * SMALL_TIME_GRID["count"]
         assert abs(peaks[0]["center_thz"] - 740.25) <= 1.0 / window
         assert (out / "recovered.csv").exists()
@@ -616,6 +643,7 @@ class TestRecover:
             assert main(["recover", str(path), "--out", str(tmp_path / "rec")]) == code
         err = capsys.readouterr().err
         assert err.count("\n") == (code != 0) and (code == 0 or "delay step" in err)
+        assert (tmp_path / "rec").exists() == (code == 0)
 
     def test_zero_trace_gives_empty_report(self, tmp_path):
         path = tmp_path / "zero.csv"
@@ -717,7 +745,7 @@ class TestNoiseStudy:
         )
         assert proc.returncode == 2
         assert proc.stderr == "error: trial_counts must be distinct\n"
-        assert not (out / "scaling.csv").exists()
+        assert not out.exists()
 
     def test_fixed_seed_reruns_byte_identical(self, tmp_path):
         cfg = self.scenario(tmp_path)
@@ -726,6 +754,19 @@ class TestNoiseStudy:
         assert run_cli("noise-study", "--config", str(cfg), "--out", str(out_a), *args).returncode == 0
         assert run_cli("noise-study", "--config", str(cfg), "--out", str(out_b), *args).returncode == 0
         assert (out_a / "scaling.csv").read_bytes() == (out_b / "scaling.csv").read_bytes()
+
+    def test_seed_flag_seeds_the_default_noise_of_a_noise_free_scenario(self, tmp_path):
+        doc = json.loads(self.scenario(tmp_path).read_text())
+        del doc["noise"]
+        cfg = write_config(tmp_path, doc, name="noise_free.json")
+        scaling = {}
+        for run, seed in (("a", "3"), ("b", "3"), ("c", "4")):
+            argv = ["noise-study", "--config", str(cfg), "--out", str(tmp_path / run),
+                    "--trials", "300,1200", "--repeats", "3", "--seed", seed]
+            assert main(argv) == 0
+            scaling[run] = (tmp_path / run / "scaling.csv").read_bytes()
+        assert scaling["a"] == scaling["b"]
+        assert scaling["a"] != scaling["c"]
 
     def test_study_runs_on_transmitted_spectrum_when_sample_present(self, tmp_path):
         doc = json.loads(self.scenario(tmp_path).read_text())
@@ -817,6 +858,44 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: bad pump section: a unit-mass density overflows")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["noise-study", "--preset", "noise-gauss", "--repeats", "1"],
+             "repeats must be at least 2"),
+            (["noise-study", "--preset", "noise-gauss", "--trials", "300,300"],
+             "trial_counts must be distinct"),
+            (["noise-study", "--preset", "noise-gauss", "--seed", "-5"],
+             "bad --seed: seed must fit in 64 bits"),
+            (["simulate", "--preset", "tpa3", "--seed", "-5"],
+             "--seed needs a scenario with a noise section"),
+            (["simulate", "--preset", "tpa3", "--seed", "5"],
+             "--seed needs a scenario with a noise section"),
+            (["simulate", "--preset", "nope"], "unknown preset 'nope'; choose from "),
+            (["recover", "fine.csv"], "delay step 1e-310 ps is too fine"),
+        ],
+    )
+    def test_failed_call_leaves_no_output(self, tmp_path, capsys, monkeypatch, argv, line):
+        # noise-study and recover here used to leave an empty directory; simulate ignored --seed
+        monkeypatch.chdir(tmp_path)
+        Path("fine.csv").write_text("t_ps,g\n" + "".join(f"{i * 1e-310!r},1\n" for i in range(64)))
+        assert main([*argv, "--out", "o"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {line}") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_out_path_that_is_a_file_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("computed before the output path was checked")
+
+        monkeypatch.setattr(cli, "simulate_interferogram", fail)
+        out = tmp_path / "o"
+        out.write_text("keep")
+        cfg = write_config(tmp_path, small_scenario())
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: output path {out} is not a directory\n"
+        assert out.read_text() == "keep"
 
     @pytest.mark.parametrize(
         "exc, code, line",
@@ -938,6 +1017,8 @@ def test_fuzzed_scenario_ends_in_a_documented_exit(tmp_path, capsys, doc):
     err = capsys.readouterr().err
     assert rc in (0, 2, 3, 4)
     assert err.count("\n") == (rc != 0) and (err.startswith("error: ") or rc == 0)
+    assert (tmp_path / "o").exists() == (rc == 0)  # a failed run writes nothing
+    shutil.rmtree(tmp_path / "o", ignore_errors=True)  # tmp_path is shared by every example
 
 
 def test_readme_command_line_flags_are_in_help(capsys):

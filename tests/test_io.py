@@ -11,7 +11,6 @@ from noonspec import (
     RecoveredSpectrum,
     FrequencyGrid,
     ScalingStudy,
-    SpectralFeature,
     TimeGrid,
     correlation_trace,
     gaussian_jsi,
@@ -117,15 +116,11 @@ def test_recovered_csv_columns(tmp_path):
     assert float(row[3]) == pytest.approx(-2.0)
 
 
-def test_peaks_json_schema(tmp_path):
+def test_json_artifact_bytes(tmp_path):
     path = tmp_path / "peaks.json"
-    io.write_peaks_json(
-        path, [SpectralFeature(center=740.25, height=1.5, fwhm=0.1, kind="peak")]
-    )
-    doc = json.loads(path.read_text())
-    assert doc == [
-        {"center_thz": 740.25, "height": 1.5, "fwhm_thz": 0.1, "kind": "peak"}
-    ]
+    doc = [{"center_thz": 740.25, "height": 1.5, "fwhm_thz": 0.1, "kind": "peak"}]
+    io.write_json(path, doc)
+    assert path.read_bytes() == (json.dumps(doc, indent=2) + "\n").encode()
 
 
 def test_counts_roundtrip(tmp_path):

@@ -22,7 +22,10 @@ from noonspec import (
     resolution_limit,
     simulate_interferogram,
     spectrum_distance,
+    transmitted_spectrum,
 )
+from noonspec.cli import parse_scenario
+from noonspec.presets import preset_scenario
 from conftest import centered_time_grid
 
 
@@ -216,6 +219,43 @@ class TestDetectFeatures:
                 if c1 - 0.5 < f.center < c2 + 0.5
             ]
             assert len(feats) == expected
+
+    @pytest.mark.parametrize("preset", ["comb5", "tpa3"])
+    def test_default_prominence_is_5_percent_of_the_maximum(self, preset, tmp_path):
+        scenario = parse_scenario(preset_scenario(preset), tmp_path)
+        spectrum = scenario.spectrum
+        if scenario.sample is not None:
+            spectrum = transmitted_spectrum(spectrum, scenario.sample).spectrum.renormalized()
+        trace = correlation_trace(simulate_interferogram(spectrum, scenario.time_grid))
+        folded = fold_one_sided(fourier_recover(trace))
+        features = detect_features(folded)
+        assert features
+        assert features == detect_features(folded, min_prominence=0.05 * folded.weights.max())
+
+    def test_default_prominence_keeps_features_above_5_percent(self):
+        grid = make_frequency_grid(739.0, 0.01, 101)
+
+        def bump(center):
+            return np.exp(-(((grid.values - center) / 0.03) ** 2))
+
+        weights = bump(739.3) + 0.07 * bump(739.6) + 0.03 * bump(739.8)
+        features = detect_features(SumFrequencySpectrum(grid, weights, normalized=False))
+        assert [round(f.center, 6) for f in features] == [739.3, 739.6]
+
+    def test_default_prominence_without_a_positive_maximum(self):
+        grid = make_frequency_grid(739.0, 0.01, 101)
+        zero = SumFrequencySpectrum(grid, np.zeros(101), normalized=False)
+        assert detect_features(zero) == []
+        # a dip, but the spectrum lies above the baseline everywhere: the
+        # searched signal, baseline - spectrum, has a local maximum below 0
+        dipped = 1.0 - 0.2 * np.exp(-(((grid.values - 739.5) / 0.05) ** 2))
+        spectrum = SumFrequencySpectrum(grid, dipped, normalized=False)
+        below = SumFrequencySpectrum(grid, np.full(101, 0.5), normalized=False)
+        assert detect_features(spectrum, baseline=below) == []
+        # a baseline lying above the spectrum by a constant eats no dip
+        line = gaussian_pump_spectrum(grid, 739.5, 0.1)
+        above = SumFrequencySpectrum(grid, line.weights + 1.0, normalized=False)
+        assert detect_features(line, baseline=above) == []
 
     def test_min_prominence_validated(self):
         grid = make_frequency_grid(739.0, 0.01, 101)
