@@ -6,8 +6,8 @@ report), ``noise-study`` (counting-statistics scaling table) and
 ``presets list``. Every command is deterministic given its config and
 seed: reruns produce byte-identical files. Each verb checks every input
 (the output path too, without creating it), computes every result, and
-only then creates the output directory and writes, so a failed run
-leaves nothing behind.
+only then creates the output directory and writes, so a run that fails
+while checking or computing writes nothing.
 
 Exit codes: 0 success, 2 config or CSV parse error (any ``ValueError``,
 ``OSError`` or ``MemoryError``), 3 Nyquist violation, 4 non-uniform
@@ -117,10 +117,10 @@ def _lines(doc: dict, context: str, last: str) -> list:
     return [tuple(_real(entry, key, where) for key in keys) for entry in lines]
 
 
-def _build(section: str, make, *args, **kwargs):
-    """``make(*args, **kwargs)``, a ValueError from it reported as a bad ``section``."""
+def _build(section: str, make, *args):
+    """``make(*args)``, a ValueError from it reported as a bad ``section``."""
     try:
-        return make(*args, **kwargs)
+        return make(*args)
     except ValueError as exc:
         raise ScenarioError(f"bad {section}: {exc}") from exc
 
@@ -243,25 +243,17 @@ def _seeded(noise: NoiseConfig | None, seed: int | None) -> NoiseConfig | None:
         return noise
     if noise is None:
         raise ScenarioError("--seed needs a scenario with a noise section")
-    return _build("--seed", replace, noise, seed=seed)
+    return replace(noise, seed=seed)
 
 
 def _out_dir(out: str | None) -> Path:
-    """The output directory, checked but not created (only ``_write`` creates it)."""
+    """The output directory, checked but not created (only a ``cmd_*`` creates it)."""
     if not out:
         raise ScenarioError("no output directory: pass --out or set scenario.outputs")
     path = Path(out)
     if path.exists() and not path.is_dir():
         raise ScenarioError(f"output path {out} is not a directory")
     return path
-
-
-def _write(out: Path, artifacts: dict) -> int:
-    """The last step of every verb: create ``out``, write each ``name: (writer, value)``."""
-    out.mkdir(parents=True, exist_ok=True)
-    for name, (write, value) in artifacts.items():
-        write(out / name, value)
-    return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
@@ -276,12 +268,7 @@ def cmd_simulate(args) -> int:
     else:
         transmitted, surviving = incident, 1.0
     interferogram = simulate_interferogram(transmitted.renormalized(), scenario.time_grid)
-    artifacts = {
-        "spectrum.csv": (io.write_spectrum_csv, incident),
-        "transmitted.csv": (io.write_spectrum_csv, transmitted),
-        "interferogram.csv": (io.write_interferogram_csv, interferogram),
-        "trace.csv": (io.write_trace_csv, correlation_trace(interferogram)),
-    }
+    trace = correlation_trace(interferogram)
     summary = {
         "surviving_fraction": surviving,
         "pump_max_thz": scenario.pump_max_thz,
@@ -292,13 +279,20 @@ def cmd_simulate(args) -> int:
     if noise is not None:
         counts = sample_counts(interferogram, noise, chunk_size=args.chunk_size)
         estimated = estimate_trace(counts, noise.efficiency, noise.dark_rate)
-        artifacts["counts.csv"] = (io.write_counts_csv, counts)
-        artifacts["trace_estimated.csv"] = (io.write_trace_csv, estimated)
         summary["noise_seed"] = noise.seed
         summary["pairs_per_bin"] = noise.pairs_per_bin
         summary["probability_clamped"] = counts.clamped
-    artifacts["summary.json"] = (io.write_json, summary)
-    return _write(out, artifacts)
+
+    out.mkdir(parents=True, exist_ok=True)
+    io.write_spectrum_csv(out / "spectrum.csv", incident)
+    io.write_spectrum_csv(out / "transmitted.csv", transmitted)
+    io.write_interferogram_csv(out / "interferogram.csv", interferogram)
+    io.write_trace_csv(out / "trace.csv", trace)
+    if noise is not None:
+        io.write_counts_csv(out / "counts.csv", counts)
+        io.write_trace_csv(out / "trace_estimated.csv", estimated)
+    io.write_json(out / "summary.json", summary)
+    return EXIT_OK
 
 
 def cmd_recover(args) -> int:
@@ -311,11 +305,12 @@ def cmd_recover(args) -> int:
         {"center_thz": f.center, "height": f.height, "fwhm_thz": f.fwhm, "kind": f.kind}
         for f in detect_features(folded, min_prominence=args.min_prominence)
     ]
-    return _write(out, {
-        "recovered.csv": (io.write_recovered_csv, recovered),
-        "folded.csv": (io.write_spectrum_csv, folded),
-        "peaks.json": (io.write_json, peaks),
-    })
+
+    out.mkdir(parents=True, exist_ok=True)
+    io.write_recovered_csv(out / "recovered.csv", recovered)
+    io.write_spectrum_csv(out / "folded.csv", folded)
+    io.write_json(out / "peaks.json", peaks)
+    return EXIT_OK
 
 
 def cmd_noise_study(args) -> int:
@@ -329,7 +324,9 @@ def cmd_noise_study(args) -> int:
     study = error_scaling_study(
         spectrum, args.trials, args.repeats, noise, scenario.time_grid, args.chunk_size
     )
-    _write(out, {"scaling.csv": (io.write_scaling_csv, study)})
+
+    out.mkdir(parents=True, exist_ok=True)
+    io.write_scaling_csv(out / "scaling.csv", study)
     exponent = "not-available" if math.isnan(study.exponent) else f"{study.exponent:.6f}"
     print(f"fitted_exponent={exponent}")
     return EXIT_OK

@@ -56,8 +56,11 @@ def default_time_grid(
 
 def check_nyquist(step: float, max_thz: float) -> None:
     """Raise :class:`AliasingError` unless a delay ``step`` (ps) samples
-    content up to ``max_thz`` (THz): ``step < 1/(2 max_thz)``."""
-    if max_thz > 0 and step >= 1.0 / (2.0 * max_thz):
+    content up to ``max_thz`` (THz): ``step < 1/(2 max_thz)``. A
+    non-positive ``max_thz`` bounds nothing and is a ValueError."""
+    if not max_thz > 0:
+        raise ValueError(f"Nyquist bound needs a positive frequency, got {max_thz} THz")
+    if step >= 1.0 / (2.0 * max_thz):
         raise AliasingError(
             f"time step {step} ps aliases content at {max_thz} THz "
             f"(needs step < {1.0 / (2.0 * max_thz):.3e} ps)"

@@ -18,7 +18,9 @@ from noonspec import (
     cli,
 )
 from noonspec.cli import ScenarioError, main, parse_scenario
+from noonspec.io import read_trace_csv
 from noonspec.presets import preset_scenario
+from noonspec.recovery import detect_features, fold_one_sided, fourier_recover
 
 SMALL_TIME_GRID = {"start_ps": -1.024, "step_ps": 5e-4, "count": 4096}
 TINY_TIME_GRID = {"start_ps": -0.064, "step_ps": 5e-4, "count": 256}
@@ -611,6 +613,11 @@ class TestRecover:
         assert len(peaks) == 1
         assert list(peaks[0]) == ["center_thz", "height", "fwhm_thz", "kind"]
         assert peaks[0]["kind"] == "peak"
+        folded = fold_one_sided(fourier_recover(read_trace_csv(trace_path)))
+        assert peaks == [
+            {"center_thz": f.center, "height": f.height, "fwhm_thz": f.fwhm, "kind": f.kind}
+            for f in detect_features(folded)
+        ]
         window = SMALL_TIME_GRID["step_ps"] * SMALL_TIME_GRID["count"]
         assert abs(peaks[0]["center_thz"] - 740.25) <= 1.0 / window
         assert (out / "recovered.csv").exists()
@@ -867,7 +874,7 @@ class TestExitCodes:
             (["noise-study", "--preset", "noise-gauss", "--trials", "300,300"],
              "trial_counts must be distinct"),
             (["noise-study", "--preset", "noise-gauss", "--seed", "-5"],
-             "bad --seed: seed must fit in 64 bits"),
+             "seed must fit in 64 bits"),
             (["simulate", "--preset", "tpa3", "--seed", "-5"],
              "--seed needs a scenario with a noise section"),
             (["simulate", "--preset", "tpa3", "--seed", "5"],

@@ -239,6 +239,15 @@ class TestDominantOscillationFrequency:
         with pytest.raises(AliasingError):
             dominant_oscillation_frequency(trace, max_expected_thz=740.0)
 
+    @pytest.mark.parametrize("max_thz", [0.0, -740.0, float("nan")])
+    def test_nyquist_guard_needs_a_positive_bound(self, max_thz):
+        # -740 used to raise AliasingError, 0 a ZeroDivisionError
+        tg = centered_time_grid(1e-2, 256)
+        trace = correlation_trace(Interferogram(tg, np.ones(256)))
+        with pytest.raises(ValueError, match="needs a positive frequency") as exc:
+            dominant_oscillation_frequency(trace, max_expected_thz=max_thz)
+        assert not isinstance(exc.value, AliasingError)
+
 
 class TestInvariants:
     def test_oscillation_period_law(self):
