@@ -53,7 +53,6 @@ from .recovery import (
     detect_features,
     fold_one_sided,
     fourier_recover,
-    resolution_limit,
     spectrum_distance,
 )
 from .spectral import (
@@ -110,7 +109,6 @@ __all__ = [
     "gaussian_pump_spectrum",
     "make_frequency_grid",
     "recover_absorption_spectrum",
-    "resolution_limit",
     "sample_counts",
     "simulate_interferogram",
     "spectrum_distance",

@@ -65,11 +65,15 @@ class TransmissionProfile:
 
 @dataclass(frozen=True)
 class TransmissionResult:
-    """Filtered spectrum (not renormalized) plus the surviving mass fraction."""
+    """Filtered spectrum (not renormalized); ``clamped`` marks a saturated
+    transmission. The surviving fraction is the filtered spectrum's mass."""
 
     spectrum: SumFrequencySpectrum
-    surviving_fraction: float
     clamped: bool
+
+    @property
+    def surviving_fraction(self) -> float:
+        return self.spectrum.total_mass
 
 
 def _line_matrix(sample: Sample, nu: np.ndarray) -> np.ndarray:
@@ -93,25 +97,24 @@ def transmission_profile(sample: Sample, grid: FrequencyGrid) -> TransmissionPro
 def transmitted_spectrum(
     incident: SumFrequencySpectrum, sample: Sample
 ) -> TransmissionResult:
-    """Filter the incident spectrum through the sample.
+    """Filter a normalized (unit-mass) incident spectrum through the sample.
 
     The output is the pointwise product incident * T and is deliberately
-    not renormalized: the absolute dip depth is the measurand. The
-    surviving fraction is the transmitted mass relative to the incident
-    mass.
+    not renormalized: the absolute dip depth is the measurand. Its mass is
+    the surviving fraction, the share of the incident mass transmitted.
     """
     if not incident.normalized:
         raise ValueError("incident spectrum must be normalized")
     profile = transmission_profile(sample, incident.grid)
     weights = incident.weights * profile.values
-    out = SumFrequencySpectrum(incident.grid, weights, normalized=False)
-    return TransmissionResult(out, out.total_mass, profile.clamped)
+    return TransmissionResult(SumFrequencySpectrum(incident.grid, weights), profile.clamped)
 
 
 def excitation_probabilities(
     incident: SumFrequencySpectrum, sample: Sample
 ) -> np.ndarray:
-    """Absorbed mass per line, in the order of ``sample.lines``.
+    """Absorbed mass per line of a normalized incident spectrum, in the order
+    of ``sample.lines``.
 
     For each line this is ``step * sum(incident * strength * profile)``.
     Absent clamping the probabilities and the surviving fraction add up
@@ -134,4 +137,4 @@ def recover_absorption_spectrum(
     if reference.grid != measured.grid:
         raise GridMismatchError("reference and measured spectra use different grids")
     diff = np.clip(reference.weights - measured.weights, 0.0, None)
-    return SumFrequencySpectrum(reference.grid, diff, normalized=False)
+    return SumFrequencySpectrum(reference.grid, diff)

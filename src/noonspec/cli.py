@@ -219,6 +219,8 @@ def parse_scenario(doc: dict, base_dir: Path) -> Scenario:
     outputs = doc.get("outputs")
     if outputs is not None and not isinstance(outputs, str):
         raise ScenarioError(f"outputs must be a directory path string, got {outputs!r}")
+    if outputs:  # relative to the config file, as sample.path is; "" stays no directory
+        outputs = str(base_dir / outputs)
     return Scenario(spectrum, sample, tgrid, noise, outputs)
 
 

@@ -16,6 +16,7 @@ own. Every JSON artifact goes through one writer, ``write_json``.
 from __future__ import annotations
 
 import json
+import warnings
 from itertools import chain
 from pathlib import Path
 
@@ -63,7 +64,10 @@ def _read_columns(path, expected_header: str) -> np.ndarray:
                 f"unexpected header {header!r} in {path}, expected {expected_header!r}"
             )
         try:
-            body = np.loadtxt(fh, delimiter=",", ndmin=2)
+            # an empty body is reported just below, so numpy's warning is not
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                body = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise ValueError(f"malformed CSV body in {path}: {exc}") from exc
     if body.size == 0:
@@ -78,22 +82,9 @@ def write_spectrum_csv(path, spectrum: SumFrequencySpectrum) -> None:
     _write_columns(path, "nu_thz,weight", (spectrum.grid.values, spectrum.weights))
 
 
-def read_spectrum_csv(path, normalized: bool = False) -> SumFrequencySpectrum:
+def read_spectrum_csv(path) -> SumFrequencySpectrum:
     body = _read_columns(path, "nu_thz,weight")
-    nu, weights = body[:, 0], body[:, 1]
-    grid = infer_grid(nu)
-    return SumFrequencySpectrum(grid, weights, normalized=normalized)
-
-
-def write_jsi_csv(path, jsi) -> None:
-    """Row-major dump: the signal index is the slow axis."""
-    nu_s = jsi.signal_grid.values
-    nu_i = jsi.idler_grid.values
-    _write_columns(
-        path,
-        "nu_s_thz,nu_i_thz,density",
-        (np.repeat(nu_s, len(nu_i)), np.tile(nu_i, len(nu_s)), jsi.density.ravel()),
-    )
+    return SumFrequencySpectrum(infer_grid(body[:, 0]), body[:, 1])
 
 
 def write_interferogram_csv(path, interferogram: Interferogram) -> None:

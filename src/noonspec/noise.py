@@ -231,16 +231,15 @@ class ScalingStudy:
     Three columns with one entry per trial count (the points of the
     study's axis): ``n_trials`` (int64, positive) and the sample standard
     deviations ``std_height`` and ``std_center`` (float, non-negative).
-    ``exponent`` is the fitted slope of log(std_height) against
-    log(n_trials); NaN when fewer than two usable points exist (a single
-    trial count, or noise-free runs with zero spread). ``len()`` is the
-    number of trial counts.
+    ``exponent`` is the slope of log(std_height) against log(n_trials),
+    fitted to the columns; NaN when fewer than two usable points exist (a
+    single trial count, or noise-free runs with zero spread). ``len()`` is
+    the number of trial counts.
     """
 
     n_trials: np.ndarray
     std_height: np.ndarray
     std_center: np.ndarray
-    exponent: float
 
     def __post_init__(self):
         _column(self, "n_trials", (np.size(self.n_trials),), dtype=np.int64, low=1)
@@ -250,6 +249,14 @@ class ScalingStudy:
 
     def __len__(self) -> int:
         return self.n_trials.size
+
+    @property
+    def exponent(self) -> float:
+        usable = self.std_height > 0
+        if np.count_nonzero(usable) < 2:
+            return math.nan
+        x, y = np.log(self.n_trials[usable]), np.log(self.std_height[usable])
+        return float(np.polyfit(x, y, 1)[0])
 
 
 def _dominant_peak(folded: SumFrequencySpectrum) -> tuple:
@@ -304,11 +311,4 @@ def error_scaling_study(
             centers[r], heights[r] = _dominant_peak(folded)
         std_height[i_n] = np.std(heights, ddof=1)
         std_center[i_n] = np.std(centers, ddof=1)
-
-    usable = std_height > 0
-    if np.count_nonzero(usable) >= 2:
-        slope = np.polyfit(np.log(n_trials[usable]), np.log(std_height[usable]), 1)[0]
-        exponent = float(slope)
-    else:
-        exponent = math.nan
-    return ScalingStudy(n_trials, std_height, std_center, exponent)
+    return ScalingStudy(n_trials, std_height, std_center)

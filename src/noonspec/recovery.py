@@ -113,9 +113,7 @@ def fold_one_sided(recovered: RecoveredSpectrum) -> SumFrequencySpectrum:
     weights = np.zeros(i0 + 1)
     weights[: pos_mag.size] = pos_mag
     weights[1 : neg_mag.size + 1] += neg_mag
-    return SumFrequencySpectrum(
-        FrequencyGrid(0.0, recovered.grid.step, i0 + 1), weights, normalized=False
-    )
+    return SumFrequencySpectrum(FrequencyGrid(0.0, recovered.grid.step, i0 + 1), weights)
 
 
 def _refined(signal: np.ndarray, i: int) -> tuple:
@@ -183,13 +181,6 @@ def detect_features(
             )
         )
     return features
-
-
-def resolution_limit(window_ps: float) -> float:
-    """Frequency resolution (THz) of a delay scan: the DFT bin width 1/window."""
-    if not (window_ps > 0):
-        raise ValueError(f"window must be positive, got {window_ps}")
-    return 1.0 / window_ps
 
 
 def spectrum_distance(a: SumFrequencySpectrum, b: SumFrequencySpectrum) -> tuple:

@@ -58,32 +58,32 @@ def _per_unit_mass(density: np.ndarray, mass: float) -> np.ndarray:
 class SumFrequencySpectrum:
     """Discretized sum-frequency intensity F(nu_p) on a uniform grid.
 
-    ``weights`` is a density per THz; when ``normalized`` is set the total
-    mass ``grid.step * weights.sum()`` equals 1 within 1e-9.
+    ``weights`` is a density per THz. The spectrum is ``normalized`` when
+    its total mass ``grid.step * weights.sum()`` is 1 within 1e-9; that
+    is a fact about the weights, not a flag.
     """
 
     grid: FrequencyGrid
     weights: np.ndarray
-    normalized: bool = False
     coverage_warning: bool = False
 
     def __post_init__(self):
         _column(self, "weights", (self.grid.count,), low=0)
-        if self.normalized and abs(self.total_mass - 1.0) > NORMALIZATION_TOL:
-            raise ValueError(
-                f"spectrum flagged normalized but step*sum(weights) = {self.total_mass!r}"
-            )
 
     @property
     def total_mass(self) -> float:
         return float(self.grid.step * self.weights.sum())
+
+    @property
+    def normalized(self) -> bool:
+        return abs(self.total_mass - 1.0) <= NORMALIZATION_TOL
 
     def renormalized(self) -> "SumFrequencySpectrum":
         """Copy rescaled to unit mass."""
         mass = self.total_mass
         if mass <= 0:
             raise ValueError("cannot normalize a zero spectrum")
-        return replace(self, weights=_per_unit_mass(self.weights, mass), normalized=True)
+        return replace(self, weights=_per_unit_mass(self.weights, mass))
 
 
 @dataclass(frozen=True)
@@ -144,10 +144,7 @@ def gaussian_pump_spectrum(
     if mass <= 0:
         raise CoverageError("grid carries no mass of the requested Gaussian")
     return SumFrequencySpectrum(
-        grid,
-        _per_unit_mass(shape, mass),
-        normalized=True,
-        coverage_warning=not _covers(grid, center, fwhm),
+        grid, _per_unit_mass(shape, mass), coverage_warning=not _covers(grid, center, fwhm)
     )
 
 
@@ -175,7 +172,7 @@ def comb_pump_spectrum(
         weights = weights + (line.weight / top) * unit.weights
         warn = warn or unit.coverage_warning
     weights = _per_unit_mass(weights, grid.step * weights.sum())
-    return SumFrequencySpectrum(grid, weights, normalized=True, coverage_warning=warn)
+    return SumFrequencySpectrum(grid, weights, coverage_warning=warn)
 
 
 def gaussian_jsi(
@@ -235,4 +232,4 @@ def sum_frequency_marginal(
     )
     weights = _per_unit_mass(binned, output_grid.step)
     weights = _per_unit_mass(weights, output_grid.step * weights.sum())
-    return SumFrequencySpectrum(output_grid, weights, normalized=True)
+    return SumFrequencySpectrum(output_grid, weights)

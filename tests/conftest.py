@@ -14,7 +14,7 @@ def single_bin_spectrum(nu0: float, step: float = 0.015625, count: int = 9):
     grid = FrequencyGrid(nu0 - at * step, step, count)
     weights = np.zeros(count)
     weights[at] = 1.0 / step
-    return SumFrequencySpectrum(grid, weights, normalized=True)
+    return SumFrequencySpectrum(grid, weights)
 
 
 def direct_sum_reference(spectrum: SumFrequencySpectrum, delays: np.ndarray) -> np.ndarray:

@@ -5,20 +5,25 @@ from noonspec import (
     AbsorptionLine,
     GridMismatchError,
     Sample,
+    correlation_trace,
     detect_features,
     excitation_probabilities,
+    fold_one_sided,
+    fourier_recover,
     gaussian_pump_spectrum,
     make_frequency_grid,
     recover_absorption_spectrum,
+    simulate_interferogram,
     transmission_profile,
     transmitted_spectrum,
 )
 from noonspec.spectral import FOUR_LN2, SumFrequencySpectrum
+from conftest import centered_time_grid
 
 
 def flat_spectrum(grid):
     w = np.full(grid.count, 1.0 / (grid.step * grid.count))
-    return SumFrequencySpectrum(grid, w, normalized=True)
+    return SumFrequencySpectrum(grid, w)
 
 
 class TestTransmissionProfile:
@@ -105,6 +110,44 @@ class TestTransmittedSpectrum:
         raw = SumFrequencySpectrum(grid, np.ones(101))
         with pytest.raises(ValueError):
             transmitted_spectrum(raw, Sample(lines=()))
+
+
+class TestNormalizedIsUnitMass:
+    """A spectrum is normalized when its mass is 1 within 1e-9; no flag says so."""
+
+    def test_unit_mass_spectrum_built_without_a_flag_is_accepted(self):
+        grid = make_frequency_grid(739.0, 0.002, 1001)
+        w = np.random.default_rng(5).uniform(0.0, 1.0, grid.count)
+        spectrum = SumFrequencySpectrum(grid, w / (grid.step * w.sum()))
+        assert spectrum.normalized
+        tg = centered_time_grid(5e-4, 256)  # t = 0 at index 128
+        assert simulate_interferogram(spectrum, tg).values[128] == pytest.approx(1.0, abs=1e-12)
+        result = transmitted_spectrum(spectrum, Sample(lines=()))
+        assert np.array_equal(result.spectrum.weights, spectrum.weights)
+
+    def test_folded_spectrum_off_unit_mass_is_rejected_by_every_consumer(self):
+        grid = make_frequency_grid(739.0, 0.002, 1001)
+        trace = correlation_trace(
+            simulate_interferogram(
+                gaussian_pump_spectrum(grid, 740.0, 0.5), centered_time_grid(5e-4, 512)
+            )
+        )
+        folded = fold_one_sided(fourier_recover(trace, window="hann"))
+        assert abs(folded.total_mass - 1.0) > 1e-9 and not folded.normalized
+        sample = Sample(lines=(AbsorptionLine(740.0, 0.1, 0.5),))
+        with pytest.raises(ValueError, match="^spectrum must be normalized before simulation$"):
+            simulate_interferogram(folded, centered_time_grid(5e-4, 64))
+        with pytest.raises(ValueError, match="^incident spectrum must be normalized$"):
+            transmitted_spectrum(folded, sample)
+        with pytest.raises(ValueError, match="^incident spectrum must be normalized$"):
+            excitation_probabilities(folded, sample)
+
+    def test_surviving_fraction_is_the_transmitted_mass(self):
+        grid = make_frequency_grid(739.0, 0.002, 1001)
+        sample = Sample(lines=(AbsorptionLine(740.0, 0.1, 0.5), AbsorptionLine(739.6, 0.2, 0.3)))
+        result = transmitted_spectrum(gaussian_pump_spectrum(grid, 740.0, 0.5), sample)
+        assert result.surviving_fraction == result.spectrum.total_mass
+        assert result.surviving_fraction < 1.0
 
 
 class TestExcitationProbabilities:

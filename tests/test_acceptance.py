@@ -210,9 +210,7 @@ def test_criterion_6_parseval_and_hermitian_property():
         grid = ns.make_frequency_grid(float(rng.uniform(1.0, 40.0)), 0.05, count)
         w = rng.uniform(0.0, 1.0, count)
         w[int(rng.integers(0, count))] += 0.5
-        spec = ns.SumFrequencySpectrum(
-            grid, w / (grid.step * w.sum()), normalized=True
-        )
+        spec = ns.SumFrequencySpectrum(grid, w / (grid.step * w.sum()))
         trace = ns.correlation_trace(ns.simulate_interferogram(spec, tg))
         rec = ns.fourier_recover(trace)
 

@@ -391,6 +391,26 @@ class TestSimulate:
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "from_config" / "trace.csv").exists()
 
+    def test_relative_outputs_resolve_against_the_config_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg").mkdir()
+        write_config(tmp_path / "cfg", small_scenario(outputs="runs/a"))
+        assert main(["simulate", "--config", "cfg/scenario.json"]) == 0
+        assert (tmp_path / "cfg" / "runs" / "a" / "trace.csv").exists()
+        assert not (tmp_path / "runs").exists()
+        # --out keeps resolving against the working directory
+        assert main(["simulate", "--config", "cfg/scenario.json", "--out", "o"]) == 0
+        assert (tmp_path / "o" / "trace.csv").exists()
+
+    def test_empty_outputs_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, small_scenario(outputs=""))
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "error: no output directory: pass --out or set scenario.outputs\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
+
     def test_seed_flag_overrides_scenario_noise_seed(self, tmp_path):
         doc = small_scenario(
             noise={"pairs_per_bin": 400, "seed": 5, "dark_rate": 0.0, "efficiency": 1.0}
@@ -674,6 +694,15 @@ class TestRecover:
         assert proc.returncode == 2
         assert proc.stderr.count("\n") == 1
         assert "expected 2 columns, found 3" in proc.stderr
+
+    def test_header_only_csv_exits_2_with_one_line(self, tmp_path):
+        # the empty body is reported once; numpy's own warning about it is not
+        path = tmp_path / "empty.csv"
+        path.write_text("t_ps,g\n")
+        proc = run_cli("recover", str(path), "--out", str(tmp_path / "rec"))
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: {path} contains no data rows\n"
+        assert not (tmp_path / "rec").exists()
 
     def test_non_uniform_grid_exits_4(self, tmp_path):
         path = tmp_path / "jagged.csv"

@@ -74,12 +74,12 @@ COLUMN_CASES = [
         [[1j, complex(NAN, 0), 1.0], [1.0, complex(0, np.inf), 1.0], [1.0, 1.0]],
     ),
     (
-        lambda col: ScalingStudy(col, [0.1, 0.2], [0.01, 0.02], -0.5),
+        lambda col: ScalingStudy(col, [0.1, 0.2], [0.01, 0.02]),
         "ScalingStudy n_trials",
         [[1000, 0], [1000, 2.5], [[1000, 10000]]],
     ),
     (
-        lambda col: ScalingStudy([1000, 10000], col, [0.01, 0.02], -0.5),
+        lambda col: ScalingStudy([1000, 10000], col, [0.01, 0.02]),
         "ScalingStudy std_height",
         [[0.1, -0.2], [0.1, NAN], [0.1]],
     ),
@@ -101,7 +101,7 @@ def test_checked_columns_are_read_only_copies():
     weights[0] = 5.0
     assert spectrum.weights.tolist() == [1.0, 2.0, 1.0]
     assert not spectrum.weights.flags.writeable
-    study = ScalingStudy([1000.0, 10000.0], [0.1, 0.2], [0.01, 0.02], -0.5)
+    study = ScalingStudy([1000.0, 10000.0], [0.1, 0.2], [0.01, 0.02])
     assert study.n_trials.dtype == np.int64 and len(study) == 2
     assert not study.std_center.flags.writeable
 
@@ -168,7 +168,7 @@ def test_read_back_spectrum_shares_the_writing_grid(tmp_path):
     written = gaussian_pump_spectrum(make_frequency_grid(739.8, 0.002, 301), 740.1, 0.1)
     path = tmp_path / "spectrum.csv"
     io.write_spectrum_csv(path, written)
-    read_back = io.read_spectrum_csv(path, normalized=True)
+    read_back = io.read_spectrum_csv(path)
     assert read_back.grid == written.grid
     assert recover_absorption_spectrum(written, read_back).total_mass == 0.0
 

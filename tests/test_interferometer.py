@@ -88,7 +88,7 @@ class TestChirpZAgainstDirectSum:
 
     def test_two_point_axes(self):
         two_bins = SumFrequencySpectrum(
-            make_frequency_grid(740.1, 0.004, 2), np.array([100.0, 150.0]), normalized=True
+            make_frequency_grid(740.1, 0.004, 2), np.array([100.0, 150.0])
         )
         grid = make_frequency_grid(739.8, 0.002, 301)
         spec = gaussian_pump_spectrum(grid, 740.1, 0.1)
@@ -302,7 +302,7 @@ class TestInvariants:
             grid = make_frequency_grid(float(rng.uniform(1, 600)), 0.01, count)
             w = rng.uniform(0, 1, count)
             w[rng.integers(0, count)] += 1.0
-            spec = SumFrequencySpectrum(grid, w / (0.01 * w.sum()), normalized=True)
+            spec = SumFrequencySpectrum(grid, w / (0.01 * w.sum()))
             p = simulate_interferogram(spec, tg)
             g = correlation_trace(p)
             assert np.all(p.values >= 0) and np.all(p.values <= 1)

@@ -13,7 +13,6 @@ from noonspec import (
     ScalingStudy,
     TimeGrid,
     correlation_trace,
-    gaussian_jsi,
     gaussian_pump_spectrum,
     make_frequency_grid,
     simulate_interferogram,
@@ -32,7 +31,7 @@ def test_spectrum_roundtrip(tmp_path, spectrum):
     io.write_spectrum_csv(path, spectrum)
     header = path.read_text().splitlines()[0]
     assert header == "nu_thz,weight"
-    back = io.read_spectrum_csv(path, normalized=True)
+    back = io.read_spectrum_csv(path)
     assert back.grid.start == spectrum.grid.start
     assert back.grid.count == spectrum.grid.count
     assert back.grid.step == pytest.approx(spectrum.grid.step, rel=1e-12)
@@ -86,22 +85,6 @@ def test_interferogram_header(tmp_path, spectrum):
     lines = path.read_text().splitlines()
     assert lines[0] == "t_ps,p"
     assert len(lines) == 65
-
-
-def test_jsi_row_major(tmp_path):
-    grid = make_frequency_grid(369.85, 0.01, 3)
-    jsi = gaussian_jsi(grid, grid, 739.72, 0.05, 0.1)
-    path = tmp_path / "jsi.csv"
-    io.write_jsi_csv(path, jsi)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "nu_s_thz,nu_i_thz,density"
-    assert len(lines) == 1 + 9
-    first = lines[1].split(",")
-    assert float(first[0]) == pytest.approx(369.85)
-    assert float(first[1]) == pytest.approx(369.85)
-    second = lines[2].split(",")
-    assert float(second[0]) == pytest.approx(369.85)  # idler is the fast axis
-    assert float(second[1]) == pytest.approx(369.86)
 
 
 def test_recovered_csv_columns(tmp_path):
@@ -159,7 +142,7 @@ def test_counts_fractional_count_rejected(tmp_path):
 
 
 def test_scaling_csv(tmp_path):
-    study = ScalingStudy([1000, 10000], [0.01, 0.003], [0.002, 0.0007], exponent=-0.5)
+    study = ScalingStudy([1000, 10000], [0.01, 0.003], [0.002, 0.0007])
     path = tmp_path / "scaling.csv"
     io.write_scaling_csv(path, study)
     lines = path.read_text().splitlines()

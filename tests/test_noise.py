@@ -14,6 +14,7 @@ from noonspec import (
     FrequencyGrid,
     Interferogram,
     NoiseConfig,
+    ScalingStudy,
     SumFrequencySpectrum,
     TimeGrid,
     error_scaling_study,
@@ -301,12 +302,23 @@ class TestCountDataValidation:
                 NoiseConfig(pairs_per_bin=huge, seed=1)
 
 
+class TestScalingStudyExponent:
+    def test_known_slope(self):
+        n = np.array([100, 1000, 10000, 100000])
+        study = ScalingStudy(n, 3.0 * n**-0.5, np.zeros(4))
+        assert study.exponent == pytest.approx(-0.5, abs=1e-12)
+
+    def test_one_usable_point_gives_nan(self):
+        assert math.isnan(ScalingStudy([100, 1000], [0.1, 0.0], [0.0, 0.0]).exponent)
+        assert math.isnan(ScalingStudy([100], [0.1], [0.0]).exponent)
+
+
 class TestErrorScalingStudy:
     def test_zero_noise_config_gives_zero_spread(self):
         # all mass at zero frequency: P(t) = 1 everywhere, so counts are
         # deterministic and every repeat recovers the same spectrum
         grid = FrequencyGrid(0.0, 0.5, 2)
-        spec = SumFrequencySpectrum(grid, np.array([2.0, 0.0]), normalized=True)
+        spec = SumFrequencySpectrum(grid, np.array([2.0, 0.0]))
         cfg = NoiseConfig(pairs_per_bin=100, seed=13)
         study = error_scaling_study(
             spec, [100, 1000], repeats=20, config=cfg, grid=centered_time_grid(5e-4, 64)

@@ -19,7 +19,6 @@ from noonspec import (
     fourier_recover,
     gaussian_pump_spectrum,
     make_frequency_grid,
-    resolution_limit,
     simulate_interferogram,
     spectrum_distance,
     transmitted_spectrum,
@@ -69,7 +68,7 @@ class TestFourierRecover:
         k0 = int(round(739.5 / df))
         grid = FrequencyGrid(k0 * df, df, 40)
         w = np.exp(-4 * np.log(2) * ((grid.values - grid.values[20]) / 0.25) ** 2)
-        spec = SumFrequencySpectrum(grid, w / (df * w.sum()), normalized=True)
+        spec = SumFrequencySpectrum(grid, w / (df * w.sum()))
         trace = correlation_trace(simulate_interferogram(spec, tg))
         folded = fold_one_sided(fourier_recover(trace))
         band = SumFrequencySpectrum(
@@ -239,22 +238,22 @@ class TestDetectFeatures:
             return np.exp(-(((grid.values - center) / 0.03) ** 2))
 
         weights = bump(739.3) + 0.07 * bump(739.6) + 0.03 * bump(739.8)
-        features = detect_features(SumFrequencySpectrum(grid, weights, normalized=False))
+        features = detect_features(SumFrequencySpectrum(grid, weights))
         assert [round(f.center, 6) for f in features] == [739.3, 739.6]
 
     def test_default_prominence_without_a_positive_maximum(self):
         grid = make_frequency_grid(739.0, 0.01, 101)
-        zero = SumFrequencySpectrum(grid, np.zeros(101), normalized=False)
+        zero = SumFrequencySpectrum(grid, np.zeros(101))
         assert detect_features(zero) == []
         # a dip, but the spectrum lies above the baseline everywhere: the
         # searched signal, baseline - spectrum, has a local maximum below 0
         dipped = 1.0 - 0.2 * np.exp(-(((grid.values - 739.5) / 0.05) ** 2))
-        spectrum = SumFrequencySpectrum(grid, dipped, normalized=False)
-        below = SumFrequencySpectrum(grid, np.full(101, 0.5), normalized=False)
+        spectrum = SumFrequencySpectrum(grid, dipped)
+        below = SumFrequencySpectrum(grid, np.full(101, 0.5))
         assert detect_features(spectrum, baseline=below) == []
         # a baseline lying above the spectrum by a constant eats no dip
         line = gaussian_pump_spectrum(grid, 739.5, 0.1)
-        above = SumFrequencySpectrum(grid, line.weights + 1.0, normalized=False)
+        above = SumFrequencySpectrum(grid, line.weights + 1.0)
         assert detect_features(line, baseline=above) == []
 
     def test_min_prominence_validated(self):
@@ -270,15 +269,21 @@ class TestDetectFeatures:
             detect_features(a, baseline=b, min_prominence=0.1)
 
 
+def recovered_step(grid) -> float:
+    return fourier_recover(CorrelationTrace(grid, np.ones(grid.count))).grid.step
+
+
 class TestResolutionLimit:
     def test_default_window(self):
-        assert resolution_limit(32.768) == pytest.approx(1.0 / 32.768)
-        assert resolution_limit(32.768) == pytest.approx(0.030517578125)
+        grid = default_time_grid()
+        assert recovered_step(grid) == 1 / grid.window
+        assert recovered_step(grid) == pytest.approx(0.030517578125)
 
     def test_reciprocal_law(self):
-        assert resolution_limit(20.0) == 2 * resolution_limit(40.0)
-        with pytest.raises(ValueError):
-            resolution_limit(0.0)
+        short, long = centered_time_grid(0.01, 2000), centered_time_grid(0.01, 4000)
+        assert recovered_step(short) == 1 / short.window
+        assert recovered_step(long) == 1 / long.window
+        assert recovered_step(short) == 2 * recovered_step(long)
 
     def test_two_line_resolvability_scan(self):
         # Lines 0.035 THz apart (the close pump-line pair). Magnitude-spectrum

@@ -277,11 +277,6 @@ class TestInvariants:
         with pytest.raises(ValueError):
             SumFrequencySpectrum(grid, np.array([1.0, -0.1, 0.0]))
 
-    def test_normalized_flag_checked(self):
-        grid = make_frequency_grid(0, 1, 3)
-        with pytest.raises(ValueError):
-            SumFrequencySpectrum(grid, np.array([1.0, 1.0, 1.0]), normalized=True)
-
     def test_weights_immutable(self):
         grid = make_frequency_grid(0, 1, 3)
         spec = SumFrequencySpectrum(grid, np.array([1.0, 0.0, 0.0]))
