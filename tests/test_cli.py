@@ -826,6 +826,26 @@ class TestNoiseStudy:
         assert proc.returncode == 0, proc.stderr
         assert len((out / "scaling.csv").read_text().splitlines()) == 3
 
+    def test_preset_study_is_pinned_by_value(self, tmp_path):
+        # recorded before the sampler's bracket step: any count the sampler
+        # draws differently moves a spread by far more than 1e-12, while a
+        # numpy whose FFT differs in the last bits stays inside it
+        out = tmp_path / "study"
+        argv = ["noise-study", "--preset", "noise-gauss", "--trials", "1000,10000,100000",
+                "--repeats", "4", "--out", str(out)]
+        assert main(argv) == 0
+        lines = (out / "scaling.csv").read_text().splitlines()
+        assert lines[0] == "n_trials,std_height,std_center"
+        rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
+        assert rows == [
+            pytest.approx(row, rel=1e-12, abs=0)
+            for row in (
+                [1000, 0.0010647175438594225, 0.00079898100408775079],
+                [10000, 0.00038526961582760607, 0.00015849113880814233],
+                [100000, 7.6246116982360296e-05, 6.4661220720060999e-05],
+            )
+        ]
+
 
 class TestExitCodes:
     """Errors that reach ``main`` end in their documented exit code and one line."""
