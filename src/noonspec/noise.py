@@ -9,17 +9,19 @@ and two integer columns, coincidences and pairs sent.
 Randomness is drawn from counter-based Philox streams keyed by
 (seed, stream): one draw per stream gives every bin its uniform, the bin
 index selecting the position inside the stream. Each bin's count is the
-binomial quantile of its uniform, found by a guided search on the
-binomial CDF that returns what ``scipy.stats.binom.ppf`` returns. Each
-count is therefore a pure function of (seed, stream, bin): however the
-search is split into blocks of bins (``chunk_size``), the counts are
-bit-identical. A :class:`ScalingStudy` is columnar too, one entry per
-trial count.
+binomial quantile of its uniform, the value ``scipy.stats.binom.ppf``
+returns. It is bracketed from one CDF and one PMF evaluation at a
+Cornish-Fisher guess (the PMF step of BINV inversion); a bin whose
+uniform lies within the ufuncs' error margin of the bracket's edge takes
+an exact stepping search on the CDF instead. Each count is therefore a
+pure function of (seed, stream, bin): however the bins are split into
+blocks (``chunk_size``), the counts are bit-identical. A
+:class:`ScalingStudy` is columnar too, one entry per trial count.
 
-The CDF is the ``scipy.special`` ufunc behind ``binom.cdf``, loaded on
-the first draw, so importing this module loads no scipy and drawing
-loads no ``scipy.stats`` (a scipy without that ufunc falls back to
-``binom.cdf`` itself).
+The CDF and PMF are the ``scipy.special`` ufuncs behind ``binom.cdf``
+and ``binom.pmf``, loaded on the first draw, so importing this module
+loads no scipy and drawing loads no ``scipy.stats`` (a scipy without
+those ufuncs falls back to ``binom.cdf`` and ``binom.pmf`` themselves).
 """
 from __future__ import annotations
 
@@ -105,16 +107,33 @@ def _clipped(binom_ufunc, k: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
     return np.clip(binom_ufunc(k, n, p), 0, 1)
 
 
+def _margin(n: int) -> float:
+    """How far ``cdf(k-1)`` may lie from ``cdf(k) - pmf(k)`` in float64.
+
+    The ufuncs' gap grows to about 0.25 n eps for p in the tails and
+    n >= 1e5; below n = 20 the rounding of the three values, a few eps,
+    dominates. The margin is 16 times (n + 8) eps / 2, a bound above
+    both, and at least ``8 spacing(c) + 8 n eps`` for any c <= 1.
+    """
+    return 8.0 * (n + 8) * np.finfo(float).eps
+
+
 def _binomial_quantile(u: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
-    """``np.clip(binom.ppf(u, n, p), 0, n)`` as int64, by a guided search.
+    """``np.clip(binom.ppf(u, n, p), 0, n)`` as int64, by a bracket on the CDF.
 
     Each bin starts from the continuity-corrected Cornish-Fisher guess
     ``ceil(n p + sigma z + (z^2 - 1)(1 - 2p)/6 - 1/2)``, ``z = ndtri(u)``,
-    and steps until ``binom.cdf(k-1) < u <= binom.cdf(k)``: about two CDF
-    evaluations per bin, against the root finder inside ``binom.ppf``.
-    Three rules of ``binom.ppf`` are kept: ``u <= (1-p)**n`` (by libm
-    ``pow``) and ``u <= binom.pmf(0)`` give 0, and a run of k whose CDF
-    equals u exactly resolves to its last member. Where the root finder of
+    and takes c = ``binom.cdf(k)``. As ``cdf(k-1) = c - pmf(k)`` and
+    ``cdf(k+1) = c + pmf(k+1)`` up to the ufuncs' error, one PMF settles
+    the bin: k when ``c - pmf(k) + tol < u < c``, k + 1 when
+    ``c < u`` and ``u + tol < c + pmf(k+1)``, with ``tol = _margin(n)``. That
+    is one CDF and one PMF per bin, against the root finder inside
+    ``binom.ppf``. Every other bin (a tie c == u, a u within tol of an
+    edge, a guess off by two or more) steps on the CDF until
+    ``binom.cdf(k-1) < u <= binom.cdf(k)``. Three rules of ``binom.ppf``
+    are kept: ``u <= (1-p)**n`` (by libm ``pow``) and
+    ``u <= binom.pmf(0)`` give 0, and a run of k whose CDF equals u
+    exactly resolves to its last member. Where the root finder of
     ``binom.ppf`` stops short (for u very close to 0 or 1, mostly with an
     "Unable to bracket root" warning) this still returns the quantile.
     """
@@ -148,7 +167,16 @@ def _binomial_quantile(u: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
 
     c = np.ones_like(u)  # binom.cdf(k) of every searched bin
     todo = np.flatnonzero(~zero)
-    c[todo] = cdf(k[todo], n, p[todo])
+    kt, ut = k[todo], u[todo]
+    c[todo] = ct = cdf(kt, n, p[todo])
+    # the bracket: pmf(k) where cdf(k) > u, pmf(k + 1) where cdf(k) < u
+    up = ct < ut
+    pm = pmf(kt + up, n, p[todo])
+    tol = _margin(n)
+    sure = np.where(up, ut + tol < ct + pm, (ct > ut) & (ct - pm + tol < ut))
+    k[todo[sure & up]] += 1
+    # the exact search for the rest; a bracketed bin has c != u, so no tie
+    todo = todo[~sure]
     i = todo[c[todo] < u[todo]]
     down = todo[(c[todo] >= u[todo]) & (k[todo] > 0)]
     while i.size:
@@ -183,8 +211,8 @@ def sample_counts(
 
     The per-bin success probability ``efficiency^2 * P + dark_rate`` is
     clamped into [0, 1]; a clamp event is reported on the result. Each
-    count is the binomial quantile of one keyed uniform, found by a guided
-    search on ``binom.cdf`` that gives what ``binom.ppf`` gives, so the
+    count is the binomial quantile of one keyed uniform, bracketed on
+    ``binom.cdf`` and ``binom.pmf`` to give what ``binom.ppf`` gives, so the
     draw is deterministic and partition-independent: the search runs on
     blocks of ``chunk_size`` bins (all at once when None) without changing
     a bit.
@@ -233,7 +261,8 @@ class ScalingStudy:
     deviations ``std_height`` and ``std_center`` (float, non-negative).
     ``exponent`` is the slope of log(std_height) against log(n_trials),
     fitted to the columns; NaN when fewer than two usable points exist (a
-    single trial count, or noise-free runs with zero spread). ``len()`` is
+    single trial count, or noise-free runs with zero spread). The trial
+    counts must be distinct, one row per point of the axis. ``len()`` is
     the number of trial counts.
     """
 
@@ -244,6 +273,9 @@ class ScalingStudy:
     def __post_init__(self):
         _column(self, "n_trials", (np.size(self.n_trials),), dtype=np.int64, low=1)
         shape = self.n_trials.shape
+        if np.unique(self.n_trials).size < self.n_trials.size:
+            # a repeated count would fit the exponent through a single abscissa
+            raise ValueError("trial_counts must be distinct")
         _column(self, "std_height", shape, low=0)
         _column(self, "std_center", shape, low=0)
 
@@ -290,8 +322,11 @@ def error_scaling_study(
     if not trial_counts:
         raise ValueError("trial_counts must not be empty")
     n_trials = np.array([int(n) for n in trial_counts])
-    if np.unique(n_trials).size < n_trials.size:  # one row per point of the axis
-        raise ValueError("trial_counts must be distinct")
+    # the study's own rules, and the config's on the largest count, before
+    # any sampling
+    zeros = np.zeros(n_trials.size)
+    ScalingStudy(n_trials, zeros, zeros)
+    replace(config, pairs_per_bin=int(n_trials.max()))
     if grid is None:
         grid = default_time_grid()
 

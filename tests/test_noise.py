@@ -1,6 +1,7 @@
 import math
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,8 +26,9 @@ from noonspec import (
     sample_counts,
     simulate_interferogram,
 )
+from noonspec import noise
 from noonspec.cli import parse_scenario
-from noonspec.noise import _binomial_quantile, _clipped, _keyed_uniforms
+from noonspec.noise import _binomial_quantile, _clipped, _keyed_uniforms, _margin
 from noonspec.presets import preset_scenario
 from conftest import centered_time_grid
 
@@ -156,6 +158,96 @@ class TestBinomialQuantile:
                 np.testing.assert_array_equal(drawn.coincidences, expected)
 
 
+@pytest.fixture
+def cdf_calls(monkeypatch):
+    """The CDF evaluations of the sampler, one entry per call of the ufunc
+    (or of ``binom.cdf`` on a scipy without it)."""
+    calls = []
+    owner, name = (_ufuncs, "_binom_cdf") if hasattr(_ufuncs, "_binom_cdf") else (binom, "cdf")
+    inner = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def ppf(u, n, p):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return int(np.clip(binom.ppf(u, n, p), 0, n))
+
+
+class TestBracket:
+    """The one-CDF-one-PMF bracket and the exact search behind it.
+
+    A bin is bracketed from c = cdf(k) at its Cornish-Fisher guess k and
+    one PMF; every bin the bracket leaves open takes more CDF evaluations.
+    """
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 1000, 10**5, 10**7, 2**31])
+    def test_margin_covers_the_ufuncs_and_bracket_equals_exact_search(self, n, monkeypatch):
+        rng = np.random.default_rng(n)
+        p = np.concatenate([
+            rng.uniform(0.0, 1.0, 1000),
+            10 ** rng.uniform(-16, -1, 500),  # the lower tail
+            1 - 10 ** rng.uniform(-16, -1, 500),  # the upper tail
+            np.repeat([0.0, 1.0, 0.5], 10),
+        ])
+        u = _keyed_uniforms(7, n, p.size)
+        k = _binomial_quantile(u, n, p)
+        # cdf(j-1) = cdf(j) - pmf(j) near every answer, where the guesses
+        # fall, and at random j; j = 0 needs no margin, as cdf(-1) = 0 < u
+        j = np.concatenate([k - 1, k, k + 1, np.floor(rng.uniform(1, n + 1, p.size))])
+        pj = np.tile(p, 4)
+        keep = (1 <= j) & (j <= n)
+        j, pj = j[keep], pj[keep]
+        gap = np.abs(binom.cdf(j - 1, n, pj) - (binom.cdf(j, n, pj) - binom.pmf(j, n, pj)))
+        assert gap.max() <= _margin(n) / 16
+        # an infinite margin leaves every bin to the exact search
+        monkeypatch.setattr(noise, "_margin", lambda n: math.inf)
+        np.testing.assert_array_equal(_binomial_quantile(u, n, p), k)
+
+    @pytest.mark.parametrize(
+        "n, p, u, least_calls",
+        [
+            # a tie at the guess: c == u exactly
+            (10, 0.5, binom.cdf(5, 10, 0.5), 2),
+            # a run cdf(628) == cdf(629) == u ends at its last member
+            (1000, 0.5, 1 - 2.0**-53, 2),
+            # u within the margin above c - pmf(k), where the guess k is the answer
+            (10, 0.28, binom.cdf(1, 10, 0.28) + _margin(10) / 4, 2),
+            (10**5, 0.523, binom.cdf(52183, 10**5, 0.523) + _margin(10**5) / 4, 2),
+            # u an ulp below c + pmf(k+1), the answer k + 1
+            (30, 0.6712566611989306, np.nextafter(binom.cdf(3, 30, 0.6712566611989306), 0), 2),
+            # guesses off by two or more: small n, extreme p
+            (8, 0.996, 5.32e-07, 3),
+            (5, 0.998, 2.79e-09, 3),
+            (100, 0.9999986692234629, 0.9997586995372916, 3),
+            # answers k <= 1: by the search, and by binom.ppf's u <= pmf(0) rule
+            (3, 0.2943637575238798, 0.35135216666912783, 2),
+            (5, 0.9766364932921875, np.nextafter(binom.cdf(1, 5, 0.9766364932921875), 0), 2),
+            (25, 2.5751329311206176e-16, 0.9999999999999973, 2),
+        ],
+    )
+    def test_open_bins_take_the_exact_search(self, cdf_calls, n, p, u, least_calls):
+        k = _binomial_quantile(np.array([u]), n, np.array([p]))
+        assert len(cdf_calls) >= least_calls
+        assert k.tolist() == [ppf(u, n, p)]
+
+    def test_one_cdf_per_bin_on_noise_gauss(self, cdf_calls):
+        # the bracket leaves about 0.1% of the preset's bins to the exact search
+        scenario = parse_scenario(preset_scenario("noise-gauss"), Path.cwd())
+        pattern = simulate_interferogram(scenario.spectrum, scenario.time_grid)
+        for pairs in (1000, 10**4, 10**5):
+            sample_counts(pattern, replace(scenario.noise, pairs_per_bin=pairs))
+            evaluated = sum(np.size(args[0]) for args in cdf_calls)
+            assert evaluated <= 1.005 * pattern.grid.count
+            cdf_calls.clear()
+
+
 class TestBinomialUfuncs:
     """The binomial ufuncs, clipped as ``rv_discrete`` clips them, against
     ``binom.cdf`` and ``binom.pmf``."""
@@ -177,14 +269,16 @@ class TestBinomialUfuncs:
         np.testing.assert_array_equal(cdf, binom.cdf(k, n, p))
         np.testing.assert_array_equal(pmf, binom.pmf(k, n, p))
 
-    def test_scipy_stats_fallback_draws_the_same_counts(self, monkeypatch):
+    @pytest.mark.parametrize("n", [1000, 10**5])
+    def test_scipy_stats_fallback_draws_the_same_counts(self, monkeypatch, n):
         u = _keyed_uniforms(3, 0, 5000)
         p = np.random.default_rng(3).uniform(0.0, 1.0, u.size)
         p[:10] = (0.0, 1.0) * 5
-        expected = _binomial_quantile(u, 1000, p)
-        # a scipy without the private ufuncs: their import fails
+        expected = _binomial_quantile(u, n, p)
+        # a scipy without the private ufuncs: their import fails, and both
+        # the bracket's PMF and the exact search run on binom.pmf/binom.cdf
         monkeypatch.setitem(sys.modules, "scipy.special._ufuncs", None)
-        np.testing.assert_array_equal(_binomial_quantile(u, 1000, p), expected)
+        np.testing.assert_array_equal(_binomial_quantile(u, n, p), expected)
 
 
 class TestEstimateTrace:
@@ -308,6 +402,12 @@ class TestScalingStudyExponent:
         study = ScalingStudy(n, 3.0 * n**-0.5, np.zeros(4))
         assert study.exponent == pytest.approx(-0.5, abs=1e-12)
 
+    def test_repeated_trial_counts_rejected(self):
+        # a repeated count used to fit a line through one abscissa: numpy's
+        # RankWarning and a meaningless exponent of -0.212
+        with pytest.raises(ValueError, match="trial_counts must be distinct"):
+            ScalingStudy(np.array([100, 100]), [0.1, 0.2], [0.0, 0.0])
+
     def test_one_usable_point_gives_nan(self):
         assert math.isnan(ScalingStudy([100, 1000], [0.1, 0.0], [0.0, 0.0]).exponent)
         assert math.isnan(ScalingStudy([100], [0.1], [0.0]).exponent)
@@ -365,16 +465,24 @@ class TestErrorScalingStudy:
                 spec, [], repeats=5, config=NoiseConfig(pairs_per_bin=1, seed=0)
             )
 
-    def test_repeated_trial_count_rejected(self):
+    @pytest.fixture
+    def study_args(self, monkeypatch):
+        # a bad trial count fails before any count is drawn
+        monkeypatch.setattr(noise, "sample_counts", None)
+        spec = gaussian_pump_spectrum(make_frequency_grid(738.25, 0.004, 101), 738.45, 0.1)
+        config = NoiseConfig(pairs_per_bin=1, seed=0)
+        return dict(spectrum=spec, repeats=3, config=config, grid=centered_time_grid(5e-4, 64))
+
+    def test_repeated_trial_count_rejected(self, study_args):
         # a study has one row per trial count; a repeated one used to give two
         # rows and a line fitted through a single abscissa
-        grid = make_frequency_grid(738.25, 0.004, 101)
-        spec = gaussian_pump_spectrum(grid, 738.45, 0.1)
         with pytest.raises(ValueError, match="trial_counts must be distinct"):
-            error_scaling_study(
-                spec, [100, 300, 100], repeats=3, config=NoiseConfig(pairs_per_bin=1, seed=0),
-                grid=centered_time_grid(5e-4, 64),
-            )
+            error_scaling_study(trial_counts=[100, 300, 100], **study_args)
+
+    def test_oversized_trial_count_rejected(self, study_args):
+        # it used to fail only after the counts before it were sampled
+        with pytest.raises(ValueError, match="pairs_per_bin must lie in"):
+            error_scaling_study(trial_counts=[100, 2**31 + 1], **study_args)
 
     def test_study_is_deterministic_across_partitioning(self):
         grid = make_frequency_grid(738.25, 0.004, 201)
