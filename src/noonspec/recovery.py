@@ -129,6 +129,109 @@ def _refined(signal: np.ndarray, i: int) -> tuple:
     return delta, y_mid - 0.25 * (y_left - y_right) * delta
 
 
+def _local_maxima(x: np.ndarray) -> np.ndarray:
+    """Midpoints of the runs of equal samples that rise from the left and
+    fall to the right; a run touching either edge is never a maximum."""
+    changes = np.flatnonzero(x[1:] != x[:-1])
+    rising = (x[1:] > x[:-1])[changes]
+    top = np.flatnonzero(rising[:-1] & ~rising[1:])
+    return (changes[top] + 1 + changes[top + 1]) // 2
+
+
+def _prominences(x: np.ndarray, peaks: np.ndarray) -> np.ndarray:
+    """Height of each peak above the higher of its two side minima.
+
+    A side minimum is the lowest sample between the peak and the nearest
+    strictly higher sample on that side, or the edge when there is none.
+    Only the peaks and the two edges need be visited: a strictly higher
+    sample has a strictly higher peak (or the edge) behind it, with no
+    lower sample between them. Each walk follows pointers to the next
+    candidate on its left. The pointers jump synchronously: a candidate no
+    higher than the walker hands over its own pointer and the lowest
+    valley it has passed so far (pointer jumping for all nearest larger
+    values; Berkman, Schieber & Vishkin, J. Algorithms 14(3), 1993). The
+    right walks are left walks over the mirrored candidates.
+    """
+    cand = np.concatenate(([0], peaks, [x.size - 1]))
+    # valley[i]: the minimum of x from candidate i to candidate i + 1, both included
+    valley = np.minimum(np.minimum.reduceat(x, cand)[:-1], x[cand[1:]])
+    k = cand.size
+    h = np.concatenate((x[cand], x[cand[::-1]]))
+    h[[0, k]] = np.nan  # every walk ends at an edge: a comparison with NaN is false
+    low = np.concatenate(([np.inf], valley, [np.inf], valley[::-1]))
+    ptr = np.arange(-1, 2 * k - 1)
+    todo = np.r_[1 : k - 1, k + 1 : 2 * k - 1]
+    while todo.size:
+        at = ptr[todo]
+        going = h[at] <= h[todo]
+        todo, at = todo[going], at[going]
+        low[todo] = np.minimum(low[todo], low[at])
+        ptr[todo] = ptr[at]
+    return x[peaks] - np.maximum(low[1 : k - 1], low[k + 1 : 2 * k - 1][::-1])
+
+
+# samples the width walks read per round, across all walks still going; it
+# bounds the round's index and value arrays at a few hundred kB
+_WALK_CELLS = 1 << 15
+
+
+def _first_at_or_below(x: np.ndarray, start: np.ndarray, step: np.ndarray, height: np.ndarray):
+    """The first index ``start + j * step``, j >= 0, with ``x <= height``.
+
+    Each walk reads windows of doubling length, so its cost follows its own
+    length. A sample at or below ``height`` must lie on every walk's way.
+    """
+    found = start.copy()
+    todo = np.flatnonzero(x[start] > height)
+    offset = width = 1
+    while todo.size:
+        idx = start[todo, None] + step[todo, None] * np.arange(offset, offset + width)
+        np.minimum(np.maximum(idx, 0, out=idx), x.size - 1, out=idx)
+        hit = np.flatnonzero(x[idx] <= height[todo, None])
+        walk = hit // width
+        first = np.flatnonzero(np.diff(walk, prepend=-1))
+        found[todo[walk[first]]] = idx.ravel()[hit[first]]
+        going = np.ones(todo.size, dtype=bool)
+        going[walk] = False
+        todo = todo[going]
+        offset += width
+        width = min(2 * width, max(1, _WALK_CELLS // max(todo.size, 1)))
+    return found
+
+
+def _find_peaks(x: np.ndarray, min_prominence: float) -> tuple:
+    """Indices, prominences and half-prominence widths (in samples) of the
+    local maxima of ``x`` with a prominence of at least ``min_prominence``.
+
+    The rules, and the bits, are those of ``scipy.signal.find_peaks`` and
+    ``peak_widths(rel_height=0.5)``: a run of equal samples peaks at its
+    midpoint, and the width is measured at half the prominence, linearly
+    interpolated between samples.
+    """
+    peaks = _local_maxima(x)
+    if peaks.size == 0:
+        return peaks, np.empty(0), np.empty(0)
+    # float subtraction is monotone and a prominence is at most x[p] - x.min()
+    peaks = peaks[x[peaks] - x.min() >= min_prominence]
+    prominences = _prominences(x, peaks)
+    keep = prominences >= min_prominence
+    peaks, prominences = peaks[keep], prominences[keep]
+
+    # The half height lies at or above both side minima, so each walk stops
+    # at or before the side minimum nearest the peak, where scipy's stops.
+    # Left walks come first, then right walks; i - step * q is scipy's
+    # i + q on the left and i - q on the right, to the bit.
+    n = peaks.size
+    step = np.repeat([-1, 1], n)
+    height = np.tile(x[peaks] - prominences * 0.5, 2)
+    ends = _first_at_or_below(x, np.tile(peaks, 2), step, height)
+    ips = ends.astype(float)
+    below = x[ends] < height
+    i = ends[below]
+    ips[below] -= step[below] * ((height[below] - x[i]) / (x[i - step[below]] - x[i]))
+    return peaks, prominences, ips[n:] - ips[:n]
+
+
 def detect_features(
     spectrum: SumFrequencySpectrum,
     baseline: SumFrequencySpectrum | None = None,
@@ -139,15 +242,15 @@ def detect_features(
     With a baseline the maxima of ``baseline - spectrum`` are reported as
     dips. A feature needs a prominence of at least ``min_prominence``,
     by default 5% of the maximum of the searched signal; a signal whose
-    maximum is not positive then has no features. Centers are refined by
-    3-point parabolic interpolation; widths are half-prominence widths in
-    THz. Features come back sorted by center; two lines closer than one
-    grid bin merge into a single feature. An empty report is a valid
-    result.
+    maximum is not positive then has no features. The rule is that of
+    ``scipy.signal.find_peaks``: a run of equal samples peaks at its
+    midpoint, and the prominence is measured down to the nearest strictly
+    higher sample on each side. Centers are refined by 3-point parabolic
+    interpolation; widths are half-prominence widths in THz, as
+    ``scipy.signal.peak_widths`` defines them. Features come back sorted
+    by center; two lines closer than one grid bin merge into a single
+    feature. An empty report is a valid result.
     """
-    # of the verbs only `recover` detects features, so only it loads scipy.signal
-    from scipy.signal import find_peaks, peak_widths
-
     if not (min_prominence is None or min_prominence > 0):
         raise ValueError("min_prominence must be positive")
     if baseline is not None:
@@ -163,10 +266,8 @@ def detect_features(
         if not min_prominence > 0:
             return []
 
-    idx, _ = find_peaks(signal, prominence=min_prominence)
-    if idx.size == 0:
-        return []
-    widths = peak_widths(signal, idx, rel_height=0.5)[0] * spectrum.grid.step
+    idx, _, widths = _find_peaks(signal, min_prominence)
+    widths = widths * spectrum.grid.step
 
     features = []
     nu = spectrum.grid.values

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from noonspec import (
     AsymmetryError,
@@ -23,8 +24,10 @@ from noonspec import (
     spectrum_distance,
     transmitted_spectrum,
 )
-from noonspec.cli import parse_scenario
-from noonspec.presets import preset_scenario
+from noonspec.cli import main, parse_scenario
+from noonspec.io import read_trace_csv
+from noonspec.presets import PRESETS, preset_scenario
+from noonspec.recovery import _find_peaks, _first_at_or_below, _local_maxima
 from conftest import centered_time_grid
 
 
@@ -267,6 +270,126 @@ class TestDetectFeatures:
         b = gaussian_pump_spectrum(make_frequency_grid(739.0, 0.004, 501), 739.5, 0.2)
         with pytest.raises(GridMismatchError):
             detect_features(a, baseline=b, min_prominence=0.1)
+
+
+def scipy_peaks(x, min_prominence):
+    """Indices, prominences and half-prominence widths from ``scipy.signal``."""
+    from scipy.signal import find_peaks, peak_widths
+
+    with warnings.catch_warnings():
+        # a half height that rounds to the peak's own value gives a width of 0
+        warnings.filterwarnings("ignore", "some peaks have a width of 0")
+        idx, props = find_peaks(x, prominence=min_prominence)
+        widths = peak_widths(x, idx, rel_height=0.5)[0]
+    return idx, props["prominences"], widths
+
+
+def assert_same_peaks(x, min_prominence):
+    for got, want in zip(_find_peaks(x, min_prominence), scipy_peaks(x, min_prominence)):
+        np.testing.assert_array_equal(got, want)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _floats(values):
+    return np.array(values, dtype=float)
+
+
+signals = st.one_of(
+    # integer plateaus, edge plateaus, constant runs and maxima of equal height
+    st.lists(st.integers(0, 4), max_size=40).map(_floats),
+    st.lists(st.tuples(st.integers(0, 3), st.integers(1, 5)), max_size=12).map(
+        lambda runs: np.repeat(_floats([v for v, _ in runs]), [n for _, n in runs])
+    ),
+    # near 1e16 a half height can round onto the peak itself
+    st.lists(st.integers(0, 3), max_size=20).map(lambda v: 1e16 + _floats(v)),
+    # white noise, and random walks, whose peaks nest
+    st.builds(
+        lambda n, seed, walk: (np.cumsum if walk else np.asarray)(
+            np.random.default_rng(seed).normal(size=n)
+        ),
+        st.integers(0, 80), st.integers(0, 2**32 - 1), st.booleans(),
+    ),
+)
+# whole numbers meet the prominences of integer signals exactly
+prominences = st.one_of(
+    st.sampled_from([5e-324, 1e-300, 1e-12, 1.0, 2.0]), st.floats(1e-3, 5.0)
+)
+
+
+def preset_traces():
+    return [(name, "trace.csv") for name in PRESETS] + [("noise-gauss", "trace_estimated.csv")]
+
+
+def folded_weights(trace_csv):
+    return fold_one_sided(fourier_recover(read_trace_csv(trace_csv))).weights
+
+
+@pytest.fixture(scope="module")
+def simulated(tmp_path_factory):
+    """Directory holding ``simulate --preset`` output of every preset."""
+    root = tmp_path_factory.mktemp("presets")
+    for name in PRESETS:
+        assert main(["simulate", "--preset", name, "--out", str(root / name)]) == 0
+    return root
+
+
+class TestPeakFinder:
+    """The numpy peak finder against ``scipy.signal``, bit for bit."""
+
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(x=signals, min_prominence=prominences)
+    @example(x=_floats([]), min_prominence=1e-12)
+    @example(x=_floats([1]), min_prominence=1e-12)
+    @example(x=_floats([1, 2]), min_prominence=1e-12)
+    @example(x=_floats([0, 1, 0]), min_prominence=1e-12)
+    @example(x=_floats([1, 1, 1]), min_prominence=1e-12)
+    @example(x=_floats([0, 2, 1, 2, 0]), min_prominence=1e-12)
+    @example(x=_floats([2, 0, 2, 2, 0, 1]), min_prominence=1e-12)
+    @example(x=_floats([0, 1, 0, 3, 2, 3, 0]), min_prominence=1.0)
+    def test_matches_scipy(self, x, min_prominence):
+        assert_same_peaks(x, min_prominence)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(x=signals)
+    @example(x=_floats([0, 2, 1, 3, 0]))  # both walks end on a base
+    def test_width_walks_stop_within_the_bases(self, x):
+        # scipy bounds each half-height walk by the side minimum nearest the
+        # peak; walks that never pass that bound need none
+        from scipy.signal import peak_prominences
+
+        peaks = _local_maxima(x)
+        prom, left_base, right_base = peak_prominences(x, peaks)
+        height = np.tile(x[peaks] - prom * 0.5, 2)
+        ends = _first_at_or_below(
+            x, np.tile(peaks, 2), np.repeat([-1, 1], peaks.size), height
+        )
+        assert np.all(left_base <= ends[: peaks.size])
+        assert np.all(ends[peaks.size :] <= right_base)
+
+    # the comb5 spectrum holds 10,030 local maxima, ripple on its floor
+    @pytest.mark.parametrize("name, trace", preset_traces())
+    def test_matches_scipy_on_preset_spectra(self, simulated, name, trace):
+        x = folded_weights(simulated / name / trace)
+        for share in (0.05, 1e-12):
+            assert_same_peaks(x, share * x.max())
+
+    def test_matches_scipy_on_dips(self):
+        scenario = parse_scenario(preset_scenario("tpa3"), None)
+        tg = scenario.time_grid
+        pump = scenario.spectrum
+        eaten = transmitted_spectrum(pump, scenario.sample).spectrum.renormalized()
+        base, dipped = (
+            fold_one_sided(fourier_recover(correlation_trace(simulate_interferogram(s, tg))))
+            for s in (pump, eaten)
+        )
+        signal = base.weights - dipped.weights
+        features = detect_features(dipped, baseline=base)
+        idx, _, widths = scipy_peaks(signal, 0.05 * signal.max())
+        assert len(features) == idx.size == 3
+        assert [f.kind for f in features] == ["dip"] * 3
+        assert [f.fwhm for f in features] == list(widths * base.grid.step)
+        for share in (0.05, 1e-12):
+            assert_same_peaks(signal, share * signal.max())
 
 
 def recovered_step(grid) -> float:
