@@ -10,8 +10,9 @@ only then creates the output directory and writes, so a run that fails
 while checking or computing writes nothing.
 
 Exit codes: 0 success, 2 config or CSV parse error (any ``ValueError``,
-``OSError`` or ``MemoryError``), 3 Nyquist violation, 4 non-uniform
-delay grid.
+``OSError`` or ``MemoryError``; a noise-study worker process that dies
+raises ``ChildProcessError``, an ``OSError``), 3 Nyquist violation, 4
+non-uniform delay grid.
 """
 from __future__ import annotations
 

@@ -33,7 +33,10 @@ class UniformGrid:
             raise ValueError(f"grid step must be positive, got {self.step}")
         if int(self.count) != self.count or self.count < 2:
             raise ValueError(f"grid count must be an integer >= 2, got {self.count}")
-        if self.step < np.spacing(max(abs(self.start), abs(self.stop))):
+        if not np.isfinite(self.stop):
+            raise ValueError(f"grid points must be finite, the last is {self.stop}")
+        # np.spacing overflows at the largest float; 2**1023 shares its binade
+        if self.step < np.spacing(min(max(abs(self.start), abs(self.stop)), 2.0**1023)):
             # points this close round onto each other: the axis is degenerate
             raise ValueError(f"grid step {self.step} is below the float spacing of its points")
 
@@ -104,9 +107,11 @@ def infer_grid(values) -> UniformGrid:
     Of three candidate steps (the endpoint step, its shortest decimal
     within the endpoints' rounding, the first difference) the first whose
     ``start + step*arange(n)`` reproduces ``values`` bit for bit is taken.
-    Failing all three, the endpoint step stands if every difference matches
-    it to 1e-9 of max(step, 1). Raises ``NonUniformGridError`` for an
-    uneven axis and ``ValueError`` for fewer than two points.
+    Failing all three, :func:`_bisect_step` searches the float64 steps
+    around the endpoint step for one that does. Failing that too, the
+    endpoint step stands if every difference matches it to 1e-9 of
+    max(step, 1). Raises ``NonUniformGridError`` for an uneven axis and
+    ``ValueError`` for fewer than two points.
     """
     values = np.asarray(values, dtype=float)
     n = values.size
@@ -125,6 +130,43 @@ def infer_grid(values) -> UniformGrid:
             if np.array_equal(grid.values, values):
                 return grid
     grid = UniformGrid(start, step, n)  # rejects a non-finite start or step
+    exact = _bisect_step(values, step)
+    if exact is not None:
+        return UniformGrid(start, exact, n)
     if not np.all(np.abs(np.diff(values) - step) <= 1e-9 * max(step, 1.0)):
         raise NonUniformGridError("axis is not uniformly spaced")
     return grid
+
+
+def _bisect_step(values: np.ndarray, step: float) -> float | None:
+    """A float64 step near ``step`` whose ``start + s*arange(n)`` is ``values``.
+
+    Every point of ``start + s*arange(n)`` is correctly rounded, hence
+    monotone in ``s``, so the steps that reproduce ``values`` form an
+    interval: a point above its value means a smaller step, one below a
+    larger, and both at once that no step reproduces the axis. The search
+    bisects the float64 steps within ``128 + 2 max(|start|, |stop|) /
+    (stop - start)`` ulps of ``step``, a bound on the endpoint step's
+    rounding error: a narrow axis far from zero needs thousands of ulps.
+    Returns None when none reproduces ``values``.
+    """
+    start, n = float(values[0]), values.size
+    ramp = np.arange(n)
+    reach = max(abs(start), abs(float(values[-1]))) / (float(values[-1]) - start)
+    bits = int(np.float64(step).view(np.int64))
+    infinity = int(np.float64(np.inf).view(np.int64))
+    # offsets in ulps of step, kept to positive finite steps
+    lo, hi = max(-128 - int(2 * reach), 1 - bits), min(128 + int(2 * reach), infinity - 1 - bits)
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        candidate = float(np.int64(bits + mid).view(np.float64))
+        with np.errstate(over="ignore"):  # a point past the float range is above its value
+            points = start + candidate * ramp
+        above, below = np.any(points > values), np.any(points < values)
+        if above == below:  # both, or neither when the axis holds a NaN
+            return candidate if np.array_equal(points, values) else None
+        if above:
+            hi = mid - 1
+        else:
+            lo = mid + 1
+    return None

@@ -22,10 +22,16 @@ The CDF and PMF are the ``scipy.special`` ufuncs behind ``binom.cdf``
 and ``binom.pmf``, loaded on the first draw, so importing this module
 loads no scipy and drawing loads no ``scipy.stats`` (a scipy without
 those ufuncs falls back to ``binom.cdf`` and ``binom.pmf`` themselves).
+
+The scaling study runs its keyed (trial count, repeat) streams on every
+CPU this process may run on, one forked worker per CPU, and puts the
+results back in stream order, so its output does not depend on the
+number of workers. ``multiprocessing`` loads only when a study forks.
 """
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Sequence
@@ -118,6 +124,25 @@ def _margin(n: int) -> float:
     return 8.0 * (n + 8) * np.finfo(float).eps
 
 
+def _binomial_ufuncs() -> tuple:
+    """``(ndtri, cdf, pmf)``: the normal quantile, ``binom.cdf`` and ``binom.pmf``.
+
+    Only the noise layer draws counts, so only it loads ``scipy.special``;
+    the binomial ufuncs give binom.cdf/pmf's bits without loading
+    ``scipy.stats``. It is not memoised: once loaded, each import is a
+    lookup in ``sys.modules``.
+    """
+    from scipy.special import ndtri
+
+    try:
+        from scipy.special._ufuncs import _binom_cdf, _binom_pmf
+    except ImportError:  # a scipy whose binom does not expose them
+        from scipy.stats import binom
+
+        return ndtri, binom.cdf, binom.pmf
+    return ndtri, partial(_clipped, _binom_cdf), partial(_clipped, _binom_pmf)
+
+
 def _binomial_quantile(u: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
     """``np.clip(binom.ppf(u, n, p), 0, n)`` as int64, by a bracket on the CDF.
 
@@ -137,19 +162,7 @@ def _binomial_quantile(u: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
     ``binom.ppf`` stops short (for u very close to 0 or 1, mostly with an
     "Unable to bracket root" warning) this still returns the quantile.
     """
-    # only the noise layer draws counts, so only it loads scipy.special; the
-    # binomial ufuncs give binom.cdf/pmf's bits without loading scipy.stats
-    from scipy.special import ndtri
-
-    try:
-        from scipy.special._ufuncs import _binom_cdf, _binom_pmf
-    except ImportError:  # a scipy whose binom does not expose them
-        from scipy.stats import binom
-
-        cdf, pmf = binom.cdf, binom.pmf
-    else:
-        cdf = partial(_clipped, _binom_cdf)
-        pmf = partial(_clipped, _binom_pmf)
+    ndtri, cdf, pmf = _binomial_ufuncs()
     with np.errstate(divide="ignore", invalid="ignore"):
         z = ndtri(u)
         sigma = np.sqrt(n * p * (1 - p))
@@ -299,6 +312,61 @@ def _dominant_peak(folded: SumFrequencySpectrum) -> tuple:
     return folded.grid.start + (i + delta) * folded.grid.step, height
 
 
+def _workers() -> int:
+    """The number of CPUs this process may run on, one study worker each."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _peaks(pattern: Interferogram, config: NoiseConfig, jobs, chunk_size) -> np.ndarray:
+    """(center, height) of the dominant recovered peak, one row per
+    ``(pairs_per_bin, stream)`` job: sample, estimate, transform, fold."""
+    rows = np.empty((len(jobs), 2))
+    for row, (pairs, stream) in zip(rows, jobs):
+        cfg = replace(config, pairs_per_bin=pairs)
+        counts = sample_counts(pattern, cfg, stream=stream, chunk_size=chunk_size)
+        trace = estimate_trace(counts, cfg.efficiency, cfg.dark_rate)
+        row[:] = _dominant_peak(fold_one_sided(fourier_recover(trace)))
+    return rows
+
+
+def _all_peaks(pattern, config, jobs, chunk_size) -> np.ndarray:
+    """``_peaks`` of ``jobs``, split into one interleaved share per usable CPU.
+
+    Each share is one task of a forked worker while this process waits;
+    the rows come back in job order, so they do not depend on the split.
+    With one CPU, one job or no ``fork`` start method the jobs run here.
+    A worker's exception is raised here; a worker that dies raises
+    ``ChildProcessError``.
+    """
+    workers = min(_workers(), len(jobs))
+    if workers > 1:
+        # imported here: at module level they would add ~30 ms to every import
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures.process import BrokenProcessPool
+
+            _binomial_ufuncs()  # loaded once here, not in every worker on every call
+            rows = np.empty((len(jobs), 2))
+            context = multiprocessing.get_context("fork")
+            try:
+                with ProcessPoolExecutor(workers, mp_context=context) as pool:
+                    shares = [
+                        pool.submit(_peaks, pattern, config, jobs[w::workers], chunk_size)
+                        for w in range(workers)
+                    ]
+                    for w, share in enumerate(shares):
+                        rows[w::workers] = share.result()
+            except BrokenProcessPool as exc:
+                raise ChildProcessError(f"a noise-study worker process died: {exc}") from exc
+            return rows
+    return _peaks(pattern, config, jobs, chunk_size)
+
+
 def error_scaling_study(
     spectrum: SumFrequencySpectrum,
     trial_counts: Sequence[int],
@@ -316,6 +384,11 @@ def error_scaling_study(
     Counting statistics put the height spread on a 1/sqrt(N) law, so the
     fitted exponent sits near -0.5. At least 20 repeats are recommended
     for a stable estimate.
+
+    The streams run in forked workers, one per CPU this process may run
+    on (serially where there is one CPU or no ``fork``); each stream's
+    result is a pure function of its key, so the study is bit-identical
+    for any number of workers.
     """
     if repeats < 2:
         raise ValueError("repeats must be at least 2")
@@ -331,19 +404,14 @@ def error_scaling_study(
         grid = default_time_grid()
 
     pattern = simulate_interferogram(spectrum, grid)
-    std_height = np.empty(n_trials.size)
-    std_center = np.empty(n_trials.size)
-    for i_n, pairs in enumerate(n_trials.tolist()):
-        heights = np.empty(repeats)
-        centers = np.empty(repeats)
-        cfg = replace(config, pairs_per_bin=pairs)
-        for r in range(repeats):
-            counts = sample_counts(
-                pattern, cfg, stream=i_n * repeats + r, chunk_size=chunk_size
-            )
-            trace = estimate_trace(counts, cfg.efficiency, cfg.dark_rate)
-            folded = fold_one_sided(fourier_recover(trace))
-            centers[r], heights[r] = _dominant_peak(folded)
-        std_height[i_n] = np.std(heights, ddof=1)
-        std_center[i_n] = np.std(centers, ddof=1)
+    jobs = [
+        (pairs, i_n * repeats + r)
+        for i_n, pairs in enumerate(n_trials.tolist())
+        for r in range(repeats)
+    ]
+    rows = _all_peaks(pattern, config, jobs, chunk_size)
+    # np.std of one contiguous array per trial count, the layout it always summed
+    centers, heights = np.ascontiguousarray(rows.T).reshape(2, -1, repeats)
+    std_height = np.array([np.std(h, ddof=1) for h in heights])
+    std_center = np.array([np.std(c, ddof=1) for c in centers])
     return ScalingStudy(n_trials, std_height, std_center)

@@ -1,7 +1,14 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
 from noonspec import FrequencyGrid, SumFrequencySpectrum, TimeGrid
+
+# the noise study's worker pool needs the fork start method
+fork_only = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method"
+)
 
 
 def single_bin_spectrum(nu0: float, step: float = 0.015625, count: int = 9):

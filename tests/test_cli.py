@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 import shutil
 import subprocess
@@ -16,11 +17,14 @@ from noonspec import (
     NonUniformGridError,
     WindowTooShortError,
     cli,
+    noise,
 )
 from noonspec.cli import ScenarioError, main, parse_scenario
 from noonspec.io import read_trace_csv
 from noonspec.presets import preset_scenario
 from noonspec.recovery import detect_features, fold_one_sided, fourier_recover
+
+from conftest import fork_only
 
 SMALL_TIME_GRID = {"start_ps": -1.024, "step_ps": 5e-4, "count": 4096}
 TINY_TIME_GRID = {"start_ps": -0.064, "step_ps": 5e-4, "count": 256}
@@ -846,6 +850,42 @@ class TestNoiseStudy:
             )
         ]
 
+    @fork_only
+    def test_preset_study_bytes_do_not_depend_on_the_worker_count(self, tmp_path, monkeypatch):
+        scaling = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(noise, "_workers", lambda: workers)
+            out = tmp_path / f"w{workers}"
+            argv = ["noise-study", "--preset", "noise-gauss", "--repeats", "4", "--out", str(out)]
+            assert main(argv) == 0
+            scaling.append((out / "scaling.csv").read_bytes())
+        assert scaling[1] == scaling[0] and scaling[2] == scaling[0]
+
+    @fork_only
+    @pytest.mark.parametrize(
+        "fail, line",
+        [
+            (ValueError("a bad draw"), "error: a bad draw\n"),
+            # a worker that dies used to end in a BrokenProcessPool traceback with exit 1
+            (None, "error: a noise-study worker process died: "),
+        ],
+        ids=["raises", "dies"],
+    )
+    def test_worker_failure_exits_2_with_one_line(self, tmp_path, capsys, monkeypatch, fail, line):
+        def draw(*args, **kwargs):
+            if fail is None:
+                os._exit(1)
+            raise fail
+
+        monkeypatch.setattr(noise, "_workers", lambda: 2)
+        monkeypatch.setattr(noise, "sample_counts", draw)
+        out = tmp_path / "study"
+        argv = ["noise-study", "--preset", "noise-gauss", "--repeats", "2", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(line) and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestExitCodes:
     """Errors that reach ``main`` end in their documented exit code and one line."""
@@ -986,6 +1026,8 @@ class TestExitCodes:
             ("noise.efficiency", 1e-300, 2, "efficiency must lie in (0, 1]"),
             # every point of the grid rounds to 737.25
             ("pump.grid.step_thz", 2.2e-309, 2, "below the float spacing of its points"),
+            # the last point overflowed: an overflow warning, then a Nyquist error at inf THz
+            ("pump.grid.step_thz", 1e308, 2, "bad pump.grid: grid points must be finite"),
         ],
     )
     def test_edge_value_ends_without_a_warning(self, tmp_path, capsys, path, value, code, message):

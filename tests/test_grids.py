@@ -114,6 +114,13 @@ def test_step_below_float_spacing_rejected():
     UniformGrid(0.0, 5e-324, 3)  # distinct subnormal points are an axis
 
 
+def test_grid_points_must_be_finite():
+    with pytest.raises(ValueError, match="grid points must be finite, the last is inf"):
+        UniformGrid(0.0, 1e308, 3)
+    # np.spacing of the largest float overflows; this grid used to warn and be refused
+    assert UniformGrid(0.0, np.finfo(float).max, 2).stop == np.finfo(float).max
+
+
 def test_one_grid_has_every_member():
     grid = UniformGrid(-1.0, 0.5, 5)
     assert grid.values.tolist() == [-1.0, -0.5, 0.0, 0.5, 1.0]

@@ -3,8 +3,10 @@
 Importing the package loads numpy and nothing from scipy. ``simulate``
 without noise and ``recover``, peak finder included, run on numpy alone;
 the noise layer loads ``scipy.special`` for the binomial CDF on first
-use. Every check runs in a fresh interpreter, since this test process
-imports scipy itself.
+use. The process pool behind the noise study loads only when a study
+forks, so importing the package loads no ``multiprocessing``. Every
+check runs in a fresh interpreter, since this test process imports scipy
+itself.
 """
 import json
 import os
@@ -34,19 +36,20 @@ NOISE_STUDY = {
 }
 
 
-def scipy_modules_after(code: str, cwd) -> list:
-    """The ``scipy*`` modules loaded once ``code`` has run in a fresh interpreter."""
-    probe = "\n".join([
-        code,
-        "import json, sys",
-        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))",
-    ])
+def modules_after(code: str, cwd) -> list:
+    """The modules loaded once ``code`` has run in a fresh interpreter."""
+    probe = "\n".join([code, "import json, sys", "print(json.dumps(sorted(sys.modules)))"])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, cwd=cwd, env=env
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def scipy_modules_after(code: str, cwd) -> list:
+    """The ``scipy*`` modules loaded once ``code`` has run in a fresh interpreter."""
+    return [m for m in modules_after(code, cwd) if m.startswith("scipy")]
 
 
 def run_main(*argv) -> str:
@@ -56,6 +59,13 @@ def run_main(*argv) -> str:
 @pytest.mark.parametrize("module", ["noonspec", "noonspec.cli"])
 def test_import_loads_no_scipy(tmp_path, module):
     assert scipy_modules_after(f"import {module}", tmp_path) == []
+
+
+@pytest.mark.parametrize("module", ["noonspec", "noonspec.cli"])
+def test_import_loads_no_process_pool(tmp_path, module):
+    loaded = modules_after(f"import {module}", tmp_path)
+    pool = ("multiprocessing", "concurrent.futures.process")
+    assert [m for m in loaded if m.startswith(pool)] == []
 
 
 def test_simulate_without_noise_loads_no_scipy(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import os
 import sys
 import warnings
 from dataclasses import replace
@@ -30,7 +31,7 @@ from noonspec import noise
 from noonspec.cli import parse_scenario
 from noonspec.noise import _binomial_quantile, _clipped, _keyed_uniforms, _margin
 from noonspec.presets import preset_scenario
-from conftest import centered_time_grid
+from conftest import centered_time_grid, fork_only
 
 
 def small_interferogram(count=32):
@@ -494,3 +495,53 @@ class TestErrorScalingStudy:
         for field in ("n_trials", "std_height", "std_center"):
             np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
         assert a.exponent == b.exponent
+
+
+class TestWorkers:
+    """The study's streams split over forked workers, one per usable CPU."""
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+    def test_workers_are_the_cpus_this_process_may_run_on(self):
+        usable = os.sched_getaffinity(0)
+        assert noise._workers() == len(usable)
+        os.sched_setaffinity(0, {min(usable)})
+        try:
+            assert noise._workers() == 1
+        finally:
+            os.sched_setaffinity(0, usable)
+
+    @fork_only
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_any_worker_count_gives_the_same_study(self, tmp_path, monkeypatch, workers):
+        # 3 trial counts x 5 repeats: 15 jobs, unequal shares for 2 workers
+        grid = make_frequency_grid(738.25, 0.004, 201)
+        spec = gaussian_pump_spectrum(grid, 738.65, 0.3)
+        kwargs = dict(
+            spectrum=spec,
+            trial_counts=[300, 900, 2700],
+            repeats=5,
+            config=NoiseConfig(pairs_per_bin=200, seed=31),
+            grid=centered_time_grid(5e-4, 256),
+        )
+        monkeypatch.setattr(noise, "_workers", lambda: 1)
+        serial = error_scaling_study(**kwargs)
+        # each draw notes the process that made it, in a file a worker can append to
+        log = tmp_path / "pids"
+        draw = noise.sample_counts
+
+        def noted(*args, **kw):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return draw(*args, **kw)
+
+        monkeypatch.setattr(noise, "sample_counts", noted)
+        monkeypatch.setattr(noise, "_workers", lambda: workers)
+        study = error_scaling_study(**kwargs)
+        for field in ("n_trials", "std_height", "std_center"):
+            np.testing.assert_array_equal(getattr(study, field), getattr(serial, field))
+        pids = log.read_text().split()
+        assert len(pids) == 15
+        if workers == 1:
+            assert set(pids) == {str(os.getpid())}
+        else:
+            assert len(set(pids)) == workers and str(os.getpid()) not in pids
