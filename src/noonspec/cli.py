@@ -12,7 +12,8 @@ while checking or computing writes nothing.
 Exit codes: 0 success, 2 config or CSV parse error (any ``ValueError``,
 ``OSError`` or ``MemoryError``; a noise-study worker process that dies
 raises ``ChildProcessError``, an ``OSError``), 3 Nyquist violation, 4
-non-uniform delay grid.
+non-uniform delay grid. Every failure is one ``error:`` line on stderr:
+a malformed flag and a JSON file nested too deep to parse exit 2 too.
 """
 from __future__ import annotations
 
@@ -131,7 +132,7 @@ def _read_json(path: Path, what: str):
         return json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ScenarioError(f"cannot read {what}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # nested past the parser's depth
         raise ScenarioError(f"{what} is not valid JSON: {exc}") from exc
 
 
@@ -362,8 +363,16 @@ def _positive(number, many: bool = False):
     return parse
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are one ``error:`` line and exit 2, not
+    argparse's usage block; its subparsers share the class."""
+
+    def error(self, message):
+        self.exit(EXIT_CONFIG, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="noonspec",
         description="Two-photon excitation spectroscopy by N00N-state interferometry",
     )

@@ -126,24 +126,17 @@ def _cycles(a, b):
 
 
 def _next_fast_len(n: int) -> int:
-    """The smallest 11-smooth integer >= n (n >= 1), a fast FFT length."""
-    best = 2 * n  # a power of two lies in [n, 2n)
-    p11 = 1
-    while p11 < best:
-        p7 = p11
-        while p7 < best:
-            p5 = p7
-            while p5 < best:
-                p3 = p5
-                while p3 < best:
-                    # the least power of two that lifts p3 to n or beyond
-                    p2 = p3 << (-(-n // p3) - 1).bit_length()
-                    best = min(best, p2)
-                    p3 *= 3
-                p5 *= 5
-            p7 *= 7
-        p11 *= 11
-    return best
+    """The smallest 11-smooth integer >= n (n >= 1), a fast FFT length:
+    the first m >= n with nothing left after dividing out 2, 3, 5, 7 and 11."""
+    m = n
+    while True:
+        rest = m
+        for p in (2, 3, 5, 7, 11):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return m
+        m += 1
 
 
 def _off_grid(grid) -> np.ndarray:

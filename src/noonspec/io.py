@@ -2,8 +2,8 @@
 
 All CSVs use '.' as the decimal separator, LF line endings and UTF-8;
 floats are written with 17 significant digits so a read-back is exact.
-In memory every series carries its grid; a grid is inferred from a delay
-or frequency column (``grids.infer_grid``) only here, where a CSV is read.
+In memory every series carries its grid; the one CSV reader,
+``_read_columns``, returns the grid it infers (``grids.infer_grid``).
 Every CSV writer goes through one columnar writer, ``_write_columns``,
 which formats whole columns a block of rows at a time with one ``%``
 operation per block, so its memory is bounded by the block. Each
@@ -55,8 +55,9 @@ def _write_columns(path, header: str, columns) -> None:
             fh.write((row * len(lists[0])) % tuple(chain.from_iterable(zip(*lists))))
 
 
-def _read_columns(path, expected_header: str) -> np.ndarray:
-    """Numeric body of a CSV whose header must match exactly, one column per header field."""
+def _read_columns(path, expected_header: str) -> tuple:
+    """The grid inferred from the first column of a CSV whose header must
+    match exactly, followed by each further column."""
     with open(Path(path), encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != expected_header:
@@ -75,7 +76,7 @@ def _read_columns(path, expected_header: str) -> np.ndarray:
     columns = expected_header.count(",") + 1
     if body.shape[1] != columns:
         raise ValueError(f"{path}: expected {columns} columns, found {body.shape[1]}")
-    return body
+    return (infer_grid(body[:, 0]), *body[:, 1:].T)
 
 
 def write_spectrum_csv(path, spectrum: SumFrequencySpectrum) -> None:
@@ -83,8 +84,7 @@ def write_spectrum_csv(path, spectrum: SumFrequencySpectrum) -> None:
 
 
 def read_spectrum_csv(path) -> SumFrequencySpectrum:
-    body = _read_columns(path, "nu_thz,weight")
-    return SumFrequencySpectrum(infer_grid(body[:, 0]), body[:, 1])
+    return SumFrequencySpectrum(*_read_columns(path, "nu_thz,weight"))
 
 
 def write_interferogram_csv(path, interferogram: Interferogram) -> None:
@@ -96,9 +96,7 @@ def write_trace_csv(path, trace: CorrelationTrace) -> None:
 
 
 def read_trace_csv(path) -> CorrelationTrace:
-    body = _read_columns(path, "t_ps,g")
-    grid = infer_grid(body[:, 0])
-    return CorrelationTrace(grid, body[:, 1])
+    return CorrelationTrace(*_read_columns(path, "t_ps,g"))
 
 
 def write_recovered_csv(path, recovered: RecoveredSpectrum) -> None:
@@ -127,8 +125,7 @@ def write_counts_csv(path, counts: CountData) -> None:
 
 
 def read_counts_csv(path) -> CountData:
-    body = _read_columns(path, "t_ps,coincidences,pairs_sent")
-    return CountData(infer_grid(body[:, 0]), body[:, 1], body[:, 2])
+    return CountData(*_read_columns(path, "t_ps,coincidences,pairs_sent"))
 
 
 def write_scaling_csv(path, study: ScalingStudy) -> None:

@@ -410,8 +410,7 @@ def error_scaling_study(
         for r in range(repeats)
     ]
     rows = _all_peaks(pattern, config, jobs, chunk_size)
-    # np.std of one contiguous array per trial count, the layout it always summed
-    centers, heights = np.ascontiguousarray(rows.T).reshape(2, -1, repeats)
-    std_height = np.array([np.std(h, ddof=1) for h in heights])
-    std_center = np.array([np.std(c, ddof=1) for c in centers])
-    return ScalingStudy(n_trials, std_height, std_center)
+    centers, heights = rows.T.reshape(2, -1, repeats)
+    return ScalingStudy(
+        n_trials, np.std(heights, axis=1, ddof=1), np.std(centers, axis=1, ddof=1)
+    )

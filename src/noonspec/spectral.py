@@ -98,10 +98,6 @@ class JointSpectralIntensity:
         shape = (self.signal_grid.count, self.idler_grid.count)
         _column(self, "density", shape, low=0)
 
-    @property
-    def total_mass(self) -> float:
-        return float(self.signal_grid.step * self.idler_grid.step * self.density.sum())
-
 
 @dataclass(frozen=True)
 class CombLine:

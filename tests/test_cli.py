@@ -8,6 +8,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -19,6 +20,7 @@ from noonspec import (
     cli,
     noise,
 )
+from noonspec.absorption import transmitted_spectrum
 from noonspec.cli import ScenarioError, main, parse_scenario
 from noonspec.io import read_trace_csv
 from noonspec.presets import preset_scenario
@@ -37,6 +39,10 @@ JSI_PUMP = {
     "idler_grid": {"start_thz": 369.625, "step_thz": 0.01, "count": 101},
     "sum_grid": {"start_thz": 739.25, "step_thz": 0.01, "count": 201},
 }
+
+
+# a JSON array nested far past the depth the json parser recurses to
+DEEP_ARRAY = "[" * 100000 + "]" * 100000
 
 
 def run_cli(*args, cwd=None):
@@ -204,11 +210,19 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         assert (out / "transmitted.csv").read_bytes() == (out / "spectrum.csv").read_bytes()
 
-    def test_invalid_json_exits_2(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text",
+        # nested past the parser's depth used to end in a RecursionError traceback, exit 1
+        ["{not json", DEEP_ARRAY, '{"version": 1, "pump": ' + DEEP_ARRAY + "}"],
+        ids=["broken", "deep-top-level", "deep-under-pump"],
+    )
+    def test_invalid_json_exits_2(self, tmp_path, capsys, text):
         cfg = tmp_path / "broken.json"
-        cfg.write_text("{not json")
-        proc = run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "o"))
-        assert proc.returncode == 2
+        cfg.write_text(text)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config is not valid JSON: ") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_key_exits_2(self, tmp_path):
         doc = small_scenario()
@@ -258,7 +272,9 @@ class TestSimulate:
                 "--chunk-size", value,
             )
             assert proc.returncode == 2
-            assert "--chunk-size" in proc.stderr
+            assert proc.stderr.startswith("error: argument --chunk-size")
+            assert proc.stderr.count("\n") == 1
+            assert not (tmp_path / "o").exists()
 
     def test_sample_as_list_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, small_scenario(sample=["path"]))
@@ -507,16 +523,22 @@ class TestSampleSection:
             ("missing.json", "cannot read sample file: "),
             ("bad.json", "sample file is not valid JSON: "),
             ("list.json", "sample must be a JSON object"),
+            # nested past the parser's depth: a RecursionError traceback, exit 1
+            ("deep.json", "sample file is not valid JSON: "),
+            ("deep_lines.json", "sample file is not valid JSON: "),
         ],
     )
     def test_bad_sample_file_exits_2(self, tmp_path, capsys, path, message):
         (tmp_path / "bad.json").write_text("{not json")
         (tmp_path / "list.json").write_text("[]")
+        (tmp_path / "deep.json").write_text(DEEP_ARRAY)
+        (tmp_path / "deep_lines.json").write_text('{"lines": ' + DEEP_ARRAY + "}")
         cfg = write_config(tmp_path, small_scenario(sample={"path": path}))
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert message in err
         assert err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
 
 
 COMB_PUMP = {
@@ -661,7 +683,8 @@ class TestRecover:
         with pytest.raises(SystemExit) as exc:
             main(["recover", str(tmp_path / "t.csv"), "--out", str(out), "--min-prominence", value])
         assert exc.value.code == 2
-        assert "argument --min-prominence" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: argument --min-prominence") and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("step, code", [(1e-310, 2), (5e-324, 2), (1e300, 0)])
@@ -707,6 +730,22 @@ class TestRecover:
         assert proc.returncode == 2
         assert proc.stderr == f"error: {path} contains no data rows\n"
         assert not (tmp_path / "rec").exists()
+
+    def test_decimal_delay_column_takes_the_endpoint_step(self, tmp_path):
+        # delays typed to four decimals, as a lab writes them: no float64 step
+        # reproduces them, so the grid takes the endpoint step within 1e-9
+        t = np.array([float(f"{-1.024 + j * 5e-4:.4f}") for j in range(4096)])
+        g = np.exp(-((t / 0.3) ** 2)) * np.cos(2 * np.pi * 740.25 * t)
+        path = tmp_path / "lab.csv"
+        path.write_text("t_ps,g\n" + "".join(f"{x:.4f},{y:.17g}\n" for x, y in zip(t, g)))
+        out = tmp_path / "rec"
+        assert main(["recover", str(path), "--out", str(out)]) == 0
+        grid = read_trace_csv(path).grid
+        step = (t[-1] - t[0]) / (t.size - 1)
+        assert grid.step == step and not np.array_equal(grid.values, t)
+        assert np.all(np.abs(grid.values - t) <= 1e-9 * max(step, 1.0))
+        peaks = json.loads((out / "peaks.json").read_text())
+        assert abs(peaks[0]["center_thz"] - 740.25) <= 1.0 / grid.window
 
     def test_non_uniform_grid_exits_4(self, tmp_path):
         path = tmp_path / "jagged.csv"
@@ -763,7 +802,9 @@ class TestNoiseStudy:
                 "--trials", "300", "--repeats", "2", "--chunk-size", value,
             )
             assert proc.returncode == 2
-            assert "--chunk-size" in proc.stderr
+            assert proc.stderr.startswith("error: argument --chunk-size")
+            assert proc.stderr.count("\n") == 1
+            assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("trials", ["", "abc", "1000,abc", "1000,", "0", "1000,-5", "1e3"])
     def test_bad_trials_list_exits_2(self, tmp_path, capsys, trials):
@@ -773,7 +814,9 @@ class TestNoiseStudy:
             main(["noise-study", "--config", str(self.scenario(tmp_path)), "--out", str(out),
                   "--trials", trials])
         assert exc.value.code == 2
-        assert "argument --trials: expected a positive finite int" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: argument --trials: expected a positive finite int")
+        assert err.count("\n") == 1
         assert not out.exists()
 
     def test_repeated_trial_count_exits_2(self, tmp_path):
@@ -816,19 +859,22 @@ class TestNoiseStudy:
         }
         cfg = write_config(tmp_path, doc, name="with_sample.json")
         out = tmp_path / "study"
-        proc = run_cli(
-            "noise-study",
-            "--config",
-            str(cfg),
-            "--out",
-            str(out),
-            "--trials",
-            "500,2000",
-            "--repeats",
-            "6",
+        argv = ["noise-study", "--config", str(cfg), "--out", str(out),
+                "--trials", "300,1000", "--repeats", "3"]
+        assert main(argv) == 0
+        scenario = parse_scenario(doc, tmp_path)
+        transmitted = transmitted_spectrum(scenario.spectrum, scenario.sample).spectrum
+        expected, incident = (
+            noise.error_scaling_study(spectrum, [300, 1000], 3, scenario.noise, scenario.time_grid)
+            for spectrum in (transmitted.renormalized(), scenario.spectrum)
         )
-        assert proc.returncode == 0, proc.stderr
-        assert len((out / "scaling.csv").read_text().splitlines()) == 3
+        n_trials, std_height, std_center = np.loadtxt(
+            out / "scaling.csv", delimiter=",", skiprows=1, unpack=True
+        )
+        assert n_trials.tolist() == [300, 1000]
+        assert np.array_equal(std_height, expected.std_height)
+        assert np.array_equal(std_center, expected.std_center)
+        assert not np.array_equal(std_height, incident.std_height)
 
     def test_preset_study_is_pinned_by_value(self, tmp_path):
         # recorded before the sampler's bracket step: any count the sampler
@@ -980,6 +1026,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {line}") and err.count("\n") == 1
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["noise-study", "--preset", "noise-gauss", "--repeats", "abc", "--out", "o"],
+             "argument --repeats: invalid int value: 'abc'"),
+            (["simulate", "--preset", "tpa3", "--bogus", "--out", "o"],
+             "unrecognized arguments: --bogus"),
+            (["recover", "t.csv"], "the following arguments are required: --out"),
+        ],
+        ids=["repeats", "unknown-flag", "recover-without-out"],
+    )
+    def test_malformed_flag_is_one_line(self, tmp_path, capsys, monkeypatch, argv, line):
+        # argparse used to print its usage block before a `noonspec <verb>: error:` line
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"error: {line}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_out_path_that_is_a_file_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch):
         def fail(*args, **kwargs):

@@ -202,6 +202,22 @@ def test_endpoint_step_comes_first():
 
 
 @pytest.mark.parametrize(
+    "start, step, count, digits",
+    [(-1.024, 5e-4, 4096, 4), (-0.2, 1e-3, 401, 3), (-0.512, 2.5e-4, 4096, 5), (-0.8, 1e-4, 16001, 6)],
+)
+def test_decimal_column_takes_the_endpoint_step(start, step, count, digits):
+    # delays typed to a fixed number of decimals, as a lab's file holds them:
+    # no float64 step reproduces such a column, so the 1e-9 fallback keeps
+    # the endpoint step
+    column = np.array([float(f"{start + j * step:.{digits}f}") for j in range(count)])
+    grid = infer_grid(column)
+    endpoint = (column[-1] - column[0]) / (count - 1)
+    assert grid == UniformGrid(column[0], endpoint, count)
+    assert not np.array_equal(grid.values, column)
+    assert np.all(np.abs(grid.values - column) <= 1e-9 * max(endpoint, 1.0))
+
+
+@pytest.mark.parametrize(
     "values",
     [[0.0, 0.1, 0.3], [0.0, np.nan, 0.2], [0.0, 0.2, 0.1, 0.3], [0.3, 0.2, 0.1]],
     ids=["uneven", "nan-inside", "out-of-order", "descending"],
