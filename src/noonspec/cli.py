@@ -26,7 +26,7 @@ from pathlib import Path
 
 from . import io
 from .absorption import AbsorptionLine, Sample, transmitted_spectrum
-from .errors import AliasingError, NonUniformGridError
+from .errors import AliasingError, NonUniformGridError, quoted
 from .grids import TimeGrid, UniformGrid
 from .interferometer import (
     check_nyquist,
@@ -77,7 +77,7 @@ def _members(doc, context: str, required, optional=()) -> dict:
         raise ScenarioError(f"{context} must be a JSON object")
     extra = set(doc) - set(required) - set(optional)
     if extra:
-        raise ScenarioError(f"unknown keys in {context}: {sorted(extra)}")
+        raise ScenarioError(f"unknown keys in {context}: {quoted(sorted(extra))}")
     for key in required:
         if key not in doc:
             raise ScenarioError(f"{context} needs {key}")
@@ -90,7 +90,7 @@ def _integer(doc: dict, key: str, context: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, float)) or (
         isinstance(value, float) and not value.is_integer()
     ):
-        raise ScenarioError(f"{context}.{key} must be an integer, got {value!r}")
+        raise ScenarioError(f"{context}.{key} must be an integer, got {quoted(value)}")
     return int(value)
 
 
@@ -104,7 +104,7 @@ def _real(doc: dict, key: str, context: str) -> float:
             number = math.inf
         if math.isfinite(number):
             return number
-    raise ScenarioError(f"{context}.{key} must be a finite number, got {value!r}")
+    raise ScenarioError(f"{context}.{key} must be a finite number, got {quoted(value)}")
 
 
 def _lines(doc: dict, context: str, last: str) -> list:
@@ -112,17 +112,17 @@ def _lines(doc: dict, context: str, last: str) -> list:
     an absent array has no lines."""
     lines = doc.get("lines", [])
     if not isinstance(lines, list):
-        raise ScenarioError(f"{context}.lines must be a JSON array, got {lines!r}")
+        raise ScenarioError(f"{context}.lines must be a JSON array, got {quoted(lines)}")
     where, keys = f"{context}.lines[]", ("center_thz", "fwhm_thz", last)
     for entry in lines:
         _members(entry, where, keys)
     return [tuple(_real(entry, key, where) for key in keys) for entry in lines]
 
 
-def _build(section: str, make, *args):
-    """``make(*args)``, a ValueError from it reported as a bad ``section``."""
+def _build(section: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, a ValueError from it reported as a bad ``section``."""
     try:
-        return make(*args)
+        return make(*args, **kwargs)
     except ValueError as exc:
         raise ScenarioError(f"bad {section}: {exc}") from exc
 
@@ -179,40 +179,36 @@ def _parse_pump(doc) -> SumFrequencySpectrum:
         )
         sum_grid = _parse_grid(doc["sum_grid"], "pump.sum_grid", "thz")
         return _build("pump section", sum_frequency_marginal, jsi, sum_grid)
-    raise ScenarioError(f"pump.kind must be gaussian, comb or jsi, got {kind!r}")
+    raise ScenarioError(f"pump.kind must be gaussian, comb or jsi, got {quoted(kind)}")
 
 
 def _parse_sample(doc, base_dir: Path) -> Sample:
     """The inline ``{"name", "lines"}`` form, or ``{"path"}`` to a file holding it."""
     if isinstance(doc, dict) and set(doc) == {"path"}:
         if not isinstance(doc["path"], str):
-            raise ScenarioError(f"sample path must be a string, got {doc['path']!r}")
+            raise ScenarioError(f"sample path must be a string, got {quoted(doc['path'])}")
         doc = _read_json(base_dir / doc["path"], "sample file")
     _members(doc, "sample", (), ("name", "lines"))
     name = doc.get("name", "")
     if not isinstance(name, str):
-        raise ScenarioError(f"sample name must be a string, got {name!r}")
+        raise ScenarioError(f"sample name must be a string, got {quoted(name)}")
     lines = [_build("sample", AbsorptionLine, *line) for line in _lines(doc, "sample", "strength")]
     return Sample(tuple(lines), name)
 
 
 def _parse_noise(doc) -> NoiseConfig:
-    _members(doc, "noise", ("pairs_per_bin", "seed"), ("dark_rate", "efficiency"))
-    return _build(
-        "noise config",
-        NoiseConfig,
-        _integer(doc, "pairs_per_bin", "noise"),
-        _integer(doc, "seed", "noise"),
-        _real(doc, "dark_rate", "noise") if "dark_rate" in doc else 0.0,
-        _real(doc, "efficiency", "noise") if "efficiency" in doc else 1.0,
-    )
+    reals = ("dark_rate", "efficiency")  # absent ones take NoiseConfig's defaults
+    _members(doc, "noise", ("pairs_per_bin", "seed"), reals)
+    fields = {key: _integer(doc, key, "noise") for key in ("pairs_per_bin", "seed")}
+    fields.update({key: _real(doc, key, "noise") for key in reals if key in doc})
+    return _build("noise config", NoiseConfig, **fields)
 
 
 def parse_scenario(doc: dict, base_dir: Path) -> Scenario:
     _members(doc, "scenario", ("version", "pump"), ("sample", "time_grid", "noise", "outputs"))
     version = _integer(doc, "version", "scenario")
     if version != 1:
-        raise ScenarioError(f"unsupported scenario version {version!r}")
+        raise ScenarioError(f"unsupported scenario version {quoted(version)}")
     spectrum = _parse_pump(doc["pump"])
     sample = None if doc.get("sample") is None else _parse_sample(doc["sample"], base_dir)
     tgrid = doc.get("time_grid")
@@ -220,7 +216,7 @@ def parse_scenario(doc: dict, base_dir: Path) -> Scenario:
     noise = None if doc.get("noise") is None else _parse_noise(doc["noise"])
     outputs = doc.get("outputs")
     if outputs is not None and not isinstance(outputs, str):
-        raise ScenarioError(f"outputs must be a directory path string, got {outputs!r}")
+        raise ScenarioError(f"outputs must be a directory path string, got {quoted(outputs)}")
     if outputs:  # relative to the config file, as sample.path is; "" stays no directory
         outputs = str(base_dir / outputs)
     return Scenario(spectrum, sample, tgrid, noise, outputs)
@@ -355,7 +351,7 @@ def _positive(number, many: bool = False):
                 value = math.nan
             if not 0 < value < math.inf:
                 raise argparse.ArgumentTypeError(
-                    f"expected a positive finite {number.__name__}, got {token!r}"
+                    f"expected a positive finite {number.__name__}, got {quoted(token)}"
                 )
             values.append(value)
         return values if many else values[0]

@@ -227,20 +227,15 @@ def envelope_coherence_time(trace: CorrelationTrace) -> float:
     if peak <= 0:
         raise NoSignalError("trace is identically zero")
     half = 0.5 * peak
-    ipk = int(np.argmax(env))
     if env[0] >= half or env[-1] >= half:
         raise WindowTooShortError("envelope is not contained in the delay window")
-
-    def _cross(start: int, direction: int) -> float:
-        i = start
-        while env[i] >= half:
-            i += direction
-        # linear interpolation between the bracketing samples
-        f = (env[i - direction] - half) / (env[i - direction] - env[i])
-        return (i - direction) + direction * f
-
-    left = _cross(ipk, -1)
-    right = _cross(ipk, +1)
+    # the nearest samples below half maximum on either side of the peak
+    below = np.flatnonzero(env < half)
+    j = np.searchsorted(below, np.argmax(env))
+    lo, hi = below[j - 1], below[j]
+    # linear interpolation between each of them and its neighbour toward the peak
+    left = (lo + 1) - (env[lo + 1] - half) / (env[lo + 1] - env[lo])
+    right = (hi - 1) + (env[hi - 1] - half) / (env[hi - 1] - env[hi])
     return float((right - left) * trace.grid.step)
 
 

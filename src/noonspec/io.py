@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import quoted
 from .grids import infer_grid
 from .interferometer import CorrelationTrace, Interferogram
 from .noise import CountData, ScalingStudy
@@ -62,7 +63,7 @@ def _read_columns(path, expected_header: str) -> tuple:
         header = fh.readline().strip()
         if header != expected_header:
             raise ValueError(
-                f"unexpected header {header!r} in {path}, expected {expected_header!r}"
+                f"unexpected header {quoted(header)} in {path}, expected {expected_header!r}"
             )
         try:
             # an empty body is reported just below, so numpy's warning is not

@@ -24,9 +24,10 @@ loads no scipy and drawing loads no ``scipy.stats`` (a scipy without
 those ufuncs falls back to ``binom.cdf`` and ``binom.pmf`` themselves).
 
 The scaling study runs its keyed (trial count, repeat) streams on every
-CPU this process may run on, one forked worker per CPU, and puts the
-results back in stream order, so its output does not depend on the
-number of workers. ``multiprocessing`` loads only when a study forks.
+CPU this process may run on, one forked worker per CPU (in this process
+where there is no ``os.fork``), and puts the results back in stream
+order, so its output does not depend on the number of workers.
+``multiprocessing`` loads only when a study forks.
 """
 from __future__ import annotations
 
@@ -337,34 +338,28 @@ def _all_peaks(pattern, config, jobs, chunk_size) -> np.ndarray:
 
     Each share is one task of a forked worker while this process waits;
     the rows come back in job order, so they do not depend on the split.
-    With one CPU, one job or no ``fork`` start method the jobs run here.
-    A worker's exception is raised here; a worker that dies raises
-    ``ChildProcessError``.
+    With one CPU, one job or no ``os.fork`` the jobs run here. A worker's
+    exception is raised here; a worker that dies raises ``ChildProcessError``.
     """
     workers = min(_workers(), len(jobs))
-    if workers > 1:
-        # imported here: at module level they would add ~30 ms to every import
-        import multiprocessing
+    if workers == 1 or not hasattr(os, "fork"):
+        return _peaks(pattern, config, jobs, chunk_size)
+    # imported here: at module level they would add ~30 ms to every import
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+    from multiprocessing import get_context
 
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
-            from concurrent.futures.process import BrokenProcessPool
-
-            _binomial_ufuncs()  # loaded once here, not in every worker on every call
-            rows = np.empty((len(jobs), 2))
-            context = multiprocessing.get_context("fork")
-            try:
-                with ProcessPoolExecutor(workers, mp_context=context) as pool:
-                    shares = [
-                        pool.submit(_peaks, pattern, config, jobs[w::workers], chunk_size)
-                        for w in range(workers)
-                    ]
-                    for w, share in enumerate(shares):
-                        rows[w::workers] = share.result()
-            except BrokenProcessPool as exc:
-                raise ChildProcessError(f"a noise-study worker process died: {exc}") from exc
-            return rows
-    return _peaks(pattern, config, jobs, chunk_size)
+    _binomial_ufuncs()  # loaded once here, not in every worker on every call
+    rows = np.empty((len(jobs), 2))
+    shares = [jobs[w::workers] for w in range(workers)]
+    run = partial(_peaks, pattern, config, chunk_size=chunk_size)
+    try:
+        with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
+            for w, share_rows in enumerate(pool.map(run, shares)):
+                rows[w::workers] = share_rows
+    except BrokenProcessPool as exc:
+        raise ChildProcessError(f"a noise-study worker process died: {exc}") from exc
+    return rows
 
 
 def error_scaling_study(
@@ -386,7 +381,7 @@ def error_scaling_study(
     for a stable estimate.
 
     The streams run in forked workers, one per CPU this process may run
-    on (serially where there is one CPU or no ``fork``); each stream's
+    on (serially where there is one CPU or no ``os.fork``); each stream's
     result is a pure function of its key, so the study is bit-identical
     for any number of workers.
     """

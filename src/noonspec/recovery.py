@@ -94,25 +94,17 @@ def fold_one_sided(recovered: RecoveredSpectrum) -> SumFrequencySpectrum:
     """
     amp = recovered.amplitudes
     i0 = recovered.zero_index
+    # DC and up, and below DC nearest first: neg[j] mirrors pos[j + 1]
+    neg, pos = amp[:i0][::-1], amp[i0:]
+    k = min(neg.size, pos.size - 1)
+    mirror_err = np.abs(neg[:k] - np.conj(pos[1 : k + 1])).max(initial=abs(amp[i0].imag))
     scale = np.abs(amp).max()
-    if scale > 0:
-        k = min(recovered.grid.count - 1 - i0, i0)
-        mirror_err = 0.0
-        if k > 0:
-            neg = amp[i0 - k : i0][::-1]
-            pos = amp[i0 + 1 : i0 + 1 + k]
-            mirror_err = np.abs(neg - np.conj(pos)).max()
-        mirror_err = max(mirror_err, abs(amp[i0].imag))
-        if mirror_err > HERMITIAN_TOL * scale:
-            raise AsymmetryError(
-                f"Hermitian symmetry broken by {mirror_err / scale:.3e} (relative)"
-            )
+    if mirror_err > HERMITIAN_TOL * scale:
+        raise AsymmetryError(f"Hermitian symmetry broken by {mirror_err / scale:.3e} (relative)")
 
-    pos_mag = np.abs(amp[i0:])
-    neg_mag = np.abs(amp[:i0][::-1])
     weights = np.zeros(i0 + 1)
-    weights[: pos_mag.size] = pos_mag
-    weights[1 : neg_mag.size + 1] += neg_mag
+    weights[: pos.size] = np.abs(pos)
+    weights[1 : neg.size + 1] += np.abs(neg)
     return SumFrequencySpectrum(FrequencyGrid(0.0, recovered.grid.step, i0 + 1), weights)
 
 

@@ -1047,6 +1047,59 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {line}\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("", {f"k{i}": 0 for i in range(100000)}),  # unknown keys
+            ("outputs", list(range(100000))),
+            ("pump.kind", "x" * 10**6),
+            ("pump.grid.count", [0.5] * 100000),
+            ("pump.center_thz", "7" * 10**6),
+            ("version", 10**4000),
+            ("sample", {"lines": "x" * 10**6}),
+            ("sample", {"name": [0] * 100000}),
+            ("sample", {"path": [0] * 100000}),
+        ],
+        ids=["unknown-keys", "outputs", "kind", "integer", "real", "version", "lines", "name",
+             "path"],
+    )
+    def test_huge_scenario_value_is_echoed_in_one_short_line(self, tmp_path, capsys, field, value):
+        # each used to be echoed whole: "outputs" made a 688,943-byte line
+        doc = small_scenario()
+        if field:
+            *path, key = field.split(".")
+            _holder(doc, ".".join(path))[key] = value
+        else:
+            doc.update(value)
+        cfg = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err.encode()) <= 300
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["recover", "trace.csv"],
+            ["simulate", "--preset", "x" * 100000],
+            ["simulate", "--preset", "tpa3", "--chunk-size", "x" * 100000],
+        ],
+        ids=["csv-header", "preset", "flag"],
+    )
+    def test_huge_file_or_flag_value_is_echoed_in_one_short_line(
+        self, tmp_path, capsys, monkeypatch, argv
+    ):
+        monkeypatch.chdir(tmp_path)
+        Path("trace.csv").write_text("t_" + "x" * 10**6 + "\n0,1\n")
+        try:
+            rc = main([*argv, "--out", "o"])
+        except SystemExit as exc:  # a malformed flag ends in argparse
+            rc = exc.code
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err.encode()) <= 300
+        assert not (tmp_path / "o").exists()
+
     def test_out_path_that_is_a_file_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("computed before the output path was checked")
@@ -1181,8 +1234,71 @@ def test_fuzzed_scenario_ends_in_a_documented_exit(tmp_path, capsys, doc):
     err = capsys.readouterr().err
     assert rc in (0, 2, 3, 4)
     assert err.count("\n") == (rc != 0) and (err.startswith("error: ") or rc == 0)
+    assert len(err.encode()) <= 300
     assert (tmp_path / "o").exists() == (rc == 0)  # a failed run writes nothing
     shutil.rmtree(tmp_path / "o", ignore_errors=True)  # tmp_path is shared by every example
+
+
+
+# what a cell may become: extreme, non-finite, hex, quoted, empty or padded
+BENT_CELLS = st.sampled_from(
+    ["1e308", "-1e308", "nan", "inf", "0x1p-3", "0x10", '"0.5"', "'0'", "", " 0.5 ", "1e-320"]
+)
+
+
+@st.composite
+def near_valid_traces(draw) -> bytes:
+    """The bytes of a valid 64-row trace CSV, LF or CRLF, with one part bent."""
+    part = draw(st.sampled_from(["none", "header", "encoding", "rows", "axis", "cells"]))
+
+    def pick(name, usual, *bent):
+        return draw(st.sampled_from(bent)) if part == name else usual
+
+    count = pick("rows", 64, 0, 1, 2, 3)
+    start, step = pick(
+        "axis", (-0.016, 5e-4), (1e308, 5e-4), (0.0, 1e-320), (0.0, 1e308), (0.0, -5e-4), (0.0, 0.0)
+    )
+    with np.errstate(all="ignore"):  # an overflowing axis is one of the bends
+        t = start + step * np.arange(count)
+        g = np.cos(2 * np.pi * 740.25 * t)
+    pairs = list(zip(t.tolist(), g.tolist()))
+    rows = [[format(a, ".17g"), format(b, ".17g")] for a, b in pairs]
+    bent_rows = st.sets(st.integers(0, count - 1), min_size=1, max_size=3)
+    for i in draw(bent_rows) if part == "cells" else ():
+        bend = draw(st.sampled_from(["cell", "hex", "extra", "drop"]))
+        if bend == "cell":
+            rows[i][draw(st.integers(0, 1))] = draw(BENT_CELLS)
+        elif bend == "hex":
+            rows[i] = [x.hex() for x in pairs[i]]
+        elif bend == "extra":
+            rows[i].append("0")
+        else:
+            del rows[i][-1]
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    header = pick("header", "t_ps,g", "t_ps,g,x", "t_ps;g", "T_PS,G", "", "t_ps")
+    text = newline.join([header, *map(",".join, rows)]) + draw(st.sampled_from([newline, ""]))
+    return text.encode(pick("encoding", "utf-8", "utf-8-sig", "utf-16"))  # -sig: a BOM
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(near_valid_traces())
+def test_fuzzed_trace_ends_in_a_documented_exit(tmp_path, capsys, data):
+    trace, out = tmp_path / "trace.csv", tmp_path / "o"
+    trace.write_bytes(data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["recover", str(trace), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc in (0, 2, 3, 4)
+    assert err.count("\n") == (rc != 0) and (err.startswith("error: ") or rc == 0)
+    assert len(err.encode()) <= 300
+    assert out.exists() == (rc == 0)  # a failed run writes nothing
+    shutil.rmtree(out, ignore_errors=True)  # tmp_path is shared by every example
 
 
 def test_readme_command_line_flags_are_in_help(capsys):

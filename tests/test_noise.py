@@ -545,3 +545,30 @@ class TestWorkers:
             assert set(pids) == {str(os.getpid())}
         else:
             assert len(set(pids)) == workers and str(os.getpid()) not in pids
+
+    def test_without_os_fork_the_study_runs_here(self, tmp_path, monkeypatch):
+        # a platform without os.fork (Windows) takes the serial path, whatever the CPUs
+        grid = make_frequency_grid(738.25, 0.004, 201)
+        kwargs = dict(
+            spectrum=gaussian_pump_spectrum(grid, 738.65, 0.3),
+            trial_counts=[300, 900],
+            repeats=3,
+            config=NoiseConfig(pairs_per_bin=200, seed=31),
+            grid=centered_time_grid(5e-4, 256),
+        )
+        monkeypatch.setattr(noise, "_workers", lambda: 1)
+        serial = error_scaling_study(**kwargs)
+        pids = []
+        draw = noise.sample_counts
+
+        def noted(*args, **kw):
+            pids.append(os.getpid())  # a forked worker's append would not reach this list
+            return draw(*args, **kw)
+
+        monkeypatch.setattr(noise, "sample_counts", noted)
+        monkeypatch.setattr(noise, "_workers", lambda: 2)
+        monkeypatch.delattr(os, "fork")
+        study = error_scaling_study(**kwargs)
+        for field in ("n_trials", "std_height", "std_center"):
+            np.testing.assert_array_equal(getattr(study, field), getattr(serial, field))
+        assert pids == [os.getpid()] * 6
