@@ -12,8 +12,8 @@ while checking or computing writes nothing.
 Exit codes: 0 success, 2 config or CSV parse error (any ``ValueError``,
 ``OSError`` or ``MemoryError``; a noise-study worker process that dies
 raises ``ChildProcessError``, an ``OSError``), 3 Nyquist violation, 4
-non-uniform delay grid. Every failure is one ``error:`` line on stderr:
-a malformed flag and a JSON file nested too deep to parse exit 2 too.
+non-uniform delay grid. Every failure, a malformed flag too, is one
+``error:`` line of at most 300 bytes on stderr, made by ``_error_line``.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from pathlib import Path
 
 from . import io
 from .absorption import AbsorptionLine, Sample, transmitted_spectrum
-from .errors import AliasingError, NonUniformGridError, quoted
+from .errors import AliasingError, NonUniformGridError
 from .grids import TimeGrid, UniformGrid
 from .interferometer import (
     check_nyquist,
@@ -77,7 +77,7 @@ def _members(doc, context: str, required, optional=()) -> dict:
         raise ScenarioError(f"{context} must be a JSON object")
     extra = set(doc) - set(required) - set(optional)
     if extra:
-        raise ScenarioError(f"unknown keys in {context}: {quoted(sorted(extra))}")
+        raise ScenarioError(f"unknown keys in {context}: {sorted(extra)!r}")
     for key in required:
         if key not in doc:
             raise ScenarioError(f"{context} needs {key}")
@@ -90,7 +90,7 @@ def _integer(doc: dict, key: str, context: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, float)) or (
         isinstance(value, float) and not value.is_integer()
     ):
-        raise ScenarioError(f"{context}.{key} must be an integer, got {quoted(value)}")
+        raise ScenarioError(f"{context}.{key} must be an integer, got {value!r}")
     return int(value)
 
 
@@ -104,7 +104,7 @@ def _real(doc: dict, key: str, context: str) -> float:
             number = math.inf
         if math.isfinite(number):
             return number
-    raise ScenarioError(f"{context}.{key} must be a finite number, got {quoted(value)}")
+    raise ScenarioError(f"{context}.{key} must be a finite number, got {value!r}")
 
 
 def _lines(doc: dict, context: str, last: str) -> list:
@@ -112,7 +112,7 @@ def _lines(doc: dict, context: str, last: str) -> list:
     an absent array has no lines."""
     lines = doc.get("lines", [])
     if not isinstance(lines, list):
-        raise ScenarioError(f"{context}.lines must be a JSON array, got {quoted(lines)}")
+        raise ScenarioError(f"{context}.lines must be a JSON array, got {lines!r}")
     where, keys = f"{context}.lines[]", ("center_thz", "fwhm_thz", last)
     for entry in lines:
         _members(entry, where, keys)
@@ -179,19 +179,19 @@ def _parse_pump(doc) -> SumFrequencySpectrum:
         )
         sum_grid = _parse_grid(doc["sum_grid"], "pump.sum_grid", "thz")
         return _build("pump section", sum_frequency_marginal, jsi, sum_grid)
-    raise ScenarioError(f"pump.kind must be gaussian, comb or jsi, got {quoted(kind)}")
+    raise ScenarioError(f"pump.kind must be gaussian, comb or jsi, got {kind!r}")
 
 
 def _parse_sample(doc, base_dir: Path) -> Sample:
     """The inline ``{"name", "lines"}`` form, or ``{"path"}`` to a file holding it."""
     if isinstance(doc, dict) and set(doc) == {"path"}:
         if not isinstance(doc["path"], str):
-            raise ScenarioError(f"sample path must be a string, got {quoted(doc['path'])}")
+            raise ScenarioError(f"sample path must be a string, got {doc['path']!r}")
         doc = _read_json(base_dir / doc["path"], "sample file")
     _members(doc, "sample", (), ("name", "lines"))
     name = doc.get("name", "")
     if not isinstance(name, str):
-        raise ScenarioError(f"sample name must be a string, got {quoted(name)}")
+        raise ScenarioError(f"sample name must be a string, got {name!r}")
     lines = [_build("sample", AbsorptionLine, *line) for line in _lines(doc, "sample", "strength")]
     return Sample(tuple(lines), name)
 
@@ -208,7 +208,7 @@ def parse_scenario(doc: dict, base_dir: Path) -> Scenario:
     _members(doc, "scenario", ("version", "pump"), ("sample", "time_grid", "noise", "outputs"))
     version = _integer(doc, "version", "scenario")
     if version != 1:
-        raise ScenarioError(f"unsupported scenario version {quoted(version)}")
+        raise ScenarioError(f"unsupported scenario version {version!r}")
     spectrum = _parse_pump(doc["pump"])
     sample = None if doc.get("sample") is None else _parse_sample(doc["sample"], base_dir)
     tgrid = doc.get("time_grid")
@@ -216,23 +216,19 @@ def parse_scenario(doc: dict, base_dir: Path) -> Scenario:
     noise = None if doc.get("noise") is None else _parse_noise(doc["noise"])
     outputs = doc.get("outputs")
     if outputs is not None and not isinstance(outputs, str):
-        raise ScenarioError(f"outputs must be a directory path string, got {quoted(outputs)}")
+        raise ScenarioError(f"outputs must be a directory path string, got {outputs!r}")
     if outputs:  # relative to the config file, as sample.path is; "" stays no directory
         outputs = str(base_dir / outputs)
     return Scenario(spectrum, sample, tgrid, noise, outputs)
 
 
 def load_scenario(args) -> Scenario:
-    """The scenario of ``--config`` or ``--preset``, checked against Nyquist."""
-    if args.config and args.preset:
-        raise ScenarioError("give either --config or --preset, not both")
-    if args.config:
-        path = Path(args.config)
-        scenario = parse_scenario(_read_json(path, "config"), path.parent)
-    elif args.preset:
+    """The scenario of the one ``--config`` or ``--preset``, checked against Nyquist."""
+    if args.config is None:
         scenario = parse_scenario(preset_scenario(args.preset), Path.cwd())
     else:
-        raise ScenarioError("one of --config or --preset is required")
+        path = Path(args.config)
+        scenario = parse_scenario(_read_json(path, "config"), path.parent)
     check_nyquist(scenario.time_grid.step, scenario.pump_max_thz)
     return scenario
 
@@ -351,7 +347,7 @@ def _positive(number, many: bool = False):
                 value = math.nan
             if not 0 < value < math.inf:
                 raise argparse.ArgumentTypeError(
-                    f"expected a positive finite {number.__name__}, got {quoted(token)}"
+                    f"expected a positive finite {number.__name__}, got {token!r}"
                 )
             values.append(value)
         return values if many else values[0]
@@ -359,12 +355,23 @@ def _positive(number, many: bool = False):
     return parse
 
 
+def _error_line(message: str) -> str:
+    """``error: <message>`` and a newline in at most 300 bytes of UTF-8: each
+    non-printable character escaped as ``repr`` escapes it, and the middle of
+    a longer line elided on a character boundary."""
+    line = "".join(c if c.isprintable() else repr(c)[1:-1] for c in f"error: {message}")
+    data = line.encode()
+    if len(data) >= 300:  # 147 bytes each side of " ... ", and the newline
+        line = f"{data[:147].decode(errors='ignore')} ... {data[-147:].decode(errors='ignore')}"
+    return line + "\n"
+
+
 class _Parser(argparse.ArgumentParser):
     """A parser whose usage errors are one ``error:`` line and exit 2, not
     argparse's usage block; its subparsers share the class."""
 
     def error(self, message):
-        self.exit(EXIT_CONFIG, f"error: {message}\n")
+        self.exit(EXIT_CONFIG, _error_line(message))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -375,8 +382,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_scenario_args(p):
-        p.add_argument("--config", help="scenario JSON file")
-        p.add_argument("--preset", help="bundled scenario name (see `presets list`)")
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--config", help="scenario JSON file")
+        source.add_argument("--preset", help="bundled scenario name (see `presets list`)")
         p.add_argument("--out", help="output directory")
         p.add_argument("--seed", type=int, help="override the noise seed")
         p.add_argument(
@@ -420,22 +428,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except AliasingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NYQUIST
-    except NonUniformGridError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NONUNIFORM
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except MemoryError as exc:  # a scenario asking for more memory than there is
-        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
-        return EXIT_CONFIG
+    except (ValueError, OSError, MemoryError) as exc:  # MemoryError: a scenario too big
+        empty = "out of memory" if isinstance(exc, MemoryError) else ""
+        sys.stderr.write(_error_line(str(exc) or empty))
+        if isinstance(exc, AliasingError):
+            return EXIT_NYQUIST
+        return EXIT_NONUNIFORM if isinstance(exc, NonUniformGridError) else EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -2,19 +2,9 @@
 
 Plain ``ValueError`` is used for ordinary argument validation; the classes
 here mark failure modes a caller may want to handle specifically. A
-message that echoes a value read from outside (a file, a flag) echoes it
-through :func:`quoted`, so the message stays one short line.
+message echoes a value read from outside (a file, a flag) whole, as its
+``repr``; the command line makes each message one short line.
 """
-import reprlib
-
-_ECHO = reprlib.Repr()  # limits as attributes: Repr takes keywords only from Python 3.12
-_ECHO.maxlevel, _ECHO.maxstring, _ECHO.maxlong, _ECHO.maxother = 2, 60, 60, 60
-
-
-def quoted(value) -> str:
-    """``repr(value)``, elided by ``reprlib`` past 60 characters of a string
-    or number, 6 members of a list (4 of an object) or 2 levels of nesting."""
-    return _ECHO.repr(value)
 
 
 class NoonspecError(ValueError):

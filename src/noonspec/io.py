@@ -1,7 +1,8 @@
 """CSV and JSON serialization for every artifact the pipeline produces.
 
-All CSVs use '.' as the decimal separator, LF line endings and UTF-8;
-floats are written with 17 significant digits so a read-back is exact.
+All CSVs use '.' as the decimal separator, LF line endings and UTF-8 (a
+byte-order mark is skipped on read); floats are written with 17
+significant digits so a read-back is exact.
 In memory every series carries its grid; the one CSV reader,
 ``_read_columns``, returns the grid it infers (``grids.infer_grid``).
 Every CSV writer goes through one columnar writer, ``_write_columns``,
@@ -22,7 +23,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import quoted
 from .grids import infer_grid
 from .interferometer import CorrelationTrace, Interferogram
 from .noise import CountData, ScalingStudy
@@ -59,11 +59,11 @@ def _write_columns(path, header: str, columns) -> None:
 def _read_columns(path, expected_header: str) -> tuple:
     """The grid inferred from the first column of a CSV whose header must
     match exactly, followed by each further column."""
-    with open(Path(path), encoding="utf-8") as fh:
+    with open(Path(path), encoding="utf-8-sig") as fh:
         header = fh.readline().strip()
         if header != expected_header:
             raise ValueError(
-                f"unexpected header {quoted(header)} in {path}, expected {expected_header!r}"
+                f"unexpected header {header!r} in {path}, expected {expected_header!r}"
             )
         try:
             # an empty body is reported just below, so numpy's warning is not

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import copy
 
-from .errors import quoted
-
 
 def _single_line(center: float) -> dict:
     return {
@@ -94,5 +92,5 @@ DESCRIPTIONS = {
 
 def preset_scenario(name: str) -> dict:
     if name not in PRESETS:
-        raise ValueError(f"unknown preset {quoted(name)}; choose from {sorted(PRESETS)}")
+        raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
     return copy.deepcopy(PRESETS[name])

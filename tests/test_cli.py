@@ -668,6 +668,12 @@ class TestRecover:
         assert abs(peaks[0]["center_thz"] - 740.25) <= 1.0 / window
         assert (out / "recovered.csv").exists()
         assert (out / "folded.csv").exists()
+        # a byte-order mark, as spreadsheet tools save a CSV, changes nothing
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes("\ufeff".encode() + trace_path.read_bytes())
+        assert main(["recover", str(bom), "--out", str(tmp_path / "rec-bom")]) == 0
+        for name in ("recovered.csv", "folded.csv", "peaks.json"):
+            assert (tmp_path / "rec-bom" / name).read_bytes() == (out / name).read_bytes()
 
     def test_explicit_min_prominence_used(self, trace_path, tmp_path):
         for value, expected in (("0.01", 1), ("1e6", 0)):
@@ -1080,25 +1086,86 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["recover", "trace.csv"],
-            ["simulate", "--preset", "x" * 100000],
-            ["simulate", "--preset", "tpa3", "--chunk-size", "x" * 100000],
+            ["recover", "trace.csv", "--out", "o"],
+            ["simulate", "--preset", "x" * 100000, "--out", "o"],
+            ["simulate", "--preset", "tpa3", "--chunk-size", "x" * 100000, "--out", "o"],
+            # argparse's own messages echo these whole: a 100,049-byte line for --repeats
+            ["noise-study", "--preset", "noise-gauss", "--repeats", "1" * 100000, "--out", "o"],
+            ["noise-study", "--preset", "noise-gauss", "--seed", "1" * 100000, "--out", "o"],
+            ["recover", "trace.csv", "--window", "x" * 100000, "--out", "o"],
+            ["recover", "x" * 5000, "--out", "o"],  # the OSError names the path
+            # a newline in a value used to split the message over two lines
+            ["presets", "list", "a\nb"],
+            ["simulate", "--preset", "tpa3", "--out", "f\nx"],
+            ["recover", "t\nx.csv", "--out", "o"],
+            ["simulate", "--preset", "\u00e9" * 1000, "--out", "o"],  # cut between characters
         ],
-        ids=["csv-header", "preset", "flag"],
+        ids=["csv-header", "preset", "flag", "repeats", "seed", "window", "missing-path",
+             "presets-newline", "out-newline", "csv-name-newline", "preset-utf8"],
     )
     def test_huge_file_or_flag_value_is_echoed_in_one_short_line(
         self, tmp_path, capsys, monkeypatch, argv
     ):
         monkeypatch.chdir(tmp_path)
         Path("trace.csv").write_text("t_" + "x" * 10**6 + "\n0,1\n")
+        Path("t\nx.csv").write_text("t_ps,g\n0,x\n")
+        Path("f\nx").write_text("keep")
         try:
-            rc = main([*argv, "--out", "o"])
+            rc = main(argv)
         except SystemExit as exc:  # a malformed flag ends in argparse
             rc = exc.code
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and len(err.encode()) <= 300
+        assert "\ufffd" not in err  # no character was cut in two
+        assert not (tmp_path / "o").exists() and Path("f\nx").read_text() == "keep"
+
+    @pytest.mark.parametrize("field", ["pump.grid.count", "sample.lines.0.center_thz"])
+    def test_value_nested_to_the_parsers_depth_is_echoed_in_one_line(
+        self, tmp_path, capsys, field
+    ):
+        # the echo is the value's repr, which recurses as deep as the value does
+        doc = small_scenario(sample={"lines": [{"center_thz": 740, "fwhm_thz": 1, "strength": 0.5}]})
+        *path, key = field.split(".")
+        _holder(doc, ".".join(path))[key] = "@"
+
+        def nested(depth):
+            return json.dumps(doc).replace('"@"', "[" * depth + "]" * depth)
+
+        deepest, refused = 1, 10**6  # the deepest document json.loads takes here
+        while refused - deepest > 1:
+            middle = (deepest + refused) // 2
+            try:
+                json.loads(nested(middle))
+                deepest = middle
+            except RecursionError:
+                refused = middle
+        cfg = tmp_path / "scenario.json"
+        for depth in range(deepest - 20, deepest + 1):
+            cfg.write_text(nested(depth))
+            assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1 and len(err.encode()) <= 300
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("verb", ["simulate", "noise-study"])
+    @pytest.mark.parametrize(
+        "source", [[], ["--config", "scenario.json", "--preset", "tpa3"]], ids=["neither", "both"]
+    )
+    def test_config_or_preset_is_given_once(self, tmp_path, capsys, monkeypatch, verb, source):
+        def fail(*args, **kwargs):
+            raise AssertionError("a scenario was loaded")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "load_scenario", fail)
+        write_config(tmp_path, small_scenario())
+        with pytest.raises(SystemExit) as exc:
+            main([verb, *source, "--out", "o"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--config" in err and "--preset" in err
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["scenario.json"]
 
     def test_out_path_that_is_a_file_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch):
         def fail(*args, **kwargs):
@@ -1122,6 +1189,8 @@ class TestExitCodes:
             (WindowTooShortError("short"), 2, "short"),
             (AliasingError("aliased"), 3, "aliased"),
             (NonUniformGridError("uneven"), 4, "uneven"),
+            (ValueError("a\nb"), 2, "a\\nb"),  # escaped, so the message stays one line
+            (ChildProcessError("a worker died"), 2, "a worker died"),
         ],
     )
     def test_error_in_a_stage_exits_with_its_code(
@@ -1134,6 +1203,7 @@ class TestExitCodes:
         cfg = write_config(tmp_path, small_scenario())
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
         assert capsys.readouterr().err == f"error: {line}\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "path, value, code, message",

@@ -50,6 +50,11 @@ def test_trace_roundtrip(tmp_path, spectrum):
     back = io.read_trace_csv(path)
     assert back.grid.count == 128
     np.testing.assert_array_equal(back.values, trace.values)
+    bom = tmp_path / "bom.csv"  # a byte-order mark, as spreadsheet tools save a CSV
+    bom.write_bytes("\ufeff".encode() + path.read_bytes())
+    back_bom = io.read_trace_csv(bom)
+    assert back_bom.grid == back.grid
+    np.testing.assert_array_equal(back_bom.values, trace.values)
 
 
 def test_trace_header_rejected(tmp_path):
