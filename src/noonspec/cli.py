@@ -129,10 +129,14 @@ def _build(section: str, make, *args, **kwargs):
 
 def _read_json(path: Path, what: str):
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ScenarioError(f"cannot read {what}: {exc}") from exc
-    except (json.JSONDecodeError, RecursionError) as exc:  # nested past the parser's depth
+    try:
+        return json.loads(text)
+    # RecursionError: nested past the parser's depth; a plain ValueError: an
+    # integer past the interpreter's digit limit (JSONDecodeError is one too)
+    except (ValueError, RecursionError) as exc:
         raise ScenarioError(f"{what} is not valid JSON: {exc}") from exc
 
 

@@ -43,6 +43,8 @@ JSI_PUMP = {
 
 # a JSON array nested far past the depth the json parser recurses to
 DEEP_ARRAY = "[" * 100000 + "]" * 100000
+# a grid count of 5,000 digits, past the interpreter's integer-string limit
+HUGE_COUNT = '{"version": 1, "pump": {"grid": {"count": ' + "1" * 5000 + "}}}"
 
 
 def run_cli(*args, cwd=None):
@@ -213,8 +215,9 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "text",
         # nested past the parser's depth used to end in a RecursionError traceback, exit 1
-        ["{not json", DEEP_ARRAY, '{"version": 1, "pump": ' + DEEP_ARRAY + "}"],
-        ids=["broken", "deep-top-level", "deep-under-pump"],
+        # and an integer past the interpreter's 4,300-digit limit named neither file nor JSON
+        ["{not json", DEEP_ARRAY, '{"version": 1, "pump": ' + DEEP_ARRAY + "}", HUGE_COUNT],
+        ids=["broken", "deep-top-level", "deep-under-pump", "huge-integer"],
     )
     def test_invalid_json_exits_2(self, tmp_path, capsys, text):
         cfg = tmp_path / "broken.json"
@@ -526,9 +529,11 @@ class TestSampleSection:
             # nested past the parser's depth: a RecursionError traceback, exit 1
             ("deep.json", "sample file is not valid JSON: "),
             ("deep_lines.json", "sample file is not valid JSON: "),
+            ("huge.json", "sample file is not valid JSON: "),
         ],
     )
     def test_bad_sample_file_exits_2(self, tmp_path, capsys, path, message):
+        (tmp_path / "huge.json").write_text('{"lines": [' + "1" * 5000 + "]}")
         (tmp_path / "bad.json").write_text("{not json")
         (tmp_path / "list.json").write_text("[]")
         (tmp_path / "deep.json").write_text(DEEP_ARRAY)

@@ -209,9 +209,64 @@ def per_row_oracle(header, kinds, columns):
     """The CSV as a per-value writer formats it: ``.17g`` floats, ``str`` integers."""
     cell = {"float": lambda x: format(float(x), ".17g"), "int": lambda x: str(int(x))}
     lines = [header]
-    for i in range(len(columns[0])):
-        lines.append(",".join(cell[k](c[i]) for k, c in zip(kinds, columns)))
+    for row in zip(*(c.tolist() for c in columns)):
+        lines.append(",".join(cell[k](v) for k, v in zip(kinds, row)))
     return "\n".join(lines) + "\n"
+
+
+def percent_oracle(header, columns):
+    """The CSV of float columns with each value written by ``'%.17g' % x``."""
+    lines = [",".join("%.17g" % v for v in row) for row in zip(*(c.tolist() for c in columns))]
+    return "\n".join([header, *lines, ""]).encode()
+
+
+def test_power_table_is_correctly_rounded():
+    from fractions import Fraction
+
+    for i, (hi, lo) in enumerate(zip(io._TEN_HI.tolist(), io._TEN_LO.tolist())):
+        exact = Fraction(10) ** (io._POW_LOW + i)
+        assert hi == float(exact)
+        assert lo == float(exact - Fraction(hi))
+
+
+def test_write_columns_random_bit_patterns(tmp_path):
+    # every class of double: nan, inf, subnormal, zero, both signs, all exponents
+    bits = np.random.default_rng(20261019).integers(0, 2**64, 2**18, dtype=np.uint64)
+    columns = list(bits.view(np.float64).reshape(2, -1))
+    path = tmp_path / "bits.csv"
+    io._write_columns(path, "a,b", columns)
+    assert path.read_bytes() == percent_oracle("a,b", columns)
+
+
+def edge_floats():
+    """Exact ties at the 17th digit, both neighbours of every power of ten
+    (1e-280 and 1e280 bound the numpy path), zeros, subnormals, non-finite."""
+    k = np.random.default_rng(5).integers(2**50, 2**51, 300).astype(float)  # 16 digits
+    ties = np.concatenate([k + 0.25, k + 0.75])  # 18 digits ending in 5
+    powers = np.array([float(f"1e{p}") for p in range(-300, 301)])
+    near = np.concatenate([np.nextafter(powers, 0), powers, np.nextafter(powers, np.inf)])
+    special = [0.0, TINY, 3 * TINY, sys.float_info.min / 3, sys.float_info.min,
+               sys.float_info.max, float("inf"), float("nan")]
+    values = np.concatenate([ties, near, special])
+    return np.concatenate([values, -values])
+
+
+@pytest.mark.parametrize("block", [1, 7, BLOCK])
+def test_write_columns_edge_values_at_any_block_size(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(io, "_BLOCK_ROWS", block)
+    values = edge_floats()
+    columns = [values, values[::-1].copy()]
+    path = tmp_path / "edges.csv"
+    io._write_columns(path, "a,b", columns)
+    assert path.read_bytes() == percent_oracle("a,b", columns)
+
+
+def test_ordinary_floats_take_the_numpy_path():
+    # the Python fallback is for rare values; a writer that sent every value
+    # there would pass every oracle above at Python's speed
+    x = np.random.default_rng(3).normal(size=4096) * 10.0 ** np.arange(-8, 8).repeat(256)
+    slots = np.zeros((io._SEP + 1, x.size), np.uint8)
+    assert io._fill_slots(x, slots).mean() > 0.99
 
 
 @settings(
