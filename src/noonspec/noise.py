@@ -10,12 +10,15 @@ Randomness is drawn from counter-based Philox streams keyed by
 (seed, stream): one draw per stream gives every bin its uniform, the bin
 index selecting the position inside the stream. Each bin's count is the
 binomial quantile of its uniform, the value ``scipy.stats.binom.ppf``
-returns. It is bracketed from one CDF and one PMF evaluation at a
-Cornish-Fisher guess (the PMF step of BINV inversion); a bin whose
-uniform lies within the ufuncs' error margin of the bracket's edge takes
-an exact stepping search on the CDF instead. Each count is therefore a
-pure function of (seed, stream, bin): however the bins are split into
-blocks (``chunk_size``), the counts are bit-identical. A
+returns. The streams drawn together (one for :func:`sample_counts`, a
+trial count's repeats in a study worker) share each bin's n and p, so one
+table of the CDF per bin, anchored by one CDF and one PMF evaluation and
+run on by the PMF's ratio recurrence, settles their draws; a draw whose
+uniform lies within the table's tolerance of an edge takes an exact
+stepping search on the CDF instead. Each count is therefore a pure
+function of (seed, stream, bin): however the bins are split into blocks
+(``chunk_size``, which also bounds the sampler's memory) and whichever
+streams share a table, the counts are bit-identical. A
 :class:`ScalingStudy` is columnar too, one entry per trial count.
 
 The CDF and PMF are the ``scipy.special`` ufuncs behind ``binom.cdf``
@@ -25,8 +28,9 @@ those ufuncs falls back to ``binom.cdf`` and ``binom.pmf`` themselves).
 
 The scaling study runs its keyed (trial count, repeat) streams on every
 CPU this process may run on, one forked worker per CPU (in this process
-where there is no ``os.fork``), and puts the results back in stream
-order, so its output does not depend on the number of workers.
+where there is no ``os.fork``); a worker draws its streams of one trial
+count as one block. The results go back in stream order, so the output
+does not depend on the number of workers.
 ``multiprocessing`` loads only when a study forks.
 """
 from __future__ import annotations
@@ -144,53 +148,183 @@ def _binomial_ufuncs() -> tuple:
     return ndtri, partial(_clipped, _binom_cdf), partial(_clipped, _binom_pmf)
 
 
-def _binomial_quantile(u: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
-    """``np.clip(binom.ppf(u, n, p), 0, n)`` as int64, by a bracket on the CDF.
+# cells of one block of CDF tables: it bounds a block's table and index
+# arrays at a few MB whatever the number of pairs per bin, and 2**16 cells
+# (512 kB a column array) ran faster than 2**14 or 2**18 on the preset
+_TABLE_CELLS = 1 << 16
+# a bin whose table would span more cells than this per draw gives each
+# draw a three-cell table of its own (at 2**31 pairs a span is ~1e5 cells)
+_CELLS_PER_DRAW = 128
+# the table's rounding, per cell, in units of eps: 16 times eps/2, against
+# at most 0.29 eps per cell measured against long double
+_TABLE_ROUNDING = 8
 
-    Each bin starts from the continuity-corrected Cornish-Fisher guess
-    ``ceil(n p + sigma z + (z^2 - 1)(1 - 2p)/6 - 1/2)``, ``z = ndtri(u)``,
-    and takes c = ``binom.cdf(k)``. As ``cdf(k-1) = c - pmf(k)`` and
-    ``cdf(k+1) = c + pmf(k+1)`` up to the ufuncs' error, one PMF settles
-    the bin: k when ``c - pmf(k) + tol < u < c``, k + 1 when
-    ``c < u`` and ``u + tol < c + pmf(k+1)``, with ``tol = _margin(n)``. That
-    is one CDF and one PMF per bin, against the root finder inside
-    ``binom.ppf``. Every other bin (a tie c == u, a u within tol of an
-    edge, a guess off by two or more) steps on the CDF until
-    ``binom.cdf(k-1) < u <= binom.cdf(k)``. Three rules of ``binom.ppf``
-    are kept: ``u <= (1-p)**n`` (by libm ``pow``) and
-    ``u <= binom.pmf(0)`` give 0, and a run of k whose CDF equals u
-    exactly resolves to its last member. Where the root finder of
+
+def _accumulate(ufunc, a: np.ndarray) -> None:
+    """``ufunc.accumulate(a, axis=0)`` in place, the same bits either way.
+
+    numpy's accumulate costs about 5 ns per element whatever the shape, so
+    an array with no more rows than columns runs one vector operation per
+    row instead.
+    """
+    if a.shape[0] > a.shape[1]:
+        ufunc.accumulate(a, axis=0, out=a)
+        return
+    for j in range(1, a.shape[0]):
+        ufunc(a[j - 1], a[j], out=a[j])
+
+
+def _cdf_table(kmin: np.ndarray, width: int, n: int, p: np.ndarray, cdf, pmf) -> np.ndarray:
+    """C~(kmin - 1 + j) in row j < ``width``, one column per anchor.
+
+    Each column takes one ``cdf(kmin)`` and one ``pmf`` at its most
+    probable cell, the mode clipped into the column (the ufunc's PMF loses
+    relative precision far in a tail, and the column would scale that
+    error up to its whole mass). The PMF of every other cell follows from
+    the ratios ``pmf(k+1)/pmf(k) = (n-k)/(k+1) p/(1-p)`` by a running
+    product, and the CDF is ``cdf(kmin)`` plus the running sum of the PMF,
+    and ``cdf(kmin) - pmf(kmin)`` one cell below. Cells past a column's own
+    span carry on the recurrence, and a column whose ratios overflow
+    (p = 1) is NaN, which settles no draw.
+    """
+    table = np.empty((width, kmin.size))
+    k = np.arange(1.0, width - 1)[:, None] + kmin
+    mode = np.minimum(np.maximum(np.floor((n + 1) * p), kmin), kmin + width - 2)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        np.divide(n + 1 - k, k, out=k)
+        np.multiply(k, p / (1 - p), out=table[2:])
+        table[1] = 1.0
+        _accumulate(np.multiply, table[1:])
+        # the ratios rise up to the mode, so a column overflows there first
+        at = (mode - kmin + 1).astype(np.intp) * kmin.size + np.arange(kmin.size)
+        top = table.ravel()[at]
+        table[1:] *= np.where(np.isfinite(top), pmf(mode, n, p) / top, np.nan)
+        c = cdf(kmin, n, p)
+        table[0] = c - table[1]
+        table[1] = c
+        _accumulate(np.add, table[1:])
+    return table
+
+
+def _table_tol(n: int, width) -> float:
+    """How far a cell of a ``width``-cell table may lie from ``binom.cdf``:
+    the ufuncs' margin plus the rounding of the recurrence and the sum."""
+    return _margin(n) + _TABLE_ROUNDING * width * np.finfo(float).eps
+
+
+def _settle_on_tables(k, u, p, live, n: int, cdf, pmf) -> tuple:
+    """Settle the draws that their bin's CDF table decides.
+
+    ``k``, ``u`` and ``live`` hold one row per stream and one column per
+    bin of ``p``; a bin with no ``live`` draw gets no table. A draw settled
+    as k + 1 is moved there in ``k``. Returns the mask of settled draws
+    and ``cdf(k)`` of each draw whose guess is its table's anchor (NaN for
+    the others), which the exact search then need not evaluate again.
+    """
+    streams, bins = k.shape
+    kmin = k.min(axis=0)
+    width = k.max(axis=0) - kmin + 3
+    drawn = np.count_nonzero(live, axis=0)
+    shared = (drawn > 0) & (width <= _CELLS_PER_DRAW * drawn)
+    settled = np.zeros(k.shape, dtype=bool)
+    anchored = np.full(k.shape, np.nan)
+    wide = np.flatnonzero((drawn > 0) & ~shared)
+    if wide.size:
+        # one bin per draw: each draw gets a three-cell table of its own
+        flat = (1, wide.size * streams)
+        kw = k[:, wide].reshape(flat)
+        settled_w, anchored_w = _settle_on_tables(
+            kw, u[:, wide].reshape(flat), np.tile(p[wide], streams),
+            live[:, wide].reshape(flat), n, cdf, pmf,
+        )
+        k[:, wide] = kw.reshape(streams, -1)
+        settled[:, wide] = settled_w.reshape(streams, -1)
+        anchored[:, wide] = anchored_w.reshape(streams, -1)
+
+    # the widest tables first, so each block pads its columns to about their width
+    tables = np.flatnonzero(shared)
+    tables = tables[np.argsort(-width[tables], kind="stable")]
+    first = 0
+    while first < tables.size:
+        cells = int(width[tables[first]])
+        block = tables[first : first + max(1, _TABLE_CELLS // cells)]
+        low = kmin[block]
+        table = _cdf_table(low, cells, n, p[block], cdf, pmf).ravel()
+        # each draw's guess, as an index into the flat table
+        kb, ub = k[:, block], u[:, block]
+        at = (kb - low + 1).astype(np.intp) * block.size + np.arange(block.size)
+        below, c, above = table[at - block.size], table[at], table[at + block.size]
+        tol = _table_tol(n, cells)
+        # the anchor cell is cdf(kmin) itself: no tolerance at that edge
+        anchor = kb == low
+        tol_c = np.where(anchor, 0.0, tol)
+        here = (below + tol < ub) & (ub < c - tol_c)
+        up = (c + tol_c < ub) & (ub < above - tol)
+        k[:, block] = kb + up
+        settled[:, block] = here | up
+        anchored[:, block] = np.where(anchor, c, np.nan)
+        first += block.size
+    return settled, anchored
+
+
+def _binomial_quantile(u: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
+    """``np.clip(binom.ppf(u, n, p), 0, n)`` as int64, from CDF tables.
+
+    ``u`` holds one row of uniforms per stream (or a single row) and ``p``
+    one success probability per bin, the last axis of ``u``. Each draw
+    starts from the continuity-corrected Cornish-Fisher guess
+    ``ceil(n p + sigma z + (z^2 - 1)(1 - 2p)/6 - 1/2)``, ``z = ndtri(u)``.
+    The draws of one bin share n and p, so one :func:`_cdf_table` column
+    per bin, from the bin's lowest guess kmin to one past its highest,
+    serves them all: that is one CDF and one PMF per bin, against the root
+    finder inside ``binom.ppf``. A draw is settled as k when
+    ``C~(k-1) + tol < u < C~(k) - tol``, and as k + 1 when
+    ``C~(k) + tol < u < C~(k+1) - tol``, with ``tol = _table_tol``, and no
+    tolerance at the anchor ``C~(kmin) = cdf(kmin)``. A bin
+    whose column would span more than ``_CELLS_PER_DRAW`` cells per draw
+    gives each draw a three-cell column of its own (the PMF step of BINV
+    inversion), and columns are built in blocks of about ``_TABLE_CELLS``
+    cells, so memory does not grow with n.
+
+    Every other draw (a u within tol of an edge, a guess off by two or
+    more) steps on the CDF until ``binom.cdf(k-1) < u <= binom.cdf(k)``.
+    Three rules of ``binom.ppf`` are kept: ``u <= (1-p)**n`` (by libm
+    ``pow``) and ``u <= binom.pmf(0)`` give 0, and a run of k whose CDF
+    equals u exactly resolves to its last member. A settled draw has the
+    answer of that search, so each count is a pure function of its u and
+    p, whichever other draws share its table. Where the root finder of
     ``binom.ppf`` stops short (for u very close to 0 or 1, mostly with an
     "Unable to bracket root" warning) this still returns the quantile.
     """
     ndtri, cdf, pmf = _binomial_ufuncs()
+    shape = u.shape
+    u = u.reshape(-1, p.size)
     with np.errstate(divide="ignore", invalid="ignore"):
         z = ndtri(u)
         sigma = np.sqrt(n * p * (1 - p))
         guess = np.ceil(n * p + sigma * z + (z * z - 1) * (1 - 2 * p) / 6 - 0.5)
-    k = np.clip(np.nan_to_num(guess), 0, n)
-
-    # numpy's vectorised power may differ from libm pow in the last bits,
-    # so it only preselects the bins to test with math.pow
-    near = np.flatnonzero(u <= (1.0 - p) ** n * (1 + 2**-40))
-    zero = np.zeros(u.size, dtype=bool)
-    zero[near] = [
-        ui <= math.pow(1.0 - pi, n) for ui, pi in zip(u[near].tolist(), p[near].tolist())
+        # exp(n log(1-p)) lies within 2.5e-13 of libm pow(1-p, n) wherever
+        # that is a normal float (the log's rounding, 1.5 eps, times the log,
+        # at most 745), so it only preselects the draws to test with
+        # math.pow; it costs a third of numpy's power
+        near = np.flatnonzero(u <= np.exp(n * np.log(1.0 - p)) * (1 + 2**-36))
+    k = np.fmin(np.fmax(guess, 0), n)  # a NaN guess (p = 0 or 1 at u = 0) is 0
+    zero = np.zeros(u.shape, dtype=bool)
+    zero.flat[near] = [
+        ui <= math.pow(1.0 - pi, n)
+        for ui, pi in zip(u.flat[near].tolist(), p[near % p.size].tolist())
     ]
+    settled, c = _settle_on_tables(k, u, p, ~zero, n, cdf, pmf)
+    k, u, p, c = k.ravel(), u.ravel(), np.tile(p, u.shape[0]), c.ravel()
+    zero = zero.ravel()
     k[zero] = 0
 
-    c = np.ones_like(u)  # binom.cdf(k) of every searched bin
-    todo = np.flatnonzero(~zero)
-    kt, ut = k[todo], u[todo]
-    c[todo] = ct = cdf(kt, n, p[todo])
-    # the bracket: pmf(k) where cdf(k) > u, pmf(k + 1) where cdf(k) < u
-    up = ct < ut
-    pm = pmf(kt + up, n, p[todo])
-    tol = _margin(n)
-    sure = np.where(up, ut + tol < ct + pm, (ct > ut) & (ct - pm + tol < ut))
-    k[todo[sure & up]] += 1
-    # the exact search for the rest; a bracketed bin has c != u, so no tie
-    todo = todo[~sure]
+    # the exact search for the rest; a settled draw has cdf(k-1) < u < cdf(k)
+    done = zero | settled.ravel()
+    c[done] = 1.0  # c is binom.cdf(k) of every searched draw
+    todo = np.flatnonzero(~done)
+    fresh = todo[np.isnan(c[todo])]
+    c[fresh] = cdf(k[fresh], n, p[fresh])
     i = todo[c[todo] < u[todo]]
     down = todo[(c[todo] >= u[todo]) & (k[todo] > 0)]
     while i.size:
@@ -212,7 +346,37 @@ def _binomial_quantile(u: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
         i = i[k[i] < n]
     i = np.flatnonzero(k == 1)
     k[i[u[i] <= pmf(0, n, p[i])]] = 0
-    return k.astype(np.int64)
+    return k.astype(np.int64).reshape(shape)
+
+
+def _sample_streams(
+    interferogram: Interferogram,
+    config: NoiseConfig,
+    streams: Sequence[int],
+    chunk_size: int | None = None,
+) -> list:
+    """One :class:`CountData` per entry of ``streams``, drawn as one block.
+
+    The streams share every bin's n and p, so they share its CDF table
+    (see :func:`_binomial_quantile`); each count is still a pure function
+    of (seed, stream, bin).
+    """
+    p_raw = config.efficiency**2 * np.asarray(interferogram.values) + config.dark_rate
+    clamped = bool(np.any(p_raw > 1.0))
+    p = np.clip(p_raw, 0.0, 1.0)
+
+    nbins = interferogram.grid.count
+    if chunk_size is None:
+        chunk_size = nbins
+    elif chunk_size < 1:
+        raise ValueError("chunk_size must be positive")
+    u = np.array([_keyed_uniforms(config.seed, stream, nbins) for stream in streams])
+    counts = np.empty(u.shape, dtype=np.int64)
+    for lo in range(0, nbins, chunk_size):
+        block = slice(lo, lo + chunk_size)
+        counts[:, block] = _binomial_quantile(u[:, block], config.pairs_per_bin, p[block])
+    pairs = np.full(nbins, config.pairs_per_bin, dtype=np.int64)
+    return [CountData(interferogram.grid, row, pairs, clamped) for row in counts]
 
 
 def sample_counts(
@@ -225,29 +389,16 @@ def sample_counts(
 
     The per-bin success probability ``efficiency^2 * P + dark_rate`` is
     clamped into [0, 1]; a clamp event is reported on the result. Each
-    count is the binomial quantile of one keyed uniform, bracketed on
-    ``binom.cdf`` and ``binom.pmf`` to give what ``binom.ppf`` gives, so the
-    draw is deterministic and partition-independent: the search runs on
-    blocks of ``chunk_size`` bins (all at once when None) without changing
-    a bit.
-    ``stream`` distinguishes repeated experiments under the same seed.
+    count is the binomial quantile of one keyed uniform, settled on a
+    table of ``binom.cdf`` built from one CDF and one PMF per bin (see
+    :func:`_binomial_quantile`), to give what ``binom.ppf`` gives. This is
+    the one-stream draw of the block that a study draws for each trial
+    count. It is deterministic and partition-independent: it runs on
+    blocks of ``chunk_size`` bins (all at once when None), which also
+    bounds its memory, without changing a bit. ``stream`` distinguishes
+    repeated experiments under the same seed.
     """
-    p_raw = config.efficiency**2 * np.asarray(interferogram.values) + config.dark_rate
-    clamped = bool(np.any(p_raw > 1.0))
-    p = np.clip(p_raw, 0.0, 1.0)
-
-    nbins = interferogram.grid.count
-    if chunk_size is None:
-        chunk_size = nbins
-    elif chunk_size < 1:
-        raise ValueError("chunk_size must be positive")
-    u = _keyed_uniforms(config.seed, stream, nbins)
-    counts = np.empty(nbins, dtype=np.int64)
-    for lo in range(0, nbins, chunk_size):
-        block = slice(lo, lo + chunk_size)
-        counts[block] = _binomial_quantile(u[block], config.pairs_per_bin, p[block])
-    pairs = np.full(nbins, config.pairs_per_bin, dtype=np.int64)
-    return CountData(interferogram.grid, counts, pairs, clamped)
+    return _sample_streams(interferogram, config, [stream], chunk_size)[0]
 
 
 def estimate_trace(
@@ -323,13 +474,16 @@ def _workers() -> int:
 
 def _peaks(pattern: Interferogram, config: NoiseConfig, jobs, chunk_size) -> np.ndarray:
     """(center, height) of the dominant recovered peak, one row per
-    ``(pairs_per_bin, stream)`` job: sample, estimate, transform, fold."""
+    ``(pairs_per_bin, stream)`` job: sample, estimate, transform, fold.
+    The streams of one trial count are drawn as one block."""
     rows = np.empty((len(jobs), 2))
-    for row, (pairs, stream) in zip(rows, jobs):
+    for pairs in dict.fromkeys(pairs for pairs, _ in jobs):
+        at = [i for i, job in enumerate(jobs) if job[0] == pairs]
         cfg = replace(config, pairs_per_bin=pairs)
-        counts = sample_counts(pattern, cfg, stream=stream, chunk_size=chunk_size)
-        trace = estimate_trace(counts, cfg.efficiency, cfg.dark_rate)
-        row[:] = _dominant_peak(fold_one_sided(fourier_recover(trace)))
+        drawn = _sample_streams(pattern, cfg, [jobs[i][1] for i in at], chunk_size)
+        for i, counts in zip(at, drawn):
+            trace = estimate_trace(counts, cfg.efficiency, cfg.dark_rate)
+            rows[i] = _dominant_peak(fold_one_sided(fourier_recover(trace)))
     return rows
 
 

@@ -918,6 +918,20 @@ class TestNoiseStudy:
             scaling.append((out / "scaling.csv").read_bytes())
         assert scaling[1] == scaling[0] and scaling[2] == scaling[0]
 
+    def test_preset_study_bytes_do_not_depend_on_the_partition(self, tmp_path, monkeypatch):
+        # bins split by --chunk-size, and CDF tables split into blocks of a
+        # few dozen cells (one or two bins a block)
+        argv = ["noise-study", "--preset", "noise-gauss", "--repeats", "4"]
+        runs = {"whole": [], "chunk 1": ["--chunk-size", "1"], "chunk 97": ["--chunk-size", "97"]}
+        scaling = {}
+        for name, extra in runs.items():
+            assert main(argv + extra + ["--out", str(tmp_path / name)]) == 0
+            scaling[name] = (tmp_path / name / "scaling.csv").read_bytes()
+        monkeypatch.setattr(noise, "_TABLE_CELLS", 40)
+        assert main(argv + ["--out", str(tmp_path / "cells")]) == 0
+        scaling["cells 40"] = (tmp_path / "cells" / "scaling.csv").read_bytes()
+        assert all(run == scaling["whole"] for run in scaling.values())
+
     @fork_only
     @pytest.mark.parametrize(
         "fail, line",
@@ -935,7 +949,7 @@ class TestNoiseStudy:
             raise fail
 
         monkeypatch.setattr(noise, "_workers", lambda: 2)
-        monkeypatch.setattr(noise, "sample_counts", draw)
+        monkeypatch.setattr(noise, "_sample_streams", draw)
         out = tmp_path / "study"
         argv = ["noise-study", "--preset", "noise-gauss", "--repeats", "2", "--out", str(out)]
         assert main(argv) == 2

@@ -1,6 +1,7 @@
 import math
 import os
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -182,10 +183,10 @@ def ppf(u, n, p):
 
 
 class TestBracket:
-    """The one-CDF-one-PMF bracket and the exact search behind it.
+    """The CDF tables, one CDF and one PMF per bin, and the exact search behind them.
 
-    A bin is bracketed from c = cdf(k) at its Cornish-Fisher guess k and
-    one PMF; every bin the bracket leaves open takes more CDF evaluations.
+    A bin's draws are settled on a table of the CDF built from one CDF and
+    one PMF; every draw the table leaves open takes more CDF evaluations.
     """
 
     @pytest.mark.parametrize("n", [1, 2, 7, 1000, 10**5, 10**7, 2**31])
@@ -208,6 +209,44 @@ class TestBracket:
         gap = np.abs(binom.cdf(j - 1, n, pj) - (binom.cdf(j, n, pj) - binom.pmf(j, n, pj)))
         assert gap.max() <= _margin(n) / 16
         # an infinite margin leaves every bin to the exact search
+        monkeypatch.setattr(noise, "_margin", lambda n: math.inf)
+        np.testing.assert_array_equal(_binomial_quantile(u, n, p), k)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 1000, 10**5, 10**7, 2**31])
+    def test_table_tracks_the_cdf_and_blocks_equal_single_streams(self, n, monkeypatch):
+        rng = np.random.default_rng(n)
+        p = np.concatenate([
+            rng.uniform(0.0, 1.0, 200),
+            10 ** rng.uniform(-16, -1, 100),  # the lower tail
+            1 - 10 ** rng.uniform(-16, -1, 100),  # the upper tail
+            np.repeat([0.0, 1.0, 0.5], 3),
+        ])
+        u = np.array([_keyed_uniforms(11, stream, p.size) for stream in range(25)])
+        tables = []
+        build = noise._cdf_table
+
+        def recorded(kmin, width, n_, p_, cdf, pmf):
+            table = build(kmin, width, n_, p_, cdf, pmf)
+            tables.append((kmin, p_, table))
+            return table
+
+        monkeypatch.setattr(noise, "_cdf_table", recorded)
+        k = _binomial_quantile(u, n, p)
+        assert tables
+        for kmin, pt, table in tables:
+            # a column is NaN only where its ratios overflow, at p = 1
+            finite = np.isfinite(table).all(axis=0)
+            assert np.all(finite | (pt == 1.0))
+            j = kmin + np.arange(-1, table.shape[0] - 1)[:, None]
+            # every cell over the column's whole span; j = -1 needs no
+            # margin, as cdf(-1) = 0 < u
+            cells = (j >= 0) & finite
+            exact = binom.cdf(j[cells], n, np.broadcast_to(pt, j.shape)[cells])
+            tol = noise._table_tol(n, table.shape[0])
+            assert np.abs(exact - table[cells]).max(initial=0) <= tol / 16
+        for stream, row in enumerate(u):
+            np.testing.assert_array_equal(_binomial_quantile(row, n, p), k[stream])
+        # an infinite margin leaves every draw to the exact search
         monkeypatch.setattr(noise, "_margin", lambda n: math.inf)
         np.testing.assert_array_equal(_binomial_quantile(u, n, p), k)
 
@@ -238,6 +277,15 @@ class TestBracket:
         assert len(cdf_calls) >= least_calls
         assert k.tolist() == [ppf(u, n, p)]
 
+    def test_a_tie_away_from_the_anchor_takes_the_exact_search(self):
+        # the two draws share a table anchored at the first one's guess,
+        # 475; the second lies exactly on cdf(480), where the table reads
+        # 3e-16 low, so only the CDF itself resolves it to 480
+        n, p = 1000, 0.5
+        u = np.array([[0.999999 * binom.cdf(475, n, p)], [binom.cdf(480, n, p)]])
+        k = _binomial_quantile(u, n, np.array([p]))
+        assert k.ravel().tolist() == [ppf(u[0, 0], n, p), ppf(u[1, 0], n, p)] == [475, 480]
+
     def test_one_cdf_per_bin_on_noise_gauss(self, cdf_calls):
         # the bracket leaves about 0.1% of the preset's bins to the exact search
         scenario = parse_scenario(preset_scenario("noise-gauss"), Path.cwd())
@@ -247,6 +295,34 @@ class TestBracket:
             evaluated = sum(np.size(args[0]) for args in cdf_calls)
             assert evaluated <= 1.005 * pattern.grid.count
             cdf_calls.clear()
+
+    def test_memory_stays_bounded_at_the_largest_n(self):
+        # at 2**31 pairs the guesses of 25 streams span ~1e5 cells per bin:
+        # 3.3 GB as one table for 4096 bins, against the 0.8 MB of uniforms
+        rng = np.random.default_rng(5)
+        p = rng.uniform(0.2, 0.8, 4096)
+        u = np.array([_keyed_uniforms(5, stream, p.size) for stream in range(25)])
+        _binomial_quantile(u[:, :8], 2**31, p[:8])  # scipy's first-call set-up
+        tracemalloc.start()
+        try:
+            _binomial_quantile(u, 2**31, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
+
+    def test_one_cdf_per_bin_per_trial_count_in_the_study(self, cdf_calls, monkeypatch):
+        # a trial count's repeats share each bin's table, so a study takes
+        # about one CDF per bin and trial count, not one per draw
+        monkeypatch.setattr(noise, "_workers", lambda: 1)
+        scenario = parse_scenario(preset_scenario("noise-gauss"), Path.cwd())
+        trials, repeats = [1000, 10**4, 10**5], 10
+        error_scaling_study(
+            scenario.spectrum, trials, repeats, scenario.noise, scenario.time_grid
+        )
+        evaluated = sum(np.size(args[0]) for args in cdf_calls)
+        drawn = len(trials) * repeats * scenario.time_grid.count
+        assert evaluated <= (1 / repeats + 0.01) * drawn
 
 
 class TestBinomialUfuncs:
@@ -469,7 +545,7 @@ class TestErrorScalingStudy:
     @pytest.fixture
     def study_args(self, monkeypatch):
         # a bad trial count fails before any count is drawn
-        monkeypatch.setattr(noise, "sample_counts", None)
+        monkeypatch.setattr(noise, "_sample_streams", None)
         spec = gaussian_pump_spectrum(make_frequency_grid(738.25, 0.004, 101), 738.45, 0.1)
         config = NoiseConfig(pairs_per_bin=1, seed=0)
         return dict(spectrum=spec, repeats=3, config=config, grid=centered_time_grid(5e-4, 64))
@@ -525,22 +601,23 @@ class TestWorkers:
         )
         monkeypatch.setattr(noise, "_workers", lambda: 1)
         serial = error_scaling_study(**kwargs)
-        # each draw notes the process that made it, in a file a worker can append to
-        log = tmp_path / "pids"
-        draw = noise.sample_counts
+        # each drawn (trial count, stream) notes the process that drew it, in
+        # a file a worker can append to
+        log = tmp_path / "draws"
+        draw = noise._sample_streams
 
-        def noted(*args, **kw):
+        def noted(pattern, config, streams, *args, **kw):
             with open(log, "a") as fh:
-                fh.write(f"{os.getpid()}\n")
-            return draw(*args, **kw)
+                fh.writelines(f"{os.getpid()} {config.pairs_per_bin} {s}\n" for s in streams)
+            return draw(pattern, config, streams, *args, **kw)
 
-        monkeypatch.setattr(noise, "sample_counts", noted)
+        monkeypatch.setattr(noise, "_sample_streams", noted)
         monkeypatch.setattr(noise, "_workers", lambda: workers)
         study = error_scaling_study(**kwargs)
         for field in ("n_trials", "std_height", "std_center"):
             np.testing.assert_array_equal(getattr(study, field), getattr(serial, field))
-        pids = log.read_text().split()
-        assert len(pids) == 15
+        pids, *draws = zip(*(line.split() for line in log.read_text().splitlines()))
+        assert len(pids) == 15 and len(set(zip(*draws))) == 15
         if workers == 1:
             assert set(pids) == {str(os.getpid())}
         else:
@@ -559,13 +636,14 @@ class TestWorkers:
         monkeypatch.setattr(noise, "_workers", lambda: 1)
         serial = error_scaling_study(**kwargs)
         pids = []
-        draw = noise.sample_counts
+        draw = noise._sample_streams
 
-        def noted(*args, **kw):
-            pids.append(os.getpid())  # a forked worker's append would not reach this list
-            return draw(*args, **kw)
+        def noted(pattern, config, streams, *args, **kw):
+            # a forked worker's append would not reach this list
+            pids.extend(os.getpid() for _ in streams)
+            return draw(pattern, config, streams, *args, **kw)
 
-        monkeypatch.setattr(noise, "sample_counts", noted)
+        monkeypatch.setattr(noise, "_sample_streams", noted)
         monkeypatch.setattr(noise, "_workers", lambda: 2)
         monkeypatch.delattr(os, "fork")
         study = error_scaling_study(**kwargs)
