@@ -6,31 +6,44 @@ significant digits so a read-back is exact.
 In memory every series carries its grid; the one CSV reader,
 ``_read_columns``, returns the grid it infers (``grids.infer_grid``).
 Every CSV writer goes through one columnar writer, ``_write_columns``.
-Each column's format follows its dtype: ``%.17g`` for floats, ``%d`` for
-integers; any other dtype is refused. The bytes are those of formatting
-each value on its own with ``'%.17g' % x`` or ``'%d' % n``, but the
-writer formats ``_BLOCK_ROWS`` rows at a time in numpy, so its memory is
-bounded by the block:
+Each column's format follows its dtype: ``%.17g`` for floats (and for a
+``UniformGrid``, which stands for its points), ``%d`` for integers; any
+other dtype is refused. The bytes are those of formatting each value on
+its own with ``'%.17g' % x`` or ``'%d' % n``, but the writer formats
+``_BLOCK_VALUES`` values at a time in numpy, taken across the columns in
+the order they are written, so a block may end inside a row. Its memory
+is bounded by the block: a grid is evaluated on the block's rows alone.
 
 - A float with 1e-280 <= |x| <= 1e280 gets its 17 significant digits
-  from N = round(|x| * 10**(16 - X)), X = floor(log10 |x|). The product
-  is a double-double: Dekker's exact ``_two_product`` (Numer. Math. 18,
-  1971) with the high half of a 106-bit table of powers of ten, plus the
-  low half's product. Its error is below 1e-14, so N is exact whenever
-  it has 17 digits and the product is not within 1e-9 of a tie.
+  from N = round(|x| * 10**(16 - X)), X = floor(log10 |x|). X is exact:
+  a binade of doubles spans at most two decades, so a table indexed by
+  the biased exponent gives its lower decade and the least double of the
+  next one. The product is a double-double: Dekker's exact
+  ``_two_product`` (Numer. Math. 18, 1971) with the high half of a
+  106-bit table of powers of ten, plus the low half's product. Its error
+  is below 1e-14, so N is exact whenever it has 17 digits and the
+  product is not within 1e-9 of a tie.
+- N's first digit is N // 10**16; the other 16 are four 4-digit groups,
+  whose ASCII comes from a table of all 10,000 groups and whose count of
+  significant digits comes from a table of their trailing zeros.
 - Every other value takes ``'%.17g' % x`` or ``'%d' % n``: zero,
-  subnormals, non-finite values, values outside that range, a tie, a
-  misjudged X and every integer column.
+  subnormals, non-finite values, values outside that range, a tie and
+  every integer column.
 
-Each value owns a slot of byte positions, laid out as
-``sign | "0.000" | 17 digits | "." | 17 digits | "e" sign ddd | separator``.
-A zero byte means "drop", so one mask turns a block of slots into its
-text. The digits appear twice: the first copy keeps those before the
-decimal point and the second those after it (trailing zeros dropped),
-so the point never moves a digit. The ``0.`` and leading zeros of a
-fixed-point value below 1 and the exponent of a value in exponent
-notation depend on X alone, so they come from a table. A value formatted
-in Python fills the first bytes of its slot from a fixed-width ``S`` array.
+Each value owns a slot of four little-endian 8-byte lanes::
+
+    lane 0   sign | "0.000" | first digit
+    lanes 1-2  the other 16 digits, the point inserted after digit `before`
+    lane 3   the digit the point pushed out | "e" sign ddd | separator
+
+A zero byte means "drop", so deleting the zero bytes of a block's slots
+(one ``bytes.translate``) turns them into its text. The point moves the
+digits after it one byte up; digits past the last significant one, or
+past the point when none follows it, are zeroed first. The ``0.`` and
+leading zeros of a fixed-point value below 1, the exponent of a value in
+exponent notation and ``before`` depend on X alone, so they come from
+tables. A value formatted in Python fills lanes 0-2 from a fixed-width
+``S`` array.
 
 Every JSON artifact goes through one writer, ``write_json``.
 """
@@ -42,14 +55,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .grids import infer_grid
+from .grids import UniformGrid, infer_grid
 from .interferometer import CorrelationTrace, Interferogram, _two_product
 from .noise import CountData, ScalingStudy
 from .recovery import RecoveredSpectrum
 from .spectral import SumFrequencySpectrum
 
 
-_BLOCK_ROWS = 2048  # rows formatted per block; bounds the transient arrays
+_BLOCK_VALUES = 8192  # values formatted per block, across columns; bounds the transients
 
 
 def _powers_of_ten(low: int, high: int) -> tuple[np.ndarray, np.ndarray]:
@@ -82,109 +95,193 @@ def _layout(e: int) -> tuple[bytes, bytes, int]:
     return b"", b"", e + 1
 
 
-_EXACT_MAX = 1e280  # |x| in [1/_EXACT_MAX, _EXACT_MAX] is formatted in numpy
-# there X = floor(log10 |x|) lies in [-281, 280] (log10 may be one off),
-# so the scale 10**(16 - X) needs q in [-264, 297]; every table is indexed by q
-_POW_LOW = -264
-_TEN_HI, _TEN_LO = _powers_of_ten(_POW_LOW, 297)
-_LAYOUTS = [_layout(16 - q) for q in range(_POW_LOW, 298)]
-_AFFIXES = np.array(  # the text before the digits, then the text after them
-    [list(lead.ljust(5, b"\0") + exp.ljust(5, b"\0")) for lead, exp, _ in _LAYOUTS], np.uint8
-)
-_BEFORE = np.array([before for *_, before in _LAYOUTS], np.uint8)
-_DIGIT = np.arange(17, dtype=np.uint8)[:, None]
+def _group_tables() -> tuple[np.ndarray, np.ndarray]:
+    """For every 4-digit group 0000-9999, its ASCII with the first digit in
+    the low byte, and its count of trailing zeros (4 for 0000)."""
+    d = np.arange(10, dtype=np.uint64)  # on axis i: digit i of the group
+    ascii4 = d[:, None, None, None] | d[:, None, None] << 8 | d[:, None] << 16 | d << 24
+    z = (d == 0).astype(np.uint8)
+    trailing = z * (1 + z[:, None] * (1 + z[:, None, None] * (1 + z[:, None, None, None])))
+    return ascii4.ravel() + np.uint64(0x30303030), trailing.ravel()
 
-# byte positions of a value's slot
-_SIGN, _LEAD, _INT, _POINT, _FRAC, _EXP, _SEP = 0, 1, 6, 23, 24, 41, 46
+
+def _lanes(rows) -> np.ndarray:
+    """Byte strings of at most 8 bytes as little-endian 8-byte lanes."""
+    return np.array([row.ljust(8, b"\0") for row in rows], "S8").view("<u8")
+
+
+_EXACT_MAX = 1e280  # |x| in [1/_EXACT_MAX, _EXACT_MAX] is formatted in numpy
+# there X = floor(log10 |x|) lies in [-280, 280]: the scale 10**(16 - X) needs
+# q in [-264, 296] and the decade bounds 10**k need k in [-280, 281]; every
+# table of powers is indexed by q - _POW_LOW
+_POW_LOW = -280
+_TEN_HI, _TEN_LO = _powers_of_ten(_POW_LOW, 297)
+_AT_LEAST = np.where(_TEN_LO > 0, np.nextafter(_TEN_HI, np.inf), _TEN_HI)  # least double >= 10**k
+# per binade 2**(B-1023) <= |x| < 2**(B-1022), B the biased exponent: the
+# scale's table index for the binade's lower decade, and the least double of
+# the next decade, whose index is one less (a binade spans at most two decades)
+_DECADE = np.clip(
+    np.searchsorted(_AT_LEAST, np.ldexp(1.0, np.arange(-1023, 1024)), "right") - 1,
+    -1, 280 - _POW_LOW,
+)
+_SCALE_INDEX = 16 - 2 * _POW_LOW - _DECADE
+_NEXT_DECADE = _AT_LEAST[_DECADE + 1]
+_LAYOUTS = [_layout(16 - q) for q in range(_POW_LOW, 298)]
+_BEFORE = np.array([before for *_, before in _LAYOUTS], np.uint8)
+_ASCII4, _TRAILING = _group_tables()
+
+# A value's slot is four little-endian 8-byte lanes; a zero byte means "drop":
+#   lane 0: sign, the "0.000" before a fixed-point value below 1, first digit
+#   lanes 1, 2: the other 16 digits, with the point inserted after digit `before`
+#   lane 3: the digit the point pushed out of lane 2, "e" sign ddd, separator
+_LANES = 4  # 8-byte lanes in a slot
+_LEAD = _lanes([b"\0" + lead for lead, *_ in _LAYOUTS])
+_EXP = _lanes([b"\0" + exp for _, exp, _ in _LAYOUTS])
+_SEP_SHIFT = np.uint64(48)  # the separator's byte in lane 3
+_ALL = np.uint64(2**64 - 1)
+_POINT, _MINUS, _ZERO = np.uint64(ord(".")), np.uint64(ord("-")), np.uint64(ord("0"))
 _TEXT = 24  # width of '%.17g' % -2.2250738585072014e-308, the longest text
 
 
-def _format(column: np.ndarray) -> str:
-    """``%.17g`` for a float column, ``%d`` for an integer one."""
-    if column.dtype.kind == "f":
+def _format(column) -> str:
+    """``%.17g`` for a float column or a grid, ``%d`` for an integer one."""
+    if isinstance(column, UniformGrid) or column.dtype.kind == "f":
         return "%.17g"
     if column.dtype.kind in "iu":
         return "%d"
     raise ValueError(f"cannot write a column of dtype {column.dtype} to CSV")
 
 
-def _fill_slots(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write the ``%.17g`` text of each float64 in ``x`` into rows
-    ``[0, _SEP)`` of ``out``, one column per value; True where that text is
-    exact, False where the value must be formatted in Python instead."""
-    out[_SIGN] = (x < 0) * ord("-")
+def _insert_point(low: np.ndarray, high: np.ndarray, shift: np.ndarray, point: np.ndarray):
+    """Lanes ``low, high`` (16 bytes) with ``point`` inserted at byte
+    ``shift / 8`` in [0, 16]; returns both lanes and the byte pushed out."""
+    kept = low & ~(_ALL << shift)  # a shift past 63 gives 0 in numpy
+    moved = low ^ kept
+    low = kept | (moved << 8) | (point << shift)
+    high_shift = shift - np.uint64(64)  # wraps for a point in the low lane
+    kept_high = high & (_ALL >> (np.uint64(128) - shift))
+    moved_high = high ^ kept_high
+    high = kept_high | (moved_high << 8) | (point << high_shift) | (moved >> 56)
+    return low, high, moved_high >> 56
+
+
+def _scale_index(a: np.ndarray) -> np.ndarray:
+    """The power table's index of 10**(16 - X), X = floor(log10 a) exactly,
+    for positive normal doubles ``a``."""
+    binade = a.view(np.int64) >> 52
+    q = _SCALE_INDEX[binade]
+    q -= a >= _NEXT_DECADE[binade]
+    return q
+
+
+def _fill_slots(x: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """Write the ``%.17g`` text of each float64 in ``x`` into its row of
+    ``slots``, all but the separator; True where that text is exact, False
+    where the value must be formatted in Python instead."""
     a = np.abs(x)
     exact = (a >= 1 / _EXACT_MAX) & (a <= _EXACT_MAX)  # False for 0, nan, inf, subnormals
     a[~exact] = 1.0  # so no arithmetic below warns
-    e = np.floor(np.log10(a)).astype(np.int64)
-    q = -_POW_LOW + 16 - e
+    q = _scale_index(a)
     hi, lo = _two_product(a, _TEN_HI[q])
-    lo += a * _TEN_LO[q]  # |x| * 10**(16 - e) = hi + lo, to about 1e-14
+    lo += a * _TEN_LO[q]  # |x| * 10**(16 - X) = hi + lo, to about 1e-14
     del a  # each transient freed early lowers the writer's peak memory
     whole = np.floor(lo)
     lo -= whole
-    # 17 digits, so e is right and no carry; and not within reach of a tie
+    # 17 digits, so no carry; and not within reach of a tie
     exact &= (hi > 1e16 + 16) & (hi < 1e17 - 16) & (np.abs(lo - 0.5) > 1e-9)
     n = hi.astype(np.int64)
     n += whole.astype(np.int64)
     n += lo > 0.5
     del hi, lo, whole
-    digits = out[_FRAC:_EXP]  # 0-9 here first, then the digits after the point
-    for rows, part in ((range(16, 7, -1), n % 10**9), (range(7, -1, -1), n // 10**9)):
-        part = part.astype(np.uint32)
-        for i in rows:
-            rest = part // 10
-            digits[i] = part - rest * 10
-            part = rest
-    kept = digits != 0
-    for i in range(15, -1, -1):  # then: True up to the last nonzero digit
-        kept[i] |= kept[i + 1]
-    significant = kept.sum(axis=0, dtype=np.uint8)
+    first = n // 10**16
+    n -= first * 10**16
+    halves = np.empty((2, n.size), np.int64)  # digits 2-9 and 10-17
+    np.floor_divide(n, 10**8, out=halves[0])
+    np.subtract(n, halves[0] * 10**8, out=halves[1])
+    groups = np.empty((4, n.size), np.intp)  # digits 2-5, 10-13, 6-9, 14-17
+    np.floor_divide(halves, 10**4, out=groups[:2])
+    np.subtract(halves, groups[:2] * 10**4, out=groups[2:])
+    del n, halves
+    zeros = _TRAILING[groups]  # 4 for a group of zeros: then count the one before
+    trailing = zeros[1] + (zeros[1] == 4) * (zeros[2] + (zeros[2] == 4) * zeros[0])
+    trailing = zeros[3] + (zeros[3] == 4) * trailing
+    significant = 17 - trailing
+    digits = _ASCII4[groups]
+    del groups, zeros
+    low = digits[0] | (digits[2] << 32)
+    high = digits[1] | (digits[3] << 32)
     before = _BEFORE[q]
     before = np.where(before == 0, significant, before)
-    head = _DIGIT < before
-    digits |= ord("0")
-    np.multiply(digits, head, out=out[_INT:_POINT])
-    np.greater(kept, head, out=kept)  # after the point, and not a trailing zero
-    digits *= kept
-    out[_POINT] = (significant > before) * ord(".")
-    affixes = _AFFIXES.take(q, axis=0)
-    out[_LEAD:_INT] = affixes[:, :5].T
-    out[_EXP:_SEP] = affixes[:, 5:].T
+    # zero the digits past the last significant one and past the point
+    count = np.maximum(significant, before).astype(np.uint64) << 3
+    low &= ~(_ALL << (count - np.uint64(8)))
+    high &= _ALL >> (np.uint64(136) - count)
+    point = (significant > before) * _POINT
+    shift = (before.astype(np.uint64) - np.uint64(1)) << 3
+    low, high, pushed = _insert_point(low, high, shift, point)
+    slots[:, 0] = _LEAD[q] | ((x < 0) * _MINUS) | ((first.astype(np.uint64) + _ZERO) << 48)
+    slots[:, 1] = low
+    slots[:, 2] = high
+    slots[:, 3] = _EXP[q] | pushed
     return exact
 
 
-def _block_text(block: list, formats: list, separators: np.ndarray) -> np.ndarray:
-    """The CSV text, as bytes in a uint8 array, of equal-length column slices ``block``."""
-    slots = np.zeros((len(block), _SEP + 1, len(block[0])), np.uint8)  # column, position, row
-    slots[:, _SEP] = separators[:, None]
-    for column, fmt, out in zip(block, formats, slots):
-        if fmt == "%d":
-            rows = np.arange(len(column))
-        else:
-            rows = np.flatnonzero(~_fill_slots(column.astype(np.float64, copy=False), out))
-        if rows.size:
-            text = np.array([fmt % v for v in column[rows].tolist()], f"S{_TEXT}")
-            out[:_SEP, rows] = 0
-            out[:_TEXT, rows] = text.view(np.uint8).reshape(-1, _TEXT).T
-    by_value = slots.transpose(2, 0, 1)
-    return by_value[by_value != 0]
+def _column_block(column, lo: int, hi: int) -> np.ndarray:
+    """Rows ``[lo, hi)`` of a column; a grid is evaluated on them alone,
+    with the bits of ``grid.values[lo:hi]``."""
+    if isinstance(column, UniformGrid):
+        return column.start + column.step * np.arange(lo, hi)
+    return column[lo:hi]
+
+
+def _put_text(slots: np.ndarray, at: np.ndarray, texts: list) -> None:
+    """Fill the slots ``at`` with ``texts``, keeping only their separators."""
+    if at.size:
+        slots[at, :3] = np.array(texts, f"S{_TEXT}").view("<u8").reshape(-1, 3)
+        slots[at, 3] &= _ALL << _SEP_SHIFT
+
+
+def _block_text(columns: list, start: int, stop: int, separators: np.ndarray) -> bytes:
+    """The CSV text of values ``[start, stop)`` of ``columns`` taken row by row."""
+    width = len(columns)
+    first, last = start // width, -(-stop // width)  # the rows the block touches
+    skip = start - first * width
+    values = np.empty((last - first, width))
+    for j, column in enumerate(columns):
+        values[:, j] = _column_block(column, first, last)
+    x = values.reshape(-1)[skip : skip + stop - start]
+    slots = np.empty((x.size, _LANES), "<u8")
+    exact = _fill_slots(x, slots)
+    slots[:, 3] |= separators[skip : skip + x.size]
+    for j, column in enumerate(columns):
+        if _format(column) == "%d":
+            at = np.arange(last - first) * width + (j - skip)
+            inside = (at >= 0) & (at < x.size)
+            exact[at[inside]] = True
+            _put_text(slots, at[inside], ["%d" % v for v in column[first:last][inside].tolist()])
+    at = np.flatnonzero(~exact)
+    _put_text(slots, at, ["%.17g" % v for v in x[at].tolist()])
+    return slots.tobytes().translate(None, b"\0")
 
 
 def _write_columns(path, header: str, columns) -> None:
-    """Write equal-length 1-D ``columns`` as CSV rows, each formatted by its dtype."""
-    columns = [np.asarray(c) for c in columns]
-    n = len(columns[0])
+    """Write equal-length columns (1-D arrays or grids) as CSV rows, each
+    formatted by its dtype."""
+    columns = [c if isinstance(c, UniformGrid) else np.asarray(c) for c in columns]
+    n, width = len(columns[0]), len(columns)
     if any(len(c) != n for c in columns):
         raise ValueError("CSV columns differ in length")
-    formats = [_format(c) for c in columns]
-    separators = np.full(len(columns), ord(","), np.uint8)
+    for column in columns:
+        _format(column)  # refuses a column of another dtype before the file is opened
+    separators = np.full(width, ord(","), np.uint64)
     separators[-1] = ord("\n")
+    # one per value, for a block starting anywhere in a row
+    separators = np.tile(separators << _SEP_SHIFT, _BLOCK_VALUES // width + 2)
     with open(Path(path), "wb") as fh:
         fh.write(header.encode() + b"\n")
-        for start in range(0, n, _BLOCK_ROWS):
-            block = [c[start : start + _BLOCK_ROWS] for c in columns]
-            fh.write(_block_text(block, formats, separators))
+        for start in range(0, n * width, _BLOCK_VALUES):
+            stop = min(start + _BLOCK_VALUES, n * width)
+            fh.write(_block_text(columns, start, stop, separators))
 
 
 def _read_columns(path, expected_header: str) -> tuple:
@@ -192,17 +289,16 @@ def _read_columns(path, expected_header: str) -> tuple:
     match exactly, followed by each further column."""
     with open(Path(path), encoding="utf-8-sig") as fh:
         header = fh.readline().strip()
-        if header != expected_header:
-            raise ValueError(
-                f"unexpected header {header!r} in {path}, expected {expected_header!r}"
-            )
-        try:
-            # an empty body is reported just below, so numpy's warning is not
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                body = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise ValueError(f"malformed CSV body in {path}: {exc}") from exc
+    if header != expected_header:
+        raise ValueError(f"unexpected header {header!r} in {path}, expected {expected_header!r}")
+    try:
+        # an empty body is reported just below, so numpy's warning is not
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            # numpy opens the path itself, which parses faster than a handle
+            body = np.loadtxt(path, delimiter=",", skiprows=1, encoding="utf-8-sig", ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"malformed CSV body in {path}: {exc}") from exc
     if body.size == 0:
         raise ValueError(f"{path} contains no data rows")
     columns = expected_header.count(",") + 1
@@ -212,7 +308,7 @@ def _read_columns(path, expected_header: str) -> tuple:
 
 
 def write_spectrum_csv(path, spectrum: SumFrequencySpectrum) -> None:
-    _write_columns(path, "nu_thz,weight", (spectrum.grid.values, spectrum.weights))
+    _write_columns(path, "nu_thz,weight", (spectrum.grid, spectrum.weights))
 
 
 def read_spectrum_csv(path) -> SumFrequencySpectrum:
@@ -220,11 +316,11 @@ def read_spectrum_csv(path) -> SumFrequencySpectrum:
 
 
 def write_interferogram_csv(path, interferogram: Interferogram) -> None:
-    _write_columns(path, "t_ps,p", (interferogram.grid.values, interferogram.values))
+    _write_columns(path, "t_ps,p", (interferogram.grid, interferogram.values))
 
 
 def write_trace_csv(path, trace: CorrelationTrace) -> None:
-    _write_columns(path, "t_ps,g", (trace.grid.values, trace.values))
+    _write_columns(path, "t_ps,g", (trace.grid, trace.values))
 
 
 def read_trace_csv(path) -> CorrelationTrace:
@@ -237,7 +333,7 @@ def write_recovered_csv(path, recovered: RecoveredSpectrum) -> None:
     _write_columns(
         path,
         "nu_thz,amplitude_abs,amplitude_re,amplitude_im",
-        (recovered.grid.values, np.hypot(amp.real, amp.imag), amp.real, amp.imag),
+        (recovered.grid, np.hypot(amp.real, amp.imag), amp.real, amp.imag),
     )
 
 
@@ -252,7 +348,7 @@ def write_counts_csv(path, counts: CountData) -> None:
     _write_columns(
         path,
         "t_ps,coincidences,pairs_sent",
-        (counts.grid.values, counts.coincidences, counts.pairs_sent),
+        (counts.grid, counts.coincidences, counts.pairs_sent),
     )
 
 

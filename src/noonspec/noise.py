@@ -487,13 +487,32 @@ def _peaks(pattern: Interferogram, config: NoiseConfig, jobs, chunk_size) -> np.
     return rows
 
 
+def _end_with(parent: int) -> None:
+    """Make this forked worker exit once ``parent`` is no longer its parent.
+
+    A parent killed by a signal never shuts its pool down, and the workers
+    would wait for tasks forever. A daemon thread watches ``os.getppid()``,
+    which changes when the parent dies, on every platform with ``os.fork``.
+    """
+    import threading
+    import time
+
+    def watch():
+        while os.getppid() == parent:
+            time.sleep(0.1)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
 def _all_peaks(pattern, config, jobs, chunk_size) -> np.ndarray:
     """``_peaks`` of ``jobs``, split into one interleaved share per usable CPU.
 
     Each share is one task of a forked worker while this process waits;
     the rows come back in job order, so they do not depend on the split.
     With one CPU, one job or no ``os.fork`` the jobs run here. A worker's
-    exception is raised here; a worker that dies raises ``ChildProcessError``.
+    exception is raised here; a worker that dies raises ``ChildProcessError``,
+    and the workers exit when this process dies (``_end_with``).
     """
     workers = min(_workers(), len(jobs))
     if workers == 1 or not hasattr(os, "fork"):
@@ -508,7 +527,12 @@ def _all_peaks(pattern, config, jobs, chunk_size) -> np.ndarray:
     shares = [jobs[w::workers] for w in range(workers)]
     run = partial(_peaks, pattern, config, chunk_size=chunk_size)
     try:
-        with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
+        with ProcessPoolExecutor(
+            workers,
+            mp_context=get_context("fork"),
+            initializer=_end_with,
+            initargs=(os.getpid(),),
+        ) as pool:
             for w, share_rows in enumerate(pool.map(run, shares)):
                 rows[w::workers] = share_rows
     except BrokenProcessPool as exc:

@@ -174,7 +174,8 @@ def test_float_format_roundtrips_exactly(tmp_path):
     assert back.weights[0] == value
 
 
-BLOCK = io._BLOCK_ROWS
+BLOCK = io._BLOCK_VALUES
+BLOCKS = [1, 7, BLOCK]  # one value, a few that split rows, the default
 TINY = sys.float_info.min * sys.float_info.epsilon  # smallest subnormal
 SPECIAL_FLOATS = [
     0.0, -0.0, TINY, -TINY, sys.float_info.min / 3, -sys.float_info.min,
@@ -184,14 +185,16 @@ SPECIAL_INTS = [0, -1, 2**53 + 1, 2**63 - 1, -(2**63)]  # beyond 17 digits or a 
 
 
 @st.composite
-def csv_columns(draw):
-    """1 to 4 mixed float64/int64 columns of one length around the block size.
+def csv_columns(draw, block):
+    """1 to 4 mixed float64/int64 columns whose values number around
+    multiples of ``block``, so blocks end anywhere in a row.
 
     Each column repeats a drawn pool of values in a drawn order, so special
     values land anywhere in the rows, block edges included.
     """
-    n = draw(st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]))
     kinds = draw(st.lists(st.sampled_from(["float", "int"]), min_size=1, max_size=4))
+    rows = -(-block // len(kinds))  # the fewest rows that fill a block
+    n = draw(st.sampled_from([1, max(rows - 1, 1), rows, rows + 1, 2 * rows + 3]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     columns = []
     for kind in kinds:
@@ -223,10 +226,23 @@ def percent_oracle(header, columns):
 def test_power_table_is_correctly_rounded():
     from fractions import Fraction
 
-    for i, (hi, lo) in enumerate(zip(io._TEN_HI.tolist(), io._TEN_LO.tolist())):
+    tables = zip(io._TEN_HI.tolist(), io._TEN_LO.tolist(), io._AT_LEAST.tolist())
+    for i, (hi, lo, at_least) in enumerate(tables):
         exact = Fraction(10) ** (io._POW_LOW + i)
         assert hi == float(exact)
         assert lo == float(exact - Fraction(hi))
+        # the least double at or above the power: the bound of its decade
+        assert Fraction(at_least) >= exact > Fraction(np.nextafter(at_least, 0))
+
+
+def test_scale_index_is_the_exact_decade():
+    # the binade tables give X = floor(log10 |x|) with no rounding, on both
+    # sides of every power of ten the numpy path formats
+    powers = io._AT_LEAST[: 281 - io._POW_LOW]
+    x = np.concatenate([powers, np.nextafter(powers, 0)])
+    x = x[(x >= 1 / io._EXACT_MAX) & (x <= io._EXACT_MAX)]
+    decade = np.searchsorted(io._AT_LEAST, x, "right") - 1 + io._POW_LOW
+    assert np.array_equal(io._scale_index(x) + io._POW_LOW, 16 - decade)
 
 
 def test_write_columns_random_bit_patterns(tmp_path):
@@ -251,9 +267,9 @@ def edge_floats():
     return np.concatenate([values, -values])
 
 
-@pytest.mark.parametrize("block", [1, 7, BLOCK])
+@pytest.mark.parametrize("block", BLOCKS)
 def test_write_columns_edge_values_at_any_block_size(tmp_path, monkeypatch, block):
-    monkeypatch.setattr(io, "_BLOCK_ROWS", block)
+    monkeypatch.setattr(io, "_BLOCK_VALUES", block)
     values = edge_floats()
     columns = [values, values[::-1].copy()]
     path = tmp_path / "edges.csv"
@@ -261,11 +277,43 @@ def test_write_columns_edge_values_at_any_block_size(tmp_path, monkeypatch, bloc
     assert path.read_bytes() == percent_oracle("a,b", columns)
 
 
+@pytest.mark.parametrize("block", BLOCKS)
+def test_grid_column_writes_the_bytes_of_its_values(tmp_path, monkeypatch, block):
+    # a grid is evaluated one block of rows at a time, never as a whole axis
+    monkeypatch.setattr(io, "_BLOCK_VALUES", block)
+    grid = UniformGrid(-739.8, 0.0021, 1001)
+    weights = np.random.default_rng(block).normal(size=grid.count)
+    io._write_columns(tmp_path / "grid.csv", "a,b,c", (grid, weights, grid))
+    io._write_columns(tmp_path / "values.csv", "a,b,c", (grid.values, weights, grid.values))
+    assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "values.csv").read_bytes()
+
+
+def test_write_columns_memory_does_not_grow_with_rows(tmp_path):
+    # the writer holds one block at a time, so its peak above its inputs is
+    # the same for a 2**14- and a 2**18-row trace
+    import tracemalloc
+
+    def peak_above_inputs(rows):
+        grid = UniformGrid(-1.0, 2.0 / rows, rows)
+        values = np.random.default_rng(rows).normal(size=rows)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            io._write_columns(tmp_path / "big.csv", "t_ps,g", (grid, values))
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak_above_inputs(2**14), peak_above_inputs(2**18)
+    assert large <= small * 1.05 + 4096
+
+
 def test_ordinary_floats_take_the_numpy_path():
     # the Python fallback is for rare values; a writer that sent every value
     # there would pass every oracle above at Python's speed
     x = np.random.default_rng(3).normal(size=4096) * 10.0 ** np.arange(-8, 8).repeat(256)
-    slots = np.zeros((io._SEP + 1, x.size), np.uint8)
+    slots = np.zeros((x.size, io._LANES), "<u8")
     assert io._fill_slots(x, slots).mean() > 0.99
 
 
@@ -275,9 +323,11 @@ def test_ordinary_floats_take_the_numpy_path():
     derandomize=True,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-@given(csv_columns())
-def test_write_columns_equals_per_row_format(tmp_path, drawn):
-    kinds, columns = drawn
+@pytest.mark.parametrize("block", BLOCKS)
+@given(data=st.data())
+def test_write_columns_equals_per_row_format(tmp_path, monkeypatch, block, data):
+    monkeypatch.setattr(io, "_BLOCK_VALUES", block)
+    kinds, columns = data.draw(csv_columns(block))
     header = ",".join(f"c{j}" for j in range(len(kinds)))
     path = tmp_path / "columns.csv"
     io._write_columns(path, header, columns)

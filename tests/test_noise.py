@@ -1,6 +1,9 @@
 import math
 import os
+import signal
+import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -623,6 +626,36 @@ class TestWorkers:
         else:
             assert len(set(pids)) == workers and str(os.getpid()) not in pids
 
+    @fork_only
+    @pytest.mark.skipif(
+        not Path("/proc/self/stat").exists() or noise._workers() < 2,
+        reason="needs /proc and two usable CPUs",
+    )
+    def test_workers_end_with_a_killed_parent(self, tmp_path):
+        # a parent killed by SIGTERM never shuts its pool down; its workers
+        # must not wait for tasks forever
+        study = subprocess.Popen(
+            [sys.executable, "-m", "noonspec", "noise-study", "--preset", "noise-gauss",
+             "--trials", "1000,10000,100000,1000000", "--repeats", "2000",
+             "--out", str(tmp_path / "study")],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        deadline = time.monotonic() + 60
+        workers = []
+        while len(workers) < 2 and study.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.05)
+            workers = children(study.pid)
+        study.send_signal(signal.SIGTERM)
+        assert study.wait(10) == -signal.SIGTERM and len(workers) >= 2
+        deadline = time.monotonic() + 5
+        while any(map(running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        survivors = [pid for pid in workers if running(pid)]
+        for pid in survivors:
+            os.kill(pid, signal.SIGKILL)
+        assert not survivors
+
     def test_without_os_fork_the_study_runs_here(self, tmp_path, monkeypatch):
         # a platform without os.fork (Windows) takes the serial path, whatever the CPUs
         grid = make_frequency_grid(738.25, 0.004, 201)
@@ -650,3 +683,28 @@ class TestWorkers:
         for field in ("n_trials", "std_height", "std_center"):
             np.testing.assert_array_equal(getattr(study, field), getattr(serial, field))
         assert pids == [os.getpid()] * 6
+
+
+def _stat(pid: int) -> list:
+    """The fields of /proc/<pid>/stat after the command name (state first)."""
+    return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
+
+
+def children(pid: int) -> list:
+    """The pids of the processes whose parent is ``pid``."""
+    found = []
+    for entry in os.listdir("/proc"):
+        try:
+            if entry.isdigit() and int(_stat(int(entry))[1]) == pid:
+                found.append(int(entry))
+        except OSError:  # the process ended while the table was read
+            pass
+    return found
+
+
+def running(pid: int) -> bool:
+    """False once ``pid`` has exited, reaped (gone) or not (a zombie)."""
+    try:
+        return _stat(pid)[0] != "Z"
+    except OSError:
+        return False
