@@ -295,8 +295,10 @@ def _read_columns(path, expected_header: str) -> tuple:
         # an empty body is reported just below, so numpy's warning is not
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            # numpy opens the path itself, which parses faster than a handle
-            body = np.loadtxt(path, delimiter=",", skiprows=1, encoding="utf-8-sig", ndmin=2)
+            # numpy opens the path itself, faster than a handle; '#' starts no comment
+            body = np.loadtxt(
+                path, delimiter=",", skiprows=1, encoding="utf-8-sig", ndmin=2, comments=None
+            )
     except ValueError as exc:
         raise ValueError(f"malformed CSV body in {path}: {exc}") from exc
     if body.size == 0:

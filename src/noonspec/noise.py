@@ -28,8 +28,9 @@ those ufuncs falls back to ``binom.cdf`` and ``binom.pmf`` themselves).
 
 The scaling study runs its keyed (trial count, repeat) streams on every
 CPU this process may run on, one forked worker per CPU (in this process
-where there is no ``os.fork``); a worker draws its streams of one trial
-count as one block. The results go back in stream order, so the output
+where there is no ``os.fork``); a worker carries its streams of one trial
+count as one block of arrays from the draw to the folded spectra, with no
+object per stream. The results go back in stream order, so the output
 does not depend on the number of workers.
 ``multiprocessing`` loads only when a study forks.
 """
@@ -51,7 +52,7 @@ from .interferometer import (
     default_time_grid,
     simulate_interferogram,
 )
-from .recovery import _refined, fold_one_sided, fourier_recover
+from .recovery import _folded, _refined, _transformed
 from .spectral import SumFrequencySpectrum
 
 
@@ -354,8 +355,8 @@ def _sample_streams(
     config: NoiseConfig,
     streams: Sequence[int],
     chunk_size: int | None = None,
-) -> list:
-    """One :class:`CountData` per entry of ``streams``, drawn as one block.
+) -> tuple:
+    """The int64 counts of ``streams`` drawn as one block, and the clamp flag.
 
     The streams share every bin's n and p, so they share its CDF table
     (see :func:`_binomial_quantile`); each count is still a pure function
@@ -375,8 +376,7 @@ def _sample_streams(
     for lo in range(0, nbins, chunk_size):
         block = slice(lo, lo + chunk_size)
         counts[:, block] = _binomial_quantile(u[:, block], config.pairs_per_bin, p[block])
-    pairs = np.full(nbins, config.pairs_per_bin, dtype=np.int64)
-    return [CountData(interferogram.grid, row, pairs, clamped) for row in counts]
+    return counts, clamped
 
 
 def sample_counts(
@@ -398,7 +398,8 @@ def sample_counts(
     bounds its memory, without changing a bit. ``stream`` distinguishes
     repeated experiments under the same seed.
     """
-    return _sample_streams(interferogram, config, [stream], chunk_size)[0]
+    (row,), clamped = _sample_streams(interferogram, config, [stream], chunk_size)
+    return CountData(interferogram.grid, row, np.full_like(row, config.pairs_per_bin), clamped)
 
 
 def estimate_trace(
@@ -410,11 +411,16 @@ def estimate_trace(
     [0, 1], then G_hat = 2 P_hat - 1, on the counts' own delay grid.
     The output feeds :func:`noonspec.recovery.fourier_recover` unchanged.
     """
+    g = _estimated(counts.coincidences, counts.pairs_sent, efficiency, dark_rate)
+    return CorrelationTrace(counts.grid, g)
+
+
+def _estimated(coincidences, pairs_sent, efficiency: float, dark_rate: float) -> np.ndarray:
+    """G_hat of :func:`estimate_trace`, elementwise."""
     _check_efficiency(efficiency)
-    rates = counts.coincidences / counts.pairs_sent
     with np.errstate(over="ignore"):  # an overflow to +-inf clips to the bound it passed
-        p_hat = np.clip((rates - dark_rate) / efficiency**2, 0.0, 1.0)
-    return CorrelationTrace(counts.grid, 2.0 * p_hat - 1.0)
+        p_hat = np.clip((coincidences / pairs_sent - dark_rate) / efficiency**2, 0.0, 1.0)
+    return 2.0 * p_hat - 1.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -456,14 +462,6 @@ class ScalingStudy:
         return float(np.polyfit(x, y, 1)[0])
 
 
-def _dominant_peak(folded: SumFrequencySpectrum) -> tuple:
-    """(center, height) of the strongest non-DC bin, parabolically refined."""
-    w = folded.weights
-    i = 1 + int(np.argmax(w[1:]))
-    delta, height = _refined(w, i)
-    return folded.grid.start + (i + delta) * folded.grid.step, height
-
-
 def _workers() -> int:
     """The number of CPUs this process may run on, one study worker each."""
     try:
@@ -472,18 +470,21 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
-def _peaks(pattern: Interferogram, config: NoiseConfig, jobs, chunk_size) -> np.ndarray:
-    """(center, height) of the dominant recovered peak, one row per
-    ``(pairs_per_bin, stream)`` job: sample, estimate, transform, fold.
-    The streams of one trial count are drawn as one block."""
-    rows = np.empty((len(jobs), 2))
-    for pairs in dict.fromkeys(pairs for pairs, _ in jobs):
-        at = [i for i, job in enumerate(jobs) if job[0] == pairs]
+def _peaks(pattern: Interferogram, config: NoiseConfig, n_trials, streams, chunk_size):
+    """(center, height) of the strongest non-DC bin of each stream's folded
+    spectrum, parabolically refined. Row i of ``streams`` is drawn at
+    ``n_trials[i]`` pairs per bin, then estimated, transformed and folded as one block."""
+    rows = np.empty(streams.shape + (2,))
+    for pairs, keys, out in zip(n_trials, streams, rows):
         cfg = replace(config, pairs_per_bin=pairs)
-        drawn = _sample_streams(pattern, cfg, [jobs[i][1] for i in at], chunk_size)
-        for i, counts in zip(at, drawn):
-            trace = estimate_trace(counts, cfg.efficiency, cfg.dark_rate)
-            rows[i] = _dominant_peak(fold_one_sided(fourier_recover(trace)))
+        counts, _ = _sample_streams(pattern, cfg, keys, chunk_size)
+        g = _estimated(counts, pairs, cfg.efficiency, cfg.dark_rate)
+        grid, amp = _transformed(g, pattern.grid)
+        for row, w in zip(out, _folded(amp, grid.index_of(0.0))):
+            i = 1 + int(np.argmax(w[1:]))
+            delta, height = _refined(w, i)
+            row[:] = (i + delta) * grid.step, height
+        del counts, g, amp  # not held through the next draw: 52 MB on a 2**16 grid
     return rows
 
 
@@ -505,27 +506,27 @@ def _end_with(parent: int) -> None:
     threading.Thread(target=watch, daemon=True).start()
 
 
-def _all_peaks(pattern, config, jobs, chunk_size) -> np.ndarray:
-    """``_peaks`` of ``jobs``, split into one interleaved share per usable CPU.
+def _all_peaks(pattern, config, n_trials, streams, chunk_size) -> np.ndarray:
+    """``_peaks`` of ``streams``, its columns split in one interleaved share per CPU.
 
     Each share is one task of a forked worker while this process waits;
-    the rows come back in job order, so they do not depend on the split.
-    With one CPU, one job or no ``os.fork`` the jobs run here. A worker's
+    the rows come back in stream order, so they do not depend on the split.
+    With one CPU, one repeat or no ``os.fork`` the streams run here. A worker's
     exception is raised here; a worker that dies raises ``ChildProcessError``,
     and the workers exit when this process dies (``_end_with``).
     """
-    workers = min(_workers(), len(jobs))
+    workers = min(_workers(), streams.shape[1])
     if workers == 1 or not hasattr(os, "fork"):
-        return _peaks(pattern, config, jobs, chunk_size)
+        return _peaks(pattern, config, n_trials, streams, chunk_size)
     # imported here: at module level they would add ~30 ms to every import
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
     from multiprocessing import get_context
 
     _binomial_ufuncs()  # loaded once here, not in every worker on every call
-    rows = np.empty((len(jobs), 2))
-    shares = [jobs[w::workers] for w in range(workers)]
-    run = partial(_peaks, pattern, config, chunk_size=chunk_size)
+    rows = np.empty(streams.shape + (2,))
+    shares = [streams[:, w::workers] for w in range(workers)]
+    run = partial(_peaks, pattern, config, n_trials, chunk_size=chunk_size)
     try:
         with ProcessPoolExecutor(
             workers,
@@ -534,7 +535,7 @@ def _all_peaks(pattern, config, jobs, chunk_size) -> np.ndarray:
             initargs=(os.getpid(),),
         ) as pool:
             for w, share_rows in enumerate(pool.map(run, shares)):
-                rows[w::workers] = share_rows
+                rows[:, w::workers] = share_rows
     except BrokenProcessPool as exc:
         raise ChildProcessError(f"a noise-study worker process died: {exc}") from exc
     return rows
@@ -577,13 +578,9 @@ def error_scaling_study(
         grid = default_time_grid()
 
     pattern = simulate_interferogram(spectrum, grid)
-    jobs = [
-        (pairs, i_n * repeats + r)
-        for i_n, pairs in enumerate(n_trials.tolist())
-        for r in range(repeats)
-    ]
-    rows = _all_peaks(pattern, config, jobs, chunk_size)
-    centers, heights = rows.T.reshape(2, -1, repeats)
+    streams = np.arange(n_trials.size * repeats).reshape(-1, repeats)
+    rows = _all_peaks(pattern, config, n_trials.tolist(), streams, chunk_size)
+    centers, heights = np.moveaxis(rows, -1, 0)
     return ScalingStudy(
         n_trials, np.std(heights, axis=1, ddof=1), np.std(centers, axis=1, ddof=1)
     )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AsymmetryError, GridMismatchError
-from .grids import FrequencyGrid, _column
+from .grids import FrequencyGrid, TimeGrid, _column
 from .interferometer import CorrelationTrace
 from .spectral import SumFrequencySpectrum
 
@@ -63,25 +63,26 @@ def fourier_recover(trace: CorrelationTrace, window: str = "rect") -> RecoveredS
     ``window="hann"`` tapers the trace before the transform for
     leakage-sensitive comb work (default is rectangular, i.e. none).
     """
-    n = trace.grid.count
-    dt = trace.grid.step
+    g = np.asarray(trace.values, dtype=float)
+    if window == "hann":
+        g = g * np.hanning(g.size)
+    elif window != "rect":
+        raise ValueError(f"unknown window {window!r} (expected 'rect' or 'hann')")
+    return RecoveredSpectrum(*_transformed(g, trace.grid))
+
+
+def _transformed(g: np.ndarray, grid: TimeGrid) -> tuple:
+    """The grid and two-sided amplitudes of :func:`fourier_recover` along g's last axis."""
+    n, dt = grid.count, grid.step
     # the kernel phase 2 pi nu t must stay finite up to the band edge 1/(2 dt)
     if not math.isfinite(2 * math.pi / dt):
         raise ValueError(f"delay step {dt!r} ps is too fine for a finite frequency band")
     df = 1.0 / (n * dt)
-
-    g = np.asarray(trace.values, dtype=float)
-    if window == "hann":
-        g = g * np.hanning(n)
-    elif window != "rect":
-        raise ValueError(f"unknown window {window!r} (expected 'rect' or 'hann')")
-
     # ifft carries the +i kernel; undo its 1/n and add the t-origin phase
-    raw = n * dt * np.fft.ifft(g)
-    raw *= np.exp(2j * np.pi * np.fft.fftfreq(n, d=dt) * trace.grid.start)
-
-    grid = FrequencyGrid(start=-(n // 2) * df, step=df, count=n)
-    return RecoveredSpectrum(grid, np.fft.fftshift(raw))
+    raw = np.fft.ifft(g)
+    raw *= n * dt
+    raw *= np.exp(2j * np.pi * np.fft.fftfreq(n, d=dt) * grid.start)
+    return FrequencyGrid(start=-(n // 2) * df, step=df, count=n), np.fft.fftshift(raw, axes=-1)
 
 
 def fold_one_sided(recovered: RecoveredSpectrum) -> SumFrequencySpectrum:
@@ -92,20 +93,29 @@ def fold_one_sided(recovered: RecoveredSpectrum) -> SumFrequencySpectrum:
     bin lands on +Nyquist. Requires Hermitian symmetry within 1e-6 of the
     peak magnitude, which holds for transforms of real traces.
     """
-    amp = recovered.amplitudes
     i0 = recovered.zero_index
-    # DC and up, and below DC nearest first: neg[j] mirrors pos[j + 1]
-    neg, pos = amp[:i0][::-1], amp[i0:]
-    k = min(neg.size, pos.size - 1)
-    mirror_err = np.abs(neg[:k] - np.conj(pos[1 : k + 1])).max(initial=abs(amp[i0].imag))
-    scale = np.abs(amp).max()
-    if mirror_err > HERMITIAN_TOL * scale:
-        raise AsymmetryError(f"Hermitian symmetry broken by {mirror_err / scale:.3e} (relative)")
+    grid = FrequencyGrid(0.0, recovered.grid.step, i0 + 1)
+    return SumFrequencySpectrum(grid, _folded(recovered.amplitudes, i0))
 
-    weights = np.zeros(i0 + 1)
-    weights[: pos.size] = np.abs(pos)
-    weights[1 : neg.size + 1] += np.abs(neg)
-    return SumFrequencySpectrum(FrequencyGrid(0.0, recovered.grid.step, i0 + 1), weights)
+
+def _folded(amp: np.ndarray, i0: int) -> np.ndarray:
+    """The weights of :func:`fold_one_sided` along the last axis of ``amp``, zero at ``i0``.
+    ``np.hypot`` gives a reversed half one row's bits in any layout; ``np.abs`` does not."""
+    # DC and up, and below DC nearest first: neg[j] mirrors pos[j + 1]
+    neg, pos = amp[..., :i0][..., ::-1], amp[..., i0:]
+    k = min(neg.shape[-1], pos.shape[-1] - 1)
+    d = neg[..., :k] - np.conj(pos[..., 1 : k + 1])
+    err = np.maximum(np.hypot(d.real, d.imag).max(-1, initial=0.0), abs(amp[..., i0].imag))
+    weights = np.zeros(amp.shape[:-1] + (i0 + 1,))
+    np.abs(pos, out=weights[..., : pos.shape[-1]])
+    abs_neg = np.hypot(neg.real, neg.imag)
+    scale = np.maximum(weights.max(-1), abs_neg.max(-1, initial=0.0))
+    broken = err > HERMITIAN_TOL * scale
+    if np.any(broken):  # the first row that breaks it
+        rel = err[broken][0] / scale[broken][0]
+        raise AsymmetryError(f"Hermitian symmetry broken by {rel:.3e} (relative)")
+    weights[..., 1 : neg.shape[-1] + 1] += abs_neg
+    return weights
 
 
 def _refined(signal: np.ndarray, i: int) -> tuple:

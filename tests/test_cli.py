@@ -725,6 +725,22 @@ class TestRecover:
         proc = run_cli("recover", str(path), "--out", str(tmp_path / "rec"))
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("bend", ["line", "cell"])
+    def test_hash_in_trace_exits_2_with_one_line(self, tmp_path, capsys, bend):
+        # '#' used to start a comment: a comment line gave the clean
+        # trace's recovered.csv, and a cell "1 # note" read as 1
+        rows = [f"{i * 5e-4!r},{math.cos(2 * math.pi * 740.25 * i * 5e-4)!r}" for i in range(64)]
+        if bend == "line":
+            rows.insert(10, "# a comment")
+        else:
+            rows[10] = rows[10].split(",")[0] + ",1 # note"
+        path = tmp_path / "hash.csv"
+        path.write_text("t_ps,g\n" + "\n".join(rows) + "\n")
+        assert main(["recover", str(path), "--out", str(tmp_path / "rec")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: malformed CSV body in {path}: ") and err.count("\n") == 1
+        assert not (tmp_path / "rec").exists()
+
     def test_three_column_trace_exits_2(self, tmp_path):
         path = tmp_path / "wide.csv"
         path.write_text("t_ps,g\n0.0,0.1,7\n0.001,0.2,7\n0.002,0.3,7\n")
@@ -1329,9 +1345,10 @@ def test_fuzzed_scenario_ends_in_a_documented_exit(tmp_path, capsys, doc):
 
 
 
-# what a cell may become: extreme, non-finite, hex, quoted, empty or padded
+# what a cell may become: extreme, non-finite, hex, quoted, empty, padded or commented
 BENT_CELLS = st.sampled_from(
-    ["1e308", "-1e308", "nan", "inf", "0x1p-3", "0x10", '"0.5"', "'0'", "", " 0.5 ", "1e-320"]
+    ["1e308", "-1e308", "nan", "inf", "0x1p-3", "0x10", '"0.5"', "'0'", "", " 0.5 ", "1e-320",
+     "1 # note"]
 )
 
 
@@ -1354,13 +1371,15 @@ def near_valid_traces(draw) -> bytes:
     rows = [[format(a, ".17g"), format(b, ".17g")] for a, b in pairs]
     bent_rows = st.sets(st.integers(0, count - 1), min_size=1, max_size=3)
     for i in draw(bent_rows) if part == "cells" else ():
-        bend = draw(st.sampled_from(["cell", "hex", "extra", "drop"]))
+        bend = draw(st.sampled_from(["cell", "hex", "extra", "drop", "comment"]))
         if bend == "cell":
             rows[i][draw(st.integers(0, 1))] = draw(BENT_CELLS)
         elif bend == "hex":
             rows[i] = [x.hex() for x in pairs[i]]
         elif bend == "extra":
             rows[i].append("0")
+        elif bend == "comment":  # a line of its own before row i
+            rows[i][0] = "# a comment\n" + rows[i][0]
         else:
             del rows[i][-1]
     newline = draw(st.sampled_from(["\n", "\r\n"]))

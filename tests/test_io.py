@@ -71,6 +71,15 @@ def test_trace_malformed_body(tmp_path):
         io.read_trace_csv(path)
 
 
+def test_blank_body_lines_are_skipped(tmp_path):
+    rows = [f"{i * 0.001!r},{0.5 - 0.1 * i!r}" for i in range(4)]
+    clean, blank = tmp_path / "clean.csv", tmp_path / "blank.csv"
+    clean.write_text("t_ps,g\n" + "\n".join(rows) + "\n")
+    blank.write_text("t_ps,g\n\n" + "\n\n".join(rows) + "\n\n\r\n")
+    a, b = io.read_trace_csv(clean), io.read_trace_csv(blank)
+    assert a.grid == b.grid and np.array_equal(a.values, b.values)
+
+
 def test_body_wider_than_header_rejected(tmp_path):
     path = tmp_path / "wide.csv"
     path.write_text("nu_thz,weight\n740.0,1.0,9\n740.5,2.0,9\n")

@@ -16,6 +16,7 @@ from scipy.special import _ufuncs
 from scipy.stats import binom
 
 from noonspec import (
+    AsymmetryError,
     CountData,
     FrequencyGrid,
     Interferogram,
@@ -25,6 +26,7 @@ from noonspec import (
     TimeGrid,
     error_scaling_study,
     estimate_trace,
+    fold_one_sided,
     fourier_recover,
     gaussian_pump_spectrum,
     make_frequency_grid,
@@ -35,6 +37,7 @@ from noonspec import noise
 from noonspec.cli import parse_scenario
 from noonspec.noise import _binomial_quantile, _clipped, _keyed_uniforms, _margin
 from noonspec.presets import preset_scenario
+from noonspec.recovery import RecoveredSpectrum, _folded, _refined, _transformed
 from conftest import centered_time_grid, fork_only
 
 
@@ -574,6 +577,45 @@ class TestErrorScalingStudy:
         for field in ("n_trials", "std_height", "std_center"):
             np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
         assert a.exponent == b.exponent
+
+
+class TestStudyBlocks:
+    """The study carries a trial count's streams as one block, with the
+    arithmetic of the one-row public functions."""
+
+    @pytest.mark.parametrize("count", [1001, 4096])
+    def test_peaks_equal_the_one_row_chain_bit_for_bit(self, count):
+        # np.abs rounds a complex array by its memory layout: a block fold
+        # that took it of a reversed 2-D view moved heights by an ulp
+        spec = gaussian_pump_spectrum(make_frequency_grid(738.25, 0.004, 201), 738.65, 0.3)
+        pattern = simulate_interferogram(spec, centered_time_grid(5e-4, count))
+        config = NoiseConfig(pairs_per_bin=1, seed=17, dark_rate=0.01, efficiency=0.8)
+        n_trials = [300, 2000]
+        streams = np.arange(60).reshape(2, 30)
+        rows = noise._peaks(pattern, config, n_trials, streams, None)
+        assert rows.shape == (2, 30, 2)
+        for pairs, keys, got in zip(n_trials, streams, rows):
+            cfg = replace(config, pairs_per_bin=pairs)
+            for key, (center, height) in zip(keys.tolist(), got):
+                counts = sample_counts(pattern, cfg, stream=key)
+                trace = estimate_trace(counts, cfg.efficiency, cfg.dark_rate)
+                folded = fold_one_sided(fourier_recover(trace))
+                w = folded.weights
+                i = 1 + int(np.argmax(w[1:]))
+                delta, want = _refined(w, i)
+                assert center == folded.grid.start + (i + delta) * folded.grid.step
+                assert height == want
+
+        # a block with one broken row reports that row's relative error
+        g = 2.0 * pattern.values - 1.0
+        grid, amp = _transformed(np.tile(g, (5, 1)), pattern.grid)
+        amp[3, grid.index_of(0.0) + 7] += 1e-3j * np.abs(amp[3]).max()
+        with pytest.raises(AsymmetryError) as one_row:
+            fold_one_sided(RecoveredSpectrum(grid, amp[3]))
+        with pytest.raises(AsymmetryError) as block:
+            _folded(amp, grid.index_of(0.0))
+        assert str(block.value) == str(one_row.value)
+        assert "broken by 1.000e-03" in str(block.value)
 
 
 class TestWorkers:
