@@ -10,9 +10,12 @@ Each column's format follows its dtype: ``%.17g`` for floats (and for a
 ``UniformGrid``, which stands for its points), ``%d`` for integers; any
 other dtype is refused. The bytes are those of formatting each value on
 its own with ``'%.17g' % x`` or ``'%d' % n``, but the writer formats
-``_BLOCK_VALUES`` values at a time in numpy, taken across the columns in
-the order they are written, so a block may end inside a row. Its memory
-is bounded by the block: a grid is evaluated on the block's rows alone.
+blocks of whole rows in numpy, ``_BLOCK_VALUES // width`` rows (at least
+one) at a time. Its memory is bounded by the block: a grid, and the
+modulus column of ``recovered.csv``, are evaluated on the block's rows
+alone. Every value takes one path, integers as floats: an integer with
+|n| < 2**53 is exact as a double, and its ``'%d'`` text is the
+double's ``'%.17g'`` text.
 
 - A float with 1e-280 <= |x| <= 1e280 gets its 17 significant digits
   from N = round(|x| * 10**(16 - X)), X = floor(log10 |x|). X is exact:
@@ -21,14 +24,16 @@ is bounded by the block: a grid is evaluated on the block's rows alone.
   next one. The product is a double-double: Dekker's exact
   ``_two_product`` (Numer. Math. 18, 1971) with the high half of a
   106-bit table of powers of ten, plus the low half's product. Its error
-  is below 1e-14, so N is exact whenever it has 17 digits and the
-  product is not within 1e-9 of a tie.
+  is below 1e-14, so N is exact unless the product is within 1e-9 of a
+  tie; and as X is exact, N has 17 digits unless the product is within
+  16 of 10**17, where rounding may carry to an 18th.
 - N's first digit is N // 10**16; the other 16 are four 4-digit groups,
   whose ASCII comes from a table of all 10,000 groups and whose count of
   significant digits comes from a table of their trailing zeros.
-- Every other value takes ``'%.17g' % x`` or ``'%d' % n``: zero,
-  subnormals, non-finite values, values outside that range, a tie and
-  every integer column.
+- Python's ``'%.17g' % x`` or ``'%d' % n`` formats only the rare other
+  values: zero, subnormals, non-finite values, values outside that
+  range, a near-tie, a value that may carry, and an integer with
+  |n| >= 2**53.
 
 Each value owns a slot of four little-endian 8-byte lanes::
 
@@ -62,7 +67,7 @@ from .recovery import RecoveredSpectrum
 from .spectral import SumFrequencySpectrum
 
 
-_BLOCK_VALUES = 8192  # values formatted per block, across columns; bounds the transients
+_BLOCK_VALUES = 8192  # values formatted per block of whole rows; bounds the transients
 
 
 def _powers_of_ten(low: int, high: int) -> tuple[np.ndarray, np.ndarray]:
@@ -136,20 +141,11 @@ _ASCII4, _TRAILING = _group_tables()
 #   lane 3: the digit the point pushed out of lane 2, "e" sign ddd, separator
 _LANES = 4  # 8-byte lanes in a slot
 _LEAD = _lanes([b"\0" + lead for lead, *_ in _LAYOUTS])
-_EXP = _lanes([b"\0" + exp for _, exp, _ in _LAYOUTS])
-_SEP_SHIFT = np.uint64(48)  # the separator's byte in lane 3
+_EXP = _lanes([(b"\0" + exp).ljust(6, b"\0") + b"," for _, exp, _ in _LAYOUTS])
+_SEP_SHIFT = np.uint64(48)  # the separator's byte in lane 3, a comma in _EXP
 _ALL = np.uint64(2**64 - 1)
 _POINT, _MINUS, _ZERO = np.uint64(ord(".")), np.uint64(ord("-")), np.uint64(ord("0"))
 _TEXT = 24  # width of '%.17g' % -2.2250738585072014e-308, the longest text
-
-
-def _format(column) -> str:
-    """``%.17g`` for a float column or a grid, ``%d`` for an integer one."""
-    if isinstance(column, UniformGrid) or column.dtype.kind == "f":
-        return "%.17g"
-    if column.dtype.kind in "iu":
-        return "%d"
-    raise ValueError(f"cannot write a column of dtype {column.dtype} to CSV")
 
 
 def _insert_point(low: np.ndarray, high: np.ndarray, shift: np.ndarray, point: np.ndarray):
@@ -175,9 +171,9 @@ def _scale_index(a: np.ndarray) -> np.ndarray:
 
 
 def _fill_slots(x: np.ndarray, slots: np.ndarray) -> np.ndarray:
-    """Write the ``%.17g`` text of each float64 in ``x`` into its row of
-    ``slots``, all but the separator; True where that text is exact, False
-    where the value must be formatted in Python instead."""
+    """Write the ``%.17g`` text of each float64 in ``x`` and a comma into
+    its row of ``slots``; True where that text is exact, False where the
+    value must be formatted in Python instead."""
     a = np.abs(x)
     exact = (a >= 1 / _EXACT_MAX) & (a <= _EXACT_MAX)  # False for 0, nan, inf, subnormals
     a[~exact] = 1.0  # so no arithmetic below warns
@@ -187,8 +183,9 @@ def _fill_slots(x: np.ndarray, slots: np.ndarray) -> np.ndarray:
     del a  # each transient freed early lowers the writer's peak memory
     whole = np.floor(lo)
     lo -= whole
-    # 17 digits, so no carry; and not within reach of a tie
-    exact &= (hi > 1e16 + 16) & (hi < 1e17 - 16) & (np.abs(lo - 0.5) > 1e-9)
+    # X is exact, so N has at least 17 digits (10**X itself gives 10**16);
+    # no carry to an 18th, and not within reach of a tie
+    exact &= (hi < 1e17 - 16) & (np.abs(lo - 0.5) > 1e-9)
     n = hi.astype(np.int64)
     n += whole.astype(np.int64)
     n += lo > 0.5
@@ -228,9 +225,12 @@ def _fill_slots(x: np.ndarray, slots: np.ndarray) -> np.ndarray:
 
 def _column_block(column, lo: int, hi: int) -> np.ndarray:
     """Rows ``[lo, hi)`` of a column; a grid is evaluated on them alone,
-    with the bits of ``grid.values[lo:hi]``."""
+    with the bits of ``grid.values[lo:hi]``, and a function of the rows is
+    called on them."""
     if isinstance(column, UniformGrid):
         return column.start + column.step * np.arange(lo, hi)
+    if callable(column):
+        return column(lo, hi)
     return column[lo:hi]
 
 
@@ -241,47 +241,42 @@ def _put_text(slots: np.ndarray, at: np.ndarray, texts: list) -> None:
         slots[at, 3] &= _ALL << _SEP_SHIFT
 
 
-def _block_text(columns: list, start: int, stop: int, separators: np.ndarray) -> bytes:
-    """The CSV text of values ``[start, stop)`` of ``columns`` taken row by row."""
-    width = len(columns)
-    first, last = start // width, -(-stop // width)  # the rows the block touches
-    skip = start - first * width
-    values = np.empty((last - first, width))
-    for j, column in enumerate(columns):
-        values[:, j] = _column_block(column, first, last)
-    x = values.reshape(-1)[skip : skip + stop - start]
+def _block_text(columns: list, lo: int, hi: int) -> bytes:
+    """The CSV text of rows ``[lo, hi)`` of ``columns``."""
+    blocks = [_column_block(column, lo, hi) for column in columns]
+    width = len(blocks)
+    x = np.stack(blocks, axis=1, dtype=float)
     slots = np.empty((x.size, _LANES), "<u8")
-    exact = _fill_slots(x, slots)
-    slots[:, 3] |= separators[skip : skip + x.size]
-    for j, column in enumerate(columns):
-        if _format(column) == "%d":
-            at = np.arange(last - first) * width + (j - skip)
-            inside = (at >= 0) & (at < x.size)
-            exact[at[inside]] = True
-            _put_text(slots, at[inside], ["%d" % v for v in column[first:last][inside].tolist()])
+    exact = _fill_slots(x.ravel(), slots).reshape(x.shape)
+    formats = []
+    for j, block in enumerate(blocks):
+        formats.append("%.17g" if block.dtype.kind == "f" else "%d")
+        if formats[j] == "%d":  # below 2**53 the float's '%.17g' text is the integer's '%d'
+            exact[:, j] &= np.abs(x[:, j]) < 2**53
+    # each row ends in a newline, not a comma
+    slots[width - 1 :: width, 3] ^= np.uint64(ord(",") ^ ord("\n")) << _SEP_SHIFT
     at = np.flatnonzero(~exact)
-    _put_text(slots, at, ["%.17g" % v for v in x[at].tolist()])
+    rows, cols = np.divmod(at, width)
+    _put_text(slots, at, [formats[j] % blocks[j][i] for i, j in zip(rows.tolist(), cols.tolist())])
     return slots.tobytes().translate(None, b"\0")
 
 
 def _write_columns(path, header: str, columns) -> None:
-    """Write equal-length columns (1-D arrays or grids) as CSV rows, each
-    formatted by its dtype."""
-    columns = [c if isinstance(c, UniformGrid) else np.asarray(c) for c in columns]
-    n, width = len(columns[0]), len(columns)
-    if any(len(c) != n for c in columns):
+    """Write equal-length columns as CSV rows. A column is a 1-D float or
+    integer array, a grid, or a function returning its rows ``[lo, hi)``
+    as floats; the first column is not a function."""
+    columns = [c if isinstance(c, UniformGrid) or callable(c) else np.asarray(c) for c in columns]
+    n = len(columns[0])
+    if any(len(c) != n for c in columns if not callable(c)):
         raise ValueError("CSV columns differ in length")
-    for column in columns:
-        _format(column)  # refuses a column of another dtype before the file is opened
-    separators = np.full(width, ord(","), np.uint64)
-    separators[-1] = ord("\n")
-    # one per value, for a block starting anywhere in a row
-    separators = np.tile(separators << _SEP_SHIFT, _BLOCK_VALUES // width + 2)
+    for column in columns:  # refused before the file is opened
+        if not (isinstance(column, UniformGrid) or callable(column) or column.dtype.kind in "fiu"):
+            raise ValueError(f"cannot write a column of dtype {column.dtype} to CSV")
+    rows = max(1, _BLOCK_VALUES // len(columns))
     with open(Path(path), "wb") as fh:
         fh.write(header.encode() + b"\n")
-        for start in range(0, n * width, _BLOCK_VALUES):
-            stop = min(start + _BLOCK_VALUES, n * width)
-            fh.write(_block_text(columns, start, stop, separators))
+        for lo in range(0, n, rows):
+            fh.write(_block_text(columns, lo, min(lo + rows, n)))
 
 
 def _read_columns(path, expected_header: str) -> tuple:
@@ -330,12 +325,13 @@ def read_trace_csv(path) -> CorrelationTrace:
 
 
 def write_recovered_csv(path, recovered: RecoveredSpectrum) -> None:
-    amp = recovered.amplitudes
-    # np.hypot equals scalar abs(complex) bit for bit; np.abs's SIMD loop does not
+    re, im = recovered.amplitudes.real, recovered.amplitudes.imag
+    # np.hypot equals scalar abs(complex) bit for bit; np.abs's SIMD loop does
+    # not. Like the grid, the column is evaluated one block of rows at a time.
     _write_columns(
         path,
         "nu_thz,amplitude_abs,amplitude_re,amplitude_im",
-        (recovered.grid, np.hypot(amp.real, amp.imag), amp.real, amp.imag),
+        (recovered.grid, lambda lo, hi: np.hypot(re[lo:hi], im[lo:hi]), re, im),
     )
 
 

@@ -184,7 +184,7 @@ def test_float_format_roundtrips_exactly(tmp_path):
 
 
 BLOCK = io._BLOCK_VALUES
-BLOCKS = [1, 7, BLOCK]  # one value, a few that split rows, the default
+BLOCKS = [1, 7, BLOCK]  # blocks of one row, of a few rows, the default
 TINY = sys.float_info.min * sys.float_info.epsilon  # smallest subnormal
 SPECIAL_FLOATS = [
     0.0, -0.0, TINY, -TINY, sys.float_info.min / 3, -sys.float_info.min,
@@ -195,14 +195,14 @@ SPECIAL_INTS = [0, -1, 2**53 + 1, 2**63 - 1, -(2**63)]  # beyond 17 digits or a 
 
 @st.composite
 def csv_columns(draw, block):
-    """1 to 4 mixed float64/int64 columns whose values number around
-    multiples of ``block``, so blocks end anywhere in a row.
+    """1 to 4 mixed float64/int64 columns whose rows number around
+    multiples of the rows in a block, so the last block may be partial.
 
     Each column repeats a drawn pool of values in a drawn order, so special
     values land anywhere in the rows, block edges included.
     """
     kinds = draw(st.lists(st.sampled_from(["float", "int"]), min_size=1, max_size=4))
-    rows = -(-block // len(kinds))  # the fewest rows that fill a block
+    rows = max(1, block // len(kinds))  # the whole rows in a block
     n = draw(st.sampled_from([1, max(rows - 1, 1), rows, rows + 1, 2 * rows + 3]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     columns = []
@@ -297,24 +297,42 @@ def test_grid_column_writes_the_bytes_of_its_values(tmp_path, monkeypatch, block
     assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "values.csv").read_bytes()
 
 
+def peak_above_inputs(write) -> int:
+    """The bytes ``write()`` holds at its peak above those held before it."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        write()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 def test_write_columns_memory_does_not_grow_with_rows(tmp_path):
     # the writer holds one block at a time, so its peak above its inputs is
     # the same for a 2**14- and a 2**18-row trace
-    import tracemalloc
-
-    def peak_above_inputs(rows):
+    def peak(rows):
         grid = UniformGrid(-1.0, 2.0 / rows, rows)
         values = np.random.default_rng(rows).normal(size=rows)
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            io._write_columns(tmp_path / "big.csv", "t_ps,g", (grid, values))
-            return tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        path = tmp_path / "big.csv"
+        return peak_above_inputs(lambda: io._write_columns(path, "t_ps,g", (grid, values)))
 
-    small, large = peak_above_inputs(2**14), peak_above_inputs(2**18)
+    small, large = peak(2**14), peak(2**18)
+    assert large <= small * 1.05 + 4096
+
+
+def test_recovered_csv_memory_does_not_grow_with_rows(tmp_path):
+    # the modulus column is evaluated one block at a time, as the grid is
+    def peak(rows):
+        rng = np.random.default_rng(rows)
+        amp = rng.normal(size=rows) + 1j * rng.normal(size=rows)
+        rec = RecoveredSpectrum(FrequencyGrid(-1.0, 2.0 / rows, rows), amp)
+        return peak_above_inputs(lambda: io.write_recovered_csv(tmp_path / "recovered.csv", rec))
+
+    small, large = peak(2**14), peak(2**18)
     assert large <= small * 1.05 + 4096
 
 
@@ -324,6 +342,30 @@ def test_ordinary_floats_take_the_numpy_path():
     x = np.random.default_rng(3).normal(size=4096) * 10.0 ** np.arange(-8, 8).repeat(256)
     slots = np.zeros((x.size, io._LANES), "<u8")
     assert io._fill_slots(x, slots).mean() > 0.99
+
+
+def test_ordinary_integers_take_the_numpy_path(tmp_path, monkeypatch):
+    # below 2**53 an integer's '%d' text is its float's '%.17g' text, so an
+    # integer column reaches Python's '%' only for rare values; a power of
+    # ten, such as the noise preset's constant pairs_sent, is not rare
+    rows = 65536
+    rng = np.random.default_rng(4)
+    pairs = rng.integers(1, 2**31, rows, endpoint=True)
+    pairs[::2] = 1000
+    counts = CountData(TimeGrid(0.5, 0.25, rows), rng.integers(1, pairs, endpoint=True), pairs)
+    handed, put_text = [], io._put_text
+
+    def spy(slots, at, texts):
+        handed.extend(texts)
+        put_text(slots, at, texts)
+
+    monkeypatch.setattr(io, "_put_text", spy)
+    path = tmp_path / "counts.csv"
+    io.write_counts_csv(path, counts)
+    assert handed == []
+    columns = [counts.grid.values, counts.coincidences, counts.pairs_sent]
+    header = "t_ps,coincidences,pairs_sent"
+    assert path.read_text() == per_row_oracle(header, ["float", "int", "int"], columns)
 
 
 @settings(
