@@ -26,6 +26,15 @@ exactly, enters to first order (the neglected second-order term is
 about 1e-23 on the default grid), so the result is the transform of the
 very frequencies and delays written to CSV, accurate to a few ulp.
 
+Beside its output the synthesis holds about five complex buffers of the
+transform length L at its peak: the kernel's transform, two transform
+rows, the output chirp, and the delays with their offsets (half a
+buffer each). The two first-order sums go through the transforms as one
+batch of two rows, then the zeroth-order sum through the first of them,
+and every phase, product and sum is formed in place. With the tpa3
+preset's 1501 bins the ``tracemalloc`` peak is 5.6 MB at 2^16 delays
+(L = 67,200) and 84 MB at 2^20.
+
 Every transform here is ``numpy.fft``, so the module loads no scipy;
 ``numpy.fft`` and ``scipy.fft`` give the same bits on these complex
 transforms and on the real one behind :func:`envelope`.
@@ -139,14 +148,42 @@ def _next_fast_len(n: int) -> int:
         m += 1
 
 
-def _off_grid(grid) -> np.ndarray:
-    """values[i] - (start + i*step) of a uniform grid, exact up to one rounding."""
-    v = grid.values
+def _off_grid(grid, v: np.ndarray) -> np.ndarray:
+    """v[i] - (start + i*step) for the values ``v`` of a uniform grid, exact
+    up to one rounding."""
     d = v - grid.start
     z = d - v
     d_err = (v - (d - z)) - (grid.start + z)  # v - start = d + d_err exactly
     ideal, ideal_err = _two_product(np.arange(grid.count, dtype=float), grid.step)
     return (d - ideal) + d_err - ideal_err
+
+
+def _phasors(cycles: np.ndarray, sign: int, out: np.ndarray | None = None) -> np.ndarray:
+    """exp(sign 2 pi i cycles), built in ``out`` (a new array if None).
+
+    The bits are those of ``np.exp(complex(0.0, sign * 2 * np.pi) * cycles)``
+    without its complex temporaries: that product's imaginary part is
+    +0 + sign 2 pi cycles, so a -0 turns +0, and its real part is a zero,
+    whose sign ``exp`` ignores.
+    """
+    if out is None:
+        out = np.empty(cycles.shape, dtype=complex)
+    out.real = 0.0
+    phase = out.imag
+    np.multiply(cycles, sign * 2 * np.pi, out=phase)
+    phase += 0.0
+    return np.exp(out, out=out)
+
+
+def _convolved(rows: np.ndarray, kernel_ft: np.ndarray, post: np.ndarray) -> np.ndarray:
+    """The first ``len(post)`` points of each row circularly convolved with
+    the kernel whose transform is ``kernel_ft``, times ``post``; in place."""
+    # out=: a fresh complex array per transform would add a buffer to the peak
+    np.fft.fft(rows, axis=-1, out=rows)
+    rows *= kernel_ft
+    sums = np.fft.ifft(rows, axis=-1, out=rows)[..., : post.size]
+    sums *= post
+    return sums
 
 
 def simulate_interferogram(spectrum: SumFrequencySpectrum, grid: TimeGrid) -> Interferogram:
@@ -155,41 +192,55 @@ def simulate_interferogram(spectrum: SumFrequencySpectrum, grid: TimeGrid) -> In
         raise ValueError("spectrum must be normalized before simulation")
     fgrid = spectrum.grid
     n, m = fgrid.count, grid.count
-    weights = spectrum.weights * fgrid.step
+    size = _next_fast_len(n + m - 1)
     t = grid.values
-    t_off = _off_grid(grid)
+    # first: its temporaries, about nine delay-sized arrays, add to t alone
+    t_off = _off_grid(grid, t)
 
     # chirp phase (q^2/2) dnu dt mod 1, shared by input, kernel and output
     rate, rate_err = _two_product(fgrid.step, grid.step)
-    q = np.arange(max(n, m), dtype=float)
-    half_sq = 0.5 * q * q
+    half_sq = np.arange(max(n, m), dtype=float)
+    half_sq *= 0.5 * half_sq  # q^2/2 in q's buffer
     chirp = _cycles(half_sq, rate) + half_sq * rate_err
-    k = q[:n]
+    del half_sq
+    k = np.arange(n, dtype=float)
     twist, twist_err = _two_product(fgrid.step, grid.start)
-    pre = np.exp(2j * np.pi * _frac(chirp[:n] + _cycles(k, twist) + k * twist_err))
-    post = np.exp(2j * np.pi * _frac(chirp[:m] + _cycles(fgrid.start, t)))
-
-    size = _next_fast_len(n + m - 1)
-    kernel = np.zeros(size, dtype=complex)
-    kernel[:m] = np.exp(-2j * np.pi * chirp[:m])
-    kernel[size - n + 1 :] = np.exp(-2j * np.pi * chirp[n - 1 : 0 : -1])
+    pre = _phasors(_frac(chirp[:n] + _cycles(k, twist) + k * twist_err), 1)
     # S0 sums over the ideal lines nu0 + k dnu, S1 weights each line by the
     # offset of its float64 value, S2 by k dnu, the factor of each delay's
     # offset in the phase
-    rows = np.zeros((3, size), dtype=complex)
-    rows[:, :n] = pre * np.stack([np.ones(n), _off_grid(fgrid), k * fgrid.step]) * weights
-    # in place (out=): a fresh complex array per transform would add a third
-    # to the call's peak memory
-    np.fft.fft(rows, axis=1, out=rows)
-    rows *= np.fft.fft(kernel, out=kernel)
-    sums = np.fft.ifft(rows, axis=1, out=rows)[:, :m]
-    sums *= post
-    # Re(S0 + 2 pi i (t S1 + t_off S2)): the offsets' phases to first order
-    total = sums[0].real - 2 * np.pi * (t * sums[1].imag + t_off * sums[2].imag)
-    values = 0.5 * (1.0 + total)
+    weights = spectrum.weights * fgrid.step
+    lines = pre * np.stack([np.ones(n), _off_grid(fgrid, fgrid.values), k * fgrid.step]) * weights
+    post = _phasors(_frac(chirp[:m] + _cycles(fgrid.start, t)), 1)
+    kernel = np.zeros(size, dtype=complex)
+    _phasors(chirp[:m], -1, kernel[:m])
+    _phasors(chirp[n - 1 : 0 : -1], -1, kernel[size - n + 1 :])
+    del chirp
+    np.fft.fft(kernel, out=kernel)
+
+    # S1 and S2 as one batch: t S1 + t_off S2, the offsets' phases to first
+    # order, accumulates in t's buffer
+    rows = np.zeros((2, size), dtype=complex)
+    rows[:, :n] = lines[1:]
+    s1, s2 = _convolved(rows, kernel, post)
+    t *= s1.imag
+    t_off *= s2.imag
+    t += t_off
+    del t_off
+    # then S0 in the first row of the same buffer
+    rows[0, :n] = lines[0]
+    rows[0, n:] = 0.0
+    s0 = _convolved(rows[0], kernel, post)
+    # Re(S0 + 2 pi i (t S1 + t_off S2)), then P = (1 + that) / 2, in place
+    total = t
+    total *= 2 * np.pi
+    np.subtract(s0.real, total, out=total)
+    del rows, s1, s2, s0, kernel, post
+    total += 1.0
+    total *= 0.5
     # guard the [0, 1] invariant against accumulated rounding
-    np.clip(values, 0.0, 1.0, out=values)
-    return Interferogram(grid, values)
+    np.clip(total, 0.0, 1.0, out=total)
+    return Interferogram(grid, total)
 
 
 def correlation_trace(interferogram: Interferogram) -> CorrelationTrace:

@@ -22,9 +22,10 @@ streams share a table, the counts are bit-identical. A
 :class:`ScalingStudy` is columnar too, one entry per trial count.
 
 The CDF and PMF are the ``scipy.special`` ufuncs behind ``binom.cdf``
-and ``binom.pmf``, loaded on the first draw, so importing this module
-loads no scipy and drawing loads no ``scipy.stats`` (a scipy without
-those ufuncs falls back to ``binom.cdf`` and ``binom.pmf`` themselves).
+and ``binom.pmf``, loaded on the first draw as ``numpy.random`` is, so
+importing this module loads neither scipy nor ``numpy.random``, and
+drawing loads no ``scipy.stats`` (a scipy without those ufuncs falls
+back to ``binom.cdf`` and ``binom.pmf`` themselves).
 
 The scaling study runs its keyed (trial count, repeat) streams on every
 CPU this process may run on, one forked worker per CPU (in this process
@@ -43,7 +44,6 @@ from functools import partial
 from typing import Sequence
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from .grids import TimeGrid, _column
 from .interferometer import (
@@ -109,6 +109,9 @@ class CountData:
 
 def _keyed_uniforms(seed: int, stream: int, n: int) -> np.ndarray:
     """The first ``n`` uniforms of the Philox stream keyed by (seed, stream)."""
+    # here, not at module level: simulate without noise and recover never draw
+    from numpy.random import Generator, Philox
+
     return Generator(Philox(key=np.array([seed, stream], dtype=np.uint64))).random(n)
 
 

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,6 +45,18 @@ def direct_sum_reference(spectrum: SumFrequencySpectrum, delays: np.ndarray) -> 
     w = np.longdouble(spectrum.weights) * np.longdouble(spectrum.grid.step)
     two_pi = 2 * np.arccos(np.longdouble(-1))
     return (0.5 * (1 + (np.cos(two_pi * cycles) * w).sum(axis=1))).astype(float)
+
+
+def peak_above_inputs(call) -> int:
+    """The bytes ``call()`` holds at its peak above those held before it."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def centered_time_grid(step: float, count: int) -> TimeGrid:

@@ -1,10 +1,11 @@
-"""Each verb loads only the scipy modules it runs.
+"""Each verb loads only the scipy and numpy modules it runs.
 
 Importing the package loads numpy and nothing from scipy. ``simulate``
 without noise and ``recover``, peak finder included, run on numpy alone;
 the noise layer loads ``scipy.special`` for the binomial CDF on first
-use. The process pool behind the noise study loads only when a study
-forks, so importing the package loads no ``multiprocessing``. Every
+use, and ``numpy.random`` for its streams on the first draw. The
+process pool behind the noise study loads only when a study forks, so
+importing the package loads no ``multiprocessing``. Every
 check runs in a fresh interpreter, since this test process imports scipy
 itself.
 """
@@ -91,3 +92,26 @@ def test_recover_loads_no_scipy(tmp_path):
         "import json; assert json.load(open('rec/peaks.json'))",
     ])
     assert scipy_modules_after(code, tmp_path) == []
+
+
+def numpy_random_after(code: str, cwd) -> list:
+    """The ``numpy.random*`` modules loaded once ``code`` has run in a fresh interpreter."""
+    return [m for m in modules_after(code, cwd) if m.startswith("numpy.random")]
+
+
+@pytest.mark.parametrize("module", ["noonspec", "noonspec.cli"])
+def test_import_loads_no_numpy_random(tmp_path, module):
+    assert numpy_random_after(f"import {module}", tmp_path) == []
+
+
+def test_simulate_without_noise_and_recover_load_no_numpy_random(tmp_path):
+    code = "\n".join([
+        run_main("simulate", "--preset", "tpa3", "--out", "sim"),
+        run_main("recover", "sim/trace.csv", "--out", "rec"),
+    ])
+    assert numpy_random_after(code, tmp_path) == []
+
+
+def test_a_noise_draw_loads_numpy_random(tmp_path):
+    code = run_main("simulate", "--preset", "noise-gauss", "--out", "out")
+    assert "numpy.random" in numpy_random_after(code, tmp_path)

@@ -27,9 +27,14 @@ from noonspec import (
     sum_frequency_marginal,
 )
 from noonspec.cli import parse_scenario
-from noonspec.interferometer import RANGE_TOL, _next_fast_len, envelope
+from noonspec.interferometer import RANGE_TOL, _next_fast_len, _phasors, envelope
 from noonspec.presets import PRESETS, preset_scenario
-from conftest import centered_time_grid, direct_sum_reference, single_bin_spectrum
+from conftest import (
+    centered_time_grid,
+    direct_sum_reference,
+    peak_above_inputs,
+    single_bin_spectrum,
+)
 
 
 class TestSimulateInterferogram:
@@ -111,6 +116,36 @@ class TestChirpZAgainstDirectSum:
         tg = default_time_grid()
         idx = np.r_[0:40, 32748:32788, tg.count - 40 : tg.count]
         self.assert_matches_direct_sum(spec, tg, idx)
+
+
+class TestChirpZBuffers:
+    """The synthesis holds little beside its kernel and transform rows."""
+
+    @pytest.mark.parametrize("count", [2**16, 2**18])
+    def test_peak_memory_is_bounded_by_the_transform_buffers(self, count):
+        # kernel, two rows, post, t and t_off: about five complex buffers of
+        # the transform length
+        spec = parse_scenario(preset_scenario("tpa3"), Path.cwd()).spectrum
+        tg = default_time_grid(count=count)
+        buffer = 16 * _next_fast_len(spec.grid.count + count - 1)
+        peak = peak_above_inputs(lambda: simulate_interferogram(spec, tg))
+        assert peak <= 6.5 * buffer
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_phasors_equal_the_complex_exponential_bit_for_bit(self, sign):
+        # the synthesis builds each phase in place; its bytes rest on this
+        rng = np.random.default_rng(7)
+        cycles = np.concatenate([
+            rng.uniform(-0.5, 0.5, 100_000),  # chirp fractions
+            [0.0, -0.0, 0.5, -0.5, 5e-324, -5e-324, 1e-300, -1e-300],
+            rng.uniform(-1e6, 1e6, 10_000),
+            [1e6, -1e6, 999_999.75, -999_999.5],
+        ])
+        got = _phasors(cycles, sign)
+        # the product inside np.exp(±2j * np.pi * cycles): on Python 3.10 to
+        # 3.13 the scalar ±2j * np.pi is complex(0.0, ±2 pi)
+        want = np.exp(complex(0.0, sign * 2 * np.pi) * cycles)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestScipyOracles:

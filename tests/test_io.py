@@ -21,7 +21,7 @@ from noonspec import (
     simulate_interferogram,
 )
 from noonspec import io
-from conftest import centered_time_grid
+from conftest import centered_time_grid, peak_above_inputs
 
 
 @pytest.fixture
@@ -295,20 +295,6 @@ def test_grid_column_writes_the_bytes_of_its_values(tmp_path, monkeypatch, block
     io._write_columns(tmp_path / "grid.csv", "a,b,c", (grid, weights, grid))
     io._write_columns(tmp_path / "values.csv", "a,b,c", (grid.values, weights, grid.values))
     assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "values.csv").read_bytes()
-
-
-def peak_above_inputs(write) -> int:
-    """The bytes ``write()`` holds at its peak above those held before it."""
-    import tracemalloc
-
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        write()
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
 
 
 def test_write_columns_memory_does_not_grow_with_rows(tmp_path):
