@@ -256,18 +256,22 @@ def _out_dir(out: str | None) -> Path:
     return path
 
 
+def _transmitted(scenario: Scenario) -> tuple:
+    """The spectrum past the sample and its surviving fraction, and that
+    spectrum renormalized: the one the interferometer sees."""
+    if scenario.sample is None:
+        return scenario.spectrum, 1.0, scenario.spectrum.renormalized()
+    result = transmitted_spectrum(scenario.spectrum, scenario.sample)
+    return result.spectrum, result.surviving_fraction, result.spectrum.renormalized()
+
+
 def cmd_simulate(args) -> int:
     scenario = load_scenario(args)
     noise = _seeded(scenario.noise, args.seed)
     out = _out_dir(args.out or scenario.outputs)
 
-    incident = scenario.spectrum
-    if scenario.sample is not None:
-        result = transmitted_spectrum(incident, scenario.sample)
-        transmitted, surviving = result.spectrum, result.surviving_fraction
-    else:
-        transmitted, surviving = incident, 1.0
-    interferogram = simulate_interferogram(transmitted.renormalized(), scenario.time_grid)
+    transmitted, surviving, seen = _transmitted(scenario)
+    interferogram = simulate_interferogram(seen, scenario.time_grid)
     trace = correlation_trace(interferogram)
     summary = {
         "surviving_fraction": surviving,
@@ -284,7 +288,7 @@ def cmd_simulate(args) -> int:
         summary["probability_clamped"] = counts.clamped
 
     out.mkdir(parents=True, exist_ok=True)
-    io.write_spectrum_csv(out / "spectrum.csv", incident)
+    io.write_spectrum_csv(out / "spectrum.csv", scenario.spectrum)
     io.write_spectrum_csv(out / "transmitted.csv", transmitted)
     io.write_interferogram_csv(out / "interferogram.csv", interferogram)
     io.write_trace_csv(out / "trace.csv", trace)
@@ -319,11 +323,9 @@ def cmd_noise_study(args) -> int:
     noise = _seeded(scenario.noise or NoiseConfig(pairs_per_bin=1000, seed=0), args.seed)
     out = _out_dir(args.out or scenario.outputs)
 
-    spectrum = scenario.spectrum
-    if scenario.sample is not None:
-        spectrum = transmitted_spectrum(spectrum, scenario.sample).spectrum.renormalized()
+    _, _, seen = _transmitted(scenario)
     study = error_scaling_study(
-        spectrum, args.trials, args.repeats, noise, scenario.time_grid, args.chunk_size
+        seen, args.trials, args.repeats, noise, scenario.time_grid, args.chunk_size
     )
 
     out.mkdir(parents=True, exist_ok=True)

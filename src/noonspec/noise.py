@@ -13,13 +13,14 @@ binomial quantile of its uniform, the value ``scipy.stats.binom.ppf``
 returns. The streams drawn together (one for :func:`sample_counts`, a
 trial count's repeats in a study worker) share each bin's n and p, so one
 table of the CDF per bin, anchored by one CDF and one PMF evaluation and
-run on by the PMF's ratio recurrence, settles their draws; a draw whose
-uniform lies within the table's tolerance of an edge takes an exact
-stepping search on the CDF instead. Each count is therefore a pure
-function of (seed, stream, bin): however the bins are split into blocks
-(``chunk_size``, which also bounds the sampler's memory) and whichever
-streams share a table, the counts are bit-identical. A
-:class:`ScalingStudy` is columnar too, one entry per trial count.
+run on by the PMF's ratio recurrence, settles most of their draws. The
+tables return one mask of settled draws; an exact stepping search on the
+CDF runs on the open ones alone, and binom.ppf's ``u <= pmf(0)`` rule on
+every draw at k = 1 (pmf(0) may exceed cdf(0) by an ulp). Each count is
+therefore a pure function of (seed, stream, bin): however the bins are
+split into blocks (``chunk_size``, which also bounds the sampler's
+memory) and whichever streams share a table, the counts are
+bit-identical. A :class:`ScalingStudy` is columnar too, one per trial count.
 
 The CDF and PMF are the ``scipy.special`` ufuncs behind ``binom.cdf``
 and ``binom.pmf``, loaded on the first draw as ``numpy.random`` is, so
@@ -216,34 +217,33 @@ def _table_tol(n: int, width) -> float:
     return _margin(n) + _TABLE_ROUNDING * width * np.finfo(float).eps
 
 
-def _settle_on_tables(k, u, p, live, n: int, cdf, pmf) -> tuple:
-    """Settle the draws that their bin's CDF table decides.
+def _settle_on_tables(k, u, p, live, n: int, cdf, pmf) -> np.ndarray:
+    """The mask of the draws that their bin's CDF table settles.
 
     ``k``, ``u`` and ``live`` hold one row per stream and one column per
     bin of ``p``; a bin with no ``live`` draw gets no table. A draw settled
-    as k + 1 is moved there in ``k``. Returns the mask of settled draws
-    and ``cdf(k)`` of each draw whose guess is its table's anchor (NaN for
-    the others), which the exact search then need not evaluate again.
+    as k + 1 is moved there in ``k``. A settled draw has
+    ``C~(k-1) + tol < u < C~(k) - tol`` (no tolerance at the anchor cell,
+    ``cdf(kmin)`` itself), and every cell lies within tol/16 of
+    ``binom.cdf``, so ``cdf(k-1) < u < cdf(k)``: the exact search would
+    leave it as it is.
     """
-    streams, bins = k.shape
+    streams = k.shape[0]
     kmin = k.min(axis=0)
     width = k.max(axis=0) - kmin + 3
     drawn = np.count_nonzero(live, axis=0)
     shared = (drawn > 0) & (width <= _CELLS_PER_DRAW * drawn)
     settled = np.zeros(k.shape, dtype=bool)
-    anchored = np.full(k.shape, np.nan)
     wide = np.flatnonzero((drawn > 0) & ~shared)
     if wide.size:
         # one bin per draw: each draw gets a three-cell table of its own
         flat = (1, wide.size * streams)
         kw = k[:, wide].reshape(flat)
-        settled_w, anchored_w = _settle_on_tables(
+        settled[:, wide] = _settle_on_tables(
             kw, u[:, wide].reshape(flat), np.tile(p[wide], streams),
             live[:, wide].reshape(flat), n, cdf, pmf,
-        )
+        ).reshape(streams, -1)
         k[:, wide] = kw.reshape(streams, -1)
-        settled[:, wide] = settled_w.reshape(streams, -1)
-        anchored[:, wide] = anchored_w.reshape(streams, -1)
 
     # the widest tables first, so each block pads its columns to about their width
     tables = np.flatnonzero(shared)
@@ -260,15 +260,13 @@ def _settle_on_tables(k, u, p, live, n: int, cdf, pmf) -> tuple:
         below, c, above = table[at - block.size], table[at], table[at + block.size]
         tol = _table_tol(n, cells)
         # the anchor cell is cdf(kmin) itself: no tolerance at that edge
-        anchor = kb == low
-        tol_c = np.where(anchor, 0.0, tol)
+        tol_c = np.where(kb == low, 0.0, tol)
         here = (below + tol < ub) & (ub < c - tol_c)
         up = (c + tol_c < ub) & (ub < above - tol)
         k[:, block] = kb + up
         settled[:, block] = here | up
-        anchored[:, block] = np.where(anchor, c, np.nan)
         first += block.size
-    return settled, anchored
+    return settled
 
 
 def _binomial_quantile(u: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
@@ -290,13 +288,16 @@ def _binomial_quantile(u: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
     inversion), and columns are built in blocks of about ``_TABLE_CELLS``
     cells, so memory does not grow with n.
 
-    Every other draw (a u within tol of an edge, a guess off by two or
-    more) steps on the CDF until ``binom.cdf(k-1) < u <= binom.cdf(k)``.
-    Three rules of ``binom.ppf`` are kept: ``u <= (1-p)**n`` (by libm
-    ``pow``) and ``u <= binom.pmf(0)`` give 0, and a run of k whose CDF
-    equals u exactly resolves to its last member. A settled draw has the
-    answer of that search, so each count is a pure function of its u and
-    p, whichever other draws share its table. Where the root finder of
+    The tables return the mask of settled draws; the open ones (a u
+    within tol of an edge, a guess off by two or more) are gathered and
+    step on the CDF until ``binom.cdf(k-1) < u <= binom.cdf(k)``. Three
+    rules of ``binom.ppf`` are kept: ``u <= (1-p)**n`` (by libm ``pow``)
+    gives 0, a run of k whose CDF equals u exactly resolves to its last
+    member, and ``u <= binom.pmf(0)`` gives 0 on every draw at k = 1,
+    settled or not: pmf(0) may exceed cdf(0) by an ulp, and the anchor
+    cell settles a u between them at 1. A settled draw has the search's
+    answer, so each count is a pure function of its u and p, whichever
+    other draws share its table. Where the root finder of
     ``binom.ppf`` stops short (for u very close to 0 or 1, mostly with an
     "Unable to bracket root" warning) this still returns the quantile.
     """
@@ -318,38 +319,34 @@ def _binomial_quantile(u: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
         ui <= math.pow(1.0 - pi, n)
         for ui, pi in zip(u.flat[near].tolist(), p[near % p.size].tolist())
     ]
-    settled, c = _settle_on_tables(k, u, p, ~zero, n, cdf, pmf)
-    k, u, p, c = k.ravel(), u.ravel(), np.tile(p, u.shape[0]), c.ravel()
-    zero = zero.ravel()
+    # the exact search on the draws that neither the zero rule nor a table settled
+    todo = np.flatnonzero(~(zero | _settle_on_tables(k, u, p, ~zero, n, cdf, pmf)))
     k[zero] = 0
-
-    # the exact search for the rest; a settled draw has cdf(k-1) < u < cdf(k)
-    done = zero | settled.ravel()
-    c[done] = 1.0  # c is binom.cdf(k) of every searched draw
-    todo = np.flatnonzero(~done)
-    fresh = todo[np.isnan(c[todo])]
-    c[fresh] = cdf(k[fresh], n, p[fresh])
-    i = todo[c[todo] < u[todo]]
-    down = todo[(c[todo] >= u[todo]) & (k[todo] > 0)]
+    kt, ut, pt = k.flat[todo], u.flat[todo], p[todo % p.size]
+    c = cdf(kt, n, pt)
+    i = np.flatnonzero(c < ut)
+    down = np.flatnonzero((c >= ut) & (kt > 0))
     while i.size:
-        k[i] += 1
-        c[i] = cdf(k[i], n, p[i])
-        i = i[c[i] < u[i]]
+        kt[i] += 1
+        c[i] = cdf(kt[i], n, pt[i])
+        i = i[c[i] < ut[i]]
     i = down
     while i.size:
-        below = cdf(k[i] - 1, n, p[i])
-        moved = below >= u[i]
+        below = cdf(kt[i] - 1, n, pt[i])
+        moved = below >= ut[i]
         i = i[moved]
-        k[i] -= 1
+        kt[i] -= 1
         c[i] = below[moved]
-        i = i[k[i] > 0]
-    i = np.flatnonzero((c == u) & (k < n))
+        i = i[kt[i] > 0]
+    i = np.flatnonzero((c == ut) & (kt < n))
     while i.size:
-        i = i[cdf(k[i] + 1, n, p[i]) == u[i]]
-        k[i] += 1
-        i = i[k[i] < n]
+        i = i[cdf(kt[i] + 1, n, pt[i]) == ut[i]]
+        kt[i] += 1
+        i = i[kt[i] < n]
+    k.flat[todo] = kt
+    # on every draw at 1, settled or not: pmf(0) may exceed cdf(0) by an ulp
     i = np.flatnonzero(k == 1)
-    k[i[u[i] <= pmf(0, n, p[i])]] = 0
+    k.flat[i[u.flat[i] <= pmf(0, n, p[i % p.size])]] = 0
     return k.astype(np.int64).reshape(shape)
 
 

@@ -38,7 +38,7 @@ from noonspec.cli import parse_scenario
 from noonspec.noise import _binomial_quantile, _clipped, _keyed_uniforms, _margin
 from noonspec.presets import preset_scenario
 from noonspec.recovery import RecoveredSpectrum, _folded, _refined, _transformed
-from conftest import centered_time_grid, fork_only
+from conftest import centered_time_grid, fork_only, peak_above_inputs
 
 
 def small_interferogram(count=32):
@@ -316,6 +316,27 @@ class TestBracket:
         finally:
             tracemalloc.stop()
         assert peak < 32e6
+
+    def test_a_block_draw_holds_about_eight_uniform_arrays(self):
+        # the exact search runs on the open draws alone, about 0.1%, and
+        # builds no float array the size of the block: about 8.07 times the
+        # uniforms' bytes, where a search over every draw holds 9.10
+        p = np.random.default_rng(1).uniform(0.0, 0.81, 4096)
+        u = np.array([_keyed_uniforms(1, stream, p.size) for stream in range(25)])
+        _binomial_quantile(u[:, :8], 1000, p[:8])  # scipy's first-call set-up
+        assert peak_above_inputs(lambda: _binomial_quantile(u, 1000, p)) < 8.5 * u.nbytes
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 30, 100])
+    def test_the_pmf0_rule_holds_on_settled_draws(self, n):
+        # pmf(0) exceeds cdf(0) by an ulp for about a third of random p; a
+        # u between them is settled at 1 on the anchor cell, and only
+        # binom.ppf's u <= pmf(0) rule returns 0
+        p = np.random.default_rng(n).uniform(0.0, 1.0, 20000)
+        u = binom.pmf(0, n, p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            expected = np.clip(binom.ppf(u, n, p), 0, n)
+        np.testing.assert_array_equal(_binomial_quantile(u, n, p), expected)
 
     def test_one_cdf_per_bin_per_trial_count_in_the_study(self, cdf_calls, monkeypatch):
         # a trial count's repeats share each bin's table, so a study takes
