@@ -26,14 +26,18 @@ exactly, enters to first order (the neglected second-order term is
 about 1e-23 on the default grid), so the result is the transform of the
 very frequencies and delays written to CSV, accurate to a few ulp.
 
-Beside its output the synthesis holds about five complex buffers of the
-transform length L at its peak: the kernel's transform, two transform
-rows, the output chirp, and the delays with their offsets (half a
-buffer each). The two first-order sums go through the transforms as one
-batch of two rows, then the zeroth-order sum through the first of them,
-and every phase, product and sum is formed in place. With the tpa3
-preset's 1501 bins the ``tracemalloc`` peak is 5.6 MB at 2^16 delays
-(L = 67,200) and 84 MB at 2^20.
+Beside its output (half a complex buffer of the transform length L) the
+synthesis holds three such buffers: the kernel's transform, one
+transform row and the output chirp. The two first-order sums S1 and S2
+and then the zeroth-order sum S0 go through the row in turn. t S1 is
+written into the output, and t_off S2 is added one block of delays at a
+time, each block's offsets recomputed from the grid, so no delay or
+offset array is kept. The offsets are built on blocks of ``_BLOCK``
+points, and the chirps, which come before the row and the output exist,
+on blocks ``_CHIRP_BLOCKS`` times longer, each in a few block-sized
+scratch arrays. With the tpa3 preset's 1501 bins the ``tracemalloc``
+peak is 3.9 MB (3.61 buffers) at 2^16 delays (L = 67,200) and 59 MB
+(3.50 buffers) at 2^20.
 
 Every transform here is ``numpy.fft``, so the module loads no scipy;
 ``numpy.fft`` and ``scipy.fft`` give the same bits on these complex
@@ -103,35 +107,70 @@ class CorrelationTrace(_DelaySeries):
 
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter for float64
 
-
-def _split(x):
-    """x = hi + lo exactly, each half with at most 26 significant bits."""
-    c = _SPLIT * x
-    hi = c - (c - x)
-    return hi, x - hi
-
-
-def _frac(x):
-    """x minus its nearest integer, exact for float64 input."""
-    return x - np.rint(x)
+# points per block of the delay-axis stages; a block holds a few arrays of
+# this length, and the synthesis has the same bits for any value. The chirp
+# stage runs before the transform row and the output exist, so its blocks
+# are _CHIRP_BLOCKS times longer, for a quarter of the numpy calls; from
+# 2^16 delays up its arrays stay below the later stages' peak.
+_BLOCK = 2048
+_CHIRP_BLOCKS = 4
 
 
-def _two_product(a, b):
-    """(p, e) with p = fl(a*b) and p + e = a*b exactly (Dekker)."""
-    p = a * b
-    a_hi, a_lo = _split(a)
+def _block_length(count: int, blocks: int = 1) -> int:
+    """The length of the longest of :func:`_blocks`."""
+    return min(blocks * _BLOCK, count)
+
+
+def _blocks(count: int, blocks: int = 1):
+    """The (lo, hi) bounds of the blocks of at most ``blocks * _BLOCK``
+    points that cover range(count), in order."""
+    length = blocks * _BLOCK
+    for lo in range(0, count, length):
+        yield lo, min(lo + length, count)
+
+
+def _split(x, hi=None, lo=None):
+    """x = hi + lo exactly, each half with at most 26 significant bits; an
+    array's halves go to the buffers ``hi`` and ``lo`` when given."""
+    c = np.multiply(x, _SPLIT, out=hi)
+    hi = np.subtract(c, np.subtract(c, x, out=lo), out=hi)
+    return hi, np.subtract(x, hi, out=lo)
+
+
+def _frac(x, whole):
+    """x minus its nearest integer, exact for float64 input; in place, with
+    the integer in the scratch buffer ``whole``."""
+    x -= np.rint(x, out=whole)
+    return x
+
+
+def _two_product(a, b, out=(None, None), halves=(None, None)):
+    """(p, e) with p = fl(a*b) and p + e = a*b exactly (Dekker). For an
+    array ``a`` and a scalar ``b``, p and e go to the buffers ``out`` and
+    a's split halves to ``halves``; e may take a's own buffer."""
+    p = np.multiply(a, b, out=out[0])
+    a_hi, a_lo = _split(a, *halves)
     b_hi, b_lo = _split(b)
-    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    e = np.multiply(a_hi, b_hi, out=out[1])
+    e -= p
+    e += np.multiply(a_hi, b_lo, out=halves[0])
+    e += np.multiply(a_lo, b_hi, out=halves[0])
+    e += np.multiply(a_lo, b_lo, out=halves[1])
+    return p, e
 
 
-def _cycles(a, b):
-    """a*b mod 1 in [-0.5, 0.5]; the four split products are exact and
-    each is reduced before the only rounding sum."""
-    a_hi, a_lo = _split(a)
-    b_hi, b_lo = _split(b)
-    return _frac(
-        _frac(a_hi * b_hi) + _frac(a_hi * b_lo) + _frac(a_lo * b_hi) + _frac(a_lo * b_lo)
-    )
+def _cycles(a, b, out, work):
+    """a*b mod 1 in [-0.5, 0.5] into ``out``, for one array and one scalar in
+    either order, with four scratch arrays of out's shape in ``work``. The
+    four split products are exact and each is reduced before the only
+    rounding sum."""
+    hi, lo, product, whole = work
+    a_hi, a_lo = _split(a, hi, lo) if np.ndim(a) else _split(a)
+    b_hi, b_lo = _split(b, hi, lo) if np.ndim(b) else _split(b)
+    _frac(np.multiply(a_hi, b_hi, out=out), whole)
+    for x, y in ((a_hi, b_lo), (a_lo, b_hi), (a_lo, b_lo)):
+        out += _frac(np.multiply(x, y, out=product), whole)
+    return _frac(out, whole)
 
 
 def _next_fast_len(n: int) -> int:
@@ -148,14 +187,25 @@ def _next_fast_len(n: int) -> int:
         m += 1
 
 
-def _off_grid(grid, v: np.ndarray) -> np.ndarray:
-    """v[i] - (start + i*step) for the values ``v`` of a uniform grid, exact
-    up to one rounding."""
-    d = v - grid.start
-    z = d - v
-    d_err = (v - (d - z)) - (grid.start + z)  # v - start = d + d_err exactly
-    ideal, ideal_err = _two_product(np.arange(grid.count, dtype=float), grid.step)
-    return (d - ideal) + d_err - ideal_err
+def _off_grid(grid, lo: int, hi: int, work: np.ndarray) -> np.ndarray:
+    """The float64 points ``start + step*i`` of a uniform grid (the bits of
+    ``grid.values[i]``) minus their exact values start + i step, for i in
+    [lo, hi), up to one rounding. ``work`` holds five scratch rows of at
+    least hi - lo floats; the result is a view of one of them."""
+    i, ideal, v, d, z = (row[: hi - lo] for row in work)
+    i[:] = np.arange(lo, hi)
+    ideal, ideal_err = _two_product(i, grid.step, out=(ideal, i), halves=(v, d))
+    np.add(ideal, grid.start, out=v)
+    np.subtract(v, grid.start, out=d)
+    np.subtract(d, v, out=z)
+    # v - start = d + d_err exactly, d_err = (v - (d - z)) - (start + z)
+    off = np.subtract(d, ideal, out=ideal)
+    v -= np.subtract(d, z, out=d)
+    z += grid.start
+    v -= z
+    off += v
+    off -= ideal_err
+    return off
 
 
 def _phasors(cycles: np.ndarray, sign: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -175,13 +225,63 @@ def _phasors(cycles: np.ndarray, sign: int, out: np.ndarray | None = None) -> np
     return np.exp(out, out=out)
 
 
-def _convolved(rows: np.ndarray, kernel_ft: np.ndarray, post: np.ndarray) -> np.ndarray:
-    """The first ``len(post)`` points of each row circularly convolved with
-    the kernel whose transform is ``kernel_ft``, times ``post``; in place."""
+def _chirp(lo: int, hi: int, rate, rate_err, out: np.ndarray, work) -> np.ndarray:
+    """The chirp phase (q^2/2) dnu dt mod 1 for q in [lo, hi) into ``out``,
+    with rate + rate_err = dnu dt and six scratch arrays in ``work``."""
+    q, half, *scratch = work
+    q[:] = np.arange(lo, hi)
+    q *= np.multiply(q, 0.5, out=half)  # q^2/2
+    _cycles(q, rate, out, scratch)
+    out += np.multiply(q, rate_err, out=half)
+    return out
+
+
+def _chirps(fgrid, grid, kernel: np.ndarray) -> tuple:
+    """The input chirp ``pre`` (n points) and the output chirp ``post`` (m
+    points), with the kernel's conjugate chirp written into ``kernel`` at
+    q < m and at len(kernel) - q for 0 < q < n. Every phase starts from the
+    chirp of its q; pre adds k dnu t0 and post nu0 t_j, each mod 1."""
+    n, m, size = fgrid.count, grid.count, kernel.size
+    rate, rate_err = _two_product(fgrid.step, grid.step)
+    twist, twist_err = _two_product(fgrid.step, grid.start)
+    pre = np.empty(n, dtype=complex)
+    post = np.empty(m, dtype=complex)
+    work = np.empty((7, _block_length(max(n, m), _CHIRP_BLOCKS)))
+    for lo, hi in _blocks(m, _CHIRP_BLOCKS):
+        chirp, t, phase, *scratch = (row[: hi - lo] for row in work)
+        _chirp(lo, hi, rate, rate_err, chirp, [t, phase, *scratch])
+        _phasors(chirp, -1, kernel[lo:hi])
+        t[:] = np.arange(lo, hi)
+        t *= grid.step
+        t += grid.start  # grid.values[lo:hi]
+        _cycles(fgrid.start, t, phase, scratch)
+        phase += chirp
+        _phasors(_frac(phase, scratch[-1]), 1, post[lo:hi])
+    for lo, hi in _blocks(n, _CHIRP_BLOCKS):
+        chirp, k, phase, *scratch = (row[: hi - lo] for row in work)
+        _chirp(lo, hi, rate, rate_err, chirp, [k, phase, *scratch])
+        wrap = max(lo, 1)  # kernel[size - q] for q in [wrap, hi)
+        _phasors(chirp[wrap - lo :], -1, kernel[size - hi + 1 : size - wrap + 1][::-1])
+        k[:] = np.arange(lo, hi)
+        _cycles(k, twist, phase, scratch)
+        phase += chirp
+        phase += np.multiply(k, twist_err, out=k)
+        _phasors(_frac(phase, scratch[-1]), 1, pre[lo:hi])
+    return pre, post
+
+
+def _convolved(row, pre, factor, weights, kernel_ft, post) -> np.ndarray:
+    """The first ``len(post)`` points of the lines ``pre * factor * weights``,
+    zero padded to the row, circularly convolved with the kernel whose
+    transform is ``kernel_ft``, times ``post``; in ``row``'s buffer."""
+    n = pre.size
+    np.multiply(pre, factor, out=row[:n])
+    row[:n] *= weights
+    row[n:] = 0.0
     # out=: a fresh complex array per transform would add a buffer to the peak
-    np.fft.fft(rows, axis=-1, out=rows)
-    rows *= kernel_ft
-    sums = np.fft.ifft(rows, axis=-1, out=rows)[..., : post.size]
+    np.fft.fft(row, out=row)
+    row *= kernel_ft
+    sums = np.fft.ifft(row, out=row)[: post.size]
     sums *= post
     return sums
 
@@ -192,50 +292,39 @@ def simulate_interferogram(spectrum: SumFrequencySpectrum, grid: TimeGrid) -> In
         raise ValueError("spectrum must be normalized before simulation")
     fgrid = spectrum.grid
     n, m = fgrid.count, grid.count
-    size = _next_fast_len(n + m - 1)
-    t = grid.values
-    # first: its temporaries, about nine delay-sized arrays, add to t alone
-    t_off = _off_grid(grid, t)
-
-    # chirp phase (q^2/2) dnu dt mod 1, shared by input, kernel and output
-    rate, rate_err = _two_product(fgrid.step, grid.step)
-    half_sq = np.arange(max(n, m), dtype=float)
-    half_sq *= 0.5 * half_sq  # q^2/2 in q's buffer
-    chirp = _cycles(half_sq, rate) + half_sq * rate_err
-    del half_sq
-    k = np.arange(n, dtype=float)
-    twist, twist_err = _two_product(fgrid.step, grid.start)
-    pre = _phasors(_frac(chirp[:n] + _cycles(k, twist) + k * twist_err), 1)
-    # S0 sums over the ideal lines nu0 + k dnu, S1 weights each line by the
-    # offset of its float64 value, S2 by k dnu, the factor of each delay's
-    # offset in the phase
-    weights = spectrum.weights * fgrid.step
-    lines = pre * np.stack([np.ones(n), _off_grid(fgrid, fgrid.values), k * fgrid.step]) * weights
-    post = _phasors(_frac(chirp[:m] + _cycles(fgrid.start, t)), 1)
-    kernel = np.zeros(size, dtype=complex)
-    _phasors(chirp[:m], -1, kernel[:m])
-    _phasors(chirp[n - 1 : 0 : -1], -1, kernel[size - n + 1 :])
-    del chirp
+    kernel = np.zeros(_next_fast_len(n + m - 1), dtype=complex)
+    pre, post = _chirps(fgrid, grid, kernel)
     np.fft.fft(kernel, out=kernel)
 
-    # S1 and S2 as one batch: t S1 + t_off S2, the offsets' phases to first
-    # order, accumulates in t's buffer
-    rows = np.zeros((2, size), dtype=complex)
-    rows[:, :n] = lines[1:]
-    s1, s2 = _convolved(rows, kernel, post)
-    t *= s1.imag
-    t_off *= s2.imag
-    t += t_off
-    del t_off
-    # then S0 in the first row of the same buffer
-    rows[0, :n] = lines[0]
-    rows[0, n:] = 0.0
-    s0 = _convolved(rows[0], kernel, post)
+    # S1 weights each line by the offset of its float64 value from the
+    # ideal line nu0 + k dnu, S2 by k dnu, the factor of each delay's
+    # offset in the phase, and S0 sums over the ideal lines; the three
+    # go through one transform row in turn
+    weights = spectrum.weights * fgrid.step
+    work = np.empty((5, _block_length(max(n, m))))
+    offsets = np.empty(n)
+    for lo, hi in _blocks(n):
+        offsets[lo:hi] = _off_grid(fgrid, lo, hi, work)
+    row = np.empty_like(kernel)
+    s1 = _convolved(row, pre, offsets, weights, kernel, post)
+    # t S1 + t_off S2, the delays' offsets in the phase to first order,
+    # accumulates in the output; t_off comes block by block
+    total = np.arange(m, dtype=float)
+    total *= grid.step
+    total += grid.start  # grid.values
+    total *= s1.imag
+    np.multiply(np.arange(n, dtype=float), fgrid.step, out=offsets)
+    s2 = _convolved(row, pre, offsets, weights, kernel, post).imag
+    for lo, hi in _blocks(m):
+        t_off = _off_grid(grid, lo, hi, work)
+        t_off *= s2[lo:hi]
+        total[lo:hi] += t_off
+    offsets[:] = 1.0
+    s0 = _convolved(row, pre, offsets, weights, kernel, post)
     # Re(S0 + 2 pi i (t S1 + t_off S2)), then P = (1 + that) / 2, in place
-    total = t
     total *= 2 * np.pi
     np.subtract(s0.real, total, out=total)
-    del rows, s1, s2, s0, kernel, post
+    del row, s1, s2, s0, kernel, post
     total += 1.0
     total *= 0.5
     # guard the [0, 1] invariant against accumulated rounding

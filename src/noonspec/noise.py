@@ -290,20 +290,24 @@ def _binomial_quantile(u: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
 
     The tables return the mask of settled draws; the open ones (a u
     within tol of an edge, a guess off by two or more) are gathered and
-    step on the CDF until ``binom.cdf(k-1) < u <= binom.cdf(k)``. Three
-    rules of ``binom.ppf`` are kept: ``u <= (1-p)**n`` (by libm ``pow``)
-    gives 0, a run of k whose CDF equals u exactly resolves to its last
-    member, and ``u <= binom.pmf(0)`` gives 0 on every draw at k = 1,
-    settled or not: pmf(0) may exceed cdf(0) by an ulp, and the anchor
-    cell settles a u between them at 1. A settled draw has the search's
-    answer, so each count is a pure function of its u and p, whichever
-    other draws share its table. Where the root finder of
+    step on the CDF until ``binom.cdf(k-1) < u <= binom.cdf(k)``. Four
+    rules of ``binom.ppf`` are kept: ``u >= 1`` gives n, a smaller
+    ``u <= (1-p)**n`` (by libm ``pow``) gives 0, a run of k whose CDF
+    equals u exactly resolves to its last member, and
+    ``u <= binom.pmf(0)`` gives 0 on every draw at k = 1, settled or not:
+    pmf(0) may exceed cdf(0) by an ulp, and the anchor cell settles a u
+    between them at 1. A settled draw has the search's answer, so each
+    count is a pure function of its u and p, whichever other draws share
+    its table. Where the root finder of
     ``binom.ppf`` stops short (for u very close to 0 or 1, mostly with an
     "Unable to bracket root" warning) this still returns the quantile.
     """
     ndtri, cdf, pmf = _binomial_ufuncs()
     shape = u.shape
     u = u.reshape(-1, p.size)
+    # the top of the support: u >= 1 gives n for every p, even where
+    # (1-p)**n rounds to 1 and the zero rule would claim it
+    top = u >= 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
         z = ndtri(u)
         sigma = np.sqrt(n * p * (1 - p))
@@ -312,15 +316,16 @@ def _binomial_quantile(u: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
         # that is a normal float (the log's rounding, 1.5 eps, times the log,
         # at most 745), so it only preselects the draws to test with
         # math.pow; it costs a third of numpy's power
-        near = np.flatnonzero(u <= np.exp(n * np.log(1.0 - p)) * (1 + 2**-36))
+        near = np.flatnonzero((u <= np.exp(n * np.log(1.0 - p)) * (1 + 2**-36)) & ~top)
     k = np.fmin(np.fmax(guess, 0), n)  # a NaN guess (p = 0 or 1 at u = 0) is 0
     zero = np.zeros(u.shape, dtype=bool)
     zero.flat[near] = [
         ui <= math.pow(1.0 - pi, n)
         for ui, pi in zip(u.flat[near].tolist(), p[near % p.size].tolist())
     ]
-    # the exact search on the draws that neither the zero rule nor a table settled
-    todo = np.flatnonzero(~(zero | _settle_on_tables(k, u, p, ~zero, n, cdf, pmf)))
+    # the exact search on the draws that neither a rule nor a table settled
+    ruled = zero | top
+    todo = np.flatnonzero(~(ruled | _settle_on_tables(k, u, p, ~ruled, n, cdf, pmf)))
     k[zero] = 0
     kt, ut, pt = k.flat[todo], u.flat[todo], p[todo % p.size]
     c = cdf(kt, n, pt)
@@ -347,6 +352,7 @@ def _binomial_quantile(u: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
     # on every draw at 1, settled or not: pmf(0) may exceed cdf(0) by an ulp
     i = np.flatnonzero(k == 1)
     k.flat[i[u.flat[i] <= pmf(0, n, p[i % p.size])]] = 0
+    k[top] = n
     return k.astype(np.int64).reshape(shape)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import AsymmetryError, GridMismatchError
 from .grids import FrequencyGrid, TimeGrid, _column
-from .interferometer import CorrelationTrace
+from .interferometer import CorrelationTrace, _block_length, _blocks
 from .spectral import SumFrequencySpectrum
 
 HERMITIAN_TOL = 1e-6
@@ -81,8 +81,42 @@ def _transformed(g: np.ndarray, grid: TimeGrid) -> tuple:
     # ifft carries the +i kernel; undo its 1/n and add the t-origin phase
     raw = np.fft.ifft(g)
     raw *= n * dt
-    raw *= np.exp(2j * np.pi * np.fft.fftfreq(n, d=dt) * grid.start)
+    _twist(raw, n, dt, grid.start)
     return FrequencyGrid(start=-(n // 2) * df, step=df, count=n), np.fft.fftshift(raw, axes=-1)
+
+
+def _twist(raw: np.ndarray, n: int, dt: float, start: float) -> None:
+    """raw *= exp(2 pi i f start) on the frequencies f of ``np.fft.fftfreq(n,
+    d=dt)``, in place along the last axis, one block of phasors at a time.
+
+    The bits are those of ``raw * np.exp(2j * np.pi * fftfreq * start)``
+    without its trace-sized complex temporaries. That product's imaginary
+    part is (2 pi f) start plus a zero with f's sign: +0 on the
+    non-negative frequencies, which turns a -0 to +0, and -0 on the
+    negative ones, which changes nothing. Its real part is a zero, whose
+    sign ``exp`` ignores.
+    """
+    scale = 1.0 / (n * dt)
+    non_negative = (n - 1) // 2 + 1  # fftfreq's order: 0, 1, ..., then the negatives
+    phasors, products = np.empty((2, _block_length(n)), dtype=complex)
+    for lo, hi in _blocks(n):
+        z, product = phasors[: hi - lo], products[: hi - lo]
+        z.real = 0.0
+        phase = z.imag
+        head = max(non_negative - lo, 0)  # the block's non-negative frequencies
+        phase[:] = np.arange(lo, hi)
+        phase[head:] -= n
+        phase *= scale  # fftfreq's f
+        phase *= 2 * np.pi
+        phase *= start
+        phase[:head] += 0.0
+        np.exp(z, out=z)
+        # row by row, as numpy multiplies a strided block of rows at half
+        # the speed, and not in place, as numpy's in-place product of one
+        # element takes another loop with other bits
+        for row in np.ndindex(raw.shape[:-1]):
+            block = raw[row][lo:hi]
+            block[...] = np.multiply(block, z, out=product)
 
 
 def fold_one_sided(recovered: RecoveredSpectrum) -> SumFrequencySpectrum:

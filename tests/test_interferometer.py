@@ -26,6 +26,7 @@ from noonspec import (
     simulate_interferogram,
     sum_frequency_marginal,
 )
+from noonspec import interferometer
 from noonspec.cli import parse_scenario
 from noonspec.interferometer import RANGE_TOL, _next_fast_len, _phasors, envelope
 from noonspec.presets import PRESETS, preset_scenario
@@ -119,17 +120,39 @@ class TestChirpZAgainstDirectSum:
 
 
 class TestChirpZBuffers:
-    """The synthesis holds little beside its kernel and transform rows."""
+    """The synthesis holds little beside its kernel and transform row."""
 
     @pytest.mark.parametrize("count", [2**16, 2**18])
     def test_peak_memory_is_bounded_by_the_transform_buffers(self, count):
-        # kernel, two rows, post, t and t_off: about five complex buffers of
-        # the transform length
+        # the kernel, one row, post and the output (half a buffer): three
+        # and a half complex buffers of the transform length, plus a few
+        # block-sized arrays (3.61 buffers at 2^16, 3.53 at 2^18)
         spec = parse_scenario(preset_scenario("tpa3"), Path.cwd()).spectrum
         tg = default_time_grid(count=count)
         buffer = 16 * _next_fast_len(spec.grid.count + count - 1)
         peak = peak_above_inputs(lambda: simulate_interferogram(spec, tg))
-        assert peak <= 6.5 * buffer
+        assert peak <= 4 * buffer
+
+    def test_peak_memory_on_a_short_grid(self):
+        # 4096 delays, where one transform buffer is 82 kB and the block
+        # arrays weigh most: 427,416 bytes, in the chirp stage, against
+        # 458,616 for the two-row layout that kept every delay offset
+        scenario = parse_scenario(preset_scenario("noise-gauss"), Path.cwd())
+        assert scenario.time_grid.count == 4096
+        spec, tg = scenario.spectrum, scenario.time_grid
+        peak = peak_above_inputs(lambda: simulate_interferogram(spec, tg))
+        assert peak <= 458_616
+
+    @pytest.mark.parametrize("block", [7, 1000, 4097])
+    def test_bits_do_not_depend_on_the_block_length(self, monkeypatch, block):
+        # 7 leaves a partial last block on both axes, 1000 a one-point
+        # last block of the 1001 bins, 4097 one block for all 4096 delays;
+        # the chirp stage's blocks scale with it
+        scenario = parse_scenario(preset_scenario("noise-gauss"), Path.cwd())
+        want = simulate_interferogram(scenario.spectrum, scenario.time_grid).values
+        monkeypatch.setattr(interferometer, "_BLOCK", block)
+        got = simulate_interferogram(scenario.spectrum, scenario.time_grid).values
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_phasors_equal_the_complex_exponential_bit_for_bit(self, sign):

@@ -338,6 +338,15 @@ class TestBracket:
             expected = np.clip(binom.ppf(u, n, p), 0, n)
         np.testing.assert_array_equal(_binomial_quantile(u, n, p), expected)
 
+    @pytest.mark.parametrize("n", [1, 10, 2**31])
+    def test_u_of_one_gives_n(self, n):
+        # where (1-p)**n rounds to 1 the zero rule would answer 0
+        p = np.array([0.0, 1e-300, 1e-17, 0.3, 1.0])
+        expected = binom.ppf(np.ones(p.size), n, p)
+        assert expected.tolist() == [n] * p.size
+        k = _binomial_quantile(np.ones((2, p.size)), n, p)
+        np.testing.assert_array_equal(k, [expected] * 2)
+
     def test_one_cdf_per_bin_per_trial_count_in_the_study(self, cdf_calls, monkeypatch):
         # a trial count's repeats share each bin's table, so a study takes
         # about one CDF per bin and trial count, not one per draw

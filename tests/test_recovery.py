@@ -24,10 +24,11 @@ from noonspec import (
     spectrum_distance,
     transmitted_spectrum,
 )
+from noonspec import interferometer
 from noonspec.cli import main, parse_scenario
 from noonspec.io import read_trace_csv
 from noonspec.presets import PRESETS, preset_scenario
-from noonspec.recovery import _find_peaks, _first_at_or_below, _local_maxima
+from noonspec.recovery import _find_peaks, _first_at_or_below, _local_maxima, _transformed, _twist
 from conftest import centered_time_grid
 
 
@@ -128,6 +129,43 @@ class TestFourierRecover:
         rhs = rec.grid.step * np.sum(np.abs(rec.amplitudes) ** 2)
         assert abs(lhs - rhs) / lhs < 1e-6
 
+    @staticmethod
+    def twisted(g, grid):
+        """The transform with its t-origin phase as one complex expression."""
+        n, dt = grid.count, grid.step
+        raw = np.fft.ifft(g) * (n * dt)
+        raw *= np.exp(2j * np.pi * np.fft.fftfreq(n, d=dt) * grid.start)
+        return np.fft.fftshift(raw, axes=-1)
+
+    def test_block_twist_equals_the_complex_expression_on_comb5(self):
+        scenario = parse_scenario(preset_scenario("comb5"), None)
+        trace = correlation_trace(simulate_interferogram(scenario.spectrum, scenario.time_grid))
+        got = _transformed(trace.values, trace.grid)[1]
+        want = self.twisted(trace.values, trace.grid)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("block", [7, 2048])
+    def test_block_twist_equals_the_complex_expression(self, monkeypatch, block):
+        # a start of +0 gives the negative frequencies a -0 phase, whose
+        # phasor is 1 - 0i; only amplitudes with a signed zero part show
+        # it, so some are set to one. Half the trials are 2-D batches, and
+        # with blocks of 7 about one in seven ends on a one-point block.
+        monkeypatch.setattr(interferometer, "_BLOCK", block)
+        rng = np.random.default_rng(block)
+        for trial in range(50):
+            n = int(rng.integers(2, 3000))
+            start = [0.0, -0.0][trial] if trial < 2 else float(rng.uniform(-40.0, 40.0))
+            dt = float(rng.uniform(1e-4, 1e-2))
+            g = rng.uniform(-1.0, 1.0, (2, n) if trial % 2 else n)
+            grid = FrequencyGrid(start, dt, n)
+            got, want = _transformed(g, grid)[1], self.twisted(g, grid)
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+            raw = np.fft.ifft(g)
+            raw[..., ::3] = complex(1.0, -0.0)
+            raw[..., 1::3] = complex(-0.0, 0.0)
+            want = raw * np.exp(2j * np.pi * np.fft.fftfreq(n, d=dt) * start)
+            _twist(raw, n, dt, start)
+            np.testing.assert_array_equal(raw.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("step", [1e-310, 5e-324])
     def test_step_without_a_finite_resolution_rejected(self, step):
