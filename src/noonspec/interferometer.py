@@ -32,12 +32,12 @@ transform row and the output chirp. The two first-order sums S1 and S2
 and then the zeroth-order sum S0 go through the row in turn. t S1 is
 written into the output, and t_off S2 is added one block of delays at a
 time, each block's offsets recomputed from the grid, so no delay or
-offset array is kept. The offsets are built on blocks of ``_BLOCK``
-points, and the chirps, which come before the row and the output exist,
-on blocks ``_CHIRP_BLOCKS`` times longer, each in a few block-sized
-scratch arrays. With the tpa3 preset's 1501 bins the ``tracemalloc``
-peak is 3.9 MB (3.61 buffers) at 2^16 delays (L = 67,200) and 59 MB
-(3.50 buffers) at 2^20.
+offset array is kept. The offsets are built on blocks of
+``_numerics._BLOCK`` points, and the chirps, which come before the row
+and the output exist, on blocks ``_CHIRP_BLOCKS`` times longer, each in
+a few block-sized scratch arrays. With the tpa3 preset's 1501 bins the
+``tracemalloc`` peak is 3.9 MB (3.61 buffers) at 2^16 delays
+(L = 67,200) and 59 MB (3.50 buffers) at 2^20.
 
 Every transform here is ``numpy.fft``, so the module loads no scipy;
 ``numpy.fft`` and ``scipy.fft`` give the same bits on these complex
@@ -50,6 +50,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from ._numerics import _blocks, _cycles, _frac, _phasors, _two_product
 from .errors import AliasingError, NoSignalError, WindowTooShortError
 from .grids import TimeGrid, _column
 from .spectral import SumFrequencySpectrum
@@ -105,72 +106,11 @@ class CorrelationTrace(_DelaySeries):
     low: ClassVar[float] = -1.0
 
 
-_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter for float64
-
-# points per block of the delay-axis stages; a block holds a few arrays of
-# this length, and the synthesis has the same bits for any value. The chirp
-# stage runs before the transform row and the output exist, so its blocks
-# are _CHIRP_BLOCKS times longer, for a quarter of the numpy calls; from
-# 2^16 delays up its arrays stay below the later stages' peak.
-_BLOCK = 2048
+# the chirp stage runs before the transform row and the output exist, so
+# its blocks are _CHIRP_BLOCKS times longer than the other stages', for a
+# quarter of the numpy calls; from 2^16 delays up its arrays stay below
+# the later stages' peak
 _CHIRP_BLOCKS = 4
-
-
-def _block_length(count: int, blocks: int = 1) -> int:
-    """The length of the longest of :func:`_blocks`."""
-    return min(blocks * _BLOCK, count)
-
-
-def _blocks(count: int, blocks: int = 1):
-    """The (lo, hi) bounds of the blocks of at most ``blocks * _BLOCK``
-    points that cover range(count), in order."""
-    length = blocks * _BLOCK
-    for lo in range(0, count, length):
-        yield lo, min(lo + length, count)
-
-
-def _split(x, hi=None, lo=None):
-    """x = hi + lo exactly, each half with at most 26 significant bits; an
-    array's halves go to the buffers ``hi`` and ``lo`` when given."""
-    c = np.multiply(x, _SPLIT, out=hi)
-    hi = np.subtract(c, np.subtract(c, x, out=lo), out=hi)
-    return hi, np.subtract(x, hi, out=lo)
-
-
-def _frac(x, whole):
-    """x minus its nearest integer, exact for float64 input; in place, with
-    the integer in the scratch buffer ``whole``."""
-    x -= np.rint(x, out=whole)
-    return x
-
-
-def _two_product(a, b, out=(None, None), halves=(None, None)):
-    """(p, e) with p = fl(a*b) and p + e = a*b exactly (Dekker). For an
-    array ``a`` and a scalar ``b``, p and e go to the buffers ``out`` and
-    a's split halves to ``halves``; e may take a's own buffer."""
-    p = np.multiply(a, b, out=out[0])
-    a_hi, a_lo = _split(a, *halves)
-    b_hi, b_lo = _split(b)
-    e = np.multiply(a_hi, b_hi, out=out[1])
-    e -= p
-    e += np.multiply(a_hi, b_lo, out=halves[0])
-    e += np.multiply(a_lo, b_hi, out=halves[0])
-    e += np.multiply(a_lo, b_lo, out=halves[1])
-    return p, e
-
-
-def _cycles(a, b, out, work):
-    """a*b mod 1 in [-0.5, 0.5] into ``out``, for one array and one scalar in
-    either order, with four scratch arrays of out's shape in ``work``. The
-    four split products are exact and each is reduced before the only
-    rounding sum."""
-    hi, lo, product, whole = work
-    a_hi, a_lo = _split(a, hi, lo) if np.ndim(a) else _split(a)
-    b_hi, b_lo = _split(b, hi, lo) if np.ndim(b) else _split(b)
-    _frac(np.multiply(a_hi, b_hi, out=out), whole)
-    for x, y in ((a_hi, b_lo), (a_lo, b_hi), (a_lo, b_lo)):
-        out += _frac(np.multiply(x, y, out=product), whole)
-    return _frac(out, whole)
 
 
 def _next_fast_len(n: int) -> int:
@@ -190,9 +130,9 @@ def _next_fast_len(n: int) -> int:
 def _off_grid(grid, lo: int, hi: int, work: np.ndarray) -> np.ndarray:
     """The float64 points ``start + step*i`` of a uniform grid (the bits of
     ``grid.values[i]``) minus their exact values start + i step, for i in
-    [lo, hi), up to one rounding. ``work`` holds five scratch rows of at
-    least hi - lo floats; the result is a view of one of them."""
-    i, ideal, v, d, z = (row[: hi - lo] for row in work)
+    [lo, hi), up to one rounding. ``work`` holds five scratch rows of
+    hi - lo floats; the result is a view of one of them."""
+    i, ideal, v, d, z = work
     i[:] = np.arange(lo, hi)
     ideal, ideal_err = _two_product(i, grid.step, out=(ideal, i), halves=(v, d))
     np.add(ideal, grid.start, out=v)
@@ -206,23 +146,6 @@ def _off_grid(grid, lo: int, hi: int, work: np.ndarray) -> np.ndarray:
     off += v
     off -= ideal_err
     return off
-
-
-def _phasors(cycles: np.ndarray, sign: int, out: np.ndarray | None = None) -> np.ndarray:
-    """exp(sign 2 pi i cycles), built in ``out`` (a new array if None).
-
-    The bits are those of ``np.exp(complex(0.0, sign * 2 * np.pi) * cycles)``
-    without its complex temporaries: that product's imaginary part is
-    +0 + sign 2 pi cycles, so a -0 turns +0, and its real part is a zero,
-    whose sign ``exp`` ignores.
-    """
-    if out is None:
-        out = np.empty(cycles.shape, dtype=complex)
-    out.real = 0.0
-    phase = out.imag
-    np.multiply(cycles, sign * 2 * np.pi, out=phase)
-    phase += 0.0
-    return np.exp(out, out=out)
 
 
 def _chirp(lo: int, hi: int, rate, rate_err, out: np.ndarray, work) -> np.ndarray:
@@ -246,9 +169,7 @@ def _chirps(fgrid, grid, kernel: np.ndarray) -> tuple:
     twist, twist_err = _two_product(fgrid.step, grid.start)
     pre = np.empty(n, dtype=complex)
     post = np.empty(m, dtype=complex)
-    work = np.empty((7, _block_length(max(n, m), _CHIRP_BLOCKS)))
-    for lo, hi in _blocks(m, _CHIRP_BLOCKS):
-        chirp, t, phase, *scratch = (row[: hi - lo] for row in work)
+    for lo, hi, (chirp, t, phase, *scratch) in _blocks(m, 7, _CHIRP_BLOCKS):
         _chirp(lo, hi, rate, rate_err, chirp, [t, phase, *scratch])
         _phasors(chirp, -1, kernel[lo:hi])
         t[:] = np.arange(lo, hi)
@@ -257,8 +178,8 @@ def _chirps(fgrid, grid, kernel: np.ndarray) -> tuple:
         _cycles(fgrid.start, t, phase, scratch)
         phase += chirp
         _phasors(_frac(phase, scratch[-1]), 1, post[lo:hi])
-    for lo, hi in _blocks(n, _CHIRP_BLOCKS):
-        chirp, k, phase, *scratch = (row[: hi - lo] for row in work)
+    del chirp, t, phase, scratch  # or the first walk's scratch outlives it
+    for lo, hi, (chirp, k, phase, *scratch) in _blocks(n, 7, _CHIRP_BLOCKS):
         _chirp(lo, hi, rate, rate_err, chirp, [k, phase, *scratch])
         wrap = max(lo, 1)  # kernel[size - q] for q in [wrap, hi)
         _phasors(chirp[wrap - lo :], -1, kernel[size - hi + 1 : size - wrap + 1][::-1])
@@ -301,10 +222,10 @@ def simulate_interferogram(spectrum: SumFrequencySpectrum, grid: TimeGrid) -> In
     # offset in the phase, and S0 sums over the ideal lines; the three
     # go through one transform row in turn
     weights = spectrum.weights * fgrid.step
-    work = np.empty((5, _block_length(max(n, m))))
     offsets = np.empty(n)
-    for lo, hi in _blocks(n):
+    for lo, hi, work in _blocks(n, 5):
         offsets[lo:hi] = _off_grid(fgrid, lo, hi, work)
+    del work  # or this walk's scratch outlives it
     row = np.empty_like(kernel)
     s1 = _convolved(row, pre, offsets, weights, kernel, post)
     # t S1 + t_off S2, the delays' offsets in the phase to first order,
@@ -315,7 +236,7 @@ def simulate_interferogram(spectrum: SumFrequencySpectrum, grid: TimeGrid) -> In
     total *= s1.imag
     np.multiply(np.arange(n, dtype=float), fgrid.step, out=offsets)
     s2 = _convolved(row, pre, offsets, weights, kernel, post).imag
-    for lo, hi in _blocks(m):
+    for lo, hi, work in _blocks(m, 5):
         t_off = _off_grid(grid, lo, hi, work)
         t_off *= s2[lo:hi]
         total[lo:hi] += t_off

@@ -60,8 +60,9 @@ from pathlib import Path
 
 import numpy as np
 
+from ._numerics import _two_product
 from .grids import UniformGrid, infer_grid
-from .interferometer import CorrelationTrace, Interferogram, _two_product
+from .interferometer import CorrelationTrace, Interferogram
 from .noise import CountData, ScalingStudy
 from .recovery import RecoveredSpectrum
 from .spectral import SumFrequencySpectrum

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._numerics import _blocks, _phasors
 from .errors import AsymmetryError, GridMismatchError
 from .grids import FrequencyGrid, TimeGrid, _column
-from .interferometer import CorrelationTrace, _block_length, _blocks
+from .interferometer import CorrelationTrace
 from .spectral import SumFrequencySpectrum
 
 HERMITIAN_TOL = 1e-6
@@ -90,27 +91,22 @@ def _twist(raw: np.ndarray, n: int, dt: float, start: float) -> None:
     d=dt)``, in place along the last axis, one block of phasors at a time.
 
     The bits are those of ``raw * np.exp(2j * np.pi * fftfreq * start)``
-    without its trace-sized complex temporaries. That product's imaginary
-    part is (2 pi f) start plus a zero with f's sign: +0 on the
-    non-negative frequencies, which turns a -0 to +0, and -0 on the
-    negative ones, which changes nothing. Its real part is a zero, whose
-    sign ``exp`` ignores.
+    without its trace-sized complex temporaries; :func:`_phasors` builds
+    them. The rule of its own is where the +0 goes: the real part of
+    2j pi f is a zero with f's sign, which the product with ``start`` adds
+    to the phase. So a block's non-negative frequencies, its first
+    ``head`` points, take +0, which turns a -0 to +0, and the negative
+    ones -0, which changes nothing.
     """
     scale = 1.0 / (n * dt)
     non_negative = (n - 1) // 2 + 1  # fftfreq's order: 0, 1, ..., then the negatives
-    phasors, products = np.empty((2, _block_length(n)), dtype=complex)
-    for lo, hi in _blocks(n):
-        z, product = phasors[: hi - lo], products[: hi - lo]
-        z.real = 0.0
-        phase = z.imag
-        head = max(non_negative - lo, 0)  # the block's non-negative frequencies
-        phase[:] = np.arange(lo, hi)
-        phase[head:] -= n
-        phase *= scale  # fftfreq's f
-        phase *= 2 * np.pi
-        phase *= start
-        phase[:head] += 0.0
-        np.exp(z, out=z)
+    for lo, hi, (z, product) in _blocks(n, 2, dtype=complex):
+        f = z.imag
+        head = max(non_negative - lo, 0)
+        f[:] = np.arange(lo, hi)
+        f[head:] -= n
+        f *= scale  # fftfreq's f
+        _phasors(f, 1, z, start, head)
         # row by row, as numpy multiplies a strided block of rows at half
         # the speed, and not in place, as numpy's in-place product of one
         # element takes another loop with other bits

@@ -7,8 +7,10 @@ use, and ``numpy.random`` for its streams on the first draw. The
 process pool behind the noise study loads only when a study forks, so
 importing the package loads no ``multiprocessing``. Every
 check runs in a fresh interpreter, since this test process imports scipy
-itself.
+itself, but the last: the exact-phase and block helpers in
+``noonspec._numerics`` import numpy alone, which only their source shows.
 """
+import ast
 import json
 import os
 import subprocess
@@ -115,3 +117,16 @@ def test_simulate_without_noise_and_recover_load_no_numpy_random(tmp_path):
 def test_a_noise_draw_loads_numpy_random(tmp_path):
     code = run_main("simulate", "--preset", "noise-gauss", "--out", "out")
     assert "numpy.random" in numpy_random_after(code, tmp_path)
+
+
+def test_numerics_imports_numpy_alone():
+    # read from the source: importing noonspec._numerics runs the package
+    # __init__, which imports every module
+    tree = ast.parse(Path(SRC, "noonspec", "_numerics.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert imported == {"__future__", "numpy"}

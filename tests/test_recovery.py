@@ -24,7 +24,7 @@ from noonspec import (
     spectrum_distance,
     transmitted_spectrum,
 )
-from noonspec import interferometer
+from noonspec import _numerics
 from noonspec.cli import main, parse_scenario
 from noonspec.io import read_trace_csv
 from noonspec.presets import PRESETS, preset_scenario
@@ -150,7 +150,7 @@ class TestFourierRecover:
         # phasor is 1 - 0i; only amplitudes with a signed zero part show
         # it, so some are set to one. Half the trials are 2-D batches, and
         # with blocks of 7 about one in seven ends on a one-point block.
-        monkeypatch.setattr(interferometer, "_BLOCK", block)
+        monkeypatch.setattr(_numerics, "_BLOCK", block)
         rng = np.random.default_rng(block)
         for trial in range(50):
             n = int(rng.integers(2, 3000))
