@@ -34,10 +34,11 @@ written into the output, and t_off S2 is added one block of delays at a
 time, each block's offsets recomputed from the grid, so no delay or
 offset array is kept. The offsets are built on blocks of
 ``_numerics._BLOCK`` points, and the chirps, which come before the row
-and the output exist, on blocks ``_CHIRP_BLOCKS`` times longer, each in
-a few block-sized scratch arrays. With the tpa3 preset's 1501 bins the
-``tracemalloc`` peak is 3.9 MB (3.61 buffers) at 2^16 delays
-(L = 67,200) and 59 MB (3.50 buffers) at 2^20.
+and the output exist, on blocks ``_CHIRP_BLOCKS`` times longer; each
+block's helpers make a few arrays of its length, freed with the block.
+With the tpa3 preset's 1501 bins the ``tracemalloc`` peak is 3.9 MB
+(3.60 buffers) at 2^16 delays (L = 67,200) and 59 MB (3.50 buffers) at
+2^20.
 
 Every transform here is ``numpy.fft``, so the module loads no scipy;
 ``numpy.fft`` and ``scipy.fft`` give the same bits on these complex
@@ -127,20 +128,18 @@ def _next_fast_len(n: int) -> int:
         m += 1
 
 
-def _off_grid(grid, lo: int, hi: int, work: np.ndarray) -> np.ndarray:
+def _off_grid(grid, lo: int, hi: int) -> np.ndarray:
     """The float64 points ``start + step*i`` of a uniform grid (the bits of
     ``grid.values[i]``) minus their exact values start + i step, for i in
-    [lo, hi), up to one rounding. ``work`` holds five scratch rows of
-    hi - lo floats; the result is a view of one of them."""
-    i, ideal, v, d, z = work
-    i[:] = np.arange(lo, hi)
-    ideal, ideal_err = _two_product(i, grid.step, out=(ideal, i), halves=(v, d))
-    np.add(ideal, grid.start, out=v)
-    np.subtract(v, grid.start, out=d)
-    np.subtract(d, v, out=z)
+    [lo, hi), up to one rounding."""
+    off, ideal_err = _two_product(np.arange(lo, hi, dtype=float), grid.step)
+    v = off + grid.start
+    d = v - grid.start
+    z = d - v
     # v - start = d + d_err exactly, d_err = (v - (d - z)) - (start + z)
-    off = np.subtract(d, ideal, out=ideal)
-    v -= np.subtract(d, z, out=d)
+    np.subtract(d, off, out=off)
+    d -= z
+    v -= d
     z += grid.start
     v -= z
     off += v
@@ -148,15 +147,12 @@ def _off_grid(grid, lo: int, hi: int, work: np.ndarray) -> np.ndarray:
     return off
 
 
-def _chirp(lo: int, hi: int, rate, rate_err, out: np.ndarray, work) -> np.ndarray:
-    """The chirp phase (q^2/2) dnu dt mod 1 for q in [lo, hi) into ``out``,
-    with rate + rate_err = dnu dt and six scratch arrays in ``work``."""
-    q, half, *scratch = work
-    q[:] = np.arange(lo, hi)
-    q *= np.multiply(q, 0.5, out=half)  # q^2/2
-    _cycles(q, rate, out, scratch)
-    out += np.multiply(q, rate_err, out=half)
-    return out
+def _chirp(lo: int, hi: int, rate, rate_err) -> np.ndarray:
+    """The chirp phase (q^2/2) dnu dt mod 1 for q in [lo, hi), with
+    rate + rate_err = dnu dt."""
+    q = np.arange(lo, hi, dtype=float)
+    q *= q * 0.5  # q^2/2
+    return _cycles(q, rate) + q * rate_err
 
 
 def _chirps(fgrid, grid, kernel: np.ndarray) -> tuple:
@@ -169,25 +165,20 @@ def _chirps(fgrid, grid, kernel: np.ndarray) -> tuple:
     twist, twist_err = _two_product(fgrid.step, grid.start)
     pre = np.empty(n, dtype=complex)
     post = np.empty(m, dtype=complex)
-    for lo, hi, (chirp, t, phase, *scratch) in _blocks(m, 7, _CHIRP_BLOCKS):
-        _chirp(lo, hi, rate, rate_err, chirp, [t, phase, *scratch])
-        _phasors(chirp, -1, kernel[lo:hi])
-        t[:] = np.arange(lo, hi)
-        t *= grid.step
-        t += grid.start  # grid.values[lo:hi]
-        _cycles(fgrid.start, t, phase, scratch)
-        phase += chirp
-        _phasors(_frac(phase, scratch[-1]), 1, post[lo:hi])
-    del chirp, t, phase, scratch  # or the first walk's scratch outlives it
-    for lo, hi, (chirp, k, phase, *scratch) in _blocks(n, 7, _CHIRP_BLOCKS):
-        _chirp(lo, hi, rate, rate_err, chirp, [k, phase, *scratch])
+    for lo, hi in _blocks(m, _CHIRP_BLOCKS):
+        phase = _chirp(lo, hi, rate, rate_err)
+        _phasors(phase, -1, kernel[lo:hi])
+        t = np.arange(lo, hi) * grid.step + grid.start  # grid.values[lo:hi]
+        phase += _cycles(fgrid.start, t)
+        _phasors(_frac(phase), 1, post[lo:hi])
+    for lo, hi in _blocks(n, _CHIRP_BLOCKS):
+        phase = _chirp(lo, hi, rate, rate_err)
         wrap = max(lo, 1)  # kernel[size - q] for q in [wrap, hi)
-        _phasors(chirp[wrap - lo :], -1, kernel[size - hi + 1 : size - wrap + 1][::-1])
-        k[:] = np.arange(lo, hi)
-        _cycles(k, twist, phase, scratch)
-        phase += chirp
-        phase += np.multiply(k, twist_err, out=k)
-        _phasors(_frac(phase, scratch[-1]), 1, pre[lo:hi])
+        _phasors(phase[wrap - lo :], -1, kernel[size - hi + 1 : size - wrap + 1][::-1])
+        k = np.arange(lo, hi, dtype=float)
+        phase += _cycles(k, twist)
+        phase += k * twist_err
+        _phasors(_frac(phase), 1, pre[lo:hi])
     return pre, post
 
 
@@ -223,9 +214,8 @@ def simulate_interferogram(spectrum: SumFrequencySpectrum, grid: TimeGrid) -> In
     # go through one transform row in turn
     weights = spectrum.weights * fgrid.step
     offsets = np.empty(n)
-    for lo, hi, work in _blocks(n, 5):
-        offsets[lo:hi] = _off_grid(fgrid, lo, hi, work)
-    del work  # or this walk's scratch outlives it
+    for lo, hi in _blocks(n):
+        offsets[lo:hi] = _off_grid(fgrid, lo, hi)
     row = np.empty_like(kernel)
     s1 = _convolved(row, pre, offsets, weights, kernel, post)
     # t S1 + t_off S2, the delays' offsets in the phase to first order,
@@ -236,10 +226,8 @@ def simulate_interferogram(spectrum: SumFrequencySpectrum, grid: TimeGrid) -> In
     total *= s1.imag
     np.multiply(np.arange(n, dtype=float), fgrid.step, out=offsets)
     s2 = _convolved(row, pre, offsets, weights, kernel, post).imag
-    for lo, hi, work in _blocks(m, 5):
-        t_off = _off_grid(grid, lo, hi, work)
-        t_off *= s2[lo:hi]
-        total[lo:hi] += t_off
+    for lo, hi in _blocks(m):
+        total[lo:hi] += _off_grid(grid, lo, hi) * s2[lo:hi]
     offsets[:] = 1.0
     s0 = _convolved(row, pre, offsets, weights, kernel, post)
     # Re(S0 + 2 pi i (t S1 + t_off S2)), then P = (1 + that) / 2, in place

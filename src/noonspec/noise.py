@@ -47,12 +47,7 @@ from typing import Sequence
 import numpy as np
 
 from .grids import TimeGrid, _column
-from .interferometer import (
-    CorrelationTrace,
-    Interferogram,
-    default_time_grid,
-    simulate_interferogram,
-)
+from .interferometer import CorrelationTrace, Interferogram, simulate_interferogram
 from .recovery import _folded, _refined, _transformed
 from .spectral import SumFrequencySpectrum
 
@@ -552,7 +547,7 @@ def error_scaling_study(
     trial_counts: Sequence[int],
     repeats: int,
     config: NoiseConfig,
-    grid: TimeGrid | None = None,
+    grid: TimeGrid,
     chunk_size: int | None = None,
 ) -> ScalingStudy:
     """Monte-Carlo spread of the recovered peak as counting statistics vary.
@@ -580,8 +575,6 @@ def error_scaling_study(
     zeros = np.zeros(n_trials.size)
     ScalingStudy(n_trials, zeros, zeros)
     replace(config, pairs_per_bin=int(n_trials.max()))
-    if grid is None:
-        grid = default_time_grid()
 
     pattern = simulate_interferogram(spectrum, grid)
     streams = np.arange(n_trials.size * repeats).reshape(-1, repeats)

@@ -100,19 +100,18 @@ def _twist(raw: np.ndarray, n: int, dt: float, start: float) -> None:
     """
     scale = 1.0 / (n * dt)
     non_negative = (n - 1) // 2 + 1  # fftfreq's order: 0, 1, ..., then the negatives
-    for lo, hi, (z, product) in _blocks(n, 2, dtype=complex):
-        f = z.imag
+    for lo, hi in _blocks(n):
         head = max(non_negative - lo, 0)
-        f[:] = np.arange(lo, hi)
+        f = np.arange(lo, hi, dtype=float)
         f[head:] -= n
         f *= scale  # fftfreq's f
-        _phasors(f, 1, z, start, head)
+        z = _phasors(f, 1, scale=start, head=head)
         # row by row, as numpy multiplies a strided block of rows at half
         # the speed, and not in place, as numpy's in-place product of one
         # element takes another loop with other bits
         for row in np.ndindex(raw.shape[:-1]):
             block = raw[row][lo:hi]
-            block[...] = np.multiply(block, z, out=product)
+            block[...] = block * z
 
 
 def fold_one_sided(recovered: RecoveredSpectrum) -> SumFrequencySpectrum:

@@ -25,8 +25,9 @@ FOUR_LN2 = 4.0 * np.log(2.0)
 NORMALIZATION_TOL = 1e-9
 
 # A truncated Gaussian is a legitimate experiment, so short coverage only
-# flags the output instead of raising.
-COVERAGE_SIGMAS = 3.0
+# flags the output instead of raising: the grid should span center +- this
+# many FWHM.
+COVERAGE_FWHMS = 3.0
 
 
 def gaussian_profile(nu: np.ndarray, center: float, fwhm: float) -> np.ndarray:
@@ -120,7 +121,7 @@ def make_frequency_grid(start: float, step: float, count: int) -> FrequencyGrid:
 
 
 def _covers(grid: FrequencyGrid, center: float, fwhm: float) -> bool:
-    half = COVERAGE_SIGMAS * fwhm
+    half = COVERAGE_FWHMS * fwhm
     return grid.start <= center - half and grid.stop >= center + half
 
 

@@ -338,7 +338,14 @@ class TestSimulate:
         assert "Traceback" not in proc.stderr
         assert "pairs_per_bin" in proc.stderr
 
-    @pytest.mark.parametrize("bad", ['"740.25"', "true", "1e400", "-1e400", "NaN"])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            '"740.25"', "true", "1e400", "-1e400", "NaN",
+            # an integer past the float range: float() raises OverflowError
+            pytest.param("1" + "0" * 400, id="10**400"),
+        ],
+    )
     @pytest.mark.parametrize(
         "group, field",
         [
@@ -394,6 +401,33 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert f"{key} must be a finite number, got " in err
         assert err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("verb", ["simulate", "noise-study"])
+    @pytest.mark.parametrize(
+        "section, value, line",
+        [
+            ("noise", {"dark_rate": -1.0}, "bad noise config: dark_rate must be non-negative"),
+            (
+                "pump",
+                {
+                    "kind": "comb",
+                    "grid": {"start_thz": 738.75, "step_thz": 0.004, "count": 751},
+                    "lines": [{"center_thz": 740.25, "fwhm_thz": 0, "weight": 1.0}],
+                },
+                "bad pump section: line fwhm must be positive",
+            ),
+        ],
+        ids=["negative-dark-rate", "zero-comb-fwhm"],
+    )
+    def test_bad_section_value_exits_2(self, tmp_path, capsys, verb, section, value, line):
+        noise = {"pairs_per_bin": 10, "seed": 1, "dark_rate": 0.0, "efficiency": 0.9}
+        doc = small_scenario(time_grid=dict(TINY_TIME_GRID), noise=noise)
+        doc[section] = {**doc[section], **value} if section == "noise" else value
+        cfg = write_config(tmp_path, doc)
+        assert main([verb, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {line}") and err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("outputs", [5, ["x"], True, {"dir": "x"}])
@@ -508,6 +542,11 @@ class TestSampleSection:
             ({"lines": [{**LINE, "center_thz": 1e400}]}, "center_thz must be a finite number"),
             ({"lines": [{**LINE, "strength": True}]}, "strength must be a finite number"),
             ({"lines": [{**LINE, "fwhm_thz": 0}]}, "bad sample: line fwhm must be positive"),
+            # two full-strength lines far wider than the pump absorb all of it
+            (
+                {"lines": [{"center_thz": 740.25, "fwhm_thz": 1000.0, "strength": 1.0}] * 2},
+                "cannot normalize a zero spectrum",
+            ),
             ({"name": 5, "lines": [LINE]}, "sample name must be a string, got 5"),
         ],
     )

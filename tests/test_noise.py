@@ -569,14 +569,11 @@ class TestErrorScalingStudy:
     def test_repeats_validated(self):
         grid = make_frequency_grid(738.25, 0.004, 101)
         spec = gaussian_pump_spectrum(grid, 738.45, 0.1)
+        config, tg = NoiseConfig(pairs_per_bin=1, seed=0), centered_time_grid(5e-4, 64)
         with pytest.raises(ValueError):
-            error_scaling_study(
-                spec, [100], repeats=1, config=NoiseConfig(pairs_per_bin=1, seed=0)
-            )
+            error_scaling_study(spec, [100], repeats=1, config=config, grid=tg)
         with pytest.raises(ValueError):
-            error_scaling_study(
-                spec, [], repeats=5, config=NoiseConfig(pairs_per_bin=1, seed=0)
-            )
+            error_scaling_study(spec, [], repeats=5, config=config, grid=tg)
 
     @pytest.fixture
     def study_args(self, monkeypatch):

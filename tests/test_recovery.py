@@ -28,7 +28,14 @@ from noonspec import _numerics
 from noonspec.cli import main, parse_scenario
 from noonspec.io import read_trace_csv
 from noonspec.presets import PRESETS, preset_scenario
-from noonspec.recovery import _find_peaks, _first_at_or_below, _local_maxima, _transformed, _twist
+from noonspec.recovery import (
+    _find_peaks,
+    _first_at_or_below,
+    _local_maxima,
+    _refined,
+    _transformed,
+    _twist,
+)
 from conftest import centered_time_grid
 
 
@@ -225,6 +232,20 @@ class TestDetectFeatures:
         grid = make_frequency_grid(739.0, 0.01, 201)
         flat = SumFrequencySpectrum(grid, np.ones(201))
         assert detect_features(flat, min_prominence=1e-6) == []
+
+    @pytest.mark.parametrize(
+        "signal, i",
+        [
+            # the noise study's strongest non-DC bin can be the last one
+            ([1.0, 2.0, 3.0], 2),
+            ([3.0, 2.0, 1.0], 0),
+            # a flat top of three equal samples has no curvature to fit
+            ([1.0, 2.0, 2.0, 2.0, 1.0], 2),
+        ],
+        ids=["last", "first", "flat-top"],
+    )
+    def test_refinement_keeps_an_edge_or_flat_sample(self, signal, i):
+        assert _refined(np.array(signal), i) == (0.0, signal[i])
 
     def test_synthetic_dips_against_baseline(self):
         grid = make_frequency_grid(739.0, 0.002, 1001)

@@ -119,6 +119,16 @@ class TestCombPumpSpectrum:
         with pytest.raises(ValueError, match="line weight must be finite and non-negative"):
             CombLine(740.0, 0.05, weight)
 
+    def test_zero_weight_line_is_skipped(self):
+        # a zero-weight line adds nothing, not even a Gaussian off the grid
+        # (which alone would raise CoverageError) or a coverage warning
+        grid = make_frequency_grid(739.8, 0.001, 1001)
+        lines = [CombLine(740.1, 0.05, 2.0), CombLine(740.3, 0.04, 1.0)]
+        want = comb_pump_spectrum(grid, lines)
+        got = comb_pump_spectrum(grid, [lines[0], CombLine(700.0, 0.05, 0.0), lines[1]])
+        np.testing.assert_array_equal(got.weights.view(np.uint64), want.weights.view(np.uint64))
+        assert got.coverage_warning == want.coverage_warning
+
     def test_empty_comb_rejected(self):
         grid = make_frequency_grid(739.8, 0.001, 101)
         with pytest.raises(ValueError):
