@@ -18,27 +18,35 @@ nu_k = nu0 + k dnu and t_j = t0 + j dt the phase splits as
 
     nu_k t_j = nu0 t_j + k dnu t0 + jk dnu dt,  jk = (j^2 + k^2 - (j-k)^2)/2
 
-and one FFT convolution of length >= n + m - 1 yields every delay in
-O((n + m) log(n + m)). Each phase is reduced mod 1 through error-free
-(Veltkamp/Dekker) split products before it reaches ``exp``, and the
-rounding of the float64 grid values off the ideal lines, computed
-exactly, enters to first order (the neglected second-order term is
-about 1e-23 on the default grid), so the result is the transform of the
-very frequencies and delays written to CSV, accurate to a few ulp.
+so the sum over k is a convolution with a chirp kernel of j - k alone.
+It runs sectioned (overlap-save; Oppenheim & Schafer, *Discrete-Time
+Signal Processing*): the output block of delays [lo, lo + B) needs the
+kernel on (lo - n, lo + B) only, and one FFT convolution of length
+Lb >= B + n - 1 yields it. Lb is the smallest fast FFT length >= 4n, so
+B is about 3n and each delay costs O(log n). Each phase is reduced mod 1
+through error-free (Veltkamp/Dekker) split products before it reaches
+``exp``, and the rounding of the float64 grid values off the ideal
+lines, computed exactly, enters to first order (the neglected
+second-order term is about 1e-23 on the default grid), so the result is
+the transform of the very frequencies and delays written to CSV,
+accurate to a few ulp.
 
-Beside its output (half a complex buffer of the transform length L) the
-synthesis holds three such buffers: the kernel's transform, one
-transform row and the output chirp. The two first-order sums S1 and S2
-and then the zeroth-order sum S0 go through the row in turn. t S1 is
-written into the output, and t_off S2 is added one block of delays at a
-time, each block's offsets recomputed from the grid, so no delay or
-offset array is kept. The offsets are built on blocks of
-``_numerics._BLOCK`` points, and the chirps, which come before the row
-and the output exist, on blocks ``_CHIRP_BLOCKS`` times longer; each
-block's helpers make a few arrays of its length, freed with the block.
-With the tpa3 preset's 1501 bins the ``tracemalloc`` peak is 3.9 MB
-(3.60 buffers) at 2^16 delays (L = 67,200) and 59 MB (3.50 buffers) at
-2^20.
+The first-order sums S1 and S2 and the zeroth-order sum S0 share each
+block's kernel. With several blocks, the three weighted lines are
+transformed once and held, and a block takes four transforms: its
+kernel's and one inverse per sum. A grid of at most two blocks' delays
+(the noise-gauss preset's 4096 against 1001 bins) is one block of all m
+delays, Lb >= n + m - 1, whose three sums go through one transform row
+in turn; three held rows would raise its peak. t S1 is written into the
+output, and t_off S2 is added ``_numerics._BLOCK`` delays at a time, each
+block's offsets recomputed from the grid, so no delay or offset array is
+kept; the chirps are built on blocks ``_CHIRP_BLOCKS`` times longer.
+Beside the output, a block holds about seven complex buffers of Lb
+points (6,048 for the tpa3 preset's 1501 bins) whatever the number of
+delays. With that preset the ``tracemalloc`` peak is 1.2 MB at 2^16
+delays, 4.5 MB at 2^18 and 17.8 MB at 2^20; from 2^18 up it is the
+output and the copy that :class:`Interferogram` keeps, 8 bytes a delay
+each, with the range check's mask of one byte a delay.
 
 Every transform here is ``numpy.fft``, so the module loads no scipy;
 ``numpy.fft`` and ``scipy.fft`` give the same bits on these complex
@@ -46,6 +54,7 @@ transforms and on the real one behind :func:`envelope`.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -107,11 +116,16 @@ class CorrelationTrace(_DelaySeries):
     low: ClassVar[float] = -1.0
 
 
-# the chirp stage runs before the transform row and the output exist, so
-# its blocks are _CHIRP_BLOCKS times longer than the other stages', for a
-# quarter of the numpy calls; from 2^16 delays up its arrays stay below
-# the later stages' peak
+# chirp blocks are _CHIRP_BLOCKS times longer than the other stages': a
+# quarter of the numpy calls, and one block per tpa3 kernel segment
 _CHIRP_BLOCKS = 4
+
+# an output block's transforms are _next_fast_len(_SEGMENT n) long for n
+# bins, and a grid of at most _ONE_BLOCK such blocks of delays is one block;
+# longer segments were a few percent faster on tpa3 but larger, and one
+# block was faster at 4096 delays and 1001 bins but larger from 6n delays
+_SEGMENT = 4
+_ONE_BLOCK = 2
 
 
 def _next_fast_len(n: int) -> int:
@@ -126,6 +140,14 @@ def _next_fast_len(n: int) -> int:
         if rest == 1:
             return m
         m += 1
+
+
+def _span(n: int, m: int) -> int:
+    """The delays per output block for n bins and m delays: those that one
+    transform of _next_fast_len(_SEGMENT n) points holds beside the n - 1
+    points of overlap, or all m when that leaves at most _ONE_BLOCK blocks."""
+    span = _next_fast_len(_SEGMENT * n) - n + 1
+    return m if m <= _ONE_BLOCK * span else span
 
 
 def _off_grid(grid, lo: int, hi: int) -> np.ndarray:
@@ -149,91 +171,131 @@ def _off_grid(grid, lo: int, hi: int) -> np.ndarray:
 
 def _chirp(lo: int, hi: int, rate, rate_err) -> np.ndarray:
     """The chirp phase (q^2/2) dnu dt mod 1 for q in [lo, hi), with
-    rate + rate_err = dnu dt."""
+    rate + rate_err = dnu dt; q and -q give the same bits."""
     q = np.arange(lo, hi, dtype=float)
     q *= q * 0.5  # q^2/2
     return _cycles(q, rate) + q * rate_err
 
 
-def _chirps(fgrid, grid, kernel: np.ndarray) -> tuple:
-    """The input chirp ``pre`` (n points) and the output chirp ``post`` (m
-    points), with the kernel's conjugate chirp written into ``kernel`` at
-    q < m and at len(kernel) - q for 0 < q < n. Every phase starts from the
-    chirp of its q; pre adds k dnu t0 and post nu0 t_j, each mod 1."""
-    n, m, size = fgrid.count, grid.count, kernel.size
+def _factors(fgrid):
+    """The factors of S1, S2 and S0 in turn, each made at its turn.
+
+    S1 weights each line by the offset of its float64 value from the ideal
+    line nu0 + k dnu, S2 by k dnu, the factor of each delay's offset in the
+    phase, and S0 sums over the ideal lines.
+    """
+    yield _off_grid(fgrid, 0, fgrid.count)
+    yield np.arange(fgrid.count) * fgrid.step
+    yield 1.0
+
+
+def _pre(fgrid, grid) -> np.ndarray:
+    """The input chirp: the chirp of k plus k dnu t0, mod 1, for the n bins."""
     rate, rate_err = _two_product(fgrid.step, grid.step)
     twist, twist_err = _two_product(fgrid.step, grid.start)
-    pre = np.empty(n, dtype=complex)
-    post = np.empty(m, dtype=complex)
-    for lo, hi in _blocks(m, _CHIRP_BLOCKS):
+    pre = np.empty(fgrid.count, dtype=complex)
+    for lo, hi in _blocks(fgrid.count, _CHIRP_BLOCKS):
         phase = _chirp(lo, hi, rate, rate_err)
-        _phasors(phase, -1, kernel[lo:hi])
-        t = np.arange(lo, hi) * grid.step + grid.start  # grid.values[lo:hi]
-        phase += _cycles(fgrid.start, t)
-        _phasors(_frac(phase), 1, post[lo:hi])
-    for lo, hi in _blocks(n, _CHIRP_BLOCKS):
-        phase = _chirp(lo, hi, rate, rate_err)
-        wrap = max(lo, 1)  # kernel[size - q] for q in [wrap, hi)
-        _phasors(phase[wrap - lo :], -1, kernel[size - hi + 1 : size - wrap + 1][::-1])
         k = np.arange(lo, hi, dtype=float)
         phase += _cycles(k, twist)
         phase += k * twist_err
         _phasors(_frac(phase), 1, pre[lo:hi])
-    return pre, post
+    return pre
 
 
-def _convolved(row, pre, factor, weights, kernel_ft, post) -> np.ndarray:
-    """The first ``len(post)`` points of the lines ``pre * factor * weights``,
-    zero padded to the row, circularly convolved with the kernel whose
-    transform is ``kernel_ft``, times ``post``; in ``row``'s buffer."""
-    n = pre.size
-    np.multiply(pre, factor, out=row[:n])
-    row[:n] *= weights
-    row[n:] = 0.0
-    # out=: a fresh complex array per transform would add a buffer to the peak
-    np.fft.fft(row, out=row)
-    row *= kernel_ft
-    sums = np.fft.ifft(row, out=row)[: post.size]
-    sums *= post
-    return sums
+def _transforms(spectrum, grid, rows):
+    """The transforms of the lines of S1, S2 and S0 in turn, each zero padded
+    into the next of ``rows`` and transformed in its buffer; a line is its
+    weight times the input chirp times the sum's factor."""
+    fgrid = spectrum.grid
+    n = fgrid.count
+    pre = _pre(fgrid, grid)
+    weights = spectrum.weights * fgrid.step
+    factors = _factors(fgrid)
+    for row in rows:
+        # no name holds the factor, which goes with its line
+        np.multiply(pre, next(factors), out=row[:n])
+        row[:n] *= weights
+        row[n:] = 0.0
+        # out=: a fresh complex array per transform would add a buffer to the peak
+        yield np.fft.fft(row, out=row)
+
+
+def _segment(fgrid, grid, lo: int, hi: int, size: int, delays) -> tuple:
+    """The kernel's transform and the output chirp ``post`` of the output
+    block [lo, hi), with grid.values[lo:hi] written into ``delays``.
+
+    The kernel is the conjugate chirp of q = j - k over the block's
+    q in (lo - n, hi), laid out for a circular convolution of length
+    ``size``: q = lo + r at r, and q = lo - s at size - s for 0 < s < n,
+    zeros between. post starts from the chirp of j and adds nu0 t_j mod 1.
+    """
+    n = fgrid.count
+    rate, rate_err = _two_product(fgrid.step, grid.step)
+    kernel = np.zeros(size, dtype=complex)
+    post = np.empty(hi - lo, dtype=complex)
+    for a, b in _blocks(hi - lo, _CHIRP_BLOCKS):
+        phase = _chirp(lo + a, lo + b, rate, rate_err)
+        _phasors(phase, -1, kernel[a:b])
+        t = np.multiply(np.arange(lo + a, lo + b), grid.step, out=delays[a:b])
+        t += grid.start
+        phase += _cycles(fgrid.start, t)
+        _phasors(_frac(phase), 1, post[a:b])
+    wrap = lo - n + 1  # kernel[size - n + 1 + a] holds q = wrap + a
+    for a, b in _blocks(n - 1, _CHIRP_BLOCKS):
+        phase = _chirp(wrap + a, wrap + b, rate, rate_err)
+        _phasors(phase, -1, kernel[size - n + 1 + a : size - n + 1 + b])
+    return np.fft.fft(kernel, out=kernel), post
+
+
+def _sums(transforms, kernel, post, row):
+    """The block's sums for each of the lines' ``transforms`` in turn: the
+    transform times the kernel's, transformed back, cut to the block and
+    times ``post``, in ``row``'s buffer."""
+    for line in transforms:
+        np.multiply(line, kernel, out=row)
+        sums = np.fft.ifft(row, out=row)[: post.size]
+        sums *= post
+        yield sums
+
+
+def _block(spectrum, grid, lo: int, delays, size: int, held) -> None:
+    """Re(S0 + 2 pi i (t S1 + t_off S2)) for the output block of ``delays``,
+    the view of the output from delay ``lo`` on, with transforms of length
+    ``size``. ``held`` holds the lines' three transforms, or is None for a
+    single block, which makes each in its row in turn."""
+    fgrid = spectrum.grid
+    hi = lo + delays.size
+    kernel, post = _segment(fgrid, grid, lo, hi, size, delays)
+    row = np.empty(size, dtype=complex)
+    transforms = _transforms(spectrum, grid, (row,) * 3) if held is None else held
+    sums = _sums(transforms, kernel, post, row)
+    # t S1 + t_off S2, the delays' offsets in the phase to first order;
+    # t_off comes _BLOCK delays at a time
+    delays *= next(sums).imag
+    s2 = next(sums).imag
+    for a, b in _blocks(hi - lo):
+        delays[a:b] += _off_grid(grid, lo + a, lo + b) * s2[a:b]
+    delays *= 2 * np.pi
+    np.subtract(next(sums).real, delays, out=delays)
 
 
 def simulate_interferogram(spectrum: SumFrequencySpectrum, grid: TimeGrid) -> Interferogram:
     """Synthesize P(t) from a normalized sum-frequency spectrum by chirp-z."""
     if not spectrum.normalized:
         raise ValueError("spectrum must be normalized before simulation")
-    fgrid = spectrum.grid
-    n, m = fgrid.count, grid.count
-    kernel = np.zeros(_next_fast_len(n + m - 1), dtype=complex)
-    pre, post = _chirps(fgrid, grid, kernel)
-    np.fft.fft(kernel, out=kernel)
-
-    # S1 weights each line by the offset of its float64 value from the
-    # ideal line nu0 + k dnu, S2 by k dnu, the factor of each delay's
-    # offset in the phase, and S0 sums over the ideal lines; the three
-    # go through one transform row in turn
-    weights = spectrum.weights * fgrid.step
-    offsets = np.empty(n)
-    for lo, hi in _blocks(n):
-        offsets[lo:hi] = _off_grid(fgrid, lo, hi)
-    row = np.empty_like(kernel)
-    s1 = _convolved(row, pre, offsets, weights, kernel, post)
-    # t S1 + t_off S2, the delays' offsets in the phase to first order,
-    # accumulates in the output; t_off comes block by block
-    total = np.arange(m, dtype=float)
-    total *= grid.step
-    total += grid.start  # grid.values
-    total *= s1.imag
-    np.multiply(np.arange(n, dtype=float), fgrid.step, out=offsets)
-    s2 = _convolved(row, pre, offsets, weights, kernel, post).imag
-    for lo, hi in _blocks(m):
-        total[lo:hi] += _off_grid(grid, lo, hi) * s2[lo:hi]
-    offsets[:] = 1.0
-    s0 = _convolved(row, pre, offsets, weights, kernel, post)
-    # Re(S0 + 2 pi i (t S1 + t_off S2)), then P = (1 + that) / 2, in place
-    total *= 2 * np.pi
-    np.subtract(s0.real, total, out=total)
-    del row, s1, s2, s0, kernel, post
+    n, m = spectrum.grid.count, grid.count
+    span = _span(n, m)
+    size = _next_fast_len(span + n - 1)
+    held = None
+    if span < m:  # several blocks: the lines are transformed once
+        held = np.empty((3, size), dtype=complex)
+        deque(_transforms(spectrum, grid, held), maxlen=0)  # run to its end
+    total = np.empty(m)
+    for lo in range(0, m, span):
+        _block(spectrum, grid, lo, total[lo : lo + span], size, held)
+    del held  # before Interferogram copies the output
+    # P = (1 + Re(S0 + 2 pi i (t S1 + t_off S2))) / 2, in place
     total += 1.0
     total *= 0.5
     # guard the [0, 1] invariant against accumulated rounding

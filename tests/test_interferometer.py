@@ -29,7 +29,7 @@ from noonspec import (
 from noonspec import _numerics
 from noonspec.cli import parse_scenario
 from noonspec._numerics import _phasors
-from noonspec.interferometer import RANGE_TOL, _next_fast_len, envelope
+from noonspec.interferometer import RANGE_TOL, _next_fast_len, _span, envelope
 from noonspec.presets import PRESETS, preset_scenario
 from conftest import (
     centered_time_grid,
@@ -110,6 +110,23 @@ class TestChirpZAgainstDirectSum:
         self.assert_matches_direct_sum(spec, TimeGrid(-16.3837, 5e-4, 400))
         self.assert_matches_direct_sum(single_bin_spectrum(740.215), TimeGrid(16.0009, 3e-4, 300))
 
+    @pytest.mark.parametrize("count, blocks", [
+        (2 * 910, 1),  # the most delays that stay one block
+        (2 * 910 + 1, 3),  # the fewest that take several: a one-delay last block
+        (3 * 910, 3),  # three full blocks
+        (3 * 910 + 1, 4),  # a one-delay fourth block
+    ])
+    def test_across_output_blocks(self, count, blocks):
+        # 301 bins give blocks of 910 delays (transforms of 1210 points); each
+        # boundary is checked at lo - 1, lo and lo + 1, with both window edges
+        grid = make_frequency_grid(739.8, 0.002, 301)
+        spec = gaussian_pump_spectrum(grid, 740.1, 0.1)
+        span = _span(grid.count, count)
+        assert -(-count // span) == blocks
+        idx = np.array([0, 1, *(lo + d for lo in range(910, count, 910) for d in (-1, 0, 1))])
+        idx = np.unique(np.r_[idx[idx < count], count - 2, count - 1])
+        self.assert_matches_direct_sum(spec, centered_time_grid(5e-4, count), idx)
+
     def test_default_grid_broad_spectrum(self):
         # the chirp phase reaches ~4e3 cycles here; spot-check the centre
         # and both window edges
@@ -121,28 +138,32 @@ class TestChirpZAgainstDirectSum:
 
 
 class TestChirpZBuffers:
-    """The synthesis holds little beside its kernel and transform row."""
+    """The synthesis holds little beside its output and a block's transform buffers."""
 
     @pytest.mark.parametrize("count", [2**16, 2**18])
     def test_peak_memory_is_bounded_by_the_transform_buffers(self, count):
-        # the kernel, one row, post and the output (half a buffer): three
-        # and a half complex buffers of the transform length, plus a few
-        # block-sized arrays (3.61 buffers at 2^16, 3.53 at 2^18)
+        # the output and the copy Interferogram keeps (8 bytes a delay each)
+        # and its range check's one-byte mask, plus eight complex buffers of
+        # the block's transform length, the fast length from 4n: the three
+        # held lines, the kernel, the row, the output chirp and the chirp
+        # stage's arrays (7.03 buffers beside the output at 2^16). One
+        # convolution of length >= n + m - 1 held 3.5 buffers of that length
+        # and fails: 14.9 MB at 2^18 against a bound of 5.2 MB
         spec = parse_scenario(preset_scenario("tpa3"), Path.cwd()).spectrum
         tg = default_time_grid(count=count)
-        buffer = 16 * _next_fast_len(spec.grid.count + count - 1)
+        n = spec.grid.count
+        buffer = 16 * _next_fast_len(4 * n)
         peak = peak_above_inputs(lambda: simulate_interferogram(spec, tg))
-        assert peak <= 4 * buffer
+        assert peak <= 17 * count + 8 * buffer
 
     @pytest.mark.parametrize("preset, count, bound", [
-        # 4096 delays, where one transform buffer is 82 kB and the block
-        # arrays weigh most: 427,392 bytes, in the chirp stage, against
+        # 4096 delays, one block, where one transform buffer is 82 kB and the
+        # block arrays weigh most: 387,216 bytes, in the S2 offsets, against
         # 458,616 for the two-row layout that kept every delay offset
         ("noise-gauss", 4096, 458_616),
-        # pinned at 3,878,800 bytes plus 8 KiB: a view left over from one
-        # block walk keeps its scratch alive through the next, and adds
-        # about 36 kB here
-        ("tpa3", 2**16, 3_878_800 + 8192),
+        # pinned at 1,204,384 bytes plus 8 KiB: a block's kernel and output
+        # chirp kept alive into the next block's add 170 kB here
+        ("tpa3", 2**16, 1_204_384 + 8192),
     ])
     def test_peak_memory_on_a_short_grid(self, preset, count, bound):
         scenario = parse_scenario(preset_scenario(preset), Path.cwd())
@@ -156,13 +177,21 @@ class TestChirpZBuffers:
     @pytest.mark.parametrize("block", [7, 1000, 4097])
     def test_bits_do_not_depend_on_the_block_length(self, monkeypatch, block):
         # 7 leaves a partial last block on both axes, 1000 a one-point
-        # last block of the 1001 bins, 4097 one block for all 4096 delays;
-        # the chirp stage's blocks scale with it
+        # last block of the 1001 bins, 4097 one block for the 4096 delays;
+        # the chirp stage's blocks scale with it, the output blocks do not.
+        # The preset's 4096 delays are one output block, and 6065 are three
+        # of 3032, 3032 and 1 delays
         scenario = parse_scenario(preset_scenario("noise-gauss"), Path.cwd())
-        want = simulate_interferogram(scenario.spectrum, scenario.time_grid).values
+        spec = scenario.spectrum
+        grids = [default_time_grid(scenario.time_grid.step, m) for m in (4096, 6065)]
+        spans = [_span(spec.grid.count, tg.count) for tg in grids]
+        assert spans == [4096, 3032]
+        want = [simulate_interferogram(spec, tg).values for tg in grids]
         monkeypatch.setattr(_numerics, "_BLOCK", block)
-        got = simulate_interferogram(scenario.spectrum, scenario.time_grid).values
-        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert [_span(spec.grid.count, tg.count) for tg in grids] == spans
+        for tg, values in zip(grids, want):
+            got = simulate_interferogram(spec, tg).values
+            np.testing.assert_array_equal(got.view(np.uint64), values.view(np.uint64))
 
     @pytest.mark.parametrize("sign, start", [
         (1, None),
