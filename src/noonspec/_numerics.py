@@ -6,8 +6,9 @@ that recovers the spectrum take the same steps: a product reduced mod 1
 through error-free (Veltkamp/Dekker) split products, a phasor built in
 place from its phase, and a delay or frequency axis walked in blocks of
 ``_BLOCK`` points. Each helper returns arrays of its inputs' size and
-updates in place only the arrays it made itself, so a walk holds a few
-block-sized arrays at a time and frees them with the block. The CSV
+updates in place only the arrays it made itself, or the ``out`` array
+that :func:`_phasors` is handed, so a walk holds a few block-sized
+arrays at a time and frees them with the block. The CSV
 writer takes the exact product alone. The module imports numpy alone,
 so any stage can use it without loading another.
 """
@@ -22,12 +23,11 @@ _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter for float64
 _BLOCK = 2048
 
 
-def _blocks(count: int, blocks: int = 1):
-    """(lo, hi) for the blocks of at most ``blocks * _BLOCK`` points that
-    cover range(count), in order."""
-    length = blocks * _BLOCK
-    for lo in range(0, count, length):
-        yield lo, min(lo + length, count)
+def _blocks(count: int):
+    """(lo, hi) for the blocks of at most ``_BLOCK`` points that cover
+    range(count), in order."""
+    for lo in range(0, count, _BLOCK):
+        yield lo, min(lo + _BLOCK, count)
 
 
 def _split(x):

@@ -40,13 +40,13 @@ delays, Lb >= n + m - 1, whose three sums go through one transform row
 in turn; three held rows would raise its peak. t S1 is written into the
 output, and t_off S2 is added ``_numerics._BLOCK`` delays at a time, each
 block's offsets recomputed from the grid, so no delay or offset array is
-kept; the chirps are built on blocks ``_CHIRP_BLOCKS`` times longer.
-Beside the output, a block holds about seven complex buffers of Lb
-points (6,048 for the tpa3 preset's 1501 bins) whatever the number of
-delays. With that preset the ``tracemalloc`` peak is 1.2 MB at 2^16
-delays, 4.5 MB at 2^18 and 17.8 MB at 2^20; from 2^18 up it is the
-output and the copy that :class:`Interferogram` keeps, 8 bytes a delay
-each, with the range check's mask of one byte a delay.
+kept; each block's chirps are built in one pass. Beside the output, a
+block holds under seven complex buffers of Lb points (6,048 for the
+tpa3 preset's 1501 bins) whatever the number of delays. With that
+preset the ``tracemalloc`` peak is 1.18 MB at 2^16 delays, 4.5 MB at
+2^18 and 17.8 MB at 2^20; from 2^18 up it is the output and the copy
+that :class:`Interferogram` keeps, 8 bytes a delay each, with the range
+check's mask of one byte a delay.
 
 Every transform here is ``numpy.fft``, so the module loads no scipy;
 ``numpy.fft`` and ``scipy.fft`` give the same bits on these complex
@@ -54,7 +54,6 @@ transforms and on the real one behind :func:`envelope`.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -115,10 +114,6 @@ class CorrelationTrace(_DelaySeries):
 
     low: ClassVar[float] = -1.0
 
-
-# chirp blocks are _CHIRP_BLOCKS times longer than the other stages': a
-# quarter of the numpy calls, and one block per tpa3 kernel segment
-_CHIRP_BLOCKS = 4
 
 # an output block's transforms are _next_fast_len(_SEGMENT n) long for n
 # bins, and a grid of at most _ONE_BLOCK such blocks of delays is one block;
@@ -193,14 +188,11 @@ def _pre(fgrid, grid) -> np.ndarray:
     """The input chirp: the chirp of k plus k dnu t0, mod 1, for the n bins."""
     rate, rate_err = _two_product(fgrid.step, grid.step)
     twist, twist_err = _two_product(fgrid.step, grid.start)
-    pre = np.empty(fgrid.count, dtype=complex)
-    for lo, hi in _blocks(fgrid.count, _CHIRP_BLOCKS):
-        phase = _chirp(lo, hi, rate, rate_err)
-        k = np.arange(lo, hi, dtype=float)
-        phase += _cycles(k, twist)
-        phase += k * twist_err
-        _phasors(_frac(phase), 1, pre[lo:hi])
-    return pre
+    phase = _chirp(0, fgrid.count, rate, rate_err)
+    k = np.arange(fgrid.count, dtype=float)
+    phase += _cycles(k, twist)
+    phase += k * twist_err
+    return _phasors(_frac(phase), 1)
 
 
 def _transforms(spectrum, grid, rows):
@@ -233,18 +225,14 @@ def _segment(fgrid, grid, lo: int, hi: int, size: int, delays) -> tuple:
     n = fgrid.count
     rate, rate_err = _two_product(fgrid.step, grid.step)
     kernel = np.zeros(size, dtype=complex)
-    post = np.empty(hi - lo, dtype=complex)
-    for a, b in _blocks(hi - lo, _CHIRP_BLOCKS):
-        phase = _chirp(lo + a, lo + b, rate, rate_err)
-        _phasors(phase, -1, kernel[a:b])
-        t = np.multiply(np.arange(lo + a, lo + b), grid.step, out=delays[a:b])
-        t += grid.start
-        phase += _cycles(fgrid.start, t)
-        _phasors(_frac(phase), 1, post[a:b])
-    wrap = lo - n + 1  # kernel[size - n + 1 + a] holds q = wrap + a
-    for a, b in _blocks(n - 1, _CHIRP_BLOCKS):
-        phase = _chirp(wrap + a, wrap + b, rate, rate_err)
-        _phasors(phase, -1, kernel[size - n + 1 + a : size - n + 1 + b])
+    phase = _chirp(lo, hi, rate, rate_err)
+    _phasors(phase, -1, kernel[: hi - lo])
+    np.multiply(np.arange(lo, hi), grid.step, out=delays)
+    delays += grid.start
+    phase += _cycles(fgrid.start, delays)
+    post = _phasors(_frac(phase), 1)
+    # the n - 1 wrap points, q = lo - s at size - s
+    _phasors(_chirp(lo - n + 1, lo, rate, rate_err), -1, kernel[size - n + 1 :])
     return np.fft.fft(kernel, out=kernel), post
 
 
@@ -289,8 +277,9 @@ def simulate_interferogram(spectrum: SumFrequencySpectrum, grid: TimeGrid) -> In
     size = _next_fast_len(span + n - 1)
     held = None
     if span < m:  # several blocks: the lines are transformed once
-        held = np.empty((3, size), dtype=complex)
-        deque(_transforms(spectrum, grid, held), maxlen=0)  # run to its end
+        # a list, not a loop: a loop variable would keep the last row, and
+        # with it all three, alive past the del below
+        held = list(_transforms(spectrum, grid, np.empty((3, size), dtype=complex)))
     total = np.empty(m)
     for lo in range(0, m, span):
         _block(spectrum, grid, lo, total[lo : lo + span], size, held)

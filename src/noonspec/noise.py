@@ -61,6 +61,14 @@ def _check_efficiency(efficiency: float) -> None:
         raise ValueError("efficiency must lie in (0, 1] and square to a positive float")
 
 
+def _check_dark_rate(dark_rate: float) -> None:
+    # a NaN floor would draw all-zero counts and an infinite one all-n counts
+    if not dark_rate < math.inf:
+        raise ValueError(f"dark_rate must be finite, got {dark_rate}")
+    if dark_rate < 0:
+        raise ValueError("dark_rate must be non-negative")
+
+
 @dataclass(frozen=True)
 class NoiseConfig:
     pairs_per_bin: int
@@ -75,8 +83,13 @@ class NoiseConfig:
             raise ValueError(f"pairs_per_bin must lie in [1, {MAX_PAIRS_PER_BIN}]")
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must fit in 64 bits")
-        if self.dark_rate < 0:
-            raise ValueError("dark_rate must be non-negative")
+        for name in ("pairs_per_bin", "seed"):
+            # 1000.5 pairs would draw at n = 1000.5 and record 1000 sent,
+            # and a seed of 1.5 would key the streams of seed 1
+            value = getattr(self, name)
+            if value != int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        _check_dark_rate(self.dark_rate)
         _check_efficiency(self.efficiency)
 
 
@@ -411,6 +424,7 @@ def estimate_trace(
     P_hat = (coincidences/pairs_sent - dark_rate)/efficiency^2 clamped to
     [0, 1], then G_hat = 2 P_hat - 1, on the counts' own delay grid.
     The output feeds :func:`noonspec.recovery.fourier_recover` unchanged.
+    ``efficiency`` and ``dark_rate`` follow :class:`NoiseConfig`'s rules.
     """
     g = _estimated(counts.coincidences, counts.pairs_sent, efficiency, dark_rate)
     return CorrelationTrace(counts.grid, g)
@@ -418,6 +432,7 @@ def estimate_trace(
 
 def _estimated(coincidences, pairs_sent, efficiency: float, dark_rate: float) -> np.ndarray:
     """G_hat of :func:`estimate_trace`, elementwise."""
+    _check_dark_rate(dark_rate)
     _check_efficiency(efficiency)
     with np.errstate(over="ignore"):  # an overflow to +-inf clips to the bound it passed
         p_hat = np.clip((coincidences / pairs_sent - dark_rate) / efficiency**2, 0.0, 1.0)

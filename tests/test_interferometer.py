@@ -146,7 +146,7 @@ class TestChirpZBuffers:
         # and its range check's one-byte mask, plus eight complex buffers of
         # the block's transform length, the fast length from 4n: the three
         # held lines, the kernel, the row, the output chirp and the chirp
-        # stage's arrays (7.03 buffers beside the output at 2^16). One
+        # stage's arrays (6.80 buffers beside the output at 2^16). One
         # convolution of length >= n + m - 1 held 3.5 buffers of that length
         # and fails: 14.9 MB at 2^18 against a bound of 5.2 MB
         spec = parse_scenario(preset_scenario("tpa3"), Path.cwd()).spectrum
@@ -161,9 +161,12 @@ class TestChirpZBuffers:
         # block arrays weigh most: 387,216 bytes, in the S2 offsets, against
         # 458,616 for the two-row layout that kept every delay offset
         ("noise-gauss", 4096, 458_616),
-        # pinned at 1,204,384 bytes plus 8 KiB: a block's kernel and output
-        # chirp kept alive into the next block's add 170 kB here
-        ("tpa3", 2**16, 1_204_384 + 8192),
+        # 1501 bins in 15 sections, pinned at 1,182,344 bytes plus 8 KiB: a
+        # block's kernel and output chirp kept alive into the next block's,
+        # or the held lines kept alive into Interferogram's copy, exceed it
+        ("tpa3", 2**16, 1_182_344 + 8192),
+        # 1751 bins in 13 sections, pinned the same way at 1,273,576 bytes
+        ("comb5", 2**16, 1_273_576 + 8192),
     ])
     def test_peak_memory_on_a_short_grid(self, preset, count, bound):
         scenario = parse_scenario(preset_scenario(preset), Path.cwd())
@@ -176,11 +179,11 @@ class TestChirpZBuffers:
 
     @pytest.mark.parametrize("block", [7, 1000, 4097])
     def test_bits_do_not_depend_on_the_block_length(self, monkeypatch, block):
-        # 7 leaves a partial last block on both axes, 1000 a one-point
-        # last block of the 1001 bins, 4097 one block for the 4096 delays;
-        # the chirp stage's blocks scale with it, the output blocks do not.
-        # The preset's 4096 delays are one output block, and 6065 are three
-        # of 3032, 3032 and 1 delays
+        # the value sets the blocks of the t_off S2 offsets alone, not the
+        # output blocks: 7 leaves a one-delay last block of 4096 and of 3032
+        # delays, 1000 a partial one, 4097 one block for all 4096. The
+        # preset's 4096 delays are one output block, and 6065 are three of
+        # 3032, 3032 and 1 delays
         scenario = parse_scenario(preset_scenario("noise-gauss"), Path.cwd())
         spec = scenario.spectrum
         grids = [default_time_grid(scenario.time_grid.step, m) for m in (4096, 6065)]

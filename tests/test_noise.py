@@ -502,6 +502,35 @@ class TestCountDataValidation:
         np.testing.assert_array_equal(counts.coincidences, [1, 2, 3])
         assert counts.clamped
 
+    @pytest.mark.parametrize("dark", [-1e-9, -math.inf, math.nan, math.inf])
+    def test_dark_rate_rule(self, dark):
+        # NaN used to draw all-zero counts and inf all-n counts, a trace of -1
+        match = "non-negative" if dark < 0 else "finite"
+        with pytest.raises(ValueError, match=f"dark_rate must be {match}"):
+            NoiseConfig(pairs_per_bin=10, seed=1, dark_rate=dark)
+        # estimate_trace takes the same rule
+        with pytest.raises(ValueError, match=f"dark_rate must be {match}"):
+            estimate_trace(CountData(TWO_BINS, [1, 2], [10, 10]), 1.0, dark)
+
+    def test_edge_values_accepted(self):
+        # a floor of 1 or more clamps every bin, which the counts report
+        for dark in (0.0, 1e-300, 1.0, 2.0):
+            NoiseConfig(pairs_per_bin=10, seed=1, dark_rate=dark)
+            estimate_trace(CountData(TWO_BINS, [1, 2], [10, 10]), 1.0, dark)
+        # a numpy integer, the top 64-bit key, and floats of integral value
+        NoiseConfig(pairs_per_bin=np.int64(1000), seed=2**64 - 1)
+        NoiseConfig(pairs_per_bin=1000.0, seed=0.0)
+
+    @pytest.mark.parametrize("field, value", [
+        # drew at n = 1000.5 and recorded 1000 pairs sent
+        ("pairs_per_bin", 1000.5),
+        # keyed the streams of seed 1
+        ("seed", 1.5),
+    ])
+    def test_non_integral_counts_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+            NoiseConfig(**{"pairs_per_bin": 10, "seed": 1, field: value})
+
     def test_pairs_per_bin_capped_at_2_pow_31(self):
         NoiseConfig(pairs_per_bin=2**31, seed=1)
         for huge in (2**31 + 1, 2**53, int(1e30)):
