@@ -9,7 +9,7 @@ place from its phase, and a delay or frequency axis walked in blocks of
 updates in place only the arrays it made itself, or the ``out`` array
 that :func:`_phasors` is handed, so a walk holds a few block-sized
 arrays at a time and frees them with the block. The CSV
-writer takes the exact product alone. The module imports numpy alone,
+writer takes the split alone. The module imports numpy alone,
 so any stage can use it without loading another.
 """
 from __future__ import annotations

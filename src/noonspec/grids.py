@@ -69,6 +69,11 @@ TimeGrid = UniformGrid
 def _column(owner, field: str, shape: tuple, dtype=float, low=None, high=None) -> None:
     """Check ``owner.<field>`` and store it back as a read-only ``dtype`` copy.
 
+    An array that owns its data, has the column's dtype and is read-only
+    is kept as it is, not copied: its maker has given it up, as the
+    synthesis and ``correlation_trace`` do, and a copy would double the
+    peak memory of a long delay grid. A view is always copied.
+
     The column must have ``shape`` and finite values within ``[low, high]``;
     either bound may be None, a number or an array broadcast against the
     column. An integer ``dtype`` takes a float column only when every value
@@ -84,7 +89,8 @@ def _column(owner, field: str, shape: tuple, dtype=float, low=None, high=None) -
             values = values.astype(dtype)
         if values.dtype.kind not in "iu":
             raise ValueError(f"{name} must hold integers")
-    column = np.array(values, dtype=dtype)
+    given_up = values.flags.owndata and not values.flags.writeable and values.dtype == dtype
+    column = values if given_up else np.array(values, dtype=dtype)
     column.setflags(write=False)
     object.__setattr__(owner, field, column)
     if column.shape != shape:

@@ -283,19 +283,23 @@ def simulate_interferogram(spectrum: SumFrequencySpectrum, grid: TimeGrid) -> In
     total = np.empty(m)
     for lo in range(0, m, span):
         _block(spectrum, grid, lo, total[lo : lo + span], size, held)
-    del held  # before Interferogram copies the output
+    del held  # before Interferogram's range checks
     # P = (1 + Re(S0 + 2 pi i (t S1 + t_off S2))) / 2, in place
     total += 1.0
     total *= 0.5
     # guard the [0, 1] invariant against accumulated rounding
     np.clip(total, 0.0, 1.0, out=total)
+    total.setflags(write=False)  # so Interferogram keeps it without a copy
     return Interferogram(grid, total)
 
 
 def correlation_trace(interferogram: Interferogram) -> CorrelationTrace:
     """G(t) = 2P(t) - 1, the cosine transform of the source spectrum; G(0) = +1
     for a normalized spectrum."""
-    return CorrelationTrace(interferogram.grid, 2.0 * interferogram.values - 1.0)
+    g = interferogram.values * 2.0
+    g -= 1.0
+    g.setflags(write=False)  # so CorrelationTrace keeps it without a copy
+    return CorrelationTrace(interferogram.grid, g)
 
 
 def envelope(trace: CorrelationTrace) -> np.ndarray:

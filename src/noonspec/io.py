@@ -21,12 +21,13 @@ double's ``'%.17g'`` text.
   from N = round(|x| * 10**(16 - X)), X = floor(log10 |x|). X is exact:
   a binade of doubles spans at most two decades, so a table indexed by
   the biased exponent gives its lower decade and the least double of the
-  next one. The product is a double-double: Dekker's exact
-  ``_two_product`` (Numer. Math. 18, 1971) with the high half of a
-  106-bit table of powers of ten, plus the low half's product. Its error
-  is below 1e-14, so N is exact unless the product is within 1e-9 of a
-  tie; and as X is exact, N has 17 digits unless the product is within
-  16 of 10**17, where rounding may carry to an 18th.
+  next one. The product is a double-double: Dekker's exact product
+  (Numer. Math. 18, 1971) with the high half of a 106-bit table of
+  powers of ten, whose Veltkamp halves come from a table too, plus the
+  low half's product. Its error is below 1e-14, so N is exact unless
+  the product is within 1e-9 of a tie; and as X is exact, N has 17
+  digits unless the product is within 16 of 10**17, where rounding may
+  carry to an 18th.
 - N's first digit is N // 10**16; the other 16 are four 4-digit groups,
   whose ASCII comes from a table of all 10,000 groups and whose count of
   significant digits comes from a table of their trailing zeros.
@@ -50,6 +51,15 @@ exponent notation and ``before`` depend on X alone, so they come from
 tables. A value formatted in Python fills lanes 0-2 from a fixed-width
 ``S`` array.
 
+A block's slots are lane-major, one contiguous uint64 row per lane, and
+each lane is the fill's scratch space until its own bytes are written:
+the values enter in lane 3, the product's halves and the digits pass
+through the others, and each 4-digit group's ASCII is gathered from a
+uint32 table straight into its half of a digit lane. The text is the
+transposed slots' bytes, compacted after the slots are freed. So a
+block peaks at about 71 bytes a value above its columns, 32 of them the
+slots: 0.58 MB for the 8192 values of a grid and a float column.
+
 Every JSON artifact goes through one writer, ``write_json``.
 """
 from __future__ import annotations
@@ -60,7 +70,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._numerics import _two_product
+from ._numerics import _SPLIT, _split
 from .grids import UniformGrid, infer_grid
 from .interferometer import CorrelationTrace, Interferogram
 from .noise import CountData, ScalingStudy
@@ -102,13 +112,14 @@ def _layout(e: int) -> tuple[bytes, bytes, int]:
 
 
 def _group_tables() -> tuple[np.ndarray, np.ndarray]:
-    """For every 4-digit group 0000-9999, its ASCII with the first digit in
-    the low byte, and its count of trailing zeros (4 for 0000)."""
-    d = np.arange(10, dtype=np.uint64)  # on axis i: digit i of the group
+    """For every 4-digit group 0000-9999, its ASCII as a little-endian uint32
+    with the first digit in the low byte, and its count of trailing zeros
+    (4 for 0000)."""
+    d = np.arange(10, dtype="<u4")  # on axis i: digit i of the group
     ascii4 = d[:, None, None, None] | d[:, None, None] << 8 | d[:, None] << 16 | d << 24
     z = (d == 0).astype(np.uint8)
     trailing = z * (1 + z[:, None] * (1 + z[:, None, None] * (1 + z[:, None, None, None])))
-    return ascii4.ravel() + np.uint64(0x30303030), trailing.ravel()
+    return ascii4.ravel() + np.uint32(0x30303030), trailing.ravel()
 
 
 def _lanes(rows) -> np.ndarray:
@@ -122,6 +133,7 @@ _EXACT_MAX = 1e280  # |x| in [1/_EXACT_MAX, _EXACT_MAX] is formatted in numpy
 # table of powers is indexed by q - _POW_LOW
 _POW_LOW = -280
 _TEN_HI, _TEN_LO = _powers_of_ten(_POW_LOW, 297)
+_TEN_SPLIT = _split(_TEN_HI)  # Veltkamp's halves of each high half
 _AT_LEAST = np.where(_TEN_LO > 0, np.nextafter(_TEN_HI, np.inf), _TEN_HI)  # least double >= 10**k
 # per binade 2**(B-1023) <= |x| < 2**(B-1022), B the biased exponent: the
 # scale's table index for the binade's lower decade, and the least double of
@@ -149,17 +161,37 @@ _POINT, _MINUS, _ZERO = np.uint64(ord(".")), np.uint64(ord("-")), np.uint64(ord(
 _TEXT = 24  # width of '%.17g' % -2.2250738585072014e-308, the longest text
 
 
-def _insert_point(low: np.ndarray, high: np.ndarray, shift: np.ndarray, point: np.ndarray):
-    """Lanes ``low, high`` (16 bytes) with ``point`` inserted at byte
-    ``shift / 8`` in [0, 16]; returns both lanes and the byte pushed out."""
-    kept = low & ~(_ALL << shift)  # a shift past 63 gives 0 in numpy
-    moved = low ^ kept
-    low = kept | (moved << 8) | (point << shift)
-    high_shift = shift - np.uint64(64)  # wraps for a point in the low lane
-    kept_high = high & (_ALL >> (np.uint64(128) - shift))
-    moved_high = high ^ kept_high
-    high = kept_high | (moved_high << 8) | (point << high_shift) | (moved >> 56)
-    return low, high, moved_high >> 56
+def _exact_scale(
+    a: np.ndarray, q: np.ndarray, hi: np.ndarray, lo: np.ndarray, scratch: np.ndarray
+) -> None:
+    """a * 10**(16 - X) = hi + lo to about 1e-14, written into ``hi`` and
+    ``lo``, for the positive ``a`` and the scale's table index ``q``.
+
+    The sum is Dekker's exact product of ``a`` and the high half of the
+    power, as ``_two_product`` forms it, plus the product of ``a`` and the
+    low half. The power's Veltkamp halves come from a table, and each
+    product is formed in the buffer of a factor it outlives, so ``a`` and
+    ``scratch`` are overwritten and three more arrays of a's size are made.
+    """
+    np.take(_TEN_HI, q, out=hi, mode="clip")  # "clip": no buffered copy of out
+    hi *= a  # p = fl(a * 10**q_hi)
+    np.take(_TEN_LO, q, out=lo, mode="clip")
+    lo *= a
+    a_hi = np.multiply(a, _SPLIT, out=scratch)  # Veltkamp's split of a
+    b_hi = a_hi - a
+    a_hi -= b_hi
+    a_lo = np.subtract(a, a_hi, out=a)
+    np.take(_TEN_SPLIT[0], q, out=b_hi, mode="clip")
+    b_lo = np.take(_TEN_SPLIT[1], q, mode="clip")
+    err = a_hi * b_hi  # a*10**q_hi - p, summed in _two_product's order
+    err -= hi
+    a_hi *= b_lo
+    err += a_hi
+    b_hi *= a_lo
+    err += b_hi
+    b_lo *= a_lo
+    err += b_lo
+    lo += err
 
 
 def _scale_index(a: np.ndarray) -> np.ndarray:
@@ -171,56 +203,105 @@ def _scale_index(a: np.ndarray) -> np.ndarray:
     return q
 
 
+def _put_groups(digits: np.ndarray, halves: np.ndarray, trailing, zero_tail) -> None:
+    """Write the ASCII of the 8-digit integers ``digits`` (overwritten) into
+    ``halves``, a digit lane as uint32: the first 4 digits in the even
+    halves, the last 4 in the odd. Each group adds its trailing zeros to
+    ``trailing`` where ``zero_tail``, every later digit 0, holds."""
+    head = digits // 10**4
+    digits -= head * 10**4
+    for group, at in ((digits, 1), (head, 0)):
+        halves[at::2] = _ASCII4[group]
+        zeros = _TRAILING[group]
+        trailing += zeros * zero_tail
+        zero_tail &= zeros == 4
+
+
+def _insert_point(low: np.ndarray, high: np.ndarray, tail: np.ndarray, shift: np.ndarray) -> None:
+    """Insert a point at byte ``shift / 8`` in [0, 16] of lanes ``low, high``
+    (16 bytes), in place: the bytes from there move one byte up, the last
+    one into the free low byte of ``tail``. ``shift`` is overwritten."""
+    moved = np.left_shift(_ALL, shift)  # a shift past 63 gives 0 in numpy
+    moved &= low
+    low ^= moved
+    carry = moved >> 56
+    moved <<= 8
+    low |= moved
+    low |= np.left_shift(_POINT, shift, out=moved)
+    shift -= 64  # wraps for a point in the low lane, so past 63 again
+    moved = np.right_shift(_ALL, np.subtract(64, shift, out=moved), out=moved)
+    np.invert(moved, out=moved)
+    moved &= high
+    high ^= moved
+    high |= carry
+    tail |= np.right_shift(moved, 56, out=carry)
+    moved <<= 8
+    high |= moved
+    high |= np.left_shift(_POINT, shift, out=moved)
+
+
 def _fill_slots(x: np.ndarray, slots: np.ndarray) -> np.ndarray:
     """Write the ``%.17g`` text of each float64 in ``x`` and a comma into
-    its row of ``slots``; True where that text is exact, False where the
-    value must be formatted in Python instead."""
-    a = np.abs(x)
-    exact = (a >= 1 / _EXACT_MAX) & (a <= _EXACT_MAX)  # False for 0, nan, inf, subnormals
+    its column of the lane-major ``slots``, ``_LANES`` rows of uint64; True
+    where that text is exact, False where the value must be formatted in
+    Python instead. ``x`` is overwritten, and may be lane 3 viewed as
+    floats: each lane is scratch space until its text is written, last."""
+    lead, low, high, tail = slots
+    negative = x < 0
+    a = np.abs(x, out=x)
+    exact = a >= 1 / _EXACT_MAX
+    exact &= a <= _EXACT_MAX  # False for 0, nan, inf, subnormals
     a[~exact] = 1.0  # so no arithmetic below warns
     q = _scale_index(a)
-    hi, lo = _two_product(a, _TEN_HI[q])
-    lo += a * _TEN_LO[q]  # |x| * 10**(16 - X) = hi + lo, to about 1e-14
-    del a  # each transient freed early lowers the writer's peak memory
-    whole = np.floor(lo)
+    hi, lo = high.view(float), low.view(float)
+    _exact_scale(a, q, hi, lo, lead.view(float))
+    whole = np.floor(lo, out=lead.view(float))
     lo -= whole
     # X is exact, so N has at least 17 digits (10**X itself gives 10**16);
     # no carry to an 18th, and not within reach of a tie
-    exact &= (hi < 1e17 - 16) & (np.abs(lo - 0.5) > 1e-9)
+    exact &= hi < 1e17 - 16
+    tie = np.subtract(lo, 0.5, out=a)
+    exact &= np.abs(tie, out=tie) > 1e-9
     n = hi.astype(np.int64)
     n += whole.astype(np.int64)
     n += lo > 0.5
-    del hi, lo, whole
-    first = n // 10**16
+    first = np.floor_divide(n, 10**16, out=lead.view(np.int64))
     n -= first * 10**16
-    halves = np.empty((2, n.size), np.int64)  # digits 2-9 and 10-17
-    np.floor_divide(n, 10**8, out=halves[0])
-    np.subtract(n, halves[0] * 10**8, out=halves[1])
-    groups = np.empty((4, n.size), np.intp)  # digits 2-5, 10-13, 6-9, 14-17
-    np.floor_divide(halves, 10**4, out=groups[:2])
-    np.subtract(halves, groups[:2] * 10**4, out=groups[2:])
-    del n, halves
-    zeros = _TRAILING[groups]  # 4 for a group of zeros: then count the one before
-    trailing = zeros[1] + (zeros[1] == 4) * (zeros[2] + (zeros[2] == 4) * zeros[0])
-    trailing = zeros[3] + (zeros[3] == 4) * trailing
-    significant = 17 - trailing
-    digits = _ASCII4[groups]
-    del groups, zeros
-    low = digits[0] | (digits[2] << 32)
-    high = digits[1] | (digits[3] << 32)
+    # lane 0 is done: the sign, the "0.000" of a value below 1, the first digit
+    lead <<= 48
+    lead += _ZERO << 48
+    lead |= _LEAD[q]
+    lead |= negative * _MINUS
     before = _BEFORE[q]
-    before = np.where(before == 0, significant, before)
+    q = q.astype(np.int16)  # narrowed while the digits are made: only lane 3 needs it
+    upper = np.floor_divide(n, 10**8, out=a.view(np.int64))  # digits 2-9
+    n -= upper * 10**8  # digits 10-17
+    # four 4-digit groups, the last first: each group's ASCII goes into its
+    # half of a digit lane, and its trailing zeros count while all after it are 0
+    trailing = np.zeros(n.size, np.uint8)
+    zero_tail = np.ones(n.size, bool)
+    for digits, lane in ((n, high), (upper, low)):
+        _put_groups(digits, lane.view("<u4"), trailing, zero_tail)
+    del n, upper, digits
+    np.take(_EXP, q, out=tail, mode="clip")
+    significant = np.subtract(17, trailing, out=trailing)
     # zero the digits past the last significant one and past the point
-    count = np.maximum(significant, before).astype(np.uint64) << 3
-    low &= ~(_ALL << (count - np.uint64(8)))
-    high &= _ALL >> (np.uint64(136) - count)
-    point = (significant > before) * _POINT
-    shift = (before.astype(np.uint64) - np.uint64(1)) << 3
-    low, high, pushed = _insert_point(low, high, shift, point)
-    slots[:, 0] = _LEAD[q] | ((x < 0) * _MINUS) | ((first.astype(np.uint64) + _ZERO) << 48)
-    slots[:, 1] = low
-    slots[:, 2] = high
-    slots[:, 3] = _EXP[q] | pushed
+    keep = np.maximum(significant, before).astype(np.uint64)
+    keep <<= 3
+    keep -= 8  # the bits of the digits kept after the first
+    mask = np.left_shift(_ALL, keep)  # a shift past 63 gives 0 in numpy
+    low &= np.invert(mask, out=mask)
+    high &= np.right_shift(_ALL, np.subtract(128, keep, out=keep), out=keep)
+    del keep, mask
+    # the point follows digit ``before`` where a significant digit follows
+    # it (``before`` is 0 for a value below 1), at byte before - 1 of lanes
+    # 1-2; elsewhere a shift of 128 bits inserts nothing
+    point = (significant > before) & (before > 0)
+    shift = before * 8  # in uint8, wrapping: 8 before - 8 where point, else 128
+    shift -= 136
+    shift *= point
+    shift += 128
+    _insert_point(low, high, tail, shift.astype(np.uint64))
     return exact
 
 
@@ -238,28 +319,34 @@ def _column_block(column, lo: int, hi: int) -> np.ndarray:
 def _put_text(slots: np.ndarray, at: np.ndarray, texts: list) -> None:
     """Fill the slots ``at`` with ``texts``, keeping only their separators."""
     if at.size:
-        slots[at, :3] = np.array(texts, f"S{_TEXT}").view("<u8").reshape(-1, 3)
-        slots[at, 3] &= _ALL << _SEP_SHIFT
+        slots[:3, at] = np.array(texts, f"S{_TEXT}").view("<u8").reshape(-1, 3).T
+        slots[3, at] &= _ALL << _SEP_SHIFT
 
 
 def _block_text(columns: list, lo: int, hi: int) -> bytes:
     """The CSV text of rows ``[lo, hi)`` of ``columns``."""
     blocks = [_column_block(column, lo, hi) for column in columns]
     width = len(blocks)
-    x = np.stack(blocks, axis=1, dtype=float)
-    slots = np.empty((x.size, _LANES), "<u8")
-    exact = _fill_slots(x.ravel(), slots).reshape(x.shape)
+    slots = np.empty((_LANES, (hi - lo) * width), "<u8")
+    x = slots[3].view(float)  # the values row by row, in the lane that ends the slots
+    table = x.reshape(-1, width)
     formats = []
     for j, block in enumerate(blocks):
+        table[:, j] = block
         formats.append("%.17g" if block.dtype.kind == "f" else "%d")
         if formats[j] == "%d":  # below 2**53 the float's '%.17g' text is the integer's '%d'
-            exact[:, j] &= np.abs(x[:, j]) < 2**53
+            column = table[:, j]
+            column[np.abs(column) >= 2**53] = np.nan  # formatted in Python
+    exact = _fill_slots(x, slots)
+    del x, table
     # each row ends in a newline, not a comma
-    slots[width - 1 :: width, 3] ^= np.uint64(ord(",") ^ ord("\n")) << _SEP_SHIFT
+    slots[3, width - 1 :: width] ^= np.uint64(ord(",") ^ ord("\n")) << _SEP_SHIFT
     at = np.flatnonzero(~exact)
     rows, cols = np.divmod(at, width)
     _put_text(slots, at, [formats[j] % blocks[j][i] for i, j in zip(rows.tolist(), cols.tolist())])
-    return slots.tobytes().translate(None, b"\0")
+    text = slots.T.tobytes()  # value by value
+    del slots, blocks  # before the text is compacted, which lowers the peak
+    return text.translate(None, b"\0")
 
 
 def _write_columns(path, header: str, columns) -> None:

@@ -77,6 +77,12 @@ class NoiseConfig:
     efficiency: float = 1.0
 
     def __post_init__(self):
+        for name in ("pairs_per_bin", "seed"):
+            # True would pass as one pair and False as seed 0; the CLI's
+            # integers refuse a bool too
+            value = getattr(self, name)
+            if isinstance(value, (bool, np.bool_)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not (1 <= self.pairs_per_bin <= MAX_PAIRS_PER_BIN):
             # the sampler is checked against binom.ppf up to here; binom.ppf
             # returns NaN at 2**53 pairs and does not return at 2**62
@@ -89,6 +95,7 @@ class NoiseConfig:
             value = getattr(self, name)
             if value != int(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # 1000.0 is stored as 1000
         _check_dark_rate(self.dark_rate)
         _check_efficiency(self.efficiency)
 

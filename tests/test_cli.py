@@ -26,7 +26,7 @@ from noonspec.io import read_trace_csv
 from noonspec.presets import preset_scenario
 from noonspec.recovery import detect_features, fold_one_sided, fourier_recover
 
-from conftest import fork_only
+from conftest import fork_only, peak_above_inputs
 
 SMALL_TIME_GRID = {"start_ps": -1.024, "step_ps": 5e-4, "count": 4096}
 TINY_TIME_GRID = {"start_ps": -0.064, "step_ps": 5e-4, "count": 256}
@@ -818,6 +818,30 @@ class TestRecover:
         path.write_text("t_ps,g\n0.0,0.0\n0.001,0.1\n0.005,0.2\n")
         proc = run_cli("recover", str(path), "--out", str(tmp_path / "rec"))
         assert proc.returncode == 4
+
+
+class TestVerbPeakMemory:
+    """The verbs' tracemalloc peaks on the tpa3 preset, warm, pinned at the
+    most measured in ten calls plus 8 KiB."""
+
+    def test_simulate_tpa3(self, tmp_path):
+        # 1,254,562 bytes, set by the synthesis; the writes peak near
+        # 1.20 MB. A trace built before the writes, and so held with P
+        # through them, takes 1.70 MB; a copy of P kept by Interferogram
+        # 1.71 MB; the writer's block of fresh arrays at each step 2.31 MB
+        args = ["simulate", "--preset", "tpa3", "--out"]
+        assert main([*args, str(tmp_path / "warm")]) == 0
+        peak = peak_above_inputs(lambda: main([*args, str(tmp_path / "sim")]))
+        assert peak <= 1_254_562 + 8192
+
+    def test_recover_tpa3_trace(self, tmp_path):
+        # 2,722,270 bytes, set by the transform; the writer's block of
+        # fresh arrays at each step took the recovered.csv write to 3.05 MB
+        assert main(["simulate", "--preset", "tpa3", "--out", str(tmp_path / "sim")]) == 0
+        args = ["recover", str(tmp_path / "sim" / "trace.csv"), "--out"]
+        assert main([*args, str(tmp_path / "warm")]) == 0
+        peak = peak_above_inputs(lambda: main([*args, str(tmp_path / "rec")]))
+        assert peak <= 2_722_270 + 8192
 
 
 class TestNoiseStudy:

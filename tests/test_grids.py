@@ -106,6 +106,26 @@ def test_checked_columns_are_read_only_copies():
     assert not study.std_center.flags.writeable
 
 
+def test_given_up_columns_are_kept_and_views_copied():
+    # a read-only array that owns its data is kept, as the synthesis hands
+    # its output over, so a long delay grid is not held twice
+    owned = np.array([1.0, 2.0, 1.0])
+    owned.setflags(write=False)
+    assert SumFrequencySpectrum(THREE, owned).weights is owned
+    # a read-only view of a writeable base is copied: the base can still change
+    base = np.array([1.0, 2.0, 1.0])
+    view = base[:]
+    view.setflags(write=False)
+    spectrum = SumFrequencySpectrum(THREE, view)
+    base[0] = 5.0
+    assert spectrum.weights.tolist() == [1.0, 2.0, 1.0]
+    assert spectrum.weights is not view and not spectrum.weights.flags.writeable
+    # and so is a read-only array of another dtype
+    ints = np.array([1, 2, 1])
+    ints.setflags(write=False)
+    assert SumFrequencySpectrum(THREE, ints).weights.dtype == float
+
+
 def test_step_below_float_spacing_rejected():
     # every point of this grid rounds to 737.25; it used to reach the pump
     # normalization and overflow there

@@ -322,11 +322,23 @@ def test_recovered_csv_memory_does_not_grow_with_rows(tmp_path):
     assert large <= small * 1.05 + 4096
 
 
+def test_write_columns_peak_on_a_long_trace(tmp_path):
+    # a 65,536-row grid and float column, as interferogram.csv and trace.csv:
+    # 580,878 bytes above the inputs, pinned plus 8 KiB; the slot-major
+    # block with fresh arrays at each step took 1,711,766
+    grid = UniformGrid(-16.384, 5e-4, 2**16)
+    values = np.random.default_rng(7).uniform(0.0, 1.0, grid.count)
+    path = tmp_path / "p.csv"
+    io._write_columns(path, "t_ps,p", (grid, values))
+    peak = peak_above_inputs(lambda: io._write_columns(path, "t_ps,p", (grid, values)))
+    assert peak <= 580_878 + 8192
+
+
 def test_ordinary_floats_take_the_numpy_path():
     # the Python fallback is for rare values; a writer that sent every value
     # there would pass every oracle above at Python's speed
     x = np.random.default_rng(3).normal(size=4096) * 10.0 ** np.arange(-8, 8).repeat(256)
-    slots = np.zeros((x.size, io._LANES), "<u8")
+    slots = np.zeros((io._LANES, x.size), "<u8")
     assert io._fill_slots(x, slots).mean() > 0.99
 
 

@@ -517,9 +517,19 @@ class TestCountDataValidation:
         for dark in (0.0, 1e-300, 1.0, 2.0):
             NoiseConfig(pairs_per_bin=10, seed=1, dark_rate=dark)
             estimate_trace(CountData(TWO_BINS, [1, 2], [10, 10]), 1.0, dark)
-        # a numpy integer, the top 64-bit key, and floats of integral value
-        NoiseConfig(pairs_per_bin=np.int64(1000), seed=2**64 - 1)
-        NoiseConfig(pairs_per_bin=1000.0, seed=0.0)
+        # a numpy integer, the top 64-bit key, and floats of integral value,
+        # each stored as the int it stands for
+        for pairs, seed in ((np.int64(1000), 2**64 - 1), (1000.0, 0.0)):
+            config = NoiseConfig(pairs_per_bin=pairs, seed=seed)
+            assert (config.pairs_per_bin, config.seed) == (pairs, seed)
+            assert type(config.pairs_per_bin) is int and type(config.seed) is int
+
+    @pytest.mark.parametrize("field", ["pairs_per_bin", "seed"])
+    @pytest.mark.parametrize("value", [True, False, np.True_])
+    def test_boolean_counts_rejected(self, field, value):
+        # True passed as one pair, and False as seed 0
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+            NoiseConfig(**{"pairs_per_bin": 10, "seed": 1, field: value})
 
     @pytest.mark.parametrize("field, value", [
         # drew at n = 1000.5 and recorded 1000 pairs sent
