@@ -1,16 +1,20 @@
 """Each verb loads only the scipy and numpy modules it runs.
 
-Importing the package loads numpy and nothing from scipy. ``simulate``
+Importing the package loads none of its modules, nor numpy: each public
+name imports its defining module on first use, and ``from noonspec
+import *`` binds the same objects as those modules. Importing
+``noonspec.cli`` loads numpy and nothing from scipy. ``simulate``
 without noise and ``recover``, peak finder included, run on numpy alone;
 the noise layer loads ``scipy.special`` for the binomial CDF on first
 use, and ``numpy.random`` for its streams on the first draw. The
 process pool behind the noise study loads only when a study forks, so
-importing the package loads no ``multiprocessing``. Every
-check runs in a fresh interpreter, since this test process imports scipy
-itself, but the last: the exact-phase and block helpers in
+importing the package loads no ``multiprocessing``. Every check of
+loaded modules runs in a fresh interpreter, since this test process
+imports scipy itself, but the last: the exact-phase and block helpers in
 ``noonspec._numerics`` import numpy alone, which only their source shows.
 """
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -57,6 +61,55 @@ def scipy_modules_after(code: str, cwd) -> list:
 
 def run_main(*argv) -> str:
     return f"from noonspec.cli import main\nassert main({list(argv)!r}) == 0"
+
+
+# the package's public names, by defining module
+PUBLIC = {
+    "absorption": "AbsorptionLine Sample TransmissionProfile TransmissionResult"
+    " excitation_probabilities recover_absorption_spectrum transmission_profile"
+    " transmitted_spectrum",
+    "errors": "AliasingError AsymmetryError CoverageError GridMismatchError"
+    " NonUniformGridError NoonspecError NoSignalError WindowTooShortError",
+    "grids": "FrequencyGrid TimeGrid UniformGrid",
+    "interferometer": "CorrelationTrace Interferogram correlation_trace"
+    " default_time_grid dominant_oscillation_frequency envelope_coherence_time"
+    " simulate_interferogram",
+    "noise": "CountData NoiseConfig ScalingStudy error_scaling_study"
+    " estimate_trace sample_counts",
+    "recovery": "RecoveredSpectrum SpectralFeature detect_features fold_one_sided"
+    " fourier_recover spectrum_distance",
+    "spectral": "CombLine JointSpectralIntensity SumFrequencySpectrum"
+    " comb_pump_spectrum gaussian_jsi gaussian_pump_spectrum make_frequency_grid"
+    " sum_frequency_marginal",
+}
+
+
+def test_import_loads_no_numpy_and_no_module_of_the_package(tmp_path):
+    loaded = modules_after("import noonspec", tmp_path)
+    assert [m for m in loaded if m == "numpy" or m.startswith(("numpy.", "noonspec."))] == []
+    assert "noonspec" in loaded
+
+
+def test_star_import_binds_each_defining_modules_object():
+    bound = {}
+    exec("from noonspec import *", bound)
+    bound.pop("__builtins__")
+    expected = {
+        name: getattr(importlib.import_module(f"noonspec.{module}"), name)
+        for module, names in PUBLIC.items()
+        for name in names.split()
+    }
+    assert len(expected) == 46
+    assert bound.keys() == expected.keys()
+    assert all(bound[name] is expected[name] for name in expected)
+    assert all(getattr(noonspec, name) is expected[name] for name in expected)
+
+
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'simulate'"):
+        noonspec.simulate
+    with pytest.raises(ImportError):
+        exec("from noonspec import simulate", {})
 
 
 @pytest.mark.parametrize("module", ["noonspec", "noonspec.cli"])
@@ -120,8 +173,8 @@ def test_a_noise_draw_loads_numpy_random(tmp_path):
 
 
 def test_numerics_imports_numpy_alone():
-    # read from the source: importing noonspec._numerics runs the package
-    # __init__, which imports every module
+    # read from the source, which shows every import; numpy's own imports
+    # would hide any other in sys.modules
     tree = ast.parse(Path(SRC, "noonspec", "_numerics.py").read_text())
     imported = set()
     for node in ast.walk(tree):
