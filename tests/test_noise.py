@@ -34,7 +34,7 @@ from noonspec import (
     simulate_interferogram,
 )
 from noonspec import noise
-from noonspec.cli import parse_scenario
+from noonspec.cli import main, parse_scenario
 from noonspec.noise import _binomial_quantile, _clipped, _keyed_uniforms, _margin
 from noonspec.presets import preset_scenario
 from noonspec.recovery import RecoveredSpectrum, _folded, _refined, _transformed
@@ -763,6 +763,28 @@ class TestWorkers:
         for pid in survivors:
             os.kill(pid, signal.SIGKILL)
         assert not survivors
+
+    @fork_only
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+    def test_a_finished_study_leaves_no_child(self, tmp_path, monkeypatch):
+        # a worker left running, or exited but not reaped, outlives the verb
+        log = tmp_path / "draws"
+        draw = noise._sample_streams
+
+        def noted(*args, **kwargs):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(noise, "_sample_streams", noted)
+        monkeypatch.setattr(noise, "_workers", lambda: 2)
+        argv = ["noise-study", "--preset", "noise-gauss", "--repeats", "4",
+                "--out", str(tmp_path / "study")]
+        assert main(argv) == 0
+        workers = set(map(int, log.read_text().split()))
+        assert len(workers) == 2 and os.getpid() not in workers
+        assert not any(map(running, workers))
+        assert children(os.getpid()) == []
 
     def test_without_os_fork_the_study_runs_here(self, tmp_path, monkeypatch):
         # a platform without os.fork (Windows) takes the serial path, whatever the CPUs
