@@ -35,9 +35,13 @@ def gaussian_profile(nu: np.ndarray, center: float, fwhm: float) -> np.ndarray:
 
     Far from a very narrow line the scaled offset overflows to inf, which
     gives the correct exp(-inf) = 0, so the overflow is not reported.
+    The exp is taken on a complex argument: numpy's complex exp gives
+    libm's bits on every CPU, while its real exp takes an AVX-512 path
+    whose last bit differs, and would make artifact bytes depend on it.
     """
     with np.errstate(over="ignore"):
-        return np.exp(-FOUR_LN2 * ((nu - center) / fwhm) ** 2)
+        z = (-FOUR_LN2 * ((nu - center) / fwhm) ** 2).astype(complex)
+    return np.exp(z, out=z).real.copy()
 
 
 def _per_unit_mass(density: np.ndarray, mass: float) -> np.ndarray:

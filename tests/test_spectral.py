@@ -16,6 +16,8 @@ from noonspec import (
     make_frequency_grid,
     sum_frequency_marginal,
 )
+from noonspec.presets import PRESETS, preset_scenario
+from noonspec.spectral import gaussian_profile
 
 FOUR_LN2 = 4.0 * np.log(2.0)
 
@@ -317,3 +319,28 @@ class TestInvariants:
         weights = [ln.weight for ln in group_a + group_b]
         summed = sum(w * p.weights for w, p in zip(weights, parts)) / sum(weights)
         np.testing.assert_allclose(combined.weights, summed, rtol=1e-12, atol=1e-12)
+
+
+def preset_lines():
+    """The pump grid, center and fwhm of each bundled preset's pump and sample lines."""
+    for name in PRESETS:
+        doc = preset_scenario(name)
+        pump = doc["pump"]
+        grid = FrequencyGrid(*(pump["grid"][key] for key in ("start_thz", "step_thz", "count")))
+        lines = [("pump", line) for line in pump.get("lines", [pump])]
+        lines += [("sample", line) for line in doc.get("sample", {}).get("lines", [])]
+        for role, line in lines:
+            yield pytest.param(
+                grid, line["center_thz"], line["fwhm_thz"], id=f"{name}-{role}-{line['center_thz']}"
+            )
+
+
+@pytest.mark.parametrize("grid, center, fwhm", preset_lines())
+def test_gaussian_profile_is_math_exp_bit_for_bit(grid, center, fwhm):
+    # numpy's real exp takes an AVX-512 path whose last bit differs from
+    # libm's, so artifact bytes would depend on the CPU
+    exponent = -FOUR_LN2 * ((grid.values - center) / fwhm) ** 2
+    expected = np.array([math.exp(x) for x in exponent])
+    got = gaussian_profile(grid.values, center, fwhm)
+    assert got.dtype == np.float64 and got.flags.owndata
+    assert got.tobytes() == expected.tobytes()
