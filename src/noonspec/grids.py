@@ -31,8 +31,10 @@ class UniformGrid:
             raise ValueError("grid start must be finite")
         if not (self.step > 0 and np.isfinite(self.step)):
             raise ValueError(f"grid step must be positive, got {self.step}")
-        if int(self.count) != self.count or self.count < 2:
+        # tested finite first, as int() of an infinite or NaN count raises its own error
+        if not (np.isfinite(self.count) and self.count == int(self.count) >= 2):
             raise ValueError(f"grid count must be an integer >= 2, got {self.count}")
+        object.__setattr__(self, "count", int(self.count))  # 5.0 is stored as 5
         if not np.isfinite(self.stop):
             raise ValueError(f"grid points must be finite, the last is {self.stop}")
         # np.spacing overflows at the largest float; 2**1023 shares its binade

@@ -43,9 +43,9 @@ block's offsets recomputed from the grid, so no delay or offset array is
 kept; each block's chirps are built in one pass. Beside the output, a
 block holds under seven complex buffers of Lb points (6,048 for the
 tpa3 preset's 1501 bins) whatever the number of delays. With that
-preset the ``tracemalloc`` peak is 1.18 MB at 2^16 delays, 4.5 MB at
-2^18 and 17.8 MB at 2^20; from 2^18 up it is the output and the copy
-that :class:`Interferogram` keeps, 8 bytes a delay each, with the range
+preset the ``tracemalloc`` peak is 1.18 MB at 2^16 delays, 2.76 MB at
+2^18 and 9.44 MB at 2^20; from 2^18 up it is the output, 8 bytes a
+delay, which :class:`Interferogram` keeps without a copy, and the range
 check's mask of one byte a delay.
 
 Every transform here is ``numpy.fft``, so the module loads no scipy;

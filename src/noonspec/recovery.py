@@ -25,10 +25,11 @@ HERMITIAN_TOL = 1e-6
 
 @dataclass(frozen=True)
 class RecoveredSpectrum:
-    """Two-sided complex spectrum on a grid symmetric about zero.
+    """Two-sided complex spectrum on a grid that holds zero frequency.
 
     The grid carries the transform geometry: its step is the resolution
     1/window of the delay scan, so no window or delay step is stored apart.
+    :func:`fourier_recover` centers zero on the grid.
     """
 
     grid: FrequencyGrid
@@ -39,10 +40,9 @@ class RecoveredSpectrum:
 
     @property
     def zero_index(self) -> int:
-        idx = round(-self.grid.start / self.grid.step)
-        if not (0 <= idx < self.grid.count) or abs(
-            self.grid.start + idx * self.grid.step
-        ) > 1e-9 * self.grid.step:
+        """The index of the DC bin: the grid point nearest zero, within 1e-9 steps of it."""
+        idx = self.grid.index_of(0.0)
+        if abs(self.grid.start + idx * self.grid.step) > 1e-9 * self.grid.step:
             raise ValueError("recovered grid does not contain zero frequency")
         return idx
 
@@ -118,24 +118,26 @@ def fold_one_sided(recovered: RecoveredSpectrum) -> SumFrequencySpectrum:
     """Fold the two-sided spectrum onto nu >= 0, conserving total mass.
 
     Mirror-bin magnitudes add (so interior bins double), the DC bin is
-    counted once, and for even-length transforms the unpaired -Nyquist
-    bin lands on +Nyquist. Requires Hermitian symmetry within 1e-6 of the
-    peak magnitude, which holds for transforms of real traces.
+    counted once, and a bin without a mirror keeps its own magnitude: for
+    even-length transforms the unpaired -Nyquist bin lands on +Nyquist.
+    The folded grid reaches the farther end of the two-sided one.
+    Requires Hermitian symmetry within 1e-6 of the peak magnitude, which
+    holds for transforms of real traces.
     """
-    i0 = recovered.zero_index
-    grid = FrequencyGrid(0.0, recovered.grid.step, i0 + 1)
-    return SumFrequencySpectrum(grid, _folded(recovered.amplitudes, i0))
+    weights = _folded(recovered.amplitudes, recovered.zero_index)
+    return SumFrequencySpectrum(FrequencyGrid(0.0, recovered.grid.step, weights.size), weights)
 
 
 def _folded(amp: np.ndarray, i0: int) -> np.ndarray:
-    """The weights of :func:`fold_one_sided` along the last axis of ``amp``, zero at ``i0``.
+    """The weights of :func:`fold_one_sided` along the last axis of ``amp``, zero at ``i0``:
+    one per bin from DC to the farther end, ``max(i0 + 1, n - i0)`` for n bins.
     ``np.hypot`` gives a reversed half one row's bits in any layout; ``np.abs`` does not."""
     # DC and up, and below DC nearest first: neg[j] mirrors pos[j + 1]
     neg, pos = amp[..., :i0][..., ::-1], amp[..., i0:]
     k = min(neg.shape[-1], pos.shape[-1] - 1)
     d = neg[..., :k] - np.conj(pos[..., 1 : k + 1])
     err = np.maximum(np.hypot(d.real, d.imag).max(-1, initial=0.0), abs(amp[..., i0].imag))
-    weights = np.zeros(amp.shape[:-1] + (i0 + 1,))
+    weights = np.zeros(amp.shape[:-1] + (max(i0 + 1, pos.shape[-1]),))
     np.abs(pos, out=weights[..., : pos.shape[-1]])
     abs_neg = np.hypot(neg.real, neg.imag)
     scale = np.maximum(weights.max(-1), abs_neg.max(-1, initial=0.0))

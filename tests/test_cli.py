@@ -1487,3 +1487,13 @@ def test_readme_command_line_flags_are_in_help(capsys):
             assert flag in help_text, f"{flag} of `noonspec {words[1]}` is not in its --help"
             checked += 1
     assert checked >= 8
+
+
+def test_readme_library_example_finds_its_dip():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library example", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    # the one absorption line at 739.7 THz, within a folded bin of the default grid
+    (dip,) = namespace["dips"]
+    assert dip.kind == "dip" and abs(dip.center - 739.7) <= 0.0305

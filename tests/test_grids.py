@@ -41,11 +41,20 @@ def test_frequency_and_time_grid_are_the_uniform_grid():
         (0.0, np.nan, 4),
         (0.0, 1.0, 1),
         (0.0, 1.0, 2.5),
+        (0.0, 1.0, np.inf),
+        (0.0, 1.0, np.nan),
     ],
 )
 def test_bad_start_step_or_count_rejected(grid_type, args):
     with pytest.raises(ValueError, match="grid (start|step|count)"):
         grid_type(*args)
+
+
+def test_integral_float_count_is_stored_as_int():
+    grid = UniformGrid(0.0, 1.0, 5.0)
+    assert type(grid.count) is int and len(grid) == 5
+    assert grid == UniformGrid(0.0, 1.0, 5)
+    assert type(UniformGrid(0.0, 1.0, np.int64(5)).count) is int
 
 
 THREE = UniformGrid(0.0, 0.5, 3)

@@ -70,6 +70,12 @@ class TestSimulateInterferogram:
             widths.append(envelope_coherence_time(trace))
         assert widths[0] / widths[1] == pytest.approx(2.0, rel=0.05)
 
+    def test_float_count_delay_grid_gives_the_int_grids_bits(self):
+        spec = gaussian_pump_spectrum(make_frequency_grid(739.8, 0.002, 301), 740.1, 0.1)
+        p = simulate_interferogram(spec, TimeGrid(-0.5, 5e-4, 2048.0))
+        assert p.grid == TimeGrid(-0.5, 5e-4, 2048)
+        assert np.array_equal(p.values, simulate_interferogram(spec, TimeGrid(-0.5, 5e-4, 2048)).values)
+
     def test_rejects_unnormalized_spectrum(self):
         grid = make_frequency_grid(739.8, 0.002, 101)
         raw = SumFrequencySpectrum(grid, np.ones(101))

@@ -212,6 +212,38 @@ class TestFoldOneSided:
         assert folded.weights[1] == pytest.approx(2 * abs(0.25 + 0.1j))
         assert folded.weights[2] == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("n, i0", [(10, 0), (10, 1), (10, 4), (10, 5), (10, 9), (9, 4)])
+    def test_fold_reaches_the_farther_end(self, rng, n, i0):
+        # zero at either edge, on either side of the middle, or centered
+        amp = rng.normal(size=n) + 1j * rng.normal(size=n)
+        for j in range(1, min(i0, n - 1 - i0) + 1):
+            amp[i0 - j] = np.conj(amp[i0 + j])
+        amp[i0] = amp[i0].real
+        folded = fold_one_sided(RecoveredSpectrum(FrequencyGrid(-0.5 * i0, 0.5, n), amp))
+        assert folded.grid == FrequencyGrid(0.0, 0.5, max(i0 + 1, n - i0))
+        # bin k holds |a(0)| at k = 0, else |a(nu)| + |a(-nu)| over the bins that exist
+        expected = [abs(amp[i0])] + [
+            sum(abs(amp[i]) for i in (i0 - k, i0 + k) if 0 <= i < n)
+            for k in range(1, folded.grid.count)
+        ]
+        np.testing.assert_allclose(folded.weights, expected, rtol=1e-14)
+
+    @pytest.mark.parametrize(
+        "start",
+        [-4.5, -3.0 + 3e-9, 1.0, -20.0],
+        ids=["half-bin", "off-by-3e-9-steps", "all-positive", "all-negative"],
+    )
+    def test_grid_without_zero_has_no_dc_bin(self, start):
+        rec = RecoveredSpectrum(FrequencyGrid(start, 1.0, 10), np.ones(10, dtype=complex))
+        with pytest.raises(ValueError, match="recovered grid does not contain zero frequency"):
+            rec.zero_index
+        with pytest.raises(ValueError, match="recovered grid does not contain zero frequency"):
+            fold_one_sided(rec)
+
+    def test_dc_bin_within_1e_9_steps_of_zero(self):
+        grid = FrequencyGrid(-3.0 + 3e-10, 1.0, 10)
+        assert RecoveredSpectrum(grid, np.ones(10, dtype=complex)).zero_index == 3
+
     def test_broken_symmetry_rejected(self):
         grid = FrequencyGrid(-2.0, 1.0, 5)
         amp = np.array([0.1, 0.3, 1.0, 0.5, 0.1], dtype=complex)
