@@ -31,6 +31,9 @@ class UniformGrid:
             raise ValueError("grid start must be finite")
         if not (self.step > 0 and np.isfinite(self.step)):
             raise ValueError(f"grid step must be positive, got {self.step}")
+        # an int past the float range has no np.isfinite, and no grid has 2**63 points
+        if isinstance(self.count, int) and abs(self.count) >= 2**63:
+            raise ValueError(f"grid count must be an integer in [2, 2**63), got {self.count}")
         # tested finite first, as int() of an infinite or NaN count raises its own error
         if not (np.isfinite(self.count) and self.count == int(self.count) >= 2):
             raise ValueError(f"grid count must be an integer >= 2, got {self.count}")
@@ -44,7 +47,12 @@ class UniformGrid:
 
     @property
     def values(self) -> np.ndarray:
-        return self.start + self.step * np.arange(self.count)
+        """The points, with the bits of ``start + step * np.arange(count)``
+        but one array held: float, scaled and shifted in place."""
+        v = np.arange(self.count, dtype=float)
+        v *= self.step
+        v += self.start
+        return v
 
     @property
     def stop(self) -> float:
@@ -73,8 +81,9 @@ def _column(owner, field: str, shape: tuple, dtype=float, low=None, high=None) -
 
     An array that owns its data, has the column's dtype and is read-only
     is kept as it is, not copied: its maker has given it up, as the
-    synthesis and ``correlation_trace`` do, and a copy would double the
-    peak memory of a long delay grid. A view is always copied.
+    synthesis, ``correlation_trace`` and ``fourier_recover`` do, and a
+    copy would double the peak memory of a long delay grid. A view is
+    always copied.
 
     The column must have ``shape`` and finite values within ``[low, high]``;
     either bound may be None, a number or an array broadcast against the

@@ -69,21 +69,31 @@ def fourier_recover(trace: CorrelationTrace, window: str = "rect") -> RecoveredS
         g = g * np.hanning(g.size)
     elif window != "rect":
         raise ValueError(f"unknown window {window!r} (expected 'rect' or 'hann')")
-    return RecoveredSpectrum(*_transformed(g, trace.grid))
+    grid, amp = _transformed(g, trace.grid)
+    amp.setflags(write=False)  # given up, so RecoveredSpectrum keeps it without a copy
+    return RecoveredSpectrum(grid, amp)
 
 
 def _transformed(g: np.ndarray, grid: TimeGrid) -> tuple:
-    """The grid and two-sided amplitudes of :func:`fourier_recover` along g's last axis."""
+    """The grid and two-sided amplitudes of :func:`fourier_recover` along g's last axis.
+
+    The amplitudes are one new, writeable complex array of g's shape, the
+    only one held: the transform, its scale, phase and shift all work in it.
+    """
     n, dt = grid.count, grid.step
     # the kernel phase 2 pi nu t must stay finite up to the band edge 1/(2 dt)
     if not math.isfinite(2 * math.pi / dt):
         raise ValueError(f"delay step {dt!r} ps is too fine for a finite frequency band")
     df = 1.0 / (n * dt)
+    # ifft casts a real input to a complex copy before it transforms; made
+    # here, that copy takes the transform in place, with the same bits
+    raw = g.astype(complex)
     # ifft carries the +i kernel; undo its 1/n and add the t-origin phase
-    raw = np.fft.ifft(g)
+    np.fft.ifft(raw, out=raw)
     raw *= n * dt
     _twist(raw, n, dt, grid.start)
-    return FrequencyGrid(start=-(n // 2) * df, step=df, count=n), np.fft.fftshift(raw, axes=-1)
+    _shift(raw)
+    return FrequencyGrid(start=-(n // 2) * df, step=df, count=n), raw
 
 
 def _twist(raw: np.ndarray, n: int, dt: float, start: float) -> None:
@@ -114,6 +124,29 @@ def _twist(raw: np.ndarray, n: int, dt: float, start: float) -> None:
             block[...] = block * z
 
 
+def _shift(raw: np.ndarray) -> None:
+    """raw = np.fft.fftshift(raw, axes=-1), in place, one block at a time.
+
+    fftshift moves the last ``h = n // 2`` points to the front. For odd n,
+    [A, m, B] with A and B of h points, the middle point m first moves to
+    the end, [A, B, m]; then the halves A and B swap, for any n.
+    """
+    n = raw.shape[-1]
+    h = n // 2
+    for row in np.ndindex(raw.shape[:-1]):
+        x = raw[row]
+        if n % 2:
+            m = x[h]
+            for lo, hi in _blocks(h):
+                x[h + lo : h + hi] = x[h + 1 + lo : h + 1 + hi]
+            x[-1] = m
+        for lo, hi in _blocks(h):
+            a, b = x[lo:hi], x[h + lo : h + hi]
+            t = a.copy()
+            a[...] = b
+            b[...] = t
+
+
 def fold_one_sided(recovered: RecoveredSpectrum) -> SumFrequencySpectrum:
     """Fold the two-sided spectrum onto nu >= 0, conserving total mass.
 
@@ -135,8 +168,10 @@ def _folded(amp: np.ndarray, i0: int) -> np.ndarray:
     # DC and up, and below DC nearest first: neg[j] mirrors pos[j + 1]
     neg, pos = amp[..., :i0][..., ::-1], amp[..., i0:]
     k = min(neg.shape[-1], pos.shape[-1] - 1)
-    d = neg[..., :k] - np.conj(pos[..., 1 : k + 1])
+    d = np.conj(pos[..., 1 : k + 1])
+    np.subtract(neg[..., :k], d, out=d)
     err = np.maximum(np.hypot(d.real, d.imag).max(-1, initial=0.0), abs(amp[..., i0].imag))
+    del d  # not held beside the weights
     weights = np.zeros(amp.shape[:-1] + (max(i0 + 1, pos.shape[-1]),))
     np.abs(pos, out=weights[..., : pos.shape[-1]])
     abs_neg = np.hypot(neg.real, neg.imag)

@@ -23,6 +23,7 @@ from noonspec import (
 from noonspec.cli import parse_scenario
 from noonspec.grids import infer_grid
 from noonspec.presets import PRESETS, preset_scenario
+from conftest import peak_above_inputs
 
 
 def test_frequency_and_time_grid_are_the_uniform_grid():
@@ -48,6 +49,30 @@ def test_frequency_and_time_grid_are_the_uniform_grid():
 def test_bad_start_step_or_count_rejected(grid_type, args):
     with pytest.raises(ValueError, match="grid (start|step|count)"):
         grid_type(*args)
+
+
+@pytest.mark.parametrize("count", [10**400, -(10**400), 2**63], ids=["huge", "-huge", "2**63"])
+def test_count_past_the_float_range_rejected(count):
+    # 10**400 used to raise a TypeError from np.isfinite
+    with pytest.raises(ValueError, match=r"grid count must be an integer in \[2, 2\*\*63\)"):
+        UniformGrid(0.0, 1.0, count)
+
+
+def test_values_have_the_bits_of_the_product_expression(rng):
+    for _ in range(200):
+        start = float(rng.uniform(-1e3, 1e3)) * 10.0 ** int(rng.integers(-6, 4))
+        step = float(rng.uniform(0.1, 10.0)) * 10.0 ** int(rng.integers(-6, 0))
+        count = int(rng.integers(2, 5000))
+        want = start + step * np.arange(count)
+        got = UniformGrid(start, step, count).values
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_values_hold_one_array():
+    # an integer arange beside the float product held 1.12 MB at 2**16 points
+    grid = UniformGrid(-16.384, 5e-4, 2**16)
+    grid.values  # warm
+    assert peak_above_inputs(lambda: grid.values) <= 8 * grid.count + 16 * 1024
 
 
 def test_integral_float_count_is_stored_as_int():

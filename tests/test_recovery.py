@@ -36,7 +36,7 @@ from noonspec.recovery import (
     _transformed,
     _twist,
 )
-from conftest import centered_time_grid
+from conftest import centered_time_grid, peak_above_inputs
 
 
 def bin_aligned_line(tg, bin_index):
@@ -173,6 +173,25 @@ class TestFourierRecover:
             want = raw * np.exp(2j * np.pi * np.fft.fftfreq(n, d=dt) * start)
             _twist(raw, n, dt, start)
             np.testing.assert_array_equal(raw.view(np.uint64), want.view(np.uint64))
+
+    def test_transform_holds_one_complex_array(self):
+        # ifft's complex cast of the trace and the fftshift copy held two
+        # more complex arrays: 2,164,807 bytes above a 2**16-point trace
+        tg = centered_time_grid(5e-4, 2**16)
+        trace = bin_aligned_line(tg, 1000)[1]
+        fourier_recover(trace)  # warm
+        peak = peak_above_inputs(lambda: fourier_recover(trace))
+        assert peak <= 16 * tg.count + 128 * 1024
+
+    def test_spectrum_keeps_the_transform_and_the_helper_returns_it_writeable(self):
+        # the noise study writes into the helper's output
+        tg = centered_time_grid(5e-4, 64)
+        trace = bin_aligned_line(tg, 5)[1]
+        amp = _transformed(np.asarray(trace.values), tg)[1]
+        assert amp.flags.writeable and amp.flags.owndata
+        rec = fourier_recover(trace)
+        assert rec.amplitudes.flags.owndata and not rec.amplitudes.flags.writeable
+        np.testing.assert_array_equal(rec.amplitudes, amp)
 
     @pytest.mark.parametrize("step", [1e-310, 5e-324])
     def test_step_without_a_finite_resolution_rejected(self, step):
