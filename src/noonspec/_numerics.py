@@ -5,12 +5,13 @@ The chirp-z synthesis of the interferogram and the inverse transform
 that recovers the spectrum take the same steps: a product reduced mod 1
 through error-free (Veltkamp/Dekker) split products, a phasor built in
 place from its phase, and a delay or frequency axis walked in blocks of
-``_BLOCK`` points. Each helper returns arrays of its inputs' size and
-updates in place only the arrays it made itself, or the ``out`` array
-that :func:`_phasors` is handed, so a walk holds a few block-sized
-arrays at a time and frees them with the block. The CSV
-writer takes the split alone. The module imports numpy alone,
-so any stage can use it without loading another.
+``_BLOCK`` points, or of a size the caller gives. Each helper returns
+arrays of its inputs' size and updates in place only the arrays it made
+itself, or the ``out`` array that :func:`_phasors` is handed, so a walk
+holds a few block-sized arrays at a time and frees them with the block.
+The CSV writer takes the split and the block walk, and the count sampler
+the walk. The module imports numpy alone, so any stage can use it
+without loading another.
 """
 from __future__ import annotations
 
@@ -23,11 +24,12 @@ _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter for float64
 _BLOCK = 2048
 
 
-def _blocks(count: int):
-    """(lo, hi) for the blocks of at most ``_BLOCK`` points that cover
-    range(count), in order."""
-    for lo in range(0, count, _BLOCK):
-        yield lo, min(lo + _BLOCK, count)
+def _blocks(count: int, size: int | None = None):
+    """(lo, hi) for the blocks of at most ``size`` points (``_BLOCK`` when
+    None) that cover range(count), in order."""
+    size = size or _BLOCK
+    for lo in range(0, count, size):
+        yield lo, min(lo + size, count)
 
 
 def _split(x):

@@ -28,12 +28,7 @@ from . import io
 from .absorption import AbsorptionLine, Sample, transmitted_spectrum
 from .errors import AliasingError, NonUniformGridError
 from .grids import TimeGrid, UniformGrid
-from .interferometer import (
-    check_nyquist,
-    correlation_trace,
-    default_time_grid,
-    simulate_interferogram,
-)
+from .interferometer import check_nyquist, default_time_grid, simulate_interferogram
 from .noise import NoiseConfig, error_scaling_study, estimate_trace, sample_counts
 from .presets import DESCRIPTIONS, PRESETS, preset_scenario
 from .recovery import detect_features, fold_one_sided, fourier_recover
@@ -290,12 +285,7 @@ def cmd_simulate(args) -> int:
     io.write_spectrum_csv(out / "spectrum.csv", scenario.spectrum)
     io.write_spectrum_csv(out / "transmitted.csv", transmitted)
     io.write_interferogram_csv(out / "interferogram.csv", interferogram)
-    # G is built once P is written, and P freed before G is written, so
-    # neither write holds both, which lowers the verb's peak memory
-    trace = correlation_trace(interferogram)
-    del interferogram
-    io.write_trace_csv(out / "trace.csv", trace)
-    del trace  # before the noise writes
+    io.write_correlation_csv(out / "trace.csv", interferogram)
     if noise is not None:
         io.write_counts_csv(out / "counts.csv", counts)
         io.write_trace_csv(out / "trace_estimated.csv", estimated)

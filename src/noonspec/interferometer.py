@@ -10,7 +10,9 @@ the Fourier pair of the spectral lineshape. The affine rescale
 G = 2P - 1 is then the discrete cosine transform of F, which is what the
 recovery stage inverts. P and G are both one finite value per point of a
 delay grid and share one check; they differ only in the lower bound of
-their range, 0 for P and -1 for G.
+their range, 0 for P and -1 for G. G has one maker, ``_correlation``:
+:func:`correlation_trace`, the noise estimate and the ``trace.csv``
+writer, which makes G from P a block of rows at a time, all call it.
 
 The forward synthesis is a Bluestein chirp-z transform (Rabiner, Schafer
 & Rader 1969; Bluestein 1970): both axes are uniform, so with
@@ -293,11 +295,18 @@ def simulate_interferogram(spectrum: SumFrequencySpectrum, grid: TimeGrid) -> In
     return Interferogram(grid, total)
 
 
+def _correlation(p, out=None) -> np.ndarray:
+    """G = 2P - 1 elementwise, in ``out`` (a new array if None, or ``p``
+    itself): the one rule for G, whose bits are those of ``2.0 * p - 1.0``."""
+    g = np.multiply(p, 2.0, out=out)
+    g -= 1.0
+    return g
+
+
 def correlation_trace(interferogram: Interferogram) -> CorrelationTrace:
     """G(t) = 2P(t) - 1, the cosine transform of the source spectrum; G(0) = +1
     for a normalized spectrum."""
-    g = interferogram.values * 2.0
-    g -= 1.0
+    g = _correlation(interferogram.values)
     g.setflags(write=False)  # so CorrelationTrace keeps it without a copy
     return CorrelationTrace(interferogram.grid, g)
 

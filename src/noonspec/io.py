@@ -11,11 +11,11 @@ Each column's format follows its dtype: ``%.17g`` for floats (and for a
 other dtype is refused. The bytes are those of formatting each value on
 its own with ``'%.17g' % x`` or ``'%d' % n``, but the writer formats
 blocks of whole rows in numpy, ``_BLOCK_VALUES // width`` rows (at least
-one) at a time. Its memory is bounded by the block: a grid, and the
-modulus column of ``recovered.csv``, are evaluated on the block's rows
-alone. Every value takes one path, integers as floats: an integer with
-|n| < 2**53 is exact as a double, and its ``'%d'`` text is the
-double's ``'%.17g'`` text.
+one) at a time. Its memory is bounded by the block: a grid, the modulus
+column of ``recovered.csv`` and the G = 2P - 1 column of a ``trace.csv``
+written from P are evaluated on the block's rows alone. Every value
+takes one path, integers as floats: an integer with |n| < 2**53 is exact
+as a double, and its ``'%d'`` text is the double's ``'%.17g'`` text.
 
 - A float with 1e-280 <= |x| <= 1e280 gets its 17 significant digits
   from N = round(|x| * 10**(16 - X)), X = floor(log10 |x|). X is exact:
@@ -70,9 +70,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ._numerics import _SPLIT, _split
+from ._numerics import _SPLIT, _blocks, _split
 from .grids import UniformGrid, infer_grid
-from .interferometer import CorrelationTrace, Interferogram
+from .interferometer import CorrelationTrace, Interferogram, _correlation
 from .noise import CountData, ScalingStudy
 from .recovery import RecoveredSpectrum
 from .spectral import SumFrequencySpectrum
@@ -363,8 +363,8 @@ def _write_columns(path, header: str, columns) -> None:
     rows = max(1, _BLOCK_VALUES // len(columns))
     with open(Path(path), "wb") as fh:
         fh.write(header.encode() + b"\n")
-        for lo in range(0, n, rows):
-            fh.write(_block_text(columns, lo, min(lo + rows, n)))
+        for lo, hi in _blocks(n, rows):
+            fh.write(_block_text(columns, lo, hi))
 
 
 def _read_columns(path, expected_header: str) -> tuple:
@@ -406,6 +406,13 @@ def write_interferogram_csv(path, interferogram: Interferogram) -> None:
 
 def write_trace_csv(path, trace: CorrelationTrace) -> None:
     _write_columns(path, "t_ps,g", (trace.grid, trace.values))
+
+
+def write_correlation_csv(path, interferogram: Interferogram) -> None:
+    """The ``trace.csv`` of ``interferogram``'s G = 2P - 1, without its trace:
+    like the grid, G is made one block of rows at a time."""
+    p = interferogram.values
+    _write_columns(path, "t_ps,g", (interferogram.grid, lambda lo, hi: _correlation(p[lo:hi])))
 
 
 def read_trace_csv(path) -> CorrelationTrace:

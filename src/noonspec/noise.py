@@ -46,8 +46,9 @@ from typing import Sequence
 
 import numpy as np
 
+from ._numerics import _blocks
 from .grids import TimeGrid, _column
-from .interferometer import CorrelationTrace, Interferogram, simulate_interferogram
+from .interferometer import CorrelationTrace, Interferogram, _correlation, simulate_interferogram
 from .recovery import _folded, _refined, _transformed
 from .spectral import SumFrequencySpectrum
 
@@ -394,8 +395,8 @@ def _sample_streams(
         raise ValueError("chunk_size must be positive")
     u = np.array([_keyed_uniforms(config.seed, stream, nbins) for stream in streams])
     counts = np.empty(u.shape, dtype=np.int64)
-    for lo in range(0, nbins, chunk_size):
-        block = slice(lo, lo + chunk_size)
+    for lo, hi in _blocks(nbins, chunk_size):
+        block = slice(lo, hi)
         counts[:, block] = _binomial_quantile(u[:, block], config.pairs_per_bin, p[block])
     return counts, clamped
 
@@ -443,7 +444,7 @@ def _estimated(coincidences, pairs_sent, efficiency: float, dark_rate: float) ->
     _check_efficiency(efficiency)
     with np.errstate(over="ignore"):  # an overflow to +-inf clips to the bound it passed
         p_hat = np.clip((coincidences / pairs_sent - dark_rate) / efficiency**2, 0.0, 1.0)
-    return 2.0 * p_hat - 1.0
+    return _correlation(p_hat, out=p_hat)
 
 
 @dataclass(frozen=True, eq=False)

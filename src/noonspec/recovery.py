@@ -6,6 +6,10 @@ spectrum with mirrored peaks at +-nu; folding the positive half restores
 the physical one-sided spectrum. Under the ordinary-frequency convention
 the forward/inverse kernels carry no extra 1/2pi factor, which is what
 makes the round trip self-consistent.
+
+The transform works in one complex array: ``_transformed`` makes it and
+transforms it in place, and ``_twist`` adds the t-origin phase and puts
+zero frequency in the middle, as ``np.fft.fftshift`` does, in one walk.
 """
 from __future__ import annotations
 
@@ -14,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _numerics
 from ._numerics import _blocks, _phasors
 from .errors import AsymmetryError, GridMismatchError
 from .grids import FrequencyGrid, TimeGrid, _column
@@ -78,7 +83,8 @@ def _transformed(g: np.ndarray, grid: TimeGrid) -> tuple:
     """The grid and two-sided amplitudes of :func:`fourier_recover` along g's last axis.
 
     The amplitudes are one new, writeable complex array of g's shape, the
-    only one held: the transform, its scale, phase and shift all work in it.
+    only one held: the transform and its scale work in it, then the phase
+    and the shift in one walk.
     """
     n, dt = grid.count, grid.step
     # the kernel phase 2 pi nu t must stay finite up to the band edge 1/(2 dt)
@@ -92,59 +98,52 @@ def _transformed(g: np.ndarray, grid: TimeGrid) -> tuple:
     np.fft.ifft(raw, out=raw)
     raw *= n * dt
     _twist(raw, n, dt, grid.start)
-    _shift(raw)
     return FrequencyGrid(start=-(n // 2) * df, step=df, count=n), raw
 
 
 def _twist(raw: np.ndarray, n: int, dt: float, start: float) -> None:
-    """raw *= exp(2 pi i f start) on the frequencies f of ``np.fft.fftfreq(n,
-    d=dt)``, in place along the last axis, one block of phasors at a time.
+    """raw = np.fft.fftshift(raw * exp(2 pi i f start), axes=-1) on the
+    frequencies f of ``np.fft.fftfreq(n, d=dt)``, in place along the last
+    axis, in one walk over pairs of blocks.
 
-    The bits are those of ``raw * np.exp(2j * np.pi * fftfreq * start)``
-    without its trace-sized complex temporaries; :func:`_phasors` builds
-    them. The rule of its own is where the +0 goes: the real part of
-    2j pi f is a zero with f's sign, which the product with ``start`` adds
-    to the phase. So a block's non-negative frequencies, its first
-    ``head`` points, take +0, which turns a -0 to +0, and the negative
-    ones -0, which changes nothing.
+    The bits are those of that expression without its trace-sized complex
+    temporaries; :func:`_phasors` builds the phasors. fftshift moves the
+    last ``h = n // 2`` points, the negative frequencies, to the front:
+    for odd n, [A, m, B] with A and B of h points becomes [B, A, m]. The
+    middle point m is taken first, then each block of A and its partner
+    in B trade places, each multiplied by its phasors on the way, and m
+    goes last to the end. Each half's frequencies are contiguous, fftfreq's
+    integers times 1/(n dt). The rule of its own is where the +0 goes: the
+    real part of 2j pi f is a zero with f's sign, which the product with
+    ``start`` adds to the phase. So the non-negative frequencies take +0,
+    which turns a -0 to +0, and the negative ones -0, which changes nothing.
     """
     scale = 1.0 / (n * dt)
-    non_negative = (n - 1) // 2 + 1  # fftfreq's order: 0, 1, ..., then the negatives
-    for lo, hi in _blocks(n):
-        head = max(non_negative - lo, 0)
-        f = np.arange(lo, hi, dtype=float)
-        f[head:] -= n
-        f *= scale  # fftfreq's f
-        z = _phasors(f, 1, scale=start, head=head)
-        # row by row, as numpy multiplies a strided block of rows at half
-        # the speed, and not in place, as numpy's in-place product of one
-        # element takes another loop with other bits
-        for row in np.ndindex(raw.shape[:-1]):
-            block = raw[row][lo:hi]
-            block[...] = block * z
-
-
-def _shift(raw: np.ndarray) -> None:
-    """raw = np.fft.fftshift(raw, axes=-1), in place, one block at a time.
-
-    fftshift moves the last ``h = n // 2`` points to the front. For odd n,
-    [A, m, B] with A and B of h points, the middle point m first moves to
-    the end, [A, B, m]; then the halves A and B swap, for any n.
-    """
-    n = raw.shape[-1]
-    h = n // 2
-    for row in np.ndindex(raw.shape[:-1]):
-        x = raw[row]
-        if n % 2:
-            m = x[h]
-            for lo, hi in _blocks(h):
-                x[h + lo : h + hi] = x[h + 1 + lo : h + 1 + hi]
-            x[-1] = m
-        for lo, hi in _blocks(h):
-            a, b = x[lo:hi], x[h + lo : h + hi]
-            t = a.copy()
-            a[...] = b
-            b[...] = t
+    h, odd = n // 2, n % 2
+    rows = list(np.ndindex(raw.shape[:-1]))
+    size = max(_numerics._BLOCK // 2, 1)  # a pair of blocks spans one _BLOCK
+    # every product is written with out= into an array of its own, not in
+    # place: numpy's in-place product of one element takes another loop with
+    # other bits, and so does a Python scalar's; and it is taken row by row,
+    # as numpy multiplies a strided block of rows at half the speed
+    if odd:
+        z = _phasors(np.arange(h, h + 1) * scale, 1, scale=start)
+        middle = np.empty(raw.shape[:-1] + (1,), dtype=complex)
+        for row in rows:
+            np.multiply(raw[row][h : h + 1], z, out=middle[row])
+    buf = np.empty(min(size, h), dtype=complex)
+    for lo, hi in _blocks(h, size):
+        z_a = _phasors(np.arange(lo, hi) * scale, 1, scale=start)
+        z_b = _phasors(np.arange(lo - h, hi - h) * scale, 1, scale=start, head=0)
+        t = buf[: hi - lo]
+        for row in rows:
+            x = raw[row]
+            a = x[lo:hi]
+            np.multiply(a, z_a, out=t)
+            np.multiply(x[h + odd + lo : h + odd + hi], z_b, out=a)
+            x[h + lo : h + hi] = t
+    if odd:
+        raw[..., -1:] = middle
 
 
 def fold_one_sided(recovered: RecoveredSpectrum) -> SumFrequencySpectrum:
@@ -338,12 +337,13 @@ def detect_features(
     widths = widths * spectrum.grid.step
 
     features = []
-    nu = spectrum.grid.values
+    grid = spectrum.grid
     for i, w in zip(idx, widths):
         delta, height = _refined(signal, i)
         features.append(
             SpectralFeature(
-                center=float(nu[i] + delta * spectrum.grid.step),
+                # grid.values[i] without the axis: its bits
+                center=float((grid.start + grid.step * i) + delta * grid.step),
                 height=float(height),
                 fwhm=float(w),
                 kind=kind,

@@ -847,6 +847,20 @@ class TestVerbPeakMemory:
         peak = peak_above_inputs(lambda: main([*args, str(tmp_path / "sim")]))
         assert peak <= 1_254_562 + 8192
 
+    def test_simulate_tpa3_at_2_18_delays(self, tmp_path):
+        # 2,828,552 bytes at most, about 10.8 a delay: P (8 a delay) and the
+        # writers' blocks, trace.csv's G made a block at a time from P. A
+        # trace held beside P took 4.53 MB, about 17.3 bytes a delay
+        count = 2**18
+        doc = preset_scenario("tpa3")
+        doc["time_grid"] = {"start_ps": -(count // 2) * 5e-4, "step_ps": 5e-4, "count": count}
+        args = ["simulate", "--config", str(write_config(tmp_path, doc)), "--out"]
+        assert main([*args, str(tmp_path / "warm")]) == 0
+        peak = max(
+            peak_above_inputs(lambda: main([*args, str(tmp_path / f"sim{i}")])) for i in range(3)
+        )
+        assert peak < 12 * count
+
     def test_recover_tpa3_trace(self, tmp_path):
         # 1,927,048 bytes, set by feature detection and the recovered.csv
         # write: the spectrum (1.05 MB), its fold and the writer's block.

@@ -28,8 +28,8 @@ from noonspec import (
 )
 from noonspec import _numerics
 from noonspec.cli import parse_scenario
-from noonspec._numerics import _phasors
-from noonspec.interferometer import RANGE_TOL, _next_fast_len, _span, envelope
+from noonspec._numerics import _blocks, _phasors
+from noonspec.interferometer import RANGE_TOL, _correlation, _next_fast_len, _span, envelope
 from noonspec.presets import PRESETS, preset_scenario
 from conftest import (
     centered_time_grid,
@@ -278,6 +278,28 @@ class TestCorrelationTrace:
         g = correlation_trace(simulate_interferogram(spec, tg))
         expected = np.cos(2 * np.pi * nu0 * tg.values)
         assert np.max(np.abs(g.values - expected)) < 1e-9
+
+    def test_one_rule_has_the_bits_of_the_expression(self):
+        # every binade of [0, 1], subnormals included, and both ends
+        rng = np.random.default_rng(2)
+        p = np.ldexp(rng.uniform(0.5, 1.0, 5000), -rng.integers(0, 1080, 5000))
+        p[:6] = [0.0, 1.0, 5e-324, 1e-310, 2.2250738585072009e-308, 0.5]
+        want = (2.0 * p - 1.0).view(np.uint64)
+        np.testing.assert_array_equal(_correlation(p).view(np.uint64), want)
+        out = p.copy()
+        assert _correlation(out, out=out) is out
+        np.testing.assert_array_equal(out.view(np.uint64), want)
+
+
+@pytest.mark.parametrize("count", [1, 12, 2048, 4097])
+def test_blocks_cover_the_range_in_order(count, monkeypatch):
+    for size in (1, 7, count, count + 5):
+        blocks = list(_blocks(count, size))
+        assert [i for lo, hi in blocks for i in range(lo, hi)] == list(range(count))
+        assert all(0 < hi - lo <= size for lo, hi in blocks)
+    # no size: _BLOCK, as it is when called
+    monkeypatch.setattr(_numerics, "_BLOCK", 5)
+    assert list(_blocks(count)) == list(_blocks(count, 5))
 
 
 @pytest.mark.parametrize("series, low", [(Interferogram, 0.0), (CorrelationTrace, -1.0)])

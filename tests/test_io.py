@@ -11,6 +11,7 @@ from noonspec import (
     NonUniformGridError,
     RecoveredSpectrum,
     FrequencyGrid,
+    Interferogram,
     ScalingStudy,
     SumFrequencySpectrum,
     TimeGrid,
@@ -55,6 +56,19 @@ def test_trace_roundtrip(tmp_path, spectrum):
     back_bom = io.read_trace_csv(bom)
     assert back_bom.grid == back.grid
     np.testing.assert_array_equal(back_bom.values, trace.values)
+
+
+@pytest.mark.parametrize("rows", [2, 4095, 4096, 4097, 12293])
+def test_correlation_csv_has_the_bytes_of_the_trace_csv(tmp_path, rows):
+    # G made a block of rows at a time from P, across the 4,096-row blocks
+    # of a two-column write; P = 0 and 1 give G = -1 and +1
+    assert io._BLOCK_VALUES // 2 == 4096
+    p = np.random.default_rng(rows).uniform(0.0, 1.0, rows)
+    p[::5], p[1::5] = 0.0, 1.0
+    interferogram = Interferogram(centered_time_grid(5e-4, rows), p)
+    io.write_correlation_csv(tmp_path / "g.csv", interferogram)
+    io.write_trace_csv(tmp_path / "trace.csv", correlation_trace(interferogram))
+    assert (tmp_path / "g.csv").read_bytes() == (tmp_path / "trace.csv").read_bytes()
 
 
 def test_trace_header_rejected(tmp_path):
