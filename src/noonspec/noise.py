@@ -10,8 +10,8 @@ Randomness is drawn from counter-based Philox streams keyed by
 (seed, stream): one draw per stream gives every bin its uniform, the bin
 index selecting the position inside the stream. Each bin's count is the
 binomial quantile of its uniform, the value ``scipy.stats.binom.ppf``
-returns. The streams drawn together (one for :func:`sample_counts`, a
-trial count's repeats in a study worker) share each bin's n and p, so one
+returns. The streams drawn together (one for :func:`sample_counts`, all
+of a trial count's repeats in a study) share each bin's n and p, so one
 table of the CDF per bin, anchored by one CDF and one PMF evaluation and
 run on by the PMF's ratio recurrence, settles most of their draws. The
 tables return one mask of settled draws; an exact stepping search on the
@@ -30,15 +30,22 @@ back to ``binom.cdf`` and ``binom.pmf`` themselves).
 
 The scaling study runs its keyed (trial count, repeat) streams on every
 CPU this process may run on, one forked worker per CPU (in this process
-where there is no ``os.fork``); a worker carries its streams of one trial
-count as one block of arrays from the draw to the folded spectra, with no
-object per stream. The results go back in stream order, so the output
-does not depend on the number of workers.
+where there is one CPU or no ``os.fork``), in two rounds of one pool. In
+the draw round each worker draws a contiguous range of delay bins of
+every stream, so each bin's CDF table is built once per trial count. The
+counts go into one anonymous mapping that the workers share, as uint32,
+4 B a draw (2.46 MB for 3 trial counts x 50 repeats x 4096 bins); like
+the workers' own arrays, it lies outside ``tracemalloc``. In the peak
+round each worker takes every W-th repeat (W workers) and carries each
+trial count's share as one block of arrays from the estimate to the
+folded spectra, with no object per stream. The results go back in stream
+order, so the output does not depend on the number of workers.
 ``multiprocessing`` loads only when a study forks.
 """
 from __future__ import annotations
 
 import math
+import mmap
 import os
 from dataclasses import dataclass, replace
 from functools import partial
@@ -124,12 +131,15 @@ class CountData:
         return self.grid.count
 
 
-def _keyed_uniforms(seed: int, stream: int, n: int) -> np.ndarray:
-    """The first ``n`` uniforms of the Philox stream keyed by (seed, stream)."""
+def _keyed_uniforms(seed: int, stream: int, n: int, start: int = 0) -> np.ndarray:
+    """Uniforms ``start`` to ``n - 1`` of the Philox stream keyed by (seed, stream)."""
     # here, not at module level: simulate without noise and recover never draw
     from numpy.random import Generator, Philox
 
-    return Generator(Philox(key=np.array([seed, stream], dtype=np.uint64))).random(n)
+    bitgen = Philox(key=np.array([seed, stream], dtype=np.uint64))
+    # one Philox4x64 step is four doubles: skip whole steps, then drop the rest
+    bitgen.advance(start // 4)
+    return Generator(bitgen).random(n - start // 4 * 4)[start % 4 :]
 
 
 def _clipped(binom_ufunc, k: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
@@ -377,26 +387,31 @@ def _sample_streams(
     config: NoiseConfig,
     streams: Sequence[int],
     chunk_size: int | None = None,
+    bins: tuple | None = None,
+    out: np.ndarray | None = None,
 ) -> tuple:
-    """The int64 counts of ``streams`` drawn as one block, and the clamp flag.
+    """The counts of ``streams`` drawn as one block, and the clamp flag.
 
-    The streams share every bin's n and p, so they share its CDF table
-    (see :func:`_binomial_quantile`); each count is still a pure function
-    of (seed, stream, bin).
+    ``bins`` = (lo, hi) draws the delay bins [lo, hi) alone, all of them
+    when None. The counts go into ``out``, one row per stream and one
+    column per bin, or into a new int64 array when None. The streams share
+    every bin's n and p, so they share its CDF table (see
+    :func:`_binomial_quantile`); each count is still a pure function of
+    (seed, stream, bin).
     """
-    p_raw = config.efficiency**2 * np.asarray(interferogram.values) + config.dark_rate
+    lo, hi = bins or (0, interferogram.grid.count)
+    p_raw = config.efficiency**2 * np.asarray(interferogram.values)[lo:hi] + config.dark_rate
     clamped = bool(np.any(p_raw > 1.0))
     p = np.clip(p_raw, 0.0, 1.0)
 
-    nbins = interferogram.grid.count
     if chunk_size is None:
-        chunk_size = nbins
+        chunk_size = hi - lo
     elif chunk_size < 1:
         raise ValueError("chunk_size must be positive")
-    u = np.array([_keyed_uniforms(config.seed, stream, nbins) for stream in streams])
-    counts = np.empty(u.shape, dtype=np.int64)
-    for lo, hi in _blocks(nbins, chunk_size):
-        block = slice(lo, hi)
+    u = np.array([_keyed_uniforms(config.seed, stream, hi, lo) for stream in streams])
+    counts = np.empty(u.shape, dtype=np.int64) if out is None else out
+    for a, b in _blocks(hi - lo, chunk_size):
+        block = slice(a, b)
         counts[:, block] = _binomial_quantile(u[:, block], config.pairs_per_bin, p[block])
     return counts, clamped
 
@@ -494,22 +509,44 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
-def _peaks(pattern: Interferogram, config: NoiseConfig, n_trials, streams, chunk_size):
-    """(center, height) of the strongest non-DC bin of each stream's folded
-    spectrum, parabolically refined. Row i of ``streams`` is drawn at
-    ``n_trials[i]`` pairs per bin, then estimated, transformed and folded as one block."""
-    rows = np.empty(streams.shape + (2,))
-    for pairs, keys, out in zip(n_trials, streams, rows):
+def _draw_bins(study: tuple, lo: int, hi: int) -> None:
+    """The draw round over the delay bins [lo, hi): every stream of every
+    trial count, into the study's uint32 counts, so each bin's CDF table
+    is built once per trial count."""
+    pattern, config, n_trials, streams, chunk_size, counts = study
+    for pairs, keys, out in zip(n_trials, streams, counts):
         cfg = replace(config, pairs_per_bin=pairs)
-        counts, _ = _sample_streams(pattern, cfg, keys, chunk_size)
-        g = _estimated(counts, pairs, cfg.efficiency, cfg.dark_rate)
+        _sample_streams(pattern, cfg, keys, chunk_size, (lo, hi), out[:, lo:hi])
+
+
+def _peak_rows(study: tuple, share: slice) -> np.ndarray:
+    """The peak round on the columns ``share`` of the study's streams:
+    (center, height) of the strongest non-DC bin of each stream's folded
+    spectrum, parabolically refined. A trial count's streams are estimated
+    from their drawn counts, transformed and folded as one block."""
+    pattern, config, n_trials, _, _, counts = study
+    rows = np.empty(counts[:, share].shape[:2] + (2,))
+    for pairs, drawn, out in zip(n_trials, counts[:, share], rows):
+        g = _estimated(drawn, pairs, config.efficiency, config.dark_rate)
         grid, amp = _transformed(g, pattern.grid)
         for row, w in zip(out, _folded(amp, grid.index_of(0.0))):
             i = 1 + int(np.argmax(w[1:]))
             delta, height = _refined(w, i)
             row[:] = (i + delta) * grid.step, height
-        del counts, g, amp  # not held through the next draw: 52 MB on a 2**16 grid
+        del g, amp  # not held through the next estimate: 52 MB on a 2**16 grid
     return rows
+
+
+def _peaks(pattern: Interferogram, config: NoiseConfig, n_trials, streams, chunk_size):
+    """The refined (center, height) of each stream, both rounds in this
+    process. Row i of ``streams`` is drawn at ``n_trials[i]`` pairs per bin."""
+    # in an anonymous mapping, as in a pooled study, so both paths hold the
+    # counts outside the heap; it is unmapped with its last view
+    shape = streams.shape + (pattern.grid.count,)
+    counts = np.frombuffer(mmap.mmap(-1, 4 * math.prod(shape)), dtype=np.uint32).reshape(shape)
+    study = (pattern, config, n_trials, streams, chunk_size, counts)
+    _draw_bins(study, 0, pattern.grid.count)
+    return _peak_rows(study, slice(None))
 
 
 def _end_with(parent: int) -> None:
@@ -530,14 +567,37 @@ def _end_with(parent: int) -> None:
     threading.Thread(target=watch, daemon=True).start()
 
 
-def _all_peaks(pattern, config, n_trials, streams, chunk_size) -> np.ndarray:
-    """``_peaks`` of ``streams``, its columns split in one interleaved share per CPU.
+# a forked study worker's study: its inputs, then its view of the shared counts
+_study = None
 
-    Each share is one task of a forked worker while this process waits;
-    the rows come back in stream order, so they do not depend on the split.
-    With one CPU, one repeat or no ``os.fork`` the streams run here. A worker's
-    exception is raised here; a worker that dies raises ``ChildProcessError``,
-    and the workers exit when this process dies (``_end_with``).
+
+def _start_worker(parent: int, inputs: tuple, buf, shape: tuple) -> None:
+    """The initializer of a study worker, whose arguments reach it by fork."""
+    global _study
+    _end_with(parent)
+    _study = inputs + (np.frombuffer(buf, dtype=np.uint32).reshape(shape),)
+
+
+def _in_worker(task, *indices):
+    """``task`` on this worker's study and the task's ``indices``."""
+    return task(_study, *indices)
+
+
+def _all_peaks(pattern, config, n_trials, streams, chunk_size) -> np.ndarray:
+    """``_peaks`` of ``streams``, on one forked worker per CPU.
+
+    The study runs in two rounds of one pool, each split along the axis its
+    work shares. The draw round gives each worker a contiguous range of
+    delay bins of every stream, so each bin's CDF table is built once per
+    trial count, and the workers write their counts into one shared
+    anonymous mapping. The peak round gives each worker every W-th repeat
+    (W workers) of each trial count, whole rows, to estimate, transform
+    and fold; the rows come back in stream order, so they do not depend on
+    the split. Tasks carry indices alone: the inputs and the mapping reach
+    the workers by fork. With one CPU, one repeat or no ``os.fork`` both
+    rounds run here. A worker's exception is raised here; a worker that
+    dies raises ``ChildProcessError``, and the workers exit when this
+    process dies (``_end_with``).
     """
     workers = min(_workers(), streams.shape[1])
     if workers == 1 or not hasattr(os, "fork"):
@@ -548,18 +608,24 @@ def _all_peaks(pattern, config, n_trials, streams, chunk_size) -> np.ndarray:
     from multiprocessing import get_context
 
     _binomial_ufuncs()  # loaded once here, not in every worker on every call
+    nbins = pattern.grid.count
+    shape = streams.shape + (nbins,)
+    edges = [nbins * w // workers for w in range(workers + 1)]
+    shares = [slice(w, None, workers) for w in range(workers)]
     rows = np.empty(streams.shape + (2,))
-    shares = [streams[:, w::workers] for w in range(workers)]
-    run = partial(_peaks, pattern, config, n_trials, chunk_size=chunk_size)
+    inputs = (pattern, config, n_trials, streams, chunk_size)
     try:
-        with ProcessPoolExecutor(
+        # this process makes no view of the mapping, so it always closes
+        with mmap.mmap(-1, 4 * math.prod(shape)) as buf, ProcessPoolExecutor(
             workers,
             mp_context=get_context("fork"),
-            initializer=_end_with,
-            initargs=(os.getpid(),),
+            initializer=_start_worker,
+            initargs=(os.getpid(), inputs, buf, shape),
         ) as pool:
-            for w, share_rows in enumerate(pool.map(run, shares)):
-                rows[:, w::workers] = share_rows
+            # each round ends when its last task does, and raises a worker's exception
+            list(pool.map(partial(_in_worker, _draw_bins), edges[:-1], edges[1:]))
+            for share, share_rows in zip(shares, pool.map(partial(_in_worker, _peak_rows), shares)):
+                rows[:, share] = share_rows
     except BrokenProcessPool as exc:
         raise ChildProcessError(f"a noise-study worker process died: {exc}") from exc
     return rows
@@ -584,7 +650,12 @@ def error_scaling_study(
     for a stable estimate.
 
     The streams run in forked workers, one per CPU this process may run
-    on (serially where there is one CPU or no ``os.fork``); each stream's
+    on (serially where there is one CPU or no ``os.fork``), in two rounds.
+    The draw round splits the delay bins, so every bin's CDF table serves
+    all the repeats of a trial count once; the workers write the counts
+    into one shared anonymous mapping, 4 B a draw, which ``tracemalloc``
+    does not see. The peak round splits the repeats, each worker
+    estimating, transforming and folding every W-th one. Each stream's
     result is a pure function of its key, so the study is bit-identical
     for any number of workers.
     """

@@ -199,10 +199,25 @@ def _refined(signal: np.ndarray, i: int) -> tuple:
 def _local_maxima(x: np.ndarray) -> np.ndarray:
     """Midpoints of the runs of equal samples that rise from the left and
     fall to the right; a run touching either edge is never a maximum."""
-    changes = np.flatnonzero(x[1:] != x[:-1])
-    rising = (x[1:] > x[:-1])[changes]
-    top = np.flatnonzero(rising[:-1] & ~rising[1:])
-    return (changes[top] + 1 + changes[top + 1]) // 2
+    rise = x[1:] > x[:-1]
+    # a pair that neither rises nor holds falls, as a pair with a NaN does
+    fall = x[1:] >= x[:-1]
+    np.logical_not(fall, out=fall)
+    # a run of equal pairs first..last holds the samples first..last + 1;
+    # the equal pairs alone locate the runs, without an index per sample
+    equal = np.flatnonzero(x[1:] == x[:-1])
+    first = equal[np.diff(equal, prepend=-2) > 1]
+    last = equal[np.diff(equal, append=x.size) > 1]
+    inner = (first > 0) & (last < x.size - 2)
+    first, last = first[inner], last[inner]
+    runs = (first + last + 1)[rise[first - 1] & fall[last + 1]] // 2
+    # sample i is a maximum where pair i - 1 rises and pair i falls, or
+    # where a run that rises into it and falls out of it has its midpoint
+    top = np.logical_and(rise[:-1], fall[1:], out=rise[:-1])
+    top[runs - 1] = True
+    peaks = np.flatnonzero(top)
+    peaks += 1
+    return peaks
 
 
 def _prominences(x: np.ndarray, peaks: np.ndarray) -> np.ndarray:

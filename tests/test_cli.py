@@ -1,5 +1,6 @@
 import json
 import math
+import mmap
 import os
 import re
 import shutil
@@ -1042,6 +1043,8 @@ class TestNoiseStudy:
         assert all(run == scaling["whole"] for run in scaling.values())
 
     @fork_only
+    # the draw round calls _sample_streams, the peak round _estimated
+    @pytest.mark.parametrize("step", ["_sample_streams", "_estimated"], ids=["draw", "peaks"])
     @pytest.mark.parametrize(
         "fail, line",
         [
@@ -1051,20 +1054,32 @@ class TestNoiseStudy:
         ],
         ids=["raises", "dies"],
     )
-    def test_worker_failure_exits_2_with_one_line(self, tmp_path, capsys, monkeypatch, fail, line):
-        def draw(*args, **kwargs):
+    def test_worker_failure_exits_2_with_one_line(
+        self, tmp_path, capsys, monkeypatch, step, fail, line
+    ):
+        def failed(*args, **kwargs):
             if fail is None:
                 os._exit(1)
             raise fail
 
+        made = []
+
+        class Noted(mmap.mmap):
+            def __new__(cls, *args):
+                made.append(super().__new__(cls, *args))
+                return made[-1]
+
+        monkeypatch.setattr(mmap, "mmap", Noted)
         monkeypatch.setattr(noise, "_workers", lambda: 2)
-        monkeypatch.setattr(noise, "_sample_streams", draw)
+        monkeypatch.setattr(noise, step, failed)
         out = tmp_path / "study"
         argv = ["noise-study", "--preset", "noise-gauss", "--repeats", "2", "--out", str(out)]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(line) and err.count("\n") == 1
         assert not out.exists()
+        # the shared counts' mapping is closed on the way out
+        assert len(made) == 1 and made[0].closed
 
 
 class TestExitCodes:

@@ -79,6 +79,28 @@ class TestSampleCounts:
         other_stream = sample_counts(pattern, cfg, stream=1)
         assert not np.array_equal(other_stream.coincidences, full.coincidences)
 
+    @pytest.mark.parametrize("start", [0, 1, 3, 4, 2047])
+    def test_uniforms_of_a_bin_range_are_the_slice_of_the_stream(self, start):
+        # one Philox4x64 step is four doubles: a range skips whole steps
+        full = _keyed_uniforms(5, 3, 4099)
+        for n in (start, start + 1, start + 5, 4099):
+            np.testing.assert_array_equal(_keyed_uniforms(5, 3, n, start), full[start:n])
+
+    def test_a_bin_range_draws_the_slice_of_the_whole_draw(self):
+        pattern = small_interferogram(64)
+        cfg = NoiseConfig(pairs_per_bin=500, seed=42, efficiency=0.9)
+        whole, _ = noise._sample_streams(pattern, cfg, [0, 5, 9])
+        for lo, hi in [(0, 64), (1, 4), (3, 64), (63, 64), (10, 10)]:
+            for chunk in (None, 7):
+                part, _ = noise._sample_streams(pattern, cfg, [0, 5, 9], chunk, (lo, hi))
+                np.testing.assert_array_equal(part, whole[:, lo:hi])
+        # into a given array, as a study draws into its uint32 counts
+        out = np.zeros((3, 70), dtype=np.uint32)
+        drawn, _ = noise._sample_streams(pattern, cfg, [0, 5, 9], 7, (3, 64), out[:, 5:66])
+        assert drawn.base is out
+        np.testing.assert_array_equal(out[:, 5:66], whole[:, 3:])
+        assert not out[:, :5].any() and not out[:, 66:].any()
+
     def test_non_positive_chunk_size_rejected(self):
         pattern = small_interferogram()
         cfg = NoiseConfig(pairs_per_bin=100, seed=1)
@@ -684,8 +706,19 @@ class TestStudyBlocks:
         assert "broken by 1.000e-03" in str(block.value)
 
 
+# 3 trial counts x 5 repeats on 256 bins
+STUDY = dict(
+    spectrum=gaussian_pump_spectrum(make_frequency_grid(738.25, 0.004, 201), 738.65, 0.3),
+    trial_counts=[300, 900, 2700],
+    repeats=5,
+    config=NoiseConfig(pairs_per_bin=200, seed=31),
+    grid=centered_time_grid(5e-4, 256),
+)
+
+
 class TestWorkers:
-    """The study's streams split over forked workers, one per usable CPU."""
+    """The study's two rounds split over forked workers, one per usable CPU:
+    the draw by delay bins, the estimate, transform and fold by repeats."""
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
     def test_workers_are_the_cpus_this_process_may_run_on(self):
@@ -700,39 +733,61 @@ class TestWorkers:
     @fork_only
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_any_worker_count_gives_the_same_study(self, tmp_path, monkeypatch, workers):
-        # 3 trial counts x 5 repeats: 15 jobs, unequal shares for 2 workers
-        grid = make_frequency_grid(738.25, 0.004, 201)
-        spec = gaussian_pump_spectrum(grid, 738.65, 0.3)
-        kwargs = dict(
-            spectrum=spec,
-            trial_counts=[300, 900, 2700],
-            repeats=5,
-            config=NoiseConfig(pairs_per_bin=200, seed=31),
-            grid=centered_time_grid(5e-4, 256),
-        )
+        # 3 trial counts x 5 repeats: 15 streams, unequal shares for 2 workers
         monkeypatch.setattr(noise, "_workers", lambda: 1)
-        serial = error_scaling_study(**kwargs)
-        # each drawn (trial count, stream) notes the process that drew it, in
-        # a file a worker can append to
+        serial = error_scaling_study(**STUDY)
+        # each drawn (trial count, stream, bin range) notes the process that
+        # drew it, in a file a worker can append to
         log = tmp_path / "draws"
         draw = noise._sample_streams
 
-        def noted(pattern, config, streams, *args, **kw):
+        def noted(pattern, config, streams, chunk_size=None, bins=None, out=None):
+            lo, hi = bins or (0, pattern.grid.count)
             with open(log, "a") as fh:
-                fh.writelines(f"{os.getpid()} {config.pairs_per_bin} {s}\n" for s in streams)
-            return draw(pattern, config, streams, *args, **kw)
+                fh.writelines(f"{os.getpid()} {config.pairs_per_bin} {s} {lo} {hi}\n" for s in streams)
+            return draw(pattern, config, streams, chunk_size, bins, out)
 
         monkeypatch.setattr(noise, "_sample_streams", noted)
         monkeypatch.setattr(noise, "_workers", lambda: workers)
-        study = error_scaling_study(**kwargs)
+        study = error_scaling_study(**STUDY)
         for field in ("n_trials", "std_height", "std_center"):
             np.testing.assert_array_equal(getattr(study, field), getattr(serial, field))
-        pids, *draws = zip(*(line.split() for line in log.read_text().splitlines()))
-        assert len(pids) == 15 and len(set(zip(*draws))) == 15
+        lines = [line.split() for line in log.read_text().splitlines()]
+        pids = {pid for pid, *_ in lines}
+        # every (trial count, stream, bin) is drawn exactly once
+        drawn = [(pairs, s, b) for _, pairs, s, lo, hi in lines for b in range(int(lo), int(hi))]
+        bins = STUDY["grid"].count
+        assert len(drawn) == len(set(drawn)) == 3 * 5 * bins
+        assert {(pairs, s) for pairs, s, _ in drawn} == {
+            (str(pairs), str(s)) for pairs, s in zip(np.repeat([300, 900, 2700], 5), range(15))
+        }
         if workers == 1:
-            assert set(pids) == {str(os.getpid())}
+            assert pids == {str(os.getpid())}
         else:
-            assert len(set(pids)) == workers and str(os.getpid()) not in pids
+            assert len(pids) == workers and str(os.getpid()) not in pids
+
+    @fork_only
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_a_pooled_study_builds_the_serial_tables(self, tmp_path, monkeypatch, workers):
+        # the draw round splits the bins, not the repeats, so the workers
+        # together build each bin's CDF table once per trial count, as the
+        # serial study does; a split of the repeats built it once per worker
+        log = tmp_path / "columns"
+        build = noise._cdf_table
+
+        def noted(kmin, *args):
+            with open(log, "a") as fh:
+                fh.write(f"{kmin.size}\n")
+            return build(kmin, *args)
+
+        monkeypatch.setattr(noise, "_cdf_table", noted)
+        columns = []
+        for count in (1, workers):
+            monkeypatch.setattr(noise, "_workers", lambda: count)
+            error_scaling_study(**STUDY)
+            columns.append(sum(map(int, log.read_text().split())))
+            log.unlink()
+        assert columns[1] == columns[0] > 0
 
     @fork_only
     @pytest.mark.skipif(
@@ -788,14 +843,7 @@ class TestWorkers:
 
     def test_without_os_fork_the_study_runs_here(self, tmp_path, monkeypatch):
         # a platform without os.fork (Windows) takes the serial path, whatever the CPUs
-        grid = make_frequency_grid(738.25, 0.004, 201)
-        kwargs = dict(
-            spectrum=gaussian_pump_spectrum(grid, 738.65, 0.3),
-            trial_counts=[300, 900],
-            repeats=3,
-            config=NoiseConfig(pairs_per_bin=200, seed=31),
-            grid=centered_time_grid(5e-4, 256),
-        )
+        kwargs = dict(STUDY, trial_counts=[300, 900], repeats=3)
         monkeypatch.setattr(noise, "_workers", lambda: 1)
         serial = error_scaling_study(**kwargs)
         pids = []

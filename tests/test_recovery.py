@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -421,6 +422,22 @@ signals = st.one_of(
         st.integers(0, 80), st.integers(0, 2**32 - 1), st.booleans(),
     ),
 )
+# NaN and infinite samples among plateaus, and signed zeros that compare equal
+special_signals = st.lists(
+    st.sampled_from([0.0, -0.0, 1.0, 2.0, math.inf, -math.inf, math.nan]), max_size=40
+).map(_floats)
+
+
+def changes_local_maxima(x):
+    """The local maxima from the index of every change between neighbours:
+    the midpoint of each run that a rising change starts and a falling
+    one (or one with a NaN) ends."""
+    changes = np.flatnonzero(x[1:] != x[:-1])
+    rising = (x[1:] > x[:-1])[changes]
+    top = np.flatnonzero(rising[:-1] & ~rising[1:])
+    return (changes[top] + 1 + changes[top + 1]) // 2
+
+
 # whole numbers meet the prominences of integer signals exactly
 prominences = st.one_of(
     st.sampled_from([5e-324, 1e-300, 1e-12, 1.0, 2.0]), st.floats(1e-3, 5.0)
@@ -459,6 +476,21 @@ class TestPeakFinder:
     @example(x=_floats([0, 1, 0, 3, 2, 3, 0]), min_prominence=1.0)
     def test_matches_scipy(self, x, min_prominence):
         assert_same_peaks(x, min_prominence)
+
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(x=st.one_of(signals, special_signals))
+    @example(x=_floats([0, 1, 1, 0, 2, 2, 2, 1]))
+    @example(x=_floats([1, math.nan, 0, 2, math.nan]))
+    def test_local_maxima_equal_the_change_rule(self, x):
+        got, want = _local_maxima(x), changes_local_maxima(x)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_local_maxima_hold_no_index_per_sample(self, simulated):
+        # the comb5 folded spectrum: 32,769 bins, no plateau and about
+        # 10,000 maxima; an int64 index per change read 18.8 B a sample
+        x = folded_weights(simulated / "comb5" / "trace.csv")
+        assert np.all(x[1:] != x[:-1])
+        assert peak_above_inputs(lambda: _local_maxima(x)) < 10 * x.size
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(x=signals)
