@@ -18,9 +18,12 @@ tables return one mask of settled draws; an exact stepping search on the
 CDF runs on the open ones alone, and binom.ppf's ``u <= pmf(0)`` rule on
 every draw at k = 1 (pmf(0) may exceed cdf(0) by an ulp). Each count is
 therefore a pure function of (seed, stream, bin): however the bins are
-split into blocks (``chunk_size``, which also bounds the sampler's
-memory) and whichever streams share a table, the counts are
-bit-identical. A :class:`ScalingStudy` is columnar too, one per trial count.
+split into blocks and whichever streams share a table, the counts are
+bit-identical. The sampler walks the bins in blocks of at most
+``_DRAW_BINS``, each drawing its own uniforms from its start bin, so its
+memory beyond the counts does not grow with the grid; ``chunk_size`` only
+splits a block more finely. A :class:`ScalingStudy` is columnar too, one
+per trial count.
 
 The CDF and PMF are the ``scipy.special`` ufuncs behind ``binom.cdf``
 and ``binom.pmf``, loaded on the first draw as ``numpy.random`` is, so
@@ -186,6 +189,10 @@ _TABLE_CELLS = 1 << 16
 # a bin whose table would span more cells than this per draw gives each
 # draw a three-cell table of its own (at 2**31 pairs a span is ~1e5 cells)
 _CELLS_PER_DRAW = 128
+# bins per block of the count sampler's walk: a block's uniforms,
+# probabilities and quantile arrays span this many bins of each stream, and
+# a study worker's share of the preset's 4096 bins is one block
+_DRAW_BINS = 4096
 # the table's rounding, per cell, in units of eps: 16 times eps/2, against
 # at most 0.29 eps per cell measured against long double
 _TABLE_ROUNDING = 8
@@ -386,34 +393,31 @@ def _sample_streams(
     interferogram: Interferogram,
     config: NoiseConfig,
     streams: Sequence[int],
+    out: np.ndarray,
     chunk_size: int | None = None,
-    bins: tuple | None = None,
-    out: np.ndarray | None = None,
-) -> tuple:
-    """The counts of ``streams`` drawn as one block, and the clamp flag.
+    lo: int = 0,
+) -> bool:
+    """Draw the counts of ``streams`` into ``out``; return the clamp flag.
 
-    ``bins`` = (lo, hi) draws the delay bins [lo, hi) alone, all of them
-    when None. The counts go into ``out``, one row per stream and one
-    column per bin, or into a new int64 array when None. The streams share
-    every bin's n and p, so they share its CDF table (see
-    :func:`_binomial_quantile`); each count is still a pure function of
-    (seed, stream, bin).
+    ``out`` holds one row per stream and one column per delay bin, from bin
+    ``lo`` on. The bins are walked in blocks of at most ``_DRAW_BINS``;
+    each block draws its streams' uniforms and its probabilities, and
+    ``chunk_size`` (all of a block when None) splits its quantiles
+    further. The streams share every bin's n and p, so they share its CDF
+    table (see :func:`_binomial_quantile`); each count is still a pure
+    function of (seed, stream, bin).
     """
-    lo, hi = bins or (0, interferogram.grid.count)
-    p_raw = config.efficiency**2 * np.asarray(interferogram.values)[lo:hi] + config.dark_rate
-    clamped = bool(np.any(p_raw > 1.0))
-    p = np.clip(p_raw, 0.0, 1.0)
-
-    if chunk_size is None:
-        chunk_size = hi - lo
-    elif chunk_size < 1:
+    if chunk_size is not None and chunk_size < 1:
         raise ValueError("chunk_size must be positive")
-    u = np.array([_keyed_uniforms(config.seed, stream, hi, lo) for stream in streams])
-    counts = np.empty(u.shape, dtype=np.int64) if out is None else out
-    for a, b in _blocks(hi - lo, chunk_size):
-        block = slice(a, b)
-        counts[:, block] = _binomial_quantile(u[:, block], config.pairs_per_bin, p[block])
-    return counts, clamped
+    clamped = False
+    for a, b in _blocks(out.shape[1], _DRAW_BINS):
+        u = np.array([_keyed_uniforms(config.seed, s, lo + b, lo + a) for s in streams])
+        p = config.efficiency**2 * interferogram.values[lo + a : lo + b] + config.dark_rate
+        clamped |= bool(np.any(p > 1.0))
+        np.clip(p, 0.0, 1.0, out=p)
+        for c, d in _blocks(b - a, chunk_size or _DRAW_BINS):
+            out[:, a + c : a + d] = _binomial_quantile(u[:, c:d], config.pairs_per_bin, p[c:d])
+    return clamped
 
 
 def sample_counts(
@@ -430,13 +434,18 @@ def sample_counts(
     table of ``binom.cdf`` built from one CDF and one PMF per bin (see
     :func:`_binomial_quantile`), to give what ``binom.ppf`` gives. This is
     the one-stream draw of the block that a study draws for each trial
-    count. It is deterministic and partition-independent: it runs on
-    blocks of ``chunk_size`` bins (all at once when None), which also
-    bounds its memory, without changing a bit. ``stream`` distinguishes
-    repeated experiments under the same seed.
+    count. It is deterministic and partition-independent: it walks the
+    bins in blocks of at most ``_DRAW_BINS``, which bounds its memory
+    beyond the two columns, and ``chunk_size`` only splits those blocks
+    further, without changing a bit. ``stream`` distinguishes repeated
+    experiments under the same seed.
     """
-    (row,), clamped = _sample_streams(interferogram, config, [stream], chunk_size)
-    return CountData(interferogram.grid, row, np.full_like(row, config.pairs_per_bin), clamped)
+    row = np.empty(interferogram.grid.count, dtype=np.int64)
+    clamped = _sample_streams(interferogram, config, [stream], row[None], chunk_size)
+    pairs_sent = np.full_like(row, config.pairs_per_bin)
+    for column in (row, pairs_sent):
+        column.setflags(write=False)  # given up, so CountData keeps them without a copy
+    return CountData(interferogram.grid, row, pairs_sent, clamped)
 
 
 def estimate_trace(
@@ -450,6 +459,7 @@ def estimate_trace(
     ``efficiency`` and ``dark_rate`` follow :class:`NoiseConfig`'s rules.
     """
     g = _estimated(counts.coincidences, counts.pairs_sent, efficiency, dark_rate)
+    g.setflags(write=False)  # so CorrelationTrace keeps it without a copy
     return CorrelationTrace(counts.grid, g)
 
 
@@ -457,9 +467,12 @@ def _estimated(coincidences, pairs_sent, efficiency: float, dark_rate: float) ->
     """G_hat of :func:`estimate_trace`, elementwise."""
     _check_dark_rate(dark_rate)
     _check_efficiency(efficiency)
+    # the steps of (coincidences / pairs_sent - dark_rate) / efficiency**2, in place
+    p_hat = np.divide(coincidences, pairs_sent)
+    p_hat -= dark_rate
     with np.errstate(over="ignore"):  # an overflow to +-inf clips to the bound it passed
-        p_hat = np.clip((coincidences / pairs_sent - dark_rate) / efficiency**2, 0.0, 1.0)
-    return _correlation(p_hat, out=p_hat)
+        p_hat /= efficiency**2
+    return _correlation(np.clip(p_hat, 0.0, 1.0, out=p_hat), out=p_hat)
 
 
 @dataclass(frozen=True, eq=False)
@@ -516,7 +529,7 @@ def _draw_bins(study: tuple, lo: int, hi: int) -> None:
     pattern, config, n_trials, streams, chunk_size, counts = study
     for pairs, keys, out in zip(n_trials, streams, counts):
         cfg = replace(config, pairs_per_bin=pairs)
-        _sample_streams(pattern, cfg, keys, chunk_size, (lo, hi), out[:, lo:hi])
+        _sample_streams(pattern, cfg, keys, out[:, lo:hi], chunk_size, lo)
 
 
 def _peak_rows(study: tuple, share: slice) -> np.ndarray:

@@ -862,6 +862,22 @@ class TestVerbPeakMemory:
         )
         assert peak < 12 * count
 
+    def test_simulate_noise_gauss_at_2_18_delays(self, tmp_path):
+        # 9,242,776 bytes, 35.3 a delay, set by the writes: P, the two count
+        # columns and G_hat, 8 a delay each, and a writer's block. The
+        # sampler walks the bins in blocks of its own bound. Every bin's
+        # uniforms and probabilities made before the walk took 11.3 MB, 43
+        # bytes a delay, and the whole grid drawn as one block 33.1 MB, 126
+        count = 2**18
+        doc = preset_scenario("noise-gauss")
+        doc["time_grid"] = {"start_ps": -(count // 2) * 5e-4, "step_ps": 5e-4, "count": count}
+        args = ["simulate", "--config", str(write_config(tmp_path, doc)), "--out"]
+        assert main([*args, str(tmp_path / "warm")]) == 0
+        peak = max(
+            peak_above_inputs(lambda: main([*args, str(tmp_path / f"sim{i}")])) for i in range(3)
+        )
+        assert peak < 38 * count
+
     def test_recover_tpa3_trace(self, tmp_path):
         # 1,927,048 bytes, set by feature detection and the recovered.csv
         # write: the spectrum (1.05 MB), its fold and the writer's block.
@@ -1040,6 +1056,10 @@ class TestNoiseStudy:
         monkeypatch.setattr(noise, "_TABLE_CELLS", 40)
         assert main(argv + ["--out", str(tmp_path / "cells")]) == 0
         scaling["cells 40"] = (tmp_path / "cells" / "scaling.csv").read_bytes()
+        # and, with those tables, the sampler's walk in blocks of 99 bins, not 4096
+        monkeypatch.setattr(noise, "_DRAW_BINS", 99)
+        assert main(argv + ["--out", str(tmp_path / "walk")]) == 0
+        scaling["walk 99"] = (tmp_path / "walk" / "scaling.csv").read_bytes()
         assert all(run == scaling["whole"] for run in scaling.values())
 
     @fork_only
