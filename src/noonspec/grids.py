@@ -6,6 +6,13 @@ frequency axis and a delay axis differ only in their unit, so both are a
 :class:`UniformGrid`; ``FrequencyGrid`` and ``TimeGrid`` name the same
 class where a signature wants to say which axis it expects.
 
+Point k of a grid is ``start + step*k`` rounded one way, and
+:meth:`UniformGrid.points` is its one spelling: ``values`` is every
+point, a grid called on a row range ``(lo, hi)`` is its points there, as
+the CSV writer takes a column, and the synthesis' exact offsets of the
+points from their ideal values (:func:`_off_grid`) round them in the
+same order. No other module adds a grid's start to a multiple of its step.
+
 Every quantity on an axis is a column with one entry per grid point, and
 every series type checks its columns with one rule, :func:`_column`.
 """
@@ -15,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._numerics import _two_product
 from .errors import NonUniformGridError
 
 
@@ -45,14 +53,17 @@ class UniformGrid:
             # points this close round onto each other: the axis is degenerate
             raise ValueError(f"grid step {self.step} is below the float spacing of its points")
 
-    @property
-    def values(self) -> np.ndarray:
-        """The points, with the bits of ``start + step * np.arange(count)``
-        but one array held: float, scaled and shifted in place."""
-        v = np.arange(self.count, dtype=float)
+    def points(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Points ``lo`` to ``hi - 1`` (to the last when None), the one rule
+        for a point: the bits of ``start + step * np.arange(lo, hi)``, but
+        one array held, float, scaled and shifted in place."""
+        v = np.arange(lo, self.count if hi is None else hi, dtype=float)
         v *= self.step
         v += self.start
         return v
+
+    values = property(points)
+    __call__ = points  # a column of rows [lo, hi), as the CSV writer takes one
 
     @property
     def stop(self) -> float:
@@ -70,6 +81,27 @@ class UniformGrid:
 
     def __len__(self) -> int:
         return self.count
+
+
+def _off_grid(grid, lo: int, hi: int) -> np.ndarray:
+    """The points ``lo`` to ``hi - 1`` of ``grid``, as :meth:`UniformGrid.points`
+    rounds them, minus their exact values start + i step, up to one
+    rounding: the synthesis' first-order correction for the delays and
+    lines it writes. The points are formed here in ``points``' order, so
+    their bits are those of ``grid.points(lo, hi)``."""
+    off, ideal_err = _two_product(np.arange(lo, hi, dtype=float), grid.step)
+    v = off + grid.start
+    d = v - grid.start
+    z = d - v
+    # v - start = d + d_err exactly, d_err = (v - (d - z)) - (start + z)
+    np.subtract(d, off, out=off)
+    d -= z
+    v -= d
+    z += grid.start
+    v -= z
+    off += v
+    off -= ideal_err
+    return off
 
 
 FrequencyGrid = UniformGrid

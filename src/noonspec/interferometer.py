@@ -63,7 +63,7 @@ import numpy as np
 
 from ._numerics import _blocks, _cycles, _frac, _phasors, _two_product
 from .errors import AliasingError, NoSignalError, WindowTooShortError
-from .grids import TimeGrid, _column
+from .grids import TimeGrid, _column, _off_grid
 from .spectral import SumFrequencySpectrum
 
 DEFAULT_TIME_STEP = 5e-4  # ps; Nyquist-safe for the 740 THz band
@@ -147,25 +147,6 @@ def _span(n: int, m: int) -> int:
     return m if m <= _ONE_BLOCK * span else span
 
 
-def _off_grid(grid, lo: int, hi: int) -> np.ndarray:
-    """The float64 points ``start + step*i`` of a uniform grid (the bits of
-    ``grid.values[i]``) minus their exact values start + i step, for i in
-    [lo, hi), up to one rounding."""
-    off, ideal_err = _two_product(np.arange(lo, hi, dtype=float), grid.step)
-    v = off + grid.start
-    d = v - grid.start
-    z = d - v
-    # v - start = d + d_err exactly, d_err = (v - (d - z)) - (start + z)
-    np.subtract(d, off, out=off)
-    d -= z
-    v -= d
-    z += grid.start
-    v -= z
-    off += v
-    off -= ideal_err
-    return off
-
-
 def _chirp(lo: int, hi: int, rate, rate_err) -> np.ndarray:
     """The chirp phase (q^2/2) dnu dt mod 1 for q in [lo, hi), with
     rate + rate_err = dnu dt; q and -q give the same bits."""
@@ -217,7 +198,8 @@ def _transforms(spectrum, grid, rows):
 
 def _segment(fgrid, grid, lo: int, hi: int, size: int, delays) -> tuple:
     """The kernel's transform and the output chirp ``post`` of the output
-    block [lo, hi), with grid.values[lo:hi] written into ``delays``.
+    block [lo, hi), with the block's points ``grid.points(lo, hi)``
+    written into ``delays``.
 
     The kernel is the conjugate chirp of q = j - k over the block's
     q in (lo - n, hi), laid out for a circular convolution of length
@@ -229,8 +211,7 @@ def _segment(fgrid, grid, lo: int, hi: int, size: int, delays) -> tuple:
     kernel = np.zeros(size, dtype=complex)
     phase = _chirp(lo, hi, rate, rate_err)
     _phasors(phase, -1, kernel[: hi - lo])
-    np.multiply(np.arange(lo, hi), grid.step, out=delays)
-    delays += grid.start
+    delays[:] = grid.points(lo, hi)
     phase += _cycles(fgrid.start, delays)
     post = _phasors(_frac(phase), 1)
     # the n - 1 wrap points, q = lo - s at size - s

@@ -6,16 +6,18 @@ significant digits so a read-back is exact.
 In memory every series carries its grid; the one CSV reader,
 ``_read_columns``, returns the grid it infers (``grids.infer_grid``).
 Every CSV writer goes through one columnar writer, ``_write_columns``.
-Each column's format follows its dtype: ``%.17g`` for floats (and for a
-``UniformGrid``, which stands for its points), ``%d`` for integers; any
+A column is of one of two kinds: an array, sliced, or a function of a
+row range ``(lo, hi)``, called. A grid is a function of its rows, its
+points there (``grid(lo, hi)``), so no column is special. Each column's
+format follows its dtype: ``%.17g`` for floats, ``%d`` for integers; any
 other dtype is refused. The bytes are those of formatting each value on
 its own with ``'%.17g' % x`` or ``'%d' % n``, but the writer formats
 blocks of whole rows in numpy, ``_BLOCK_VALUES // width`` rows (at least
 one) at a time. Its memory is bounded by the block: a grid, the modulus
 column of ``recovered.csv`` and the G = 2P - 1 column of a ``trace.csv``
-written from P are evaluated on the block's rows alone. Every value
-takes one path, integers as floats: an integer with |n| < 2**53 is exact
-as a double, and its ``'%d'`` text is the double's ``'%.17g'`` text.
+written from P are functions, evaluated on the block's rows alone. Every
+value takes one path, integers as floats: an integer with |n| < 2**53 is
+exact as a double, and its ``'%d'`` text is the double's ``'%.17g'`` text.
 
 - A float with 1e-280 <= |x| <= 1e280 gets its 17 significant digits
   from N = round(|x| * 10**(16 - X)), X = floor(log10 |x|). X is exact:
@@ -71,7 +73,7 @@ from pathlib import Path
 import numpy as np
 
 from ._numerics import _SPLIT, _blocks, _split
-from .grids import UniformGrid, infer_grid
+from .grids import infer_grid
 from .interferometer import CorrelationTrace, Interferogram, _correlation
 from .noise import CountData, ScalingStudy
 from .recovery import RecoveredSpectrum
@@ -305,17 +307,6 @@ def _fill_slots(x: np.ndarray, slots: np.ndarray) -> np.ndarray:
     return exact
 
 
-def _column_block(column, lo: int, hi: int) -> np.ndarray:
-    """Rows ``[lo, hi)`` of a column; a grid is evaluated on them alone,
-    with the bits of ``grid.values[lo:hi]``, and a function of the rows is
-    called on them."""
-    if isinstance(column, UniformGrid):
-        return column.start + column.step * np.arange(lo, hi)
-    if callable(column):
-        return column(lo, hi)
-    return column[lo:hi]
-
-
 def _put_text(slots: np.ndarray, at: np.ndarray, texts: list) -> None:
     """Fill the slots ``at`` with ``texts``, keeping only their separators."""
     if at.size:
@@ -325,7 +316,7 @@ def _put_text(slots: np.ndarray, at: np.ndarray, texts: list) -> None:
 
 def _block_text(columns: list, lo: int, hi: int) -> bytes:
     """The CSV text of rows ``[lo, hi)`` of ``columns``."""
-    blocks = [_column_block(column, lo, hi) for column in columns]
+    blocks = [column(lo, hi) if callable(column) else column[lo:hi] for column in columns]
     width = len(blocks)
     slots = np.empty((_LANES, (hi - lo) * width), "<u8")
     x = slots[3].view(float)  # the values row by row, in the lane that ends the slots
@@ -351,14 +342,15 @@ def _block_text(columns: list, lo: int, hi: int) -> bytes:
 
 def _write_columns(path, header: str, columns) -> None:
     """Write equal-length columns as CSV rows. A column is a 1-D float or
-    integer array, a grid, or a function returning its rows ``[lo, hi)``
-    as floats; the first column is not a function."""
-    columns = [c if isinstance(c, UniformGrid) or callable(c) else np.asarray(c) for c in columns]
+    integer array, or a function returning its rows ``[lo, hi)`` as floats,
+    as a grid does. Every column with a length, a grid among them, must
+    have the first column's, so the first is not a bare function."""
+    columns = [c if callable(c) else np.asarray(c) for c in columns]
     n = len(columns[0])
-    if any(len(c) != n for c in columns if not callable(c)):
+    if any(len(c) != n for c in columns if hasattr(c, "__len__")):
         raise ValueError("CSV columns differ in length")
     for column in columns:  # refused before the file is opened
-        if not (isinstance(column, UniformGrid) or callable(column) or column.dtype.kind in "fiu"):
+        if not (callable(column) or column.dtype.kind in "fiu"):
             raise ValueError(f"cannot write a column of dtype {column.dtype} to CSV")
     rows = max(1, _BLOCK_VALUES // len(columns))
     with open(Path(path), "wb") as fh:

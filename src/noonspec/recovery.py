@@ -47,7 +47,7 @@ class RecoveredSpectrum:
     def zero_index(self) -> int:
         """The index of the DC bin: the grid point nearest zero, within 1e-9 steps of it."""
         idx = self.grid.index_of(0.0)
-        if abs(self.grid.start + idx * self.grid.step) > 1e-9 * self.grid.step:
+        if abs(self.grid.points(idx, idx + 1)[0]) > 1e-9 * self.grid.step:
             raise ValueError("recovered grid does not contain zero frequency")
         return idx
 
@@ -357,8 +357,7 @@ def detect_features(
         delta, height = _refined(signal, i)
         features.append(
             SpectralFeature(
-                # grid.values[i] without the axis: its bits
-                center=float((grid.start + grid.step * i) + delta * grid.step),
+                center=float(grid.points(i, i + 1)[0] + delta * grid.step),
                 height=float(height),
                 fwhm=float(w),
                 kind=kind,

@@ -17,8 +17,10 @@ from noonspec import (
     AliasingError,
     AsymmetryError,
     NonUniformGridError,
+    UniformGrid,
     WindowTooShortError,
     cli,
+    io,
     noise,
 )
 from noonspec.absorption import transmitted_spectrum
@@ -1535,6 +1537,100 @@ def test_fuzzed_trace_ends_in_a_documented_exit(tmp_path, capsys, data):
     assert len(err.encode()) <= 300
     assert out.exists() == (rc == 0)  # a failed run writes nothing
     shutil.rmtree(out, ignore_errors=True)  # tmp_path is shared by every example
+
+
+@st.composite
+def valid_scenarios(draw) -> dict:
+    """A gaussian or comb pump in the 1-40 THz band on 256 to 2048 delays
+    within Nyquist, with or without a sample of total strength at most 0.95
+    and with or without noise."""
+    start = draw(st.floats(1.0, 30.0))
+    count = draw(st.integers(64, 400))
+    step = draw(st.floats(1e-3, (40.0 - start) / (count - 1)))
+    stop = start + (count - 1) * step
+    width = stop - start
+
+    def line():  # a center inside the pump grid and a width of a few bins or more
+        return draw(st.floats(start, stop)), draw(st.floats(2 * step, max(2 * step, width / 4)))
+
+    grid = {"start_thz": start, "step_thz": step, "count": count}
+    if draw(st.booleans()):
+        center, fwhm = line()
+        pump = {"kind": "gaussian", "center_thz": center, "fwhm_thz": fwhm, "grid": grid}
+    else:
+        lines = [
+            dict(zip(("center_thz", "fwhm_thz"), line()), weight=draw(st.floats(0.1, 1.0)))
+            for _ in range(draw(st.integers(1, 4)))
+        ]
+        pump = {"kind": "comb", "grid": grid, "lines": lines}
+    t_step = draw(st.floats(0.05, 0.99)) / (2 * stop)  # below 1/(2 pump_max_thz)
+    t_count = draw(st.integers(256, 2048))
+    t_start = draw(st.floats(-t_count * t_step, 0.0))
+    doc = {
+        "version": 1,
+        "pump": pump,
+        "time_grid": {"start_ps": t_start, "step_ps": t_step, "count": t_count},
+    }
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 3))
+        strengths = st.floats(0.0, 0.95 / n)  # so they sum to at most 0.95
+        doc["sample"] = {
+            "lines": [
+                dict(zip(("center_thz", "fwhm_thz"), line()), strength=draw(strengths))
+                for _ in range(n)
+            ]
+        }
+    if draw(st.booleans()):
+        doc["noise"] = {
+            "pairs_per_bin": draw(st.integers(1, 10**6)),
+            "seed": draw(st.integers(0, 2**64 - 1)),
+            "dark_rate": draw(st.floats(0.0, 0.01)),
+            "efficiency": draw(st.floats(0.1, 1.0)),
+        }
+    return doc
+
+
+def _bits(path, column: int) -> np.ndarray:
+    """Column ``column`` of a written CSV, as the bits of its doubles."""
+    return np.loadtxt(path, delimiter=",", skiprows=1, usecols=column, ndmin=1).view(np.uint64)
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(valid_scenarios())
+def test_valid_scenario_keeps_the_physics_invariants(tmp_path, doc):
+    cfg = write_config(tmp_path, doc)
+    runs = [[], []] + [["--chunk-size", "97"]] * ("noise" in doc)
+    outs = [tmp_path / f"o{k}" for k in range(len(runs))]
+    for extra, out in zip(runs, outs):
+        assert main(["simulate", "--config", str(cfg), *extra, "--out", str(out)]) == 0
+    out = outs[0]
+    summary = json.loads((out / "summary.json").read_text())
+    pump_step = doc["pump"]["grid"]["step_thz"]
+    spectrum = io.read_spectrum_csv(out / "spectrum.csv").weights
+    transmitted = io.read_spectrum_csv(out / "transmitted.csv").weights
+    assert abs(pump_step * spectrum.sum() - 1.0) <= 1e-9
+    assert np.all(transmitted <= spectrum)
+    if "sample" in doc:
+        assert pump_step * transmitted.sum() == summary["surviving_fraction"]
+    else:  # nothing absorbs: the spectrum passes whole
+        assert summary["surviving_fraction"] == 1.0
+        assert (out / "transmitted.csv").read_bytes() == (out / "spectrum.csv").read_bytes()
+    p = np.loadtxt(out / "interferogram.csv", delimiter=",", skiprows=1, usecols=1, ndmin=1)
+    np.testing.assert_array_equal(_bits(out / "trace.csv", 1), (2 * p - 1).view(np.uint64))
+    t = doc["time_grid"]
+    axis = UniformGrid(t["start_ps"], t["step_ps"], t["count"]).values.view(np.uint64)
+    for name in ("interferogram.csv", "trace.csv"):
+        np.testing.assert_array_equal(_bits(out / name, 0), axis)
+    for again in outs[1:]:  # a rerun, and a finer partition of the draws
+        for path in sorted(out.iterdir()):
+            assert (again / path.name).read_bytes() == path.read_bytes(), path.name
+    for run in outs:  # tmp_path is shared by every example
+        shutil.rmtree(run)
 
 
 def test_readme_command_line_flags_are_in_help(capsys):

@@ -63,9 +63,15 @@ def test_values_have_the_bits_of_the_product_expression(rng):
         start = float(rng.uniform(-1e3, 1e3)) * 10.0 ** int(rng.integers(-6, 4))
         step = float(rng.uniform(0.1, 10.0)) * 10.0 ** int(rng.integers(-6, 0))
         count = int(rng.integers(2, 5000))
+        grid = UniformGrid(start, step, count)
         want = start + step * np.arange(count)
-        got = UniformGrid(start, step, count).values
-        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        np.testing.assert_array_equal(grid.values.view(np.uint64), want.view(np.uint64))
+        # any row range, the last point and the last row among them
+        hi = int(rng.integers(1, count + 1))
+        for lo, hi in ((int(rng.integers(0, hi)), hi), (count - 1, count), (hi - 1, hi)):
+            want = start + step * np.arange(lo, hi)
+            for got in (grid.points(lo, hi), grid(lo, hi)):
+                np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_values_hold_one_array():

@@ -398,8 +398,12 @@ def test_write_columns_equals_per_row_format(tmp_path, monkeypatch, block, data)
 
 
 def test_write_columns_rejects_ragged_columns(tmp_path):
-    with pytest.raises(ValueError, match="length"):
-        io._write_columns(tmp_path / "x.csv", "a,b", ([1.0, 2.0], [1.0]))
+    grid = UniformGrid(0.0, 1.0, 3)
+    # a grid is called for its rows, but its length is checked like an array's
+    for columns in (([1.0, 2.0], [1.0]), (grid, [1.0, 2.0]), ([1.0, 2.0], grid)):
+        with pytest.raises(ValueError, match="length"):
+            io._write_columns(tmp_path / "x.csv", "a,b", columns)
+        assert not (tmp_path / "x.csv").exists()
 
 
 @pytest.mark.parametrize("column", [[1j, 2j], [True, False], ["a", "b"]])

@@ -857,8 +857,9 @@ class TestWorkers:
         argv = ["noise-study", "--preset", "noise-gauss", "--repeats", "4",
                 "--out", str(tmp_path / "study")]
         assert main(argv) == 0
+        # the pool promises no worker a task, so one may have drawn all
         workers = set(map(int, log.read_text().split()))
-        assert len(workers) == 2 and os.getpid() not in workers
+        assert 1 <= len(workers) <= 2 and os.getpid() not in workers
         assert not any(map(running, workers))
         assert children(os.getpid()) == []
 
