@@ -274,21 +274,29 @@ def cmd_simulate(args) -> int:
         "time_count": scenario.time_grid.count,
         "resolution_thz": 1.0 / scenario.time_grid.window,
     }
+    # the delay tables share their t_ps column, so they are written in one walk
+    delays = [
+        io.interferogram_table(out / "interferogram.csv", interferogram),
+        io.correlation_table(out / "trace.csv", interferogram),
+    ]
     if noise is not None:
         counts = sample_counts(interferogram, noise, chunk_size=args.chunk_size)
         estimated = estimate_trace(counts, noise.efficiency, noise.dark_rate)
         summary["noise_seed"] = noise.seed
         summary["pairs_per_bin"] = noise.pairs_per_bin
         summary["probability_clamped"] = counts.clamped
+        delays += [
+            io.counts_table(out / "counts.csv", counts),
+            io.trace_table(out / "trace_estimated.csv", estimated),
+        ]
 
     out.mkdir(parents=True, exist_ok=True)
-    io.write_spectrum_csv(out / "spectrum.csv", scenario.spectrum)
-    io.write_spectrum_csv(out / "transmitted.csv", transmitted)
-    io.write_interferogram_csv(out / "interferogram.csv", interferogram)
-    io.write_correlation_csv(out / "trace.csv", interferogram)
-    if noise is not None:
-        io.write_counts_csv(out / "counts.csv", counts)
-        io.write_trace_csv(out / "trace_estimated.csv", estimated)
+    # the two spectra share their grid, and without a sample they are one object
+    io.save_tables(
+        [io.spectrum_table(out / "spectrum.csv", scenario.spectrum),
+         io.spectrum_table(out / "transmitted.csv", transmitted)]
+    )
+    io.save_tables(delays)
     io.write_json(out / "summary.json", summary)
     return EXIT_OK
 

@@ -5,19 +5,28 @@ byte-order mark is skipped on read); floats are written with 17
 significant digits so a read-back is exact.
 In memory every series carries its grid; the one CSV reader,
 ``_read_columns``, returns the grid it infers (``grids.infer_grid``).
-Every CSV writer goes through one columnar writer, ``_write_columns``.
+Every CSV goes through one walk, ``save_tables``: it writes the tables
+of one row count, each a path, a header and columns, in one pass over
+their rows, so a column that several tables share is formatted once.
+The ``*_table`` functions build an artifact's table; ``simulate`` walks
+its delay tables at once, which share their ``t_ps`` column, and its two
+spectra, which share their grid (both columns when there is no sample).
+Each ``write_*`` writes the one file its first argument names, a
+one-table walk.
 A column is of one of two kinds: an array, sliced, or a function of a
 row range ``(lo, hi)``, called. A grid is a function of its rows, its
 points there (``grid(lo, hi)``), so no column is special. Each column's
 format follows its dtype: ``%.17g`` for floats, ``%d`` for integers; any
 other dtype is refused. The bytes are those of formatting each value on
-its own with ``'%.17g' % x`` or ``'%d' % n``, but the writer formats
-blocks of whole rows in numpy, ``_BLOCK_VALUES // width`` rows (at least
-one) at a time. Its memory is bounded by the block: a grid, the modulus
-column of ``recovered.csv`` and the G = 2P - 1 column of a ``trace.csv``
-written from P are functions, evaluated on the block's rows alone. Every
-value takes one path, integers as floats: an integer with |n| < 2**53 is
-exact as a double, and its ``'%d'`` text is the double's ``'%.17g'`` text.
+its own with ``'%.17g' % x`` or ``'%d' % n``, but the walk formats blocks
+of whole rows in numpy, ``_BLOCK_VALUES // D`` rows (at least one) at a
+time, D the distinct column objects (one that ends a row in some tables
+and not in others counts twice, once for each separator). Its memory is
+bounded by the block: a grid, the modulus column of ``recovered.csv``
+and the G = 2P - 1 column of a ``trace.csv`` written from P are
+functions, evaluated on the block's rows alone. Every value takes one
+path, integers as floats: an integer with |n| < 2**53 is exact as a
+double, and its ``'%d'`` text is the double's ``'%.17g'`` text.
 
 - A float with 1e-280 <= |x| <= 1e280 gets its 17 significant digits
   from N = round(|x| * 10**(16 - X)), X = floor(log10 |x|). X is exact:
@@ -57,10 +66,15 @@ A block's slots are lane-major, one contiguous uint64 row per lane, and
 each lane is the fill's scratch space until its own bytes are written:
 the values enter in lane 3, the product's halves and the digits pass
 through the others, and each 4-digit group's ASCII is gathered from a
-uint32 table straight into its half of a digit lane. The text is the
-transposed slots' bytes, compacted after the slots are freed. So a
-block peaks at about 71 bytes a value above its columns, 32 of them the
-slots: 0.58 MB for the 8192 values of a grid and a float column.
+uint32 table straight into its half of a digit lane. A block fills one
+rows x D slot array in one call, and each table's text is its columns'
+slots, transposed to value order: a strided view where their indices
+step evenly upward, a gather otherwise. A table's text is made and
+compacted a half of the rows at a time, since ``bytes.translate`` first
+makes a result as long as its input, so no text outgrows the fill's
+scratch. A block peaks in the fill, at about 71 bytes a value above its
+columns, 32 of them the slots: 0.58 MB for the 8192 values of a grid and
+a float column.
 
 Every JSON artifact goes through one writer, ``write_json``.
 """
@@ -68,6 +82,7 @@ from __future__ import annotations
 
 import json
 import warnings
+from contextlib import ExitStack
 from pathlib import Path
 
 import numpy as np
@@ -314,9 +329,11 @@ def _put_text(slots: np.ndarray, at: np.ndarray, texts: list) -> None:
         slots[3, at] &= _ALL << _SEP_SHIFT
 
 
-def _block_text(columns: list, lo: int, hi: int) -> bytes:
-    """The CSV text of rows ``[lo, hi)`` of ``columns``."""
-    blocks = [column(lo, hi) if callable(column) else column[lo:hi] for column in columns]
+def _block_slots(columns: list, lo: int, hi: int) -> np.ndarray:
+    """The filled slots of rows ``[lo, hi)`` of ``columns``, pairs of a
+    column and whether it ends a row, row by row: each value's text, the
+    fallback texts put in, and a separator, a newline if it ends a row."""
+    blocks = [column(lo, hi) if callable(column) else column[lo:hi] for column, _ in columns]
     width = len(blocks)
     slots = np.empty((_LANES, (hi - lo) * width), "<u8")
     x = slots[3].view(float)  # the values row by row, in the lane that ends the slots
@@ -330,33 +347,63 @@ def _block_text(columns: list, lo: int, hi: int) -> bytes:
             column[np.abs(column) >= 2**53] = np.nan  # formatted in Python
     exact = _fill_slots(x, slots)
     del x, table
-    # each row ends in a newline, not a comma
-    slots[3, width - 1 :: width] ^= np.uint64(ord(",") ^ ord("\n")) << _SEP_SHIFT
+    for j, (_, ends) in enumerate(columns):
+        if ends:
+            slots[3, j::width] ^= np.uint64(ord(",") ^ ord("\n")) << _SEP_SHIFT
     at = np.flatnonzero(~exact)
     rows, cols = np.divmod(at, width)
     _put_text(slots, at, [formats[j] % blocks[j][i] for i, j in zip(rows.tolist(), cols.tolist())])
-    text = slots.T.tobytes()  # value by value
-    del slots, blocks  # before the text is compacted, which lowers the peak
-    return text.translate(None, b"\0")
+    return slots
 
 
-def _write_columns(path, header: str, columns) -> None:
-    """Write equal-length columns as CSV rows. A column is a 1-D float or
-    integer array, or a function returning its rows ``[lo, hi)`` as floats,
-    as a grid does. Every column with a length, a grid among them, must
-    have the first column's, so the first is not a bare function."""
-    columns = [c if callable(c) else np.asarray(c) for c in columns]
-    n = len(columns[0])
-    if any(len(c) != n for c in columns if hasattr(c, "__len__")):
+def _pick(indices: list):
+    """The slot columns ``indices`` as a slice where they step evenly
+    upward, so a table's slots are a view, else as an array (a gather)."""
+    step = indices[1] - indices[0] if len(indices) > 1 else 1
+    if step > 0 and indices == list(range(indices[0], indices[-1] + 1, step)):
+        return slice(indices[0], indices[-1] + 1, step)
+    return np.array(indices)
+
+
+def save_tables(tables) -> None:
+    """Write CSV tables of one row count in one walk of their rows. A table
+    is a path, a header and its columns, as a ``*_table`` function builds.
+    A column is a 1-D float or integer array, or a function returning its
+    rows ``[lo, hi)`` as floats, as a grid does. Every column with a
+    length, a grid among them, must have the first table's first column's,
+    so that one is not a bare function. Each block formats a column object once, however many
+    tables hold it; one that ends a row in some tables and not in others
+    is formatted once for each separator."""
+    index, distinct, picks = {}, [], []  # (column, ends a row) by first use
+    for _, _, columns in tables:
+        at = []
+        for j, column in enumerate(columns):
+            key = id(column), j == len(columns) - 1
+            if key not in index:
+                index[key] = len(distinct)
+                distinct.append((column if callable(column) else np.asarray(column), key[1]))
+            at.append(index[key])
+        picks.append(_pick(at))
+    n = len(distinct[0][0])
+    if any(len(c) != n for c, _ in distinct if hasattr(c, "__len__")):
         raise ValueError("CSV columns differ in length")
-    for column in columns:  # refused before the file is opened
+    for column, _ in distinct:  # every table is refused before a file is opened
         if not (callable(column) or column.dtype.kind in "fiu"):
             raise ValueError(f"cannot write a column of dtype {column.dtype} to CSV")
-    rows = max(1, _BLOCK_VALUES // len(columns))
-    with open(Path(path), "wb") as fh:
-        fh.write(header.encode() + b"\n")
-        for lo, hi in _blocks(n, rows):
-            fh.write(_block_text(columns, lo, hi))
+    width = len(distinct)
+    with ExitStack() as stack:
+        files = [stack.enter_context(open(Path(path), "wb")) for path, _, _ in tables]
+        for fh, (_, header, _) in zip(files, tables):
+            fh.write(header.encode() + b"\n")
+        for lo, hi in _blocks(n, max(1, _BLOCK_VALUES // width)):
+            lanes = _block_slots(distinct, lo, hi).reshape(_LANES, hi - lo, width)
+            half = (hi - lo + 1) // 2
+            for fh, at in zip(files, picks):
+                # value by value, a half of the rows at a time: translate
+                # first makes a result as long as its input
+                for rows in (slice(half), slice(half, None)):
+                    fh.write(lanes[:, rows, at].transpose(1, 2, 0).tobytes().translate(None, b"\0"))
+            del lanes  # not held while the next block's slots are filled
 
 
 def _read_columns(path, expected_header: str) -> tuple:
@@ -384,27 +431,35 @@ def _read_columns(path, expected_header: str) -> tuple:
     return (infer_grid(body[:, 0]), *body[:, 1:].T)
 
 
+def spectrum_table(path, spectrum: SumFrequencySpectrum) -> tuple:
+    return path, "nu_thz,weight", (spectrum.grid, spectrum.weights)
+
+
+def interferogram_table(path, interferogram: Interferogram) -> tuple:
+    return path, "t_ps,p", (interferogram.grid, interferogram.values)
+
+
+def correlation_table(path, interferogram: Interferogram) -> tuple:
+    """The ``trace.csv`` table of ``interferogram``'s G = 2P - 1, without
+    its trace: like the grid, G is made one block of rows at a time."""
+    p = interferogram.values
+    return path, "t_ps,g", (interferogram.grid, lambda lo, hi: _correlation(p[lo:hi]))
+
+
+def trace_table(path, trace: CorrelationTrace) -> tuple:
+    return path, "t_ps,g", (trace.grid, trace.values)
+
+
+def counts_table(path, counts: CountData) -> tuple:
+    return path, "t_ps,coincidences,pairs_sent", (counts.grid, counts.coincidences, counts.pairs_sent)
+
+
 def write_spectrum_csv(path, spectrum: SumFrequencySpectrum) -> None:
-    _write_columns(path, "nu_thz,weight", (spectrum.grid, spectrum.weights))
+    save_tables([spectrum_table(path, spectrum)])
 
 
 def read_spectrum_csv(path) -> SumFrequencySpectrum:
     return SumFrequencySpectrum(*_read_columns(path, "nu_thz,weight"))
-
-
-def write_interferogram_csv(path, interferogram: Interferogram) -> None:
-    _write_columns(path, "t_ps,p", (interferogram.grid, interferogram.values))
-
-
-def write_trace_csv(path, trace: CorrelationTrace) -> None:
-    _write_columns(path, "t_ps,g", (trace.grid, trace.values))
-
-
-def write_correlation_csv(path, interferogram: Interferogram) -> None:
-    """The ``trace.csv`` of ``interferogram``'s G = 2P - 1, without its trace:
-    like the grid, G is made one block of rows at a time."""
-    p = interferogram.values
-    _write_columns(path, "t_ps,g", (interferogram.grid, lambda lo, hi: _correlation(p[lo:hi])))
 
 
 def read_trace_csv(path) -> CorrelationTrace:
@@ -415,11 +470,8 @@ def write_recovered_csv(path, recovered: RecoveredSpectrum) -> None:
     re, im = recovered.amplitudes.real, recovered.amplitudes.imag
     # np.hypot equals scalar abs(complex) bit for bit; np.abs's SIMD loop does
     # not. Like the grid, the column is evaluated one block of rows at a time.
-    _write_columns(
-        path,
-        "nu_thz,amplitude_abs,amplitude_re,amplitude_im",
-        (recovered.grid, lambda lo, hi: np.hypot(re[lo:hi], im[lo:hi]), re, im),
-    )
+    columns = (recovered.grid, lambda lo, hi: np.hypot(re[lo:hi], im[lo:hi]), re, im)
+    save_tables([(path, "nu_thz,amplitude_abs,amplitude_re,amplitude_im", columns)])
 
 
 def write_json(path, doc) -> None:
@@ -429,21 +481,10 @@ def write_json(path, doc) -> None:
         fh.write("\n")
 
 
-def write_counts_csv(path, counts: CountData) -> None:
-    _write_columns(
-        path,
-        "t_ps,coincidences,pairs_sent",
-        (counts.grid, counts.coincidences, counts.pairs_sent),
-    )
-
-
 def read_counts_csv(path) -> CountData:
     return CountData(*_read_columns(path, "t_ps,coincidences,pairs_sent"))
 
 
 def write_scaling_csv(path, study: ScalingStudy) -> None:
-    _write_columns(
-        path,
-        "n_trials,std_height,std_center",
-        (study.n_trials, study.std_height, study.std_center),
-    )
+    columns = (study.n_trials, study.std_height, study.std_center)
+    save_tables([(path, "n_trials,std_height,std_center", columns)])

@@ -167,10 +167,14 @@ def _folded(amp: np.ndarray, i0: int) -> np.ndarray:
     # DC and up, and below DC nearest first: neg[j] mirrors pos[j + 1]
     neg, pos = amp[..., :i0][..., ::-1], amp[..., i0:]
     k = min(neg.shape[-1], pos.shape[-1] - 1)
-    d = np.conj(pos[..., 1 : k + 1])
-    np.subtract(neg[..., :k], d, out=d)
-    err = np.maximum(np.hypot(d.real, d.imag).max(-1, initial=0.0), abs(amp[..., i0].imag))
-    del d  # not held beside the weights
+    # the Hermitian residual max |neg - conj(pos)|, a block of mirrored pairs
+    # at a time so no half-length difference is held; a max of maxima is exact
+    err = abs(amp[..., i0].imag)
+    for lo, hi in _blocks(k):
+        d = np.conj(pos[..., lo + 1 : hi + 1])
+        np.subtract(neg[..., lo:hi], d, out=d)
+        err = np.maximum(err, np.hypot(d.real, d.imag).max(-1))
+        del d  # not held beside the weights
     weights = np.zeros(amp.shape[:-1] + (max(i0 + 1, pos.shape[-1]),))
     np.abs(pos, out=weights[..., : pos.shape[-1]])
     abs_neg = np.hypot(neg.real, neg.imag)

@@ -222,7 +222,7 @@ def decimal_grids(draw):
 def test_grid_survives_spectrum_and_trace_csv(tmp_path, grid):
     spectrum_path, trace_path = tmp_path / "spectrum.csv", tmp_path / "trace.csv"
     io.write_spectrum_csv(spectrum_path, SumFrequencySpectrum(grid, np.ones(grid.count)))
-    io.write_trace_csv(trace_path, CorrelationTrace(grid, np.zeros(grid.count)))
+    io.save_tables([io.trace_table(trace_path, CorrelationTrace(grid, np.zeros(grid.count)))])
     for back in (io.read_spectrum_csv(spectrum_path).grid, io.read_trace_csv(trace_path).grid):
         # the read-back grid reproduces the values on disk and is a fixed point
         assert back.start == grid.start and back.count == grid.count

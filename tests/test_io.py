@@ -46,7 +46,7 @@ def test_trace_roundtrip(tmp_path, spectrum):
     tg = centered_time_grid(5e-4, 128)
     trace = correlation_trace(simulate_interferogram(spectrum, tg))
     path = tmp_path / "trace.csv"
-    io.write_trace_csv(path, trace)
+    io.save_tables([io.trace_table(path, trace)])
     assert path.read_text().splitlines()[0] == "t_ps,g"
     back = io.read_trace_csv(path)
     assert back.grid.count == 128
@@ -58,17 +58,23 @@ def test_trace_roundtrip(tmp_path, spectrum):
     np.testing.assert_array_equal(back_bom.values, trace.values)
 
 
-@pytest.mark.parametrize("rows", [2, 4095, 4096, 4097, 12293])
-def test_correlation_csv_has_the_bytes_of_the_trace_csv(tmp_path, rows):
-    # G made a block of rows at a time from P, across the 4,096-row blocks
-    # of a two-column write; P = 0 and 1 give G = -1 and +1
-    assert io._BLOCK_VALUES // 2 == 4096
+@pytest.mark.parametrize("rows", [2, 2729, 2730, 2731, 8193])
+def test_simulated_trace_csv_has_the_bytes_of_the_trace_csv(tmp_path, rows):
+    # G made a block of rows at a time from P, across the 2,730-row blocks
+    # of the walk of interferogram.csv and trace.csv (t, P and G); P = 0
+    # and 1 give G = -1 and +1
+    assert io._BLOCK_VALUES // 3 == 2730
     p = np.random.default_rng(rows).uniform(0.0, 1.0, rows)
     p[::5], p[1::5] = 0.0, 1.0
     interferogram = Interferogram(centered_time_grid(5e-4, rows), p)
-    io.write_correlation_csv(tmp_path / "g.csv", interferogram)
-    io.write_trace_csv(tmp_path / "trace.csv", correlation_trace(interferogram))
-    assert (tmp_path / "g.csv").read_bytes() == (tmp_path / "trace.csv").read_bytes()
+    io.save_tables(
+        [io.interferogram_table(tmp_path / "interferogram.csv", interferogram),
+         io.correlation_table(tmp_path / "trace.csv", interferogram)]
+    )
+    io.save_tables([io.trace_table(tmp_path / "g.csv", correlation_trace(interferogram))])
+    assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "g.csv").read_bytes()
+    io.save_tables([(tmp_path / "p.csv", "t_ps,p", (interferogram.grid, p))])
+    assert (tmp_path / "interferogram.csv").read_bytes() == (tmp_path / "p.csv").read_bytes()
 
 
 def test_trace_header_rejected(tmp_path):
@@ -108,14 +114,27 @@ def test_trace_non_uniform_grid(tmp_path):
         io.read_trace_csv(path)
 
 
-def test_interferogram_header(tmp_path, spectrum):
+def test_table_headers(tmp_path, spectrum):
     tg = centered_time_grid(5e-4, 64)
     p = simulate_interferogram(spectrum, tg)
-    path = tmp_path / "interferogram.csv"
-    io.write_interferogram_csv(path, p)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t_ps,p"
-    assert len(lines) == 65
+    counts = CountData(tg, np.arange(64), np.full(64, 100))
+    io.save_tables([io.spectrum_table(tmp_path / "spectrum.csv", spectrum)])
+    io.save_tables(
+        [io.interferogram_table(tmp_path / "interferogram.csv", p),
+         io.correlation_table(tmp_path / "trace.csv", p),
+         io.counts_table(tmp_path / "counts.csv", counts),
+         io.trace_table(tmp_path / "trace_estimated.csv", correlation_trace(p))]
+    )
+    headers = {
+        "spectrum.csv": ("nu_thz,weight", 302),
+        "interferogram.csv": ("t_ps,p", 65),
+        "trace.csv": ("t_ps,g", 65),
+        "counts.csv": ("t_ps,coincidences,pairs_sent", 65),
+        "trace_estimated.csv": ("t_ps,g", 65),
+    }
+    for name, (header, lines) in headers.items():
+        text = (tmp_path / name).read_text().splitlines()
+        assert text[0] == header and len(text) == lines
 
 
 def test_recovered_csv_columns(tmp_path):
@@ -140,7 +159,7 @@ def test_json_artifact_bytes(tmp_path):
 def test_counts_roundtrip(tmp_path):
     counts = CountData(TimeGrid(-0.5, 0.5, 3), [3, 7, 10], [10, 10, 10])
     path = tmp_path / "counts.csv"
-    io.write_counts_csv(path, counts)
+    io.save_tables([io.counts_table(path, counts)])
     assert path.read_text().splitlines()[0] == "t_ps,coincidences,pairs_sent"
     back = io.read_counts_csv(path)
     assert back.grid == counts.grid
@@ -158,7 +177,7 @@ def test_non_uniform_counts_csv_rejected(tmp_path):
 def test_counts_columns_written_as_rows(tmp_path):
     counts = CountData(TimeGrid(-0.5, 0.75, 2), [3, 1000], [10, 2**31])
     path = tmp_path / "counts.csv"
-    io.write_counts_csv(path, counts)
+    io.save_tables([io.counts_table(path, counts)])
     assert path.read_text().splitlines()[1:] == ["-0.5,3,10", "0.25,1000,2147483648"]
     back = io.read_counts_csv(path)
     assert back.coincidences.dtype == back.pairs_sent.dtype == np.int64
@@ -273,7 +292,7 @@ def test_write_columns_random_bit_patterns(tmp_path):
     bits = np.random.default_rng(20261019).integers(0, 2**64, 2**18, dtype=np.uint64)
     columns = list(bits.view(np.float64).reshape(2, -1))
     path = tmp_path / "bits.csv"
-    io._write_columns(path, "a,b", columns)
+    io.save_tables([(path, "a,b", columns)])
     assert path.read_bytes() == percent_oracle("a,b", columns)
 
 
@@ -296,7 +315,7 @@ def test_write_columns_edge_values_at_any_block_size(tmp_path, monkeypatch, bloc
     values = edge_floats()
     columns = [values, values[::-1].copy()]
     path = tmp_path / "edges.csv"
-    io._write_columns(path, "a,b", columns)
+    io.save_tables([(path, "a,b", columns)])
     assert path.read_bytes() == percent_oracle("a,b", columns)
 
 
@@ -306,8 +325,8 @@ def test_grid_column_writes_the_bytes_of_its_values(tmp_path, monkeypatch, block
     monkeypatch.setattr(io, "_BLOCK_VALUES", block)
     grid = UniformGrid(-739.8, 0.0021, 1001)
     weights = np.random.default_rng(block).normal(size=grid.count)
-    io._write_columns(tmp_path / "grid.csv", "a,b,c", (grid, weights, grid))
-    io._write_columns(tmp_path / "values.csv", "a,b,c", (grid.values, weights, grid.values))
+    io.save_tables([(tmp_path / "grid.csv", "a,b,c", (grid, weights, grid))])
+    io.save_tables([(tmp_path / "values.csv", "a,b,c", (grid.values, weights, grid.values))])
     assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "values.csv").read_bytes()
 
 
@@ -318,7 +337,7 @@ def test_write_columns_memory_does_not_grow_with_rows(tmp_path):
         grid = UniformGrid(-1.0, 2.0 / rows, rows)
         values = np.random.default_rng(rows).normal(size=rows)
         path = tmp_path / "big.csv"
-        return peak_above_inputs(lambda: io._write_columns(path, "t_ps,g", (grid, values)))
+        return peak_above_inputs(lambda: io.save_tables([(path, "t_ps,g", (grid, values))]))
 
     small, large = peak(2**14), peak(2**18)
     assert large <= small * 1.05 + 4096
@@ -337,15 +356,86 @@ def test_recovered_csv_memory_does_not_grow_with_rows(tmp_path):
 
 
 def test_write_columns_peak_on_a_long_trace(tmp_path):
-    # a 65,536-row grid and float column, as interferogram.csv and trace.csv:
-    # 580,878 bytes above the inputs, pinned plus 8 KiB; the slot-major
-    # block with fresh arrays at each step took 1,711,766
+    # a 65,536-row grid and float column written alone: 580,878 bytes above
+    # the inputs, pinned plus 8 KiB; the slot-major block with fresh arrays
+    # at each step took 1,711,766
     grid = UniformGrid(-16.384, 5e-4, 2**16)
     values = np.random.default_rng(7).uniform(0.0, 1.0, grid.count)
     path = tmp_path / "p.csv"
-    io._write_columns(path, "t_ps,p", (grid, values))
-    peak = peak_above_inputs(lambda: io._write_columns(path, "t_ps,p", (grid, values)))
+    io.save_tables([(path, "t_ps,p", (grid, values))])
+    peak = peak_above_inputs(lambda: io.save_tables([(path, "t_ps,p", (grid, values))]))
     assert peak <= 580_878 + 8192
+
+
+def test_delay_walk_peak_on_a_long_trace(tmp_path):
+    # interferogram.csv and trace.csv on 65,536 delays, one walk of t, P and
+    # G = 2P - 1 (made from P a block at a time): 598,414 bytes above the
+    # inputs, pinned plus 8 KiB. Written one file at a time, trace.csv alone
+    # peaked at 614,192; each table's text compacted whole, not by halves
+    # of its rows, took 624,614, as translate's result is first as long as
+    # its input and the slots are still held
+    p = np.random.default_rng(7).uniform(0.0, 1.0, 2**16)
+    interferogram = Interferogram(centered_time_grid(5e-4, p.size), p)
+    delays = [
+        io.interferogram_table(tmp_path / "interferogram.csv", interferogram),
+        io.correlation_table(tmp_path / "trace.csv", interferogram),
+    ]
+    io.save_tables(delays)
+    peak = peak_above_inputs(lambda: io.save_tables(delays))
+    assert peak <= 598_414 + 8192
+
+
+def walk_tables(rows: int, seed: int) -> list:
+    """Tables for one walk: a grid shared by every table, two tables of the
+    same column objects, columns that end a row in one table and not in
+    another, an integer column, a function column, and the values that
+    Python formats (zeros, subnormals, non-finite, 2**53 + 1)."""
+    rng = np.random.default_rng(seed)
+    grid = UniformGrid(-1.5, 0.003, rows)
+    a, b = rng.normal(size=rows), rng.normal(size=rows) * 1e250
+    special = np.resize(SPECIAL_FLOATS, rows)
+    a[::3] = special[::3]
+    n = rng.integers(-(2**62), 2**62, rows)
+    n[::4] = np.resize([0, -1, 2**53 + 1, -(2**63)], n[::4].size)
+    c = rng.uniform(0.0, 1.0, rows)
+    return [
+        ("ab.csv", "t,a,b", (grid, a, b)),
+        ("ab_again.csv", "t,a,b", (grid, a, b)),  # the same objects as ab.csv
+        ("ba.csv", "t,b,a", (grid, b, a)),  # a ends its rows here, b not
+        ("counts.csv", "t,n,a", (grid, n, a)),
+        ("g.csv", "t,g", (grid, lambda lo, hi: 2.0 * c[lo:hi] - 1.0)),
+        ("c.csv", "t,c,n", (grid, c, n)),
+    ]
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("rows", [2, 20, 61])
+def test_walk_writes_each_tables_own_bytes(tmp_path, monkeypatch, block, rows):
+    # 9 distinct (column, ends a row) pairs, more than a 7-value block holds
+    monkeypatch.setattr(io, "_BLOCK_VALUES", block)
+    formatted, fill = [], io._fill_slots
+    monkeypatch.setattr(io, "_fill_slots", lambda x, slots: formatted.append(x.size) or fill(x, slots))
+    tables = [(tmp_path / name, header, columns) for name, header, columns in walk_tables(rows, block)]
+    io.save_tables(tables)
+    assert sum(formatted) == 9 * rows  # each pair once a block, however many tables hold it
+    for path, header, columns in tables:
+        alone = tmp_path / f"alone-{path.name}"
+        io.save_tables([(alone, header, columns)])
+        assert path.read_bytes() == alone.read_bytes(), path.name
+
+
+@pytest.mark.parametrize("preset, values", [("tpa3", 3 * 65_536 + 3 * 1_501), ("noise-gauss", 6 * 4_096 + 2 * 1_001)])
+def test_simulate_formats_each_shared_column_once(tmp_path, monkeypatch, preset, values):
+    # tpa3: t, P and G on the delays, nu and both spectra's weights on the
+    # pump grid (268,148 values written one file at a time); noise-gauss
+    # adds both counts and G_hat, and without a sample both spectra are one
+    # object (40,868 one file at a time)
+    from noonspec.cli import main
+
+    formatted, fill = [], io._fill_slots
+    monkeypatch.setattr(io, "_fill_slots", lambda x, slots: formatted.append(x.size) or fill(x, slots))
+    assert main(["simulate", "--preset", preset, "--out", str(tmp_path)]) == 0
+    assert sum(formatted) == values
 
 
 def test_ordinary_floats_take_the_numpy_path():
@@ -373,7 +463,7 @@ def test_ordinary_integers_take_the_numpy_path(tmp_path, monkeypatch):
 
     monkeypatch.setattr(io, "_put_text", spy)
     path = tmp_path / "counts.csv"
-    io.write_counts_csv(path, counts)
+    io.save_tables([io.counts_table(path, counts)])
     assert handed == []
     columns = [counts.grid.values, counts.coincidences, counts.pairs_sent]
     header = "t_ps,coincidences,pairs_sent"
@@ -393,23 +483,30 @@ def test_write_columns_equals_per_row_format(tmp_path, monkeypatch, block, data)
     kinds, columns = data.draw(csv_columns(block))
     header = ",".join(f"c{j}" for j in range(len(kinds)))
     path = tmp_path / "columns.csv"
-    io._write_columns(path, header, columns)
+    io.save_tables([(path, header, columns)])
     assert path.read_bytes() == per_row_oracle(header, kinds, columns).encode()
 
 
 def test_write_columns_rejects_ragged_columns(tmp_path):
     grid = UniformGrid(0.0, 1.0, 3)
+    good = (tmp_path / "good.csv", "a,b", ([1.0, 2.0], [3.0, 4.0]))
     # a grid is called for its rows, but its length is checked like an array's
     for columns in (([1.0, 2.0], [1.0]), (grid, [1.0, 2.0]), ([1.0, 2.0], grid)):
-        with pytest.raises(ValueError, match="length"):
-            io._write_columns(tmp_path / "x.csv", "a,b", columns)
-        assert not (tmp_path / "x.csv").exists()
+        # alone, or after a table of the right length: no table is written
+        for tables in ([(tmp_path / "x.csv", "a,b", columns)], [good, (tmp_path / "x.csv", "a,b", columns)]):
+            with pytest.raises(ValueError, match="length"):
+                io.save_tables(tables)
+            assert not (tmp_path / "x.csv").exists() and not (tmp_path / "good.csv").exists()
 
 
 @pytest.mark.parametrize("column", [[1j, 2j], [True, False], ["a", "b"]])
 def test_write_columns_refuses_other_dtypes(tmp_path, column):
-    with pytest.raises(ValueError, match="cannot write a column of dtype"):
-        io._write_columns(tmp_path / "x.csv", "a,b", ([1.0, 2.0], column))
+    good = (tmp_path / "good.csv", "a,b", ([1.0, 2.0], [3.0, 4.0]))
+    bad = (tmp_path / "x.csv", "a,b", ([1.0, 2.0], column))
+    for tables in ([bad], [good, bad]):
+        with pytest.raises(ValueError, match="cannot write a column of dtype"):
+            io.save_tables(tables)
+        assert not (tmp_path / "x.csv").exists() and not (tmp_path / "good.csv").exists()
 
 
 def test_recovered_abs_equals_scalar_complex_abs(tmp_path):
@@ -469,9 +566,9 @@ def written_series(draw):
 
 
 ROUND_TRIP = {
-    "spectrum": (io.write_spectrum_csv, io.read_spectrum_csv, ("weights",)),
-    "trace": (io.write_trace_csv, io.read_trace_csv, ("values",)),
-    "counts": (io.write_counts_csv, io.read_counts_csv, ("coincidences", "pairs_sent")),
+    "spectrum": (io.spectrum_table, io.read_spectrum_csv, ("weights",)),
+    "trace": (io.trace_table, io.read_trace_csv, ("values",)),
+    "counts": (io.counts_table, io.read_counts_csv, ("coincidences", "pairs_sent")),
 }
 
 
@@ -484,9 +581,9 @@ ROUND_TRIP = {
 @given(written_series())
 def test_written_series_reads_back_on_the_same_points(tmp_path, drawn):
     kind, series = drawn
-    write, read, columns = ROUND_TRIP[kind]
+    table, read, columns = ROUND_TRIP[kind]
     path = tmp_path / f"{kind}.csv"
-    write(path, series)
+    io.save_tables([table(path, series)])
     back = read(path)
     # the read-back grid has the written points bit for bit, though a
     # neighbouring step may give the same points

@@ -206,6 +206,16 @@ class TestFourierRecover:
 
 
 class TestFoldOneSided:
+    def test_fold_peak_on_2_16_bins(self):
+        # 559,324 bytes above the spectrum, pinned plus 8 KiB: the weights and
+        # the mirrored modulus (262 kB each) and one block of the Hermitian
+        # residual. The whole half-length difference and its modulus held
+        # beside the amplitudes took 787,992
+        tg = centered_time_grid(5e-4, 2**16)
+        rec = fourier_recover(bin_aligned_line(tg, 1000)[1])
+        fold_one_sided(rec)  # warm
+        assert peak_above_inputs(lambda: fold_one_sided(rec)) <= 559_324 + 8192
+
     def test_two_peaks_fold_to_one(self):
         tg = centered_time_grid(5e-4, 4096)
         nu0, trace = bin_aligned_line(tg, 1000)
@@ -271,6 +281,23 @@ class TestFoldOneSided:
         rec = RecoveredSpectrum(grid, amp)
         with pytest.raises(AsymmetryError):
             fold_one_sided(rec)
+
+    @pytest.mark.parametrize("pair", [0, 2047, 2048, 4094])
+    def test_broken_symmetry_found_in_any_block(self, rng, pair):
+        # the residual is taken 2,048 mirrored pairs at a time: a break in the
+        # first, at either edge of a block or in the last pair is reported
+        # with its relative error, and the symmetric spectrum folds
+        n, i0 = 2**13, 2**12
+        amp = rng.uniform(-0.5, 0.5, n) + 1j * rng.uniform(-0.5, 0.5, n)
+        amp[i0 + 1] = 10.0  # sets the scale
+        j = np.arange(1, n - i0)
+        amp[i0 - j] = np.conj(amp[i0 + j])
+        amp[i0] = amp[i0].real
+        grid = FrequencyGrid(-i0 * 0.5, 0.5, n)
+        fold_one_sided(RecoveredSpectrum(grid, amp))
+        amp[i0 - 1 - pair] += 1e-2j
+        with pytest.raises(AsymmetryError, match="broken by 1.000e-03"):
+            fold_one_sided(RecoveredSpectrum(grid, amp))
 
     def test_renormalize_flag(self):
         tg = centered_time_grid(5e-4, 2048)
