@@ -24,7 +24,7 @@ import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from . import io
+from . import grids, io
 from .absorption import AbsorptionLine, Sample, transmitted_spectrum
 from .errors import AliasingError, NonUniformGridError
 from .grids import TimeGrid, UniformGrid
@@ -80,13 +80,11 @@ def _members(doc, context: str, required, optional=()) -> dict:
 
 
 def _integer(doc: dict, key: str, context: str) -> int:
-    """``doc[key]`` as an int; a boolean or a non-integral number is an error."""
-    value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
-        isinstance(value, float) and not value.is_integer()
-    ):
-        raise ScenarioError(f"{context}.{key} must be an integer, got {value!r}")
-    return int(value)
+    """``doc[key]`` as an int, by the package's one integer rule."""
+    try:
+        return grids._integer(doc[key], f"{context}.{key}")
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from exc
 
 
 def _real(doc: dict, key: str, context: str) -> float:

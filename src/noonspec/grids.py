@@ -14,7 +14,10 @@ points from their ideal values (:func:`_off_grid`) round them in the
 same order. No other module adds a grid's start to a multiple of its step.
 
 Every quantity on an axis is a column with one entry per grid point, and
-every series type checks its columns with one rule, :func:`_column`.
+every series type checks its columns with one rule, :func:`_column`. Every
+scalar integer input of the package (a grid count, pairs per bin, a seed,
+a stream, a trial count, a repeat count, a chunk size) goes through one
+rule too, :func:`_integer`.
 """
 from __future__ import annotations
 
@@ -39,13 +42,9 @@ class UniformGrid:
             raise ValueError("grid start must be finite")
         if not (self.step > 0 and np.isfinite(self.step)):
             raise ValueError(f"grid step must be positive, got {self.step}")
-        # an int past the float range has no np.isfinite, and no grid has 2**63 points
-        if isinstance(self.count, int) and abs(self.count) >= 2**63:
+        object.__setattr__(self, "count", _integer(self.count, "grid count"))  # 5.0 is stored as 5
+        if not 2 <= self.count < 2**63:
             raise ValueError(f"grid count must be an integer in [2, 2**63), got {self.count}")
-        # tested finite first, as int() of an infinite or NaN count raises its own error
-        if not (np.isfinite(self.count) and self.count == int(self.count) >= 2):
-            raise ValueError(f"grid count must be an integer >= 2, got {self.count}")
-        object.__setattr__(self, "count", int(self.count))  # 5.0 is stored as 5
         if not np.isfinite(self.stop):
             raise ValueError(f"grid points must be finite, the last is {self.stop}")
         # np.spacing overflows at the largest float; 2**1023 shares its binade
@@ -144,6 +143,20 @@ def _column(owner, field: str, shape: tuple, dtype=float, low=None, high=None) -
         raise ValueError(f"{name} must be at least {_bound(low)}")
     if high is not None and np.any(column > high):
         raise ValueError(f"{name} must be at most {_bound(high)}")
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int, the one rule for a scalar integer input.
+
+    A Python or numpy integer of any size, or an integral float such as
+    ``1024.0``, is taken; a bool (``True`` would pass as 1), a non-number,
+    a fraction, NaN or an infinity raises ``ValueError`` naming ``name``.
+    Range checks are the caller's, on the int this returns.
+    """
+    whole = isinstance(value, (float, np.floating)) and value.is_integer()
+    if whole or isinstance(value, (int, np.integer)) and type(value) is not bool:
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _bound(bound) -> str:

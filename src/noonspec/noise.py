@@ -57,7 +57,7 @@ from typing import Sequence
 import numpy as np
 
 from ._numerics import _blocks
-from .grids import TimeGrid, _column
+from .grids import TimeGrid, _column, _integer
 from .interferometer import CorrelationTrace, Interferogram, _correlation, simulate_interferogram
 from .recovery import _folded, _refined, _transformed
 from .spectral import SumFrequencySpectrum
@@ -88,25 +88,17 @@ class NoiseConfig:
     efficiency: float = 1.0
 
     def __post_init__(self):
-        for name in ("pairs_per_bin", "seed"):
-            # True would pass as one pair and False as seed 0; the CLI's
-            # integers refuse a bool too
-            value = getattr(self, name)
-            if isinstance(value, (bool, np.bool_)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        # stored as the int the rule returns: 1000.0 as 1000, while True (one
+        # pair, or seed 0 for False), 1000.5 pairs (drawn at n = 1000.5 and
+        # recorded as 1000 sent) and seed 1.5 (the streams of seed 1) fail
+        object.__setattr__(self, "pairs_per_bin", _integer(self.pairs_per_bin, "pairs_per_bin"))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
         if not (1 <= self.pairs_per_bin <= MAX_PAIRS_PER_BIN):
             # the sampler is checked against binom.ppf up to here; binom.ppf
             # returns NaN at 2**53 pairs and does not return at 2**62
             raise ValueError(f"pairs_per_bin must lie in [1, {MAX_PAIRS_PER_BIN}]")
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must fit in 64 bits")
-        for name in ("pairs_per_bin", "seed"):
-            # 1000.5 pairs would draw at n = 1000.5 and record 1000 sent,
-            # and a seed of 1.5 would key the streams of seed 1
-            value = getattr(self, name)
-            if value != int(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))  # 1000.0 is stored as 1000
         _check_dark_rate(self.dark_rate)
         _check_efficiency(self.efficiency)
 
@@ -407,8 +399,6 @@ def _sample_streams(
     table (see :func:`_binomial_quantile`); each count is still a pure
     function of (seed, stream, bin).
     """
-    if chunk_size is not None and chunk_size < 1:
-        raise ValueError("chunk_size must be positive")
     clamped = False
     for a, b in _blocks(out.shape[1], _DRAW_BINS):
         u = np.array([_keyed_uniforms(config.seed, s, lo + b, lo + a) for s in streams])
@@ -418,6 +408,15 @@ def _sample_streams(
         for c, d in _blocks(b - a, chunk_size or _DRAW_BINS):
             out[:, a + c : a + d] = _binomial_quantile(u[:, c:d], config.pairs_per_bin, p[c:d])
     return clamped
+
+
+def _chunk_size(chunk_size) -> int | None:
+    """``chunk_size`` as a positive int, or None for whole blocks."""
+    if chunk_size is not None:
+        chunk_size = _integer(chunk_size, "chunk_size")
+        if chunk_size < 1:
+            raise ValueError("chunk_size must be positive")
+    return chunk_size
 
 
 def sample_counts(
@@ -437,9 +436,12 @@ def sample_counts(
     count. It is deterministic and partition-independent: it walks the
     bins in blocks of at most ``_DRAW_BINS``, which bounds its memory
     beyond the two columns, and ``chunk_size`` only splits those blocks
-    further, without changing a bit. ``stream`` distinguishes repeated
-    experiments under the same seed.
+    further, without changing a bit. ``stream``, an integer in
+    [0, 2**64), distinguishes repeated experiments under the same seed.
     """
+    stream, chunk_size = _integer(stream, "stream"), _chunk_size(chunk_size)
+    if not 0 <= stream < 2**64:
+        raise ValueError("stream must fit in 64 bits")
     row = np.empty(interferogram.grid.count, dtype=np.int64)
     clamped = _sample_streams(interferogram, config, [stream], row[None], chunk_size)
     pairs_sent = np.full_like(row, config.pairs_per_bin)
@@ -550,18 +552,6 @@ def _peak_rows(study: tuple, share: slice) -> np.ndarray:
     return rows
 
 
-def _peaks(pattern: Interferogram, config: NoiseConfig, n_trials, streams, chunk_size):
-    """The refined (center, height) of each stream, both rounds in this
-    process. Row i of ``streams`` is drawn at ``n_trials[i]`` pairs per bin."""
-    # in an anonymous mapping, as in a pooled study, so both paths hold the
-    # counts outside the heap; it is unmapped with its last view
-    shape = streams.shape + (pattern.grid.count,)
-    counts = np.frombuffer(mmap.mmap(-1, 4 * math.prod(shape)), dtype=np.uint32).reshape(shape)
-    study = (pattern, config, n_trials, streams, chunk_size, counts)
-    _draw_bins(study, 0, pattern.grid.count)
-    return _peak_rows(study, slice(None))
-
-
 def _end_with(parent: int) -> None:
     """Make this forked worker exit once ``parent`` is no longer its parent.
 
@@ -588,7 +578,7 @@ def _start_worker(parent: int, inputs: tuple, buf, shape: tuple) -> None:
     """The initializer of a study worker, whose arguments reach it by fork."""
     global _study
     _end_with(parent)
-    _study = inputs + (np.frombuffer(buf, dtype=np.uint32).reshape(shape),)
+    _study = inputs + (np.ndarray(shape, np.uint32, buf),)
 
 
 def _in_worker(task, *indices):
@@ -597,7 +587,8 @@ def _in_worker(task, *indices):
 
 
 def _all_peaks(pattern, config, n_trials, streams, chunk_size) -> np.ndarray:
-    """``_peaks`` of ``streams``, on one forked worker per CPU.
+    """The refined (center, height) of each stream, on one forked worker per
+    CPU. Row i of ``streams`` is drawn at ``n_trials[i]`` pairs per bin.
 
     The study runs in two rounds of one pool, each split along the axis its
     work shares. The draw round gives each worker a contiguous range of
@@ -612,21 +603,25 @@ def _all_peaks(pattern, config, n_trials, streams, chunk_size) -> np.ndarray:
     dies raises ``ChildProcessError``, and the workers exit when this
     process dies (``_end_with``).
     """
+    inputs = (pattern, config, n_trials, streams, chunk_size)
+    nbins = pattern.grid.count
+    shape = streams.shape + (nbins,)
     workers = min(_workers(), streams.shape[1])
     if workers == 1 or not hasattr(os, "fork"):
-        return _peaks(pattern, config, n_trials, streams, chunk_size)
+        # the counts lie in an anonymous mapping here too, outside the heap;
+        # this one is unmapped with its last view
+        study = inputs + (np.ndarray(shape, np.uint32, mmap.mmap(-1, 4 * math.prod(shape))),)
+        _draw_bins(study, 0, nbins)
+        return _peak_rows(study, slice(None))
     # imported here: at module level they would add ~30 ms to every import
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
     from multiprocessing import get_context
 
     _binomial_ufuncs()  # loaded once here, not in every worker on every call
-    nbins = pattern.grid.count
-    shape = streams.shape + (nbins,)
     edges = [nbins * w // workers for w in range(workers + 1)]
     shares = [slice(w, None, workers) for w in range(workers)]
     rows = np.empty(streams.shape + (2,))
-    inputs = (pattern, config, n_trials, streams, chunk_size)
     try:
         # this process makes no view of the mapping, so it always closes
         with mmap.mmap(-1, 4 * math.prod(shape)) as buf, ProcessPoolExecutor(
@@ -672,13 +667,14 @@ def error_scaling_study(
     result is a pure function of its key, so the study is bit-identical
     for any number of workers.
     """
+    # every input is checked before any work: the study's own rules, and
+    # the config's on the largest count
+    repeats, chunk_size = _integer(repeats, "repeats"), _chunk_size(chunk_size)
     if repeats < 2:
         raise ValueError("repeats must be at least 2")
-    if not trial_counts:
+    n_trials = np.array([_integer(n, "trial count") for n in trial_counts])
+    if not n_trials.size:
         raise ValueError("trial_counts must not be empty")
-    n_trials = np.array([int(n) for n in trial_counts])
-    # the study's own rules, and the config's on the largest count, before
-    # any sampling
     zeros = np.zeros(n_trials.size)
     ScalingStudy(n_trials, zeros, zeros)
     replace(config, pairs_per_bin=int(n_trials.max()))

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ from noonspec import (
     CorrelationTrace,
     FrequencyGrid,
     JointSpectralIntensity,
+    NoiseConfig,
     NonUniformGridError,
     RecoveredSpectrum,
     ScalingStudy,
@@ -15,10 +17,14 @@ from noonspec import (
     TimeGrid,
     TransmissionProfile,
     UniformGrid,
+    error_scaling_study,
     gaussian_pump_spectrum,
     io,
     make_frequency_grid,
+    noise,
     recover_absorption_spectrum,
+    sample_counts,
+    simulate_interferogram,
 )
 from noonspec.cli import parse_scenario
 from noonspec.grids import infer_grid
@@ -86,6 +92,104 @@ def test_integral_float_count_is_stored_as_int():
     assert type(grid.count) is int and len(grid) == 5
     assert grid == UniformGrid(0.0, 1.0, 5)
     assert type(UniformGrid(0.0, 1.0, np.int64(5)).count) is int
+
+
+def _parsed(path: str, value):
+    """The stored integers of a small noisy scenario with ``value`` at ``path``."""
+    doc = {
+        "version": 1,
+        "pump": {
+            "kind": "gaussian", "center_thz": 738.45, "fwhm_thz": 0.1,
+            "grid": {"start_thz": 738.25, "step_thz": 0.004, "count": 101},
+        },
+        "time_grid": {"start_ps": -0.016, "step_ps": 5e-4, "count": 64},
+        "noise": {"pairs_per_bin": 100, "seed": 1},
+    }
+    *parents, key = path.split(".")
+    holder = doc
+    for part in parents:
+        holder = holder[part]
+    holder[key] = value
+    s = parse_scenario(doc, Path.cwd())
+    stored = (s.spectrum.grid.count, s.time_grid.count, s.noise.pairs_per_bin, s.noise.seed)
+    return [(type(n), n) for n in stored]
+
+
+def _noise_config(field: str, value):
+    config = NoiseConfig(**{"pairs_per_bin": 100, "seed": 1, field: value})
+    return [(type(n), n) for n in (config.pairs_per_bin, config.seed)]
+
+
+STUDY_SPECTRUM = gaussian_pump_spectrum(make_frequency_grid(738.25, 0.004, 101), 738.45, 0.1)
+STUDY_GRID = TimeGrid(-0.016, 5e-4, 64)
+
+
+def _counts(**kwargs):
+    pattern = simulate_interferogram(STUDY_SPECTRUM, STUDY_GRID)
+    counts = sample_counts(pattern, NoiseConfig(pairs_per_bin=100, seed=1), **kwargs)
+    return counts.coincidences.tolist()
+
+
+def _study(trial_counts=(100, 300), repeats=2, chunk_size=None):
+    config = NoiseConfig(pairs_per_bin=1, seed=0)
+    study = error_scaling_study(
+        STUDY_SPECTRUM, trial_counts, repeats, config, STUDY_GRID, chunk_size
+    )
+    return [study.n_trials.tolist(), study.std_height.tolist(), study.std_center.tolist()]
+
+
+# every entry point that takes an integer: (the name its messages give, an
+# integer it takes, a call on a value that returns what it made of it)
+INTEGER_INPUTS = {
+    "parse_scenario version": ("scenario.version", 1, lambda v: _parsed("version", v)),
+    "parse_scenario pump count": ("pump.grid.count", 101, lambda v: _parsed("pump.grid.count", v)),
+    "parse_scenario time count": ("time_grid.count", 64, lambda v: _parsed("time_grid.count", v)),
+    "parse_scenario pairs_per_bin": (
+        "noise.pairs_per_bin", 3, lambda v: _parsed("noise.pairs_per_bin", v)
+    ),
+    "parse_scenario seed": ("noise.seed", 3, lambda v: _parsed("noise.seed", v)),
+    "NoiseConfig pairs_per_bin": ("pairs_per_bin", 3, lambda v: _noise_config("pairs_per_bin", v)),
+    "NoiseConfig seed": ("seed", 3, lambda v: _noise_config("seed", v)),
+    "UniformGrid count": (
+        "grid count", 3, lambda v: [(type(n), n) for n in [UniformGrid(0.0, 1.0, v).count]]
+    ),
+    "sample_counts stream": ("stream", 3, lambda v: _counts(stream=v)),
+    "sample_counts chunk_size": ("chunk_size", 3, lambda v: _counts(chunk_size=v)),
+    "study trial count": ("trial count", 3, lambda v: _study(trial_counts=[v, 300])),
+    "study repeats": ("repeats", 3, lambda v: _study(repeats=v)),
+    "study chunk_size": ("chunk_size", 3, lambda v: _study(chunk_size=v)),
+}
+REFUSED = [True, np.True_, 1.5, "3", None, float("nan"), float("inf")]
+
+
+@pytest.mark.parametrize("spell", [int, np.int64, np.uint64, float])
+@pytest.mark.parametrize("entry", INTEGER_INPUTS)
+def test_every_integer_input_takes_an_integral_number(monkeypatch, entry, spell):
+    # a study's rounds run here: the pool splits the same work
+    monkeypatch.setattr(noise, "_workers", lambda: 1)
+    _, n, call = INTEGER_INPUTS[entry]
+    assert call(spell(n)) == call(n)
+
+
+@pytest.mark.parametrize("entry, value", [
+    pytest.param(entry, value, id=f"{entry}-{value!r}")
+    for entry in INTEGER_INPUTS
+    for value in REFUSED
+    # None is the default chunk size: whole blocks
+    if not (value is None and entry.endswith("chunk_size"))
+])
+def test_every_integer_input_refuses_the_rest_by_one_rule(monkeypatch, entry, value):
+    # a refused value fails before any count is drawn
+    monkeypatch.setattr(noise, "_sample_streams", None)
+    name, _, call = INTEGER_INPUTS[entry]
+    message = f"{name} must be an integer, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("dtype", [int, float])
+def test_trial_counts_may_be_an_array(dtype):
+    assert _study(trial_counts=np.array([100, 300], dtype)) == _study(trial_counts=[100, 300])
 
 
 THREE = UniformGrid(0.0, 0.5, 3)

@@ -121,12 +121,24 @@ class TestSampleCounts:
             peak = peak_above_inputs(lambda: sample_counts(pattern, cfg, chunk_size=chunk))
             assert peak < 18 * 2**18
 
-    def test_non_positive_chunk_size_rejected(self):
+    def test_non_positive_chunk_size_rejected(self, monkeypatch):
         pattern = small_interferogram()
         cfg = NoiseConfig(pairs_per_bin=100, seed=1)
+        monkeypatch.setattr(noise, "_sample_streams", None)  # checked before any draw
         for chunk in (0, -5):
-            with pytest.raises(ValueError, match="chunk_size"):
+            with pytest.raises(ValueError, match="chunk_size must be positive"):
                 sample_counts(pattern, cfg, chunk_size=chunk)
+
+    def test_stream_is_a_64_bit_key(self):
+        # -1 used to raise an OverflowError from Philox's key
+        pattern = small_interferogram()
+        cfg = NoiseConfig(pairs_per_bin=100, seed=1)
+        for stream in (-1, 2**64):
+            with pytest.raises(ValueError, match="stream must fit in 64 bits"):
+                sample_counts(pattern, cfg, stream=stream)
+        top = sample_counts(pattern, cfg, stream=2**64 - 1)
+        again = sample_counts(pattern, cfg, stream=np.uint64(2**64 - 1))
+        np.testing.assert_array_equal(again.coincidences, top.coincidences)
 
     def test_probability_clamp_flag(self):
         pattern = small_interferogram()
@@ -578,6 +590,9 @@ class TestCountDataValidation:
         ("pairs_per_bin", 1000.5),
         # keyed the streams of seed 1
         ("seed", 1.5),
+        # out of range too: the rule speaks first
+        ("pairs_per_bin", 0.5),
+        ("seed", -1.5),
     ])
     def test_non_integral_counts_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
@@ -658,8 +673,12 @@ class TestErrorScalingStudy:
 
     @pytest.fixture
     def study_args(self, monkeypatch):
-        # a bad trial count fails before any count is drawn
-        monkeypatch.setattr(noise, "_sample_streams", None)
+        # a bad input fails before the pattern is synthesized or any count drawn
+        def untouched(*args, **kwargs):
+            raise AssertionError("the study ran on a bad input")
+
+        monkeypatch.setattr(noise, "simulate_interferogram", untouched)
+        monkeypatch.setattr(noise, "_sample_streams", untouched)
         spec = gaussian_pump_spectrum(make_frequency_grid(738.25, 0.004, 101), 738.45, 0.1)
         config = NoiseConfig(pairs_per_bin=1, seed=0)
         return dict(spectrum=spec, repeats=3, config=config, grid=centered_time_grid(5e-4, 64))
@@ -674,6 +693,12 @@ class TestErrorScalingStudy:
         # it used to fail only after the counts before it were sampled
         with pytest.raises(ValueError, match="pairs_per_bin must lie in"):
             error_scaling_study(trial_counts=[100, 2**31 + 1], **study_args)
+
+    @pytest.mark.parametrize("chunk", [0, -5])
+    def test_non_positive_chunk_size_rejected_before_any_work(self, study_args, chunk):
+        # it used to fail only inside the pool's workers, after the synthesis
+        with pytest.raises(ValueError, match="chunk_size must be positive"):
+            error_scaling_study(trial_counts=[100, 300], chunk_size=chunk, **study_args)
 
     def test_study_is_deterministic_across_partitioning(self):
         grid = make_frequency_grid(738.25, 0.004, 201)
@@ -692,15 +717,16 @@ class TestStudyBlocks:
     arithmetic of the one-row public functions."""
 
     @pytest.mark.parametrize("count", [1001, 4096])
-    def test_peaks_equal_the_one_row_chain_bit_for_bit(self, count):
+    def test_peaks_equal_the_one_row_chain_bit_for_bit(self, monkeypatch, count):
         # np.abs rounds a complex array by its memory layout: a block fold
         # that took it of a reversed 2-D view moved heights by an ulp
+        monkeypatch.setattr(noise, "_workers", lambda: 1)  # both rounds in this process
         spec = gaussian_pump_spectrum(make_frequency_grid(738.25, 0.004, 201), 738.65, 0.3)
         pattern = simulate_interferogram(spec, centered_time_grid(5e-4, count))
         config = NoiseConfig(pairs_per_bin=1, seed=17, dark_rate=0.01, efficiency=0.8)
         n_trials = [300, 2000]
         streams = np.arange(60).reshape(2, 30)
-        rows = noise._peaks(pattern, config, n_trials, streams, None)
+        rows = noise._all_peaks(pattern, config, n_trials, streams, None)
         assert rows.shape == (2, 30, 2)
         for pairs, keys, got in zip(n_trials, streams, rows):
             cfg = replace(config, pairs_per_bin=pairs)
