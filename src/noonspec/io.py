@@ -64,17 +64,22 @@ tables. A value formatted in Python fills lanes 0-2 from a fixed-width
 
 A block's slots are lane-major, one contiguous uint64 row per lane, and
 each lane is the fill's scratch space until its own bytes are written:
-the values enter in lane 3, the product's halves and the digits pass
-through the others, and each 4-digit group's ASCII is gathered from a
-uint32 table straight into its half of a digit lane. A block fills one
+lane 0 holds a's binade and halves, then the rounding's whole part until
+the first digit; lanes 1 and 2 hold the product's halves until N is
+formed, then the digits, each 8-digit half's ASCII gathered from an int64
+table of the 4-digit groups; lane 3 holds the values, the tie, N until
+its digits are made and the point's shifts, and is written last. Besides
+the slots the fill makes two arrays of 8 bytes a value, the power table's
+index (which, narrowed, gives its array to the digits) and
+``_exact_scale``'s one, and a few of a byte a value. A block fills one
 rows x D slot array in one call, and each table's text is its columns'
 slots, transposed to value order: a strided view where their indices
 step evenly upward, a gather otherwise. A table's text is made and
-compacted a half of the rows at a time, since ``bytes.translate`` first
-makes a result as long as its input, so no text outgrows the fill's
-scratch. A block peaks in the fill, at about 71 bytes a value above its
-columns, 32 of them the slots: 0.58 MB for the 8192 values of a grid and
-a float column.
+compacted a quarter of the rows at a time, since ``bytes.translate``
+first makes a result as long as its input, so no text outgrows the
+fill's scratch. A block peaks in the fill, at about 51 bytes a value
+above its columns, 32 of them the slots and 18 the fill's own: 0.42 MB
+for the 8192 values of a grid and a float column.
 
 Every JSON artifact goes through one writer, ``write_json``.
 """
@@ -129,14 +134,14 @@ def _layout(e: int) -> tuple[bytes, bytes, int]:
 
 
 def _group_tables() -> tuple[np.ndarray, np.ndarray]:
-    """For every 4-digit group 0000-9999, its ASCII as a little-endian uint32
-    with the first digit in the low byte, and its count of trailing zeros
-    (4 for 0000)."""
-    d = np.arange(10, dtype="<u4")  # on axis i: digit i of the group
+    """For every 4-digit group 0000-9999, its ASCII in the low 4 bytes of a
+    little-endian int64, the first digit in the low byte, and its count of
+    trailing zeros (4 for 0000)."""
+    d = np.arange(10, dtype=np.int64)  # on axis i: digit i of the group
     ascii4 = d[:, None, None, None] | d[:, None, None] << 8 | d[:, None] << 16 | d << 24
     z = (d == 0).astype(np.uint8)
     trailing = z * (1 + z[:, None] * (1 + z[:, None, None] * (1 + z[:, None, None, None])))
-    return ascii4.ravel() + np.uint32(0x30303030), trailing.ravel()
+    return ascii4.ravel() + 0x30303030, trailing.ravel()
 
 
 def _lanes(rows) -> np.ndarray:
@@ -159,7 +164,7 @@ _DECADE = np.clip(
     np.searchsorted(_AT_LEAST, np.ldexp(1.0, np.arange(-1023, 1024)), "right") - 1,
     -1, 280 - _POW_LOW,
 )
-_SCALE_INDEX = 16 - 2 * _POW_LOW - _DECADE
+_SCALE_INDEX = (16 - 2 * _POW_LOW - _DECADE).astype(np.int64)  # q's array is int64 scratch later
 _NEXT_DECADE = _AT_LEAST[_DECADE + 1]
 _LAYOUTS = [_layout(16 - q) for q in range(_POW_LOW, 298)]
 _BEFORE = np.array([before for *_, before in _LAYOUTS], np.uint8)
@@ -170,91 +175,99 @@ _ASCII4, _TRAILING = _group_tables()
 #   lanes 1, 2: the other 16 digits, with the point inserted after digit `before`
 #   lane 3: the digit the point pushed out of lane 2, "e" sign ddd, separator
 _LANES = 4  # 8-byte lanes in a slot
-_LEAD = _lanes([b"\0" + lead for lead, *_ in _LAYOUTS])
+_LEAD = _lanes([b"\0" + lead for lead, *_ in _LAYOUTS]) | np.uint64(ord("0")) << np.uint64(48)
 _EXP = _lanes([(b"\0" + exp).ljust(6, b"\0") + b"," for _, exp, _ in _LAYOUTS])
 _SEP_SHIFT = np.uint64(48)  # the separator's byte in lane 3, a comma in _EXP
 _ALL = np.uint64(2**64 - 1)
-_POINT, _MINUS, _ZERO = np.uint64(ord(".")), np.uint64(ord("-")), np.uint64(ord("0"))
+_POINT = np.uint64(ord("."))
+_MINUS = np.uint8(ord("-"))  # the sign, written into lane 0's low byte
 _TEXT = 24  # width of '%.17g' % -2.2250738585072014e-308, the longest text
 
 
 def _exact_scale(
-    a: np.ndarray, q: np.ndarray, hi: np.ndarray, lo: np.ndarray, scratch: np.ndarray
+    a: np.ndarray, q: np.ndarray, hi: np.ndarray, lo: np.ndarray, half: np.ndarray
 ) -> None:
     """a * 10**(16 - X) = hi + lo to about 1e-14, written into ``hi`` and
     ``lo``, for the positive ``a`` and the scale's table index ``q``.
 
     The sum is Dekker's exact product of ``a`` and the high half of the
     power, as ``_two_product`` forms it, plus the product of ``a`` and the
-    low half. The power's Veltkamp halves come from a table, and each
-    product is formed in the buffer of a factor it outlives, so ``a`` and
-    ``scratch`` are overwritten and three more arrays of a's size are made.
+    low half. The power's Veltkamp halves come from a table, taken again
+    for each partial product into ``b``, the one array this makes; ``half``
+    holds a's halves in turn and is overwritten, and ``a`` is kept.
     """
+    b = np.empty(a.size)
     np.take(_TEN_HI, q, out=hi, mode="clip")  # "clip": no buffered copy of out
     hi *= a  # p = fl(a * 10**q_hi)
-    np.take(_TEN_LO, q, out=lo, mode="clip")
-    lo *= a
-    a_hi = np.multiply(a, _SPLIT, out=scratch)  # Veltkamp's split of a
-    b_hi = a_hi - a
-    a_hi -= b_hi
-    a_lo = np.subtract(a, a_hi, out=a)
-    np.take(_TEN_SPLIT[0], q, out=b_hi, mode="clip")
-    b_lo = np.take(_TEN_SPLIT[1], q, mode="clip")
-    err = a_hi * b_hi  # a*10**q_hi - p, summed in _two_product's order
-    err -= hi
-    a_hi *= b_lo
-    err += a_hi
-    b_hi *= a_lo
-    err += b_hi
-    b_lo *= a_lo
-    err += b_lo
-    lo += err
+    a_hi = np.multiply(a, _SPLIT, out=half)  # Veltkamp's split of a
+    a_hi -= np.subtract(a_hi, a, out=b)
+    err = np.multiply(a_hi, np.take(_TEN_SPLIT[0], q, out=b, mode="clip"), out=lo)
+    err -= hi  # a*10**q_hi - p, summed in _two_product's order
+    err += np.multiply(a_hi, np.take(_TEN_SPLIT[1], q, out=b, mode="clip"), out=b)
+    a_lo = np.subtract(a, a_hi, out=half)
+    for table in _TEN_SPLIT:
+        err += np.multiply(a_lo, np.take(table, q, out=b, mode="clip"), out=b)
+    err += np.multiply(a, np.take(_TEN_LO, q, out=b, mode="clip"), out=b)  # lo = a*10**q_lo + err
 
 
-def _scale_index(a: np.ndarray) -> np.ndarray:
+def _scale_index(a: np.ndarray, binade: np.ndarray, above: np.ndarray) -> np.ndarray:
     """The power table's index of 10**(16 - X), X = floor(log10 a) exactly,
-    for positive normal doubles ``a``."""
-    binade = a.view(np.int64) >> 52
-    q = _SCALE_INDEX[binade]
-    q -= a >= _NEXT_DECADE[binade]
+    for positive normal doubles ``a``, as a new int64 array. ``binade``
+    (int64) and ``above`` (float64), each of a's size, are overwritten."""
+    np.right_shift(a.view(np.int64), 52, out=binade)
+    q = np.take(_SCALE_INDEX, binade)
+    np.take(_NEXT_DECADE, binade, out=above, mode="clip")
+    up = np.greater_equal(a, above, out=binade.view(bool)[: a.size])  # X is the next decade
+    np.copyto(above.view(np.int64), up)  # as int64, so the subtraction casts nothing
+    q -= above.view(np.int64)
     return q
 
 
-def _put_groups(digits: np.ndarray, halves: np.ndarray, trailing, zero_tail) -> None:
-    """Write the ASCII of the 8-digit integers ``digits`` (overwritten) into
-    ``halves``, a digit lane as uint32: the first 4 digits in the even
-    halves, the last 4 in the odd. Each group adds its trailing zeros to
-    ``trailing`` where ``zero_tail``, every later digit 0, holds."""
-    head = digits // 10**4
-    digits -= head * 10**4
-    for group, at in ((digits, 1), (head, 0)):
-        halves[at::2] = _ASCII4[group]
+def _put_groups(digits, lane, head, spare, trailing=None) -> np.ndarray:
+    """Write the ASCII of the 8-digit integers ``digits`` into ``lane``, the
+    first 4 digits in its low half and the last 4 in its high half, and
+    return ``trailing``, the count of trailing zeros of the digits so far,
+    uint8: each group, the first one first, adds its 4 if it is 0000 and
+    else sets its own count; None stands for no digits before. ``digits``,
+    ``lane``, ``head`` and ``spare`` are int64 of one size, all but
+    ``lane`` overwritten, which may be ``digits`` or ``spare``."""
+    np.floor_divide(digits, 10**4, out=head)
+    digits -= np.multiply(head, 10**4, out=spare)
+    for group in (head, digits):
         zeros = _TRAILING[group]
-        trailing += zeros * zero_tail
-        zero_tail &= zeros == 4
+        if trailing is None:
+            trailing = zeros
+            continue
+        trailing *= zeros >> 2  # 1 for 0000, 0 for a group that ends the zeros
+        trailing += zeros
+    np.left_shift(np.take(_ASCII4, digits, out=spare, mode="clip"), 32, out=spare)
+    np.bitwise_or(np.take(_ASCII4, head, out=digits, mode="clip"), spare, out=lane)
+    return trailing
 
 
-def _insert_point(low: np.ndarray, high: np.ndarray, tail: np.ndarray, shift: np.ndarray) -> None:
+def _insert_point(
+    low: np.ndarray, high: np.ndarray, shift: np.ndarray, free: np.ndarray, moved: np.ndarray
+) -> None:
     """Insert a point at byte ``shift / 8`` in [0, 16] of lanes ``low, high``
-    (16 bytes), in place: the bytes from there move one byte up, the last
-    one into the free low byte of ``tail``. ``shift`` is overwritten."""
-    moved = np.left_shift(_ALL, shift)  # a shift past 63 gives 0 in numpy
-    moved &= low
-    low ^= moved
-    carry = moved >> 56
-    moved <<= 8
-    low |= moved
-    low |= np.left_shift(_POINT, shift, out=moved)
-    shift -= 64  # wraps for a point in the low lane, so past 63 again
-    moved = np.right_shift(_ALL, np.subtract(64, shift, out=moved), out=moved)
-    np.invert(moved, out=moved)
+    (16 bytes), in place: the bytes from there move one byte up, and the
+    last one is written into ``shift``, a uint8 array. ``free`` and
+    ``moved`` are uint64 scratch."""
+    np.copyto(free, shift)  # the shift as uint64, so no shift below casts
+    moved = np.right_shift(_ALL, np.subtract(128, free, out=moved), out=moved)
+    np.invert(moved, out=moved)  # all of the high lane for a point in the low one
     moved &= high
     high ^= moved
-    high |= carry
-    tail |= np.right_shift(moved, 56, out=carry)
+    np.copyto(shift, moved.view(np.uint8)[7::8])  # the byte pushed out
     moved <<= 8
     high |= moved
-    high |= np.left_shift(_POINT, shift, out=moved)
+    high |= np.left_shift(_POINT, np.subtract(free, 64, out=moved), out=moved)  # past 63 gives 0
+    moved = np.left_shift(_ALL, free, out=moved)
+    moved &= low
+    low ^= moved
+    low |= np.left_shift(_POINT, free, out=free)
+    high |= np.right_shift(moved, 56, out=free)  # into the high lane's free low byte
+    moved <<= 8
+    low |= moved
 
 
 def _fill_slots(x: np.ndarray, slots: np.ndarray) -> np.ndarray:
@@ -262,63 +275,77 @@ def _fill_slots(x: np.ndarray, slots: np.ndarray) -> np.ndarray:
     its column of the lane-major ``slots``, ``_LANES`` rows of uint64; True
     where that text is exact, False where the value must be formatted in
     Python instead. ``x`` is overwritten, and may be lane 3 viewed as
-    floats: each lane is scratch space until its text is written, last."""
+    floats: each lane is scratch space until its text is written.
+
+    Every array of x's size and 8-byte values is a lane, but the scale
+    index ``q`` and ``_exact_scale``'s one array. Lane 0 holds a's binade
+    and halves, then the rounding's whole part until the first digit; lanes
+    1 and 2 hold the scaled value's halves until N is formed, then its
+    digits and their ASCII; lane 3 holds the tie, N until its digits are
+    made and the point's shifts, and is written last. Once lane 0 is done,
+    q is narrowed to int16 and its array is the digits' scratch."""
     lead, low, high, tail = slots
+    size = x.size
     negative = x < 0
     a = np.abs(x, out=x)
-    exact = a >= 1 / _EXACT_MAX
-    exact &= a <= _EXACT_MAX  # False for 0, nan, inf, subnormals
-    a[~exact] = 1.0  # so no arithmetic below warns
-    q = _scale_index(a)
+    exact = a >= 1 / _EXACT_MAX  # with the next line, False for 0, nan, inf, subnormals
+    exact &= np.less_equal(a, _EXACT_MAX, out=lead.view(bool)[:size])
+    a[np.invert(exact, out=lead.view(bool)[:size])] = 1.0  # so no arithmetic below warns
+    q = _scale_index(a, lead.view(np.int64), low.view(float))
     hi, lo = high.view(float), low.view(float)
     _exact_scale(a, q, hi, lo, lead.view(float))
     whole = np.floor(lo, out=lead.view(float))
     lo -= whole
     # X is exact, so N has at least 17 digits (10**X itself gives 10**16);
     # no carry to an 18th, and not within reach of a tie
-    exact &= hi < 1e17 - 16
-    tie = np.subtract(lo, 0.5, out=a)
+    exact &= np.less(hi, 1e17 - 16, out=tail.view(bool)[:size])
+    tie = np.subtract(lo, 0.5, out=tail.view(float))
     exact &= np.abs(tie, out=tie) > 1e-9
-    n = hi.astype(np.int64)
-    n += whole.astype(np.int64)
-    n += lo > 0.5
+    n, high_ints = tail.view(np.int64), high.view(np.int64)
+    np.copyto(n, hi, casting="unsafe")  # N = hi + whole + (lo > 0.5)
+    whole += np.rint(lo, out=lo)  # lo in [0, 1) rounds half to even: to 1 where lo > 0.5
+    np.copyto(high_ints, whole, casting="unsafe")
+    n += high_ints
     first = np.floor_divide(n, 10**16, out=lead.view(np.int64))
-    n -= first * 10**16
+    n -= np.multiply(first, 10**16, out=high_ints)
     # lane 0 is done: the sign, the "0.000" of a value below 1, the first digit
     lead <<= 48
-    lead += _ZERO << 48
-    lead |= _LEAD[q]
-    lead |= negative * _MINUS
-    before = _BEFORE[q]
-    q = q.astype(np.int16)  # narrowed while the digits are made: only lane 3 needs it
-    upper = np.floor_divide(n, 10**8, out=a.view(np.int64))  # digits 2-9
-    n -= upper * 10**8  # digits 10-17
-    # four 4-digit groups, the last first: each group's ASCII goes into its
-    # half of a digit lane, and its trailing zeros count while all after it are 0
-    trailing = np.zeros(n.size, np.uint8)
-    zero_tail = np.ones(n.size, bool)
-    for digits, lane in ((n, high), (upper, low)):
-        _put_groups(digits, lane.view("<u4"), trailing, zero_tail)
-    del n, upper, digits
-    np.take(_EXP, q, out=tail, mode="clip")
+    lead |= np.take(_LEAD, q, out=high, mode="clip")
+    np.multiply(negative.view(np.uint8), _MINUS, out=lead.view(np.uint8)[::8])  # its free low byte
+    del negative
+    before = np.take(_BEFORE, q)
+    spare, q = q, q.astype(np.int16)  # narrowed while the digits are made: only lane 3 needs it
+    upper = np.floor_divide(n, 10**8, out=low.view(np.int64))  # digits 2-9
+    n -= np.multiply(upper, 10**8, out=spare)  # digits 10-17
+    # four 4-digit groups: each 8-digit half's ASCII goes into its digit
+    # lane, and the trailing zeros are counted group by group
+    trailing = _put_groups(upper, upper, high_ints, spare)
+    trailing = _put_groups(n, high_ints, spare, high_ints, trailing)
     significant = np.subtract(17, trailing, out=trailing)
     # zero the digits past the last significant one and past the point
-    keep = np.maximum(significant, before).astype(np.uint64)
-    keep <<= 3
+    keep = np.maximum(significant, before)
+    keep *= 8
     keep -= 8  # the bits of the digits kept after the first
-    mask = np.left_shift(_ALL, keep)  # a shift past 63 gives 0 in numpy
-    low &= np.invert(mask, out=mask)
-    high &= np.right_shift(_ALL, np.subtract(128, keep, out=keep), out=keep)
-    del keep, mask
+    bits, mask = tail, spare.view(np.uint64)
+    np.copyto(bits, keep)
+    del keep
+    low &= np.invert(np.left_shift(_ALL, bits, out=mask), out=mask)  # a shift past 63 gives 0
+    high &= np.right_shift(_ALL, np.subtract(128, bits, out=bits), out=bits)
     # the point follows digit ``before`` where a significant digit follows
     # it (``before`` is 0 for a value below 1), at byte before - 1 of lanes
     # 1-2; elsewhere a shift of 128 bits inserts nothing
     point = (significant > before) & (before > 0)
-    shift = before * 8  # in uint8, wrapping: 8 before - 8 where point, else 128
+    # in uint8, wrapping: 8 before - 8 where point, else 128
+    shift = np.multiply(before, 8, out=before)
     shift -= 136
     shift *= point
     shift += 128
-    _insert_point(low, high, tail, shift.astype(np.uint64))
+    _insert_point(low, high, shift, tail, mask)
+    # lane 3, last: "e" sign ddd, the separator and the digit the point pushed out
+    np.copyto(spare, q)  # as int64, so take makes no copy of the index
+    np.take(_EXP, spare, out=tail, mode="clip")
+    np.copyto(mask, shift)
+    tail |= mask
     return exact
 
 
@@ -329,22 +356,30 @@ def _put_text(slots: np.ndarray, at: np.ndarray, texts: list) -> None:
         slots[3, at] &= _ALL << _SEP_SHIFT
 
 
+def _rows(column, lo: int, hi: int) -> np.ndarray:
+    """Rows ``[lo, hi)`` of a column: a function's evaluated, an array's sliced."""
+    return column(lo, hi) if callable(column) else column[lo:hi]
+
+
 def _block_slots(columns: list, lo: int, hi: int) -> np.ndarray:
     """The filled slots of rows ``[lo, hi)`` of ``columns``, pairs of a
     column and whether it ends a row, row by row: each value's text, the
-    fallback texts put in, and a separator, a newline if it ends a row."""
-    blocks = [column(lo, hi) if callable(column) else column[lo:hi] for column, _ in columns]
-    width = len(blocks)
+    fallback texts put in, and a separator, a newline if it ends a row.
+    Each column's block is held only while it is copied into lane 3; a
+    function column is evaluated again where Python formats a value."""
+    width = len(columns)
     slots = np.empty((_LANES, (hi - lo) * width), "<u8")
     x = slots[3].view(float)  # the values row by row, in the lane that ends the slots
     table = x.reshape(-1, width)
     formats = []
-    for j, block in enumerate(blocks):
+    for j, (column, _) in enumerate(columns):
+        block = _rows(column, lo, hi)
         table[:, j] = block
         formats.append("%.17g" if block.dtype.kind == "f" else "%d")
         if formats[j] == "%d":  # below 2**53 the float's '%.17g' text is the integer's '%d'
-            column = table[:, j]
-            column[np.abs(column) >= 2**53] = np.nan  # formatted in Python
+            values = table[:, j]
+            values[np.abs(values) >= 2**53] = np.nan  # formatted in Python
+        del block
     exact = _fill_slots(x, slots)
     del x, table
     for j, (_, ends) in enumerate(columns):
@@ -352,6 +387,7 @@ def _block_slots(columns: list, lo: int, hi: int) -> np.ndarray:
             slots[3, j::width] ^= np.uint64(ord(",") ^ ord("\n")) << _SEP_SHIFT
     at = np.flatnonzero(~exact)
     rows, cols = np.divmod(at, width)
+    blocks = {j: _rows(columns[j][0], lo, hi) for j in set(cols.tolist())}
     _put_text(slots, at, [formats[j] % blocks[j][i] for i, j in zip(rows.tolist(), cols.tolist())])
     return slots
 
@@ -397,11 +433,12 @@ def save_tables(tables) -> None:
             fh.write(header.encode() + b"\n")
         for lo, hi in _blocks(n, max(1, _BLOCK_VALUES // width)):
             lanes = _block_slots(distinct, lo, hi).reshape(_LANES, hi - lo, width)
-            half = (hi - lo + 1) // 2
+            cuts = [(hi - lo) * k // 4 for k in range(5)]
             for fh, at in zip(files, picks):
-                # value by value, a half of the rows at a time: translate
-                # first makes a result as long as its input
-                for rows in (slice(half), slice(half, None)):
+                # value by value, a quarter of the rows at a time: translate
+                # first makes a result as long as its input, so a quarter's
+                # text and its result stay below the fill's scratch
+                for rows in map(slice, cuts, cuts[1:]):
                     fh.write(lanes[:, rows, at].transpose(1, 2, 0).tobytes().translate(None, b"\0"))
             del lanes  # not held while the next block's slots are filled
 

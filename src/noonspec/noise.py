@@ -672,12 +672,14 @@ def error_scaling_study(
     repeats, chunk_size = _integer(repeats, "repeats"), _chunk_size(chunk_size)
     if repeats < 2:
         raise ValueError("repeats must be at least 2")
-    n_trials = np.array([_integer(n, "trial count") for n in trial_counts])
-    if not n_trials.size:
+    counts = [_integer(n, "trial count") for n in trial_counts]
+    if not counts:
         raise ValueError("trial_counts must not be empty")
+    if max(counts) > MAX_PAIRS_PER_BIN:  # named by its rule, even past int64
+        replace(config, pairs_per_bin=max(counts))
+    n_trials = np.array(counts)
     zeros = np.zeros(n_trials.size)
-    ScalingStudy(n_trials, zeros, zeros)
-    replace(config, pairs_per_bin=int(n_trials.max()))
+    ScalingStudy(n_trials, zeros, zeros)  # so every count is in the config's range
 
     pattern = simulate_interferogram(spectrum, grid)
     streams = np.arange(n_trials.size * repeats).reshape(-1, repeats)

@@ -90,7 +90,10 @@ def _transformed(g: np.ndarray, grid: TimeGrid) -> tuple:
     # the kernel phase 2 pi nu t must stay finite up to the band edge 1/(2 dt)
     if not math.isfinite(2 * math.pi / dt):
         raise ValueError(f"delay step {dt!r} ps is too fine for a finite frequency band")
+    # and the resolution 1/(n dt) must be positive: n dt may overflow to inf
     df = 1.0 / (n * dt)
+    if not df > 0:
+        raise ValueError(f"delay window {n} x {dt!r} ps is too long for a positive frequency step")
     # ifft casts a real input to a complex copy before it transforms; made
     # here, that copy takes the transform in place, with the same bits
     raw = g.astype(complex)

@@ -765,6 +765,18 @@ class TestRecover:
         assert err.count("\n") == (code != 0) and (code == 0 or "delay step" in err)
         assert (tmp_path / "rec").exists() == (code == 0)
 
+    def test_delay_window_needs_a_positive_frequency_step(self, tmp_path, capsys):
+        # n dt overflows to inf, so 1/(n dt) was 0: the verb warned and then
+        # named a grid step of 0.0 that was never given
+        path = tmp_path / "long.csv"
+        path.write_text("t_ps,g\n0,1\n1e308,0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["recover", str(path), "--out", str(tmp_path / "rec")]) == 2
+        line = "error: delay window 2 x 1e+308 ps is too long for a positive frequency step\n"
+        assert capsys.readouterr().err == line
+        assert not (tmp_path / "rec").exists()
+
     def test_zero_trace_gives_empty_report(self, tmp_path):
         path = tmp_path / "zero.csv"
         rows = ["t_ps,g"] + [f"{i * 0.001},0" for i in range(64)]
@@ -881,16 +893,18 @@ class TestVerbPeakMemory:
         assert peak < 38 * count
 
     def test_recover_tpa3_trace(self, tmp_path):
-        # 1,927,048 bytes, set by feature detection and the recovered.csv
-        # write: the spectrum (1.05 MB), its fold and the writer's block.
-        # The transform holds one complex array; with ifft's complex cast
-        # of the trace and the fftshift copy beside it, the verb took
-        # 2.72 MB, and with the writer's block of fresh arrays 3.05 MB
+        # 1,765,337 bytes, set by the recovered.csv write: the spectrum
+        # (1.05 MB), its fold and the writer's block, 75 KB above the read
+        # (1.69 MB) and the transform (1.68 MB). The fill's fresh int64 and
+        # float64 arrays took it to 1,927,048. The transform holds one
+        # complex array; with ifft's complex cast of the trace and the
+        # fftshift copy beside it, the verb took 2.72 MB, and with the
+        # writer's block of fresh arrays at every step 3.05 MB
         assert main(["simulate", "--preset", "tpa3", "--out", str(tmp_path / "sim")]) == 0
         args = ["recover", str(tmp_path / "sim" / "trace.csv"), "--out"]
         assert main([*args, str(tmp_path / "warm")]) == 0
         peak = peak_above_inputs(lambda: main([*args, str(tmp_path / "rec")]))
-        assert peak <= 1_927_048 + 8192
+        assert peak <= 1_765_337 + 8192
 
 
 class TestNoiseStudy:
@@ -956,6 +970,15 @@ class TestNoiseStudy:
         err = capsys.readouterr().err
         assert err.startswith("error: argument --trials: expected a positive finite int")
         assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("count", [2**40, 2**70])
+    def test_oversized_trial_count_exits_2(self, tmp_path, capsys, count):
+        # a count past int64 used to be named by the study's int64 column
+        out = tmp_path / "study"
+        args = ["noise-study", "--config", str(self.scenario(tmp_path)), "--out", str(out)]
+        assert main([*args, "--trials", f"100,{count}"]) == 2
+        assert capsys.readouterr().err == "error: pairs_per_bin must lie in [1, 2147483648]\n"
         assert not out.exists()
 
     def test_repeated_trial_count_exits_2(self, tmp_path):

@@ -284,7 +284,8 @@ def test_scale_index_is_the_exact_decade():
     x = np.concatenate([powers, np.nextafter(powers, 0)])
     x = x[(x >= 1 / io._EXACT_MAX) & (x <= io._EXACT_MAX)]
     decade = np.searchsorted(io._AT_LEAST, x, "right") - 1 + io._POW_LOW
-    assert np.array_equal(io._scale_index(x) + io._POW_LOW, 16 - decade)
+    q = io._scale_index(x, np.empty(x.size, np.int64), np.empty(x.size))
+    assert np.array_equal(q + io._POW_LOW, 16 - decade)
 
 
 def test_write_columns_random_bit_patterns(tmp_path):
@@ -356,24 +357,26 @@ def test_recovered_csv_memory_does_not_grow_with_rows(tmp_path):
 
 
 def test_write_columns_peak_on_a_long_trace(tmp_path):
-    # a 65,536-row grid and float column written alone: 580,878 bytes above
-    # the inputs, pinned plus 8 KiB; the slot-major block with fresh arrays
-    # at each step took 1,711,766
+    # a 65,536-row grid and float column written alone: 418,836 bytes above
+    # the inputs, pinned plus 8 KiB, the block's slots and the fill's
+    # scratch. With fresh arrays at each step of the fill it took 580,878,
+    # and the slot-major block with fresh arrays 1,711,766
     grid = UniformGrid(-16.384, 5e-4, 2**16)
     values = np.random.default_rng(7).uniform(0.0, 1.0, grid.count)
     path = tmp_path / "p.csv"
     io.save_tables([(path, "t_ps,p", (grid, values))])
     peak = peak_above_inputs(lambda: io.save_tables([(path, "t_ps,p", (grid, values))]))
-    assert peak <= 580_878 + 8192
+    assert peak <= 418_836 + 8192
 
 
 def test_delay_walk_peak_on_a_long_trace(tmp_path):
     # interferogram.csv and trace.csv on 65,536 delays, one walk of t, P and
-    # G = 2P - 1 (made from P a block at a time): 598,414 bytes above the
-    # inputs, pinned plus 8 KiB. Written one file at a time, trace.csv alone
-    # peaked at 614,192; each table's text compacted whole, not by halves
-    # of its rows, took 624,614, as translate's result is first as long as
-    # its input and the slots are still held
+    # G = 2P - 1 (made from P a block at a time): 423,456 bytes above the
+    # inputs, pinned plus 8 KiB; 598,414 with fresh arrays at each step of
+    # the fill. Written one file at a time, trace.csv alone peaked at
+    # 614,192; each table's text compacted whole, not by quarters of its
+    # rows, took 624,614, as translate's result is first as long as its
+    # input and the slots are still held
     p = np.random.default_rng(7).uniform(0.0, 1.0, 2**16)
     interferogram = Interferogram(centered_time_grid(5e-4, p.size), p)
     delays = [
@@ -382,7 +385,50 @@ def test_delay_walk_peak_on_a_long_trace(tmp_path):
     ]
     io.save_tables(delays)
     peak = peak_above_inputs(lambda: io.save_tables(delays))
-    assert peak <= 598_414 + 8192
+    assert peak <= 423_456 + 8192
+
+
+def test_fill_peak_above_its_slots():
+    # every array of the block's size and 8-byte values is one of its four
+    # slot lanes, but the scale index and _exact_scale's one array: at most
+    # 149,696 bytes above the slots and the values, pinned plus 8 KiB. With
+    # fresh int64 and float64 arrays at each step the fill took 280,568.
+    # The values: uniform on [0, 1), both signs over 10**-300 to 10**300,
+    # raw bit patterns (nan, inf and subnormals among them), delays
+    rng = np.random.default_rng(11)
+    n = io._BLOCK_VALUES
+    wide = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300, 300, n)
+    bits = rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64)
+    inputs = [rng.uniform(0.0, 1.0, n), wide, bits, UniformGrid(-16.384, 5e-4, 2**16)(0, n)]
+    slots = np.empty((io._LANES, n), "<u8")
+    x = slots[3].view(float)  # the values in lane 3, as _block_slots puts them
+
+    def fill(values):
+        x[:] = values
+        io._fill_slots(x, slots)
+
+    fill(inputs[0])
+    assert max(peak_above_inputs(lambda: fill(values)) for values in inputs) <= 149_696 + 8192
+
+
+def test_block_slots_peak_on_recovered_columns():
+    # recovered.csv's four columns, 2048 rows a block: the 262,144 bytes of
+    # slots and the fill's scratch; a function column's block (the grid's
+    # points, |A|) is not held past its copy into lane 3. At most 411,736
+    # bytes, pinned plus 8 KiB; 576,128 while the fill made fresh arrays
+    rows = 2**16
+    rng = np.random.default_rng(12)
+    re, im = rng.normal(size=rows), rng.normal(size=rows)
+    grid = FrequencyGrid(-1.0, 2.0 / rows, rows)
+    columns = [(grid, False), (lambda lo, hi: np.hypot(re[lo:hi], im[lo:hi]), False)]
+    columns += [(re, False), (im, True)]
+    step = io._BLOCK_VALUES // len(columns)
+    io._block_slots(columns, 0, step)
+    peaks = [
+        peak_above_inputs(lambda: io._block_slots(columns, lo, lo + step))
+        for lo in range(0, rows, 8 * step)
+    ]
+    assert max(peaks) <= 411_736 + 8192
 
 
 def walk_tables(rows: int, seed: int) -> list:

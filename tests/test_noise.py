@@ -694,6 +694,13 @@ class TestErrorScalingStudy:
         with pytest.raises(ValueError, match="pairs_per_bin must lie in"):
             error_scaling_study(trial_counts=[100, 2**31 + 1], **study_args)
 
+    @pytest.mark.parametrize("count", [2**40, 2**63, 2**70])
+    def test_trial_count_past_int64_names_its_range(self, study_args, count):
+        # a count past int64 was named by the int64 column, "ScalingStudy
+        # n_trials must hold integers", not by the range it breaks
+        with pytest.raises(ValueError, match=r"^pairs_per_bin must lie in \[1, 2147483648\]$"):
+            error_scaling_study(trial_counts=[100, count], **study_args)
+
     @pytest.mark.parametrize("chunk", [0, -5])
     def test_non_positive_chunk_size_rejected_before_any_work(self, study_args, chunk):
         # it used to fail only inside the pool's workers, after the synthesis
