@@ -31,7 +31,7 @@ from .grids import TimeGrid, UniformGrid
 from .interferometer import check_nyquist, default_time_grid, simulate_interferogram
 from .noise import NoiseConfig, error_scaling_study, estimate_trace, sample_counts
 from .presets import DESCRIPTIONS, PRESETS, preset_scenario
-from .recovery import detect_features, fold_one_sided, fourier_recover
+from .recovery import _folded, _mirrored, _one_sided, _transformed, detect_features
 from .spectral import (
     CombLine,
     SumFrequencySpectrum,
@@ -303,16 +303,18 @@ def cmd_recover(args) -> int:
     trace = io.read_trace_csv(args.trace)
     out = _out_dir(args.out)
 
-    recovered = fourier_recover(trace, window=args.window)
+    # the transform's f >= 0 half alone: the negative frequencies are its
+    # conjugate mirror, written as such, and the fold doubles the half
+    grid, half = _transformed(trace.values, trace.grid, args.window)
     del trace  # freed before the writers run, which lowers the verb's peak memory
-    folded = fold_one_sided(recovered)
+    folded = _one_sided(_folded(half, grid.count), grid.step)
     peaks = [
         {"center_thz": f.center, "height": f.height, "fwhm_thz": f.fwhm, "kind": f.kind}
         for f in detect_features(folded, min_prominence=args.min_prominence)
     ]
 
     out.mkdir(parents=True, exist_ok=True)
-    io.write_recovered_csv(out / "recovered.csv", recovered)
+    io.write_recovered_csv(out / "recovered.csv", grid, _mirrored(half, grid))
     io.write_spectrum_csv(out / "folded.csv", folded)
     io.write_json(out / "peaks.json", peaks)
     return EXIT_OK

@@ -22,11 +22,13 @@ its own with ``'%.17g' % x`` or ``'%d' % n``, but the walk formats blocks
 of whole rows in numpy, ``_BLOCK_VALUES // D`` rows (at least one) at a
 time, D the distinct column objects (one that ends a row in some tables
 and not in others counts twice, once for each separator). Its memory is
-bounded by the block: a grid, the modulus column of ``recovered.csv``
-and the G = 2P - 1 column of a ``trace.csv`` written from P are
-functions, evaluated on the block's rows alone. Every value takes one
-path, integers as floats: an integer with |n| < 2**53 is exact as a
-double, and its ``'%d'`` text is the double's ``'%.17g'`` text.
+bounded by the block: a grid, the three amplitude columns of
+``recovered.csv`` (of one complex column, which ``recover`` mirrors
+from its half spectrum) and the G = 2P - 1 column of a ``trace.csv``
+written from P are functions, evaluated on the block's rows alone.
+Every value takes one path, integers as floats: an integer with
+|n| < 2**53 is exact as a double, and its ``'%d'`` text is the
+double's ``'%.17g'`` text.
 
 - A float with 1e-280 <= |x| <= 1e280 gets its 17 significant digits
   from N = round(|x| * 10**(16 - X)), X = floor(log10 |x|). X is exact:
@@ -93,10 +95,9 @@ from pathlib import Path
 import numpy as np
 
 from ._numerics import _SPLIT, _blocks, _split
-from .grids import infer_grid
+from .grids import FrequencyGrid, infer_grid
 from .interferometer import CorrelationTrace, Interferogram, _correlation
 from .noise import CountData, ScalingStudy
-from .recovery import RecoveredSpectrum
 from .spectral import SumFrequencySpectrum
 
 
@@ -503,11 +504,23 @@ def read_trace_csv(path) -> CorrelationTrace:
     return CorrelationTrace(*_read_columns(path, "t_ps,g"))
 
 
-def write_recovered_csv(path, recovered: RecoveredSpectrum) -> None:
-    re, im = recovered.amplitudes.real, recovered.amplitudes.imag
-    # np.hypot equals scalar abs(complex) bit for bit; np.abs's SIMD loop does
-    # not. Like the grid, the column is evaluated one block of rows at a time.
-    columns = (recovered.grid, lambda lo, hi: np.hypot(re[lo:hi], im[lo:hi]), re, im)
+def write_recovered_csv(path, grid: FrequencyGrid, amplitudes) -> None:
+    """``recovered.csv`` of the complex ``amplitudes`` on ``grid``, a column:
+    an array, or a function of a row range, as ``recover`` passes the
+    mirror of its half spectrum. Like the grid, each of the three columns
+    made from it is made one block of rows at a time. np.hypot equals
+    scalar abs(complex) bit for bit; np.abs's SIMD loop does not."""
+    if not callable(amplitudes) and len(amplitudes) != grid.count:
+        raise ValueError("CSV columns differ in length")
+
+    def part(name: str):
+        return lambda lo, hi: getattr(_rows(amplitudes, lo, hi), name)
+
+    def modulus(lo: int, hi: int) -> np.ndarray:
+        z = _rows(amplitudes, lo, hi)
+        return np.hypot(z.real, z.imag)
+
+    columns = (grid, modulus, part("real"), part("imag"))
     save_tables([(path, "nu_thz,amplitude_abs,amplitude_re,amplitude_im", columns)])
 
 

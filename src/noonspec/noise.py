@@ -57,9 +57,9 @@ from typing import Sequence
 import numpy as np
 
 from ._numerics import _blocks
-from .grids import TimeGrid, _column, _integer
+from .grids import FrequencyGrid, TimeGrid, _column, _integer
 from .interferometer import CorrelationTrace, Interferogram, _correlation, simulate_interferogram
-from .recovery import _folded, _refined, _transformed
+from .recovery import _folded, _peak_at, _transformed
 from .spectral import SumFrequencySpectrum
 
 
@@ -543,12 +543,11 @@ def _peak_rows(study: tuple, share: slice) -> np.ndarray:
     rows = np.empty(counts[:, share].shape[:2] + (2,))
     for pairs, drawn, out in zip(n_trials, counts[:, share], rows):
         g = _estimated(drawn, pairs, config.efficiency, config.dark_rate)
-        grid, amp = _transformed(g, pattern.grid)
-        for row, w in zip(out, _folded(amp, grid.index_of(0.0))):
-            i = 1 + int(np.argmax(w[1:]))
-            delta, height = _refined(w, i)
-            row[:] = (i + delta) * grid.step, height
-        del g, amp  # not held through the next estimate: 52 MB on a 2**16 grid
+        grid, half = _transformed(g, pattern.grid)
+        folded = FrequencyGrid(0.0, grid.step, half.shape[-1])
+        for row, w in zip(out, _folded(half, grid.count)):
+            row[:] = _peak_at(w, folded, 1 + int(np.argmax(w[1:])))
+        del g, half  # not held through the next estimate: 26 MB on a 2**16 grid
     return rows
 
 

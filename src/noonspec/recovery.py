@@ -7,9 +7,13 @@ the physical one-sided spectrum. Under the ordinary-frequency convention
 the forward/inverse kernels carry no extra 1/2pi factor, which is what
 makes the round trip self-consistent.
 
-The transform works in one complex array: ``_transformed`` makes it and
-transforms it in place, and ``_twist`` adds the t-origin phase and puts
-zero frequency in the middle, as ``np.fft.fftshift`` does, in one walk.
+A real trace's transform is Hermitian, so its n // 2 + 1 bins at f >= 0
+hold all of it: ``_transformed`` makes them with the real-input FFT
+(``np.fft.rfft``; Sorensen, Jones, Heideman & Burrus, IEEE Trans. ASSP
+35(6), 1987), and the fold takes them alone. :func:`fourier_recover`
+writes that half into its two-sided array and mirrors the rest, so its
+spectrum is Hermitian by construction; ``recover`` and the noise study
+never make the two-sided array.
 """
 from __future__ import annotations
 
@@ -69,23 +73,39 @@ def fourier_recover(trace: CorrelationTrace, window: str = "rect") -> RecoveredS
     ``window="hann"`` tapers the trace before the transform for
     leakage-sensitive comb work (default is rectangular, i.e. none).
     """
-    g = np.asarray(trace.values, dtype=float)
-    if window == "hann":
-        g = g * np.hanning(g.size)
-    elif window != "rect":
-        raise ValueError(f"unknown window {window!r} (expected 'rect' or 'hann')")
-    grid, amp = _transformed(g, trace.grid)
+    n = trace.grid.count
+    i0, odd = n // 2, n % 2
+    amp = np.empty(n, dtype=complex)
+    # the half goes where it needs no move: for odd n onto the bins f >= 0;
+    # for even n, whose half also holds the Nyquist bin, to the front
+    grid, _ = _transformed(trace.values, trace.grid, window, amp[odd * i0 : odd * i0 + i0 + 1])
+    if not odd:
+        nyquist = amp[i0]
+        amp[i0 + 1 :] = amp[1:i0]
+        amp[i0] = amp[0]
+        amp[0] = nyquist.conjugate()
+    np.conjugate(amp[:i0:-1], out=amp[1 - odd : i0])  # the mirror below DC
     amp.setflags(write=False)  # given up, so RecoveredSpectrum keeps it without a copy
     return RecoveredSpectrum(grid, amp)
 
 
-def _transformed(g: np.ndarray, grid: TimeGrid) -> tuple:
-    """The grid and two-sided amplitudes of :func:`fourier_recover` along g's last axis.
+def _transformed(g: np.ndarray, grid: TimeGrid, window: str = "rect", out=None) -> tuple:
+    """The two-sided grid of :func:`fourier_recover` and its amplitudes at
+    f >= 0 along g's last axis, g under ``window``: the n // 2 + 1 bins of
+    ``np.fft.rfft``, written into ``out`` (a new array when None), with
+    the bits of ``conj(rfft(g)) * dt * exp(2 pi i f start)``.
 
-    The amplitudes are one new, writeable complex array of g's shape, the
-    only one held: the transform and its scale work in it, then the phase
-    and the shift in one walk.
+    A real trace's transform is Hermitian, so these bins hold all of it.
+    ``rfft`` carries the -i kernel; its conjugate is the +i one. The scale
+    and the t-origin phasors are applied a block of frequencies at a time,
+    each product with ``out=`` into an array of its own: numpy's in-place
+    product takes another loop with other bits, and a strided block of
+    rows is multiplied at half the speed, so it goes row by row.
     """
+    if window == "hann":
+        g = g * np.hanning(g.shape[-1])
+    elif window != "rect":
+        raise ValueError(f"unknown window {window!r} (expected 'rect' or 'hann')")
     n, dt = grid.count, grid.step
     # the kernel phase 2 pi nu t must stay finite up to the band edge 1/(2 dt)
     if not math.isfinite(2 * math.pi / dt):
@@ -94,59 +114,42 @@ def _transformed(g: np.ndarray, grid: TimeGrid) -> tuple:
     df = 1.0 / (n * dt)
     if not df > 0:
         raise ValueError(f"delay window {n} x {dt!r} ps is too long for a positive frequency step")
-    # ifft casts a real input to a complex copy before it transforms; made
-    # here, that copy takes the transform in place, with the same bits
-    raw = g.astype(complex)
-    # ifft carries the +i kernel; undo its 1/n and add the t-origin phase
-    np.fft.ifft(raw, out=raw)
-    raw *= n * dt
-    _twist(raw, n, dt, grid.start)
-    return FrequencyGrid(start=-(n // 2) * df, step=df, count=n), raw
-
-
-def _twist(raw: np.ndarray, n: int, dt: float, start: float) -> None:
-    """raw = np.fft.fftshift(raw * exp(2 pi i f start), axes=-1) on the
-    frequencies f of ``np.fft.fftfreq(n, d=dt)``, in place along the last
-    axis, in one walk over pairs of blocks.
-
-    The bits are those of that expression without its trace-sized complex
-    temporaries; :func:`_phasors` builds the phasors. fftshift moves the
-    last ``h = n // 2`` points, the negative frequencies, to the front:
-    for odd n, [A, m, B] with A and B of h points becomes [B, A, m]. The
-    middle point m is taken first, then each block of A and its partner
-    in B trade places, each multiplied by its phasors on the way, and m
-    goes last to the end. Each half's frequencies are contiguous, fftfreq's
-    integers times 1/(n dt). The rule of its own is where the +0 goes: the
-    real part of 2j pi f is a zero with f's sign, which the product with
-    ``start`` adds to the phase. So the non-negative frequencies take +0,
-    which turns a -0 to +0, and the negative ones -0, which changes nothing.
-    """
-    scale = 1.0 / (n * dt)
-    h, odd = n // 2, n % 2
-    rows = list(np.ndindex(raw.shape[:-1]))
-    size = max(_numerics._BLOCK // 2, 1)  # a pair of blocks spans one _BLOCK
-    # every product is written with out= into an array of its own, not in
-    # place: numpy's in-place product of one element takes another loop with
-    # other bits, and so does a Python scalar's; and it is taken row by row,
-    # as numpy multiplies a strided block of rows at half the speed
-    if odd:
-        z = _phasors(np.arange(h, h + 1) * scale, 1, scale=start)
-        middle = np.empty(raw.shape[:-1] + (1,), dtype=complex)
-        for row in rows:
-            np.multiply(raw[row][h : h + 1], z, out=middle[row])
-    buf = np.empty(min(size, h), dtype=complex)
-    for lo, hi in _blocks(h, size):
-        z_a = _phasors(np.arange(lo, hi) * scale, 1, scale=start)
-        z_b = _phasors(np.arange(lo - h, hi - h) * scale, 1, scale=start, head=0)
+    half = np.fft.rfft(g, out=out)
+    rows = list(np.ndindex(half.shape[:-1]))
+    buf = np.empty(min(_numerics._BLOCK, half.shape[-1]), dtype=complex)
+    for lo, hi in _blocks(half.shape[-1]):
+        z = _phasors(np.arange(lo, hi) * df, 1, scale=grid.start)
         t = buf[: hi - lo]
         for row in rows:
-            x = raw[row]
-            a = x[lo:hi]
-            np.multiply(a, z_a, out=t)
-            np.multiply(x[h + odd + lo : h + odd + hi], z_b, out=a)
-            x[h + lo : h + hi] = t
-    if odd:
-        raw[..., -1:] = middle
+            x = half[row][lo:hi]
+            np.conjugate(x, out=x)
+            np.multiply(x, dt, out=t)
+            np.multiply(t, z, out=x)
+    return FrequencyGrid(start=-(n // 2) * df, step=df, count=n), half
+
+
+def _folded(half: np.ndarray, n: int) -> np.ndarray:
+    """The weights of :func:`fold_one_sided` from the half of an n-point
+    transform, along its last axis: |DC|, 2|A| on each bin with a mirror,
+    and for even n the unpaired Nyquist bin once. ``np.hypot`` gives a row
+    of a 2-D block one row's bits; ``np.abs`` does not."""
+    weights = np.hypot(half.real, half.imag)
+    weights[..., 1 : (n + 1) // 2] *= 2
+    return weights
+
+
+def _mirrored(half: np.ndarray, grid: FrequencyGrid):
+    """The two-sided amplitudes on ``grid`` of an n-point transform's half,
+    as a function of a row range: below DC each row is the conjugate of
+    its mirror, so the spectrum is Hermitian by construction."""
+    i0 = grid.count // 2
+
+    def rows(lo: int, hi: int) -> np.ndarray:
+        k = np.arange(lo - i0, hi - i0)
+        block = half[np.abs(k)]
+        return np.conjugate(block, out=block, where=k < 0)
+
+    return rows
 
 
 def fold_one_sided(recovered: RecoveredSpectrum) -> SumFrequencySpectrum:
@@ -159,48 +162,44 @@ def fold_one_sided(recovered: RecoveredSpectrum) -> SumFrequencySpectrum:
     Requires Hermitian symmetry within 1e-6 of the peak magnitude, which
     holds for transforms of real traces.
     """
-    weights = _folded(recovered.amplitudes, recovered.zero_index)
-    return SumFrequencySpectrum(FrequencyGrid(0.0, recovered.grid.step, weights.size), weights)
-
-
-def _folded(amp: np.ndarray, i0: int) -> np.ndarray:
-    """The weights of :func:`fold_one_sided` along the last axis of ``amp``, zero at ``i0``:
-    one per bin from DC to the farther end, ``max(i0 + 1, n - i0)`` for n bins.
-    ``np.hypot`` gives a reversed half one row's bits in any layout; ``np.abs`` does not."""
+    amp, i0 = recovered.amplitudes, recovered.zero_index
     # DC and up, and below DC nearest first: neg[j] mirrors pos[j + 1]
-    neg, pos = amp[..., :i0][..., ::-1], amp[..., i0:]
-    k = min(neg.shape[-1], pos.shape[-1] - 1)
-    # the Hermitian residual max |neg - conj(pos)|, a block of mirrored pairs
-    # at a time so no half-length difference is held; a max of maxima is exact
-    err = abs(amp[..., i0].imag)
-    for lo, hi in _blocks(k):
-        d = np.conj(pos[..., lo + 1 : hi + 1])
-        np.subtract(neg[..., lo:hi], d, out=d)
-        err = np.maximum(err, np.hypot(d.real, d.imag).max(-1))
-        del d  # not held beside the weights
-    weights = np.zeros(amp.shape[:-1] + (max(i0 + 1, pos.shape[-1]),))
-    np.abs(pos, out=weights[..., : pos.shape[-1]])
+    neg, pos = amp[:i0][::-1], amp[i0:]
+    k = min(neg.size, pos.size - 1)
+    weights = np.zeros(max(i0 + 1, pos.size))
+    # the Hermitian residual max |neg - conj(pos)|, its real part in the weights' room
+    d = np.subtract(neg.real[:k], pos.real[1 : k + 1], out=weights[:k])
+    s = np.add(neg.imag[:k], pos.imag[1 : k + 1])
+    err = np.hypot(d, s, out=s).max(initial=abs(amp[i0].imag))
+    del s
+    np.hypot(pos.real, pos.imag, out=weights[: pos.size])
     abs_neg = np.hypot(neg.real, neg.imag)
-    scale = np.maximum(weights.max(-1), abs_neg.max(-1, initial=0.0))
-    broken = err > HERMITIAN_TOL * scale
-    if np.any(broken):  # the first row that breaks it
-        rel = err[broken][0] / scale[broken][0]
-        raise AsymmetryError(f"Hermitian symmetry broken by {rel:.3e} (relative)")
-    weights[..., 1 : neg.shape[-1] + 1] += abs_neg
-    return weights
+    scale = max(weights.max(), abs_neg.max(initial=0.0))
+    if err > HERMITIAN_TOL * scale:
+        raise AsymmetryError(f"Hermitian symmetry broken by {err / scale:.3e} (relative)")
+    weights[1 : neg.size + 1] += abs_neg
+    return _one_sided(weights, recovered.grid.step)
 
 
-def _refined(signal: np.ndarray, i: int) -> tuple:
-    """Sub-bin offset in [-0.5, 0.5] and height of the 3-point parabola through
-    the maximum ``signal[i]``; an edge or non-concave sample is kept as is."""
-    if not 0 < i < signal.size - 1:
-        return 0.0, float(signal[i])
-    y_left, y_mid, y_right = signal[i - 1], signal[i], signal[i + 1]
-    denom = y_left + y_right - 2.0 * y_mid
-    if denom >= 0:  # flat or non-concave
-        return 0.0, y_mid
-    delta = float(np.clip(0.5 * (y_left - y_right) / denom, -0.5, 0.5))
-    return delta, y_mid - 0.25 * (y_left - y_right) * delta
+def _one_sided(weights: np.ndarray, step: float) -> SumFrequencySpectrum:
+    """The folded spectrum of ``weights``, from DC up in bins of ``step``,
+    which keeps them without a copy: they are given up, made read-only."""
+    weights.setflags(write=False)
+    return SumFrequencySpectrum(FrequencyGrid(0.0, step, weights.size), weights)
+
+
+def _peak_at(signal: np.ndarray, grid: FrequencyGrid, i: int) -> tuple:
+    """Center on ``grid`` and height of the 3-point parabola through the
+    maximum ``signal[i]``, the one rule for a refined peak: the center
+    moves by at most half a bin; an edge or non-concave sample is kept."""
+    delta, height = 0.0, signal[i]
+    if 0 < i < signal.size - 1:
+        y_left, y_right = signal[i - 1], signal[i + 1]
+        denom = y_left + y_right - 2.0 * height
+        if denom < 0:  # concave
+            delta = float(np.clip(0.5 * (y_left - y_right) / denom, -0.5, 0.5))
+            height = height - 0.25 * (y_left - y_right) * delta
+    return grid.points(i, i + 1)[0] + delta * grid.step, height
 
 
 def _local_maxima(x: np.ndarray) -> np.ndarray:
@@ -359,16 +358,10 @@ def detect_features(
     widths = widths * spectrum.grid.step
 
     features = []
-    grid = spectrum.grid
     for i, w in zip(idx, widths):
-        delta, height = _refined(signal, i)
+        center, height = _peak_at(signal, spectrum.grid, i)
         features.append(
-            SpectralFeature(
-                center=float(grid.points(i, i + 1)[0] + delta * grid.step),
-                height=float(height),
-                fwhm=float(w),
-                kind=kind,
-            )
+            SpectralFeature(center=float(center), height=float(height), fwhm=float(w), kind=kind)
         )
     return features
 

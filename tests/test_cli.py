@@ -25,7 +25,7 @@ from noonspec import (
 )
 from noonspec.absorption import transmitted_spectrum
 from noonspec.cli import ScenarioError, main, parse_scenario
-from noonspec.io import read_trace_csv
+from noonspec.io import read_trace_csv, write_recovered_csv, write_spectrum_csv
 from noonspec.presets import preset_scenario
 from noonspec.recovery import detect_features, fold_one_sided, fourier_recover
 
@@ -719,11 +719,18 @@ class TestRecover:
         assert len(peaks) == 1
         assert list(peaks[0]) == ["center_thz", "height", "fwhm_thz", "kind"]
         assert peaks[0]["kind"] == "peak"
-        folded = fold_one_sided(fourier_recover(read_trace_csv(trace_path)))
+        recovered = fourier_recover(read_trace_csv(trace_path))
+        folded = fold_one_sided(recovered)
         assert peaks == [
             {"center_thz": f.center, "height": f.height, "fwhm_thz": f.fwhm, "kind": f.kind}
             for f in detect_features(folded)
         ]
+        # the verb holds the half spectrum alone; the library's two-sided
+        # array writes the same bytes, and folds to them
+        write_recovered_csv(tmp_path / "recovered.csv", recovered.grid, recovered.amplitudes)
+        write_spectrum_csv(tmp_path / "folded.csv", folded)
+        for name in ("recovered.csv", "folded.csv"):
+            assert (tmp_path / name).read_bytes() == (out / name).read_bytes()
         window = SMALL_TIME_GRID["step_ps"] * SMALL_TIME_GRID["count"]
         assert abs(peaks[0]["center_thz"] - 740.25) <= 1.0 / window
         assert (out / "recovered.csv").exists()
@@ -893,18 +900,20 @@ class TestVerbPeakMemory:
         assert peak < 38 * count
 
     def test_recover_tpa3_trace(self, tmp_path):
-        # 1,765,337 bytes, set by the recovered.csv write: the spectrum
-        # (1.05 MB), its fold and the writer's block, 75 KB above the read
-        # (1.69 MB) and the transform (1.68 MB). The fill's fresh int64 and
-        # float64 arrays took it to 1,927,048. The transform holds one
-        # complex array; with ifft's complex cast of the trace and the
-        # fftshift copy beside it, the verb took 2.72 MB, and with the
-        # writer's block of fresh arrays at every step 3.05 MB
+        # 1,690,101 bytes, set by the read (np.loadtxt's growth). The verb
+        # holds the half spectrum alone, the 32,769 bins at f >= 0, and
+        # writes recovered.csv's rows below DC as their conjugate mirror,
+        # so the write peaks at 1.24 MB: the half, its fold and the
+        # writer's block. With the two-sided spectrum (1.05 MB) held
+        # through the write, the verb took 1,765,337; with the fill's fresh
+        # int64 and float64 arrays 1,927,048; with ifft's complex cast of
+        # the trace and the fftshift copy 2.72 MB, and with the writer's
+        # block of fresh arrays at every step 3.05 MB
         assert main(["simulate", "--preset", "tpa3", "--out", str(tmp_path / "sim")]) == 0
         args = ["recover", str(tmp_path / "sim" / "trace.csv"), "--out"]
         assert main([*args, str(tmp_path / "warm")]) == 0
         peak = peak_above_inputs(lambda: main([*args, str(tmp_path / "rec")]))
-        assert peak <= 1_765_337 + 8192
+        assert peak <= 1_690_101 + 8192
 
 
 class TestNoiseStudy:
@@ -1039,9 +1048,12 @@ class TestNoiseStudy:
         assert not np.array_equal(std_height, incident.std_height)
 
     def test_preset_study_is_pinned_by_value(self, tmp_path):
-        # recorded before the sampler's bracket step: any count the sampler
-        # draws differently moves a spread by far more than 1e-12, while a
-        # numpy whose FFT differs in the last bits stays inside it
+        # first recorded before the sampler's bracket step: any count the
+        # sampler draws differently moves a spread by far more than 1e-12.
+        # Recorded again at the half-spectrum transform and the one rule
+        # for a refined center: a spread of four repeats cancels, so moves
+        # in the last bits of the heights moved std_height by up to 1.1e-12,
+        # and of the centers std_center by up to 7.2e-10
         out = tmp_path / "study"
         argv = ["noise-study", "--preset", "noise-gauss", "--trials", "1000,10000,100000",
                 "--repeats", "4", "--out", str(out)]
@@ -1052,9 +1064,9 @@ class TestNoiseStudy:
         assert rows == [
             pytest.approx(row, rel=1e-12, abs=0)
             for row in (
-                [1000, 0.0010647175438594225, 0.00079898100408775079],
-                [10000, 0.00038526961582760607, 0.00015849113880814233],
-                [100000, 7.6246116982360296e-05, 6.4661220720060999e-05],
+                [1000, 0.0010647175438593007, 0.00079898100413419823],
+                [10000, 0.0003852696158275922, 0.000158491138758324],
+                [100000, 7.6246116982441313e-05, 6.4661220673391367e-05],
             )
         ]
 

@@ -229,11 +229,9 @@ class TestChirpZBuffers:
         else:
             if start == "random":
                 start = float(rng.uniform(-40.0, 40.0))
-            # fftfreq's order, 0 and the positive f before the negative ones,
-            # and like fftfreq no -0; the +0 goes to the non-negative head
-            f = np.concatenate([[0.0], cycles[cycles > 0], cycles[cycles < 0]])
-            head = 1 + np.count_nonzero(cycles > 0)
-            got = _phasors(f, sign, scale=start, head=head)
+            # the recovery's frequencies, rfftfreq's: 0 and the positive f
+            f = np.concatenate([[0.0], cycles[cycles > 0]])
+            got = _phasors(f, sign, scale=start)
             want = np.exp(2j * np.pi * f * start)
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 

@@ -141,12 +141,15 @@ def test_recovered_csv_columns(tmp_path):
     grid = FrequencyGrid(-1.0, 1.0, 3)
     rec = RecoveredSpectrum(grid, np.array([1 - 2j, 3 + 0j, 1 + 2j]))
     path = tmp_path / "recovered.csv"
-    io.write_recovered_csv(path, rec)
+    io.write_recovered_csv(path, rec.grid, rec.amplitudes)
     lines = path.read_text().splitlines()
     assert lines[0] == "nu_thz,amplitude_abs,amplitude_re,amplitude_im"
     row = lines[1].split(",")
     assert float(row[1]) == pytest.approx(abs(1 - 2j))
     assert float(row[3]) == pytest.approx(-2.0)
+    with pytest.raises(ValueError, match="CSV columns differ in length"):
+        io.write_recovered_csv(tmp_path / "short.csv", grid, rec.amplitudes[:2])
+    assert not (tmp_path / "short.csv").exists()
 
 
 def test_json_artifact_bytes(tmp_path):
@@ -350,7 +353,8 @@ def test_recovered_csv_memory_does_not_grow_with_rows(tmp_path):
         rng = np.random.default_rng(rows)
         amp = rng.normal(size=rows) + 1j * rng.normal(size=rows)
         rec = RecoveredSpectrum(FrequencyGrid(-1.0, 2.0 / rows, rows), amp)
-        return peak_above_inputs(lambda: io.write_recovered_csv(tmp_path / "recovered.csv", rec))
+        path = tmp_path / "recovered.csv"
+        return peak_above_inputs(lambda: io.write_recovered_csv(path, rec.grid, rec.amplitudes))
 
     small, large = peak(2**14), peak(2**18)
     assert large <= small * 1.05 + 4096
@@ -574,7 +578,7 @@ def test_recovered_abs_equals_scalar_complex_abs(tmp_path):
     )
     rec = RecoveredSpectrum(FrequencyGrid(-1.0, 2.0 / amp.size, amp.size), amp)
     path = tmp_path / "recovered.csv"
-    io.write_recovered_csv(path, rec)
+    io.write_recovered_csv(path, rec.grid, rec.amplitudes)
     body = np.loadtxt(path, delimiter=",", skiprows=1)
     expected = np.array([abs(complex(z)) for z in amp])
     assert np.array_equal(body[:, 1], expected)

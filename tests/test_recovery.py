@@ -32,10 +32,11 @@ from noonspec.presets import PRESETS, preset_scenario
 from noonspec.recovery import (
     _find_peaks,
     _first_at_or_below,
+    _folded,
     _local_maxima,
-    _refined,
+    _mirrored,
+    _peak_at,
     _transformed,
-    _twist,
 )
 from conftest import centered_time_grid, peak_above_inputs
 
@@ -138,62 +139,116 @@ class TestFourierRecover:
         assert abs(lhs - rhs) / lhs < 1e-6
 
     @staticmethod
-    def twisted(g, grid):
-        """The transform with its t-origin phase as one complex expression."""
-        n, dt = grid.count, grid.step
-        raw = np.fft.ifft(g) * (n * dt)
-        raw *= np.exp(2j * np.pi * np.fft.fftfreq(n, d=dt) * grid.start)
-        return np.fft.fftshift(raw, axes=-1)
-
-    def test_block_twist_equals_the_complex_expression_on_comb5(self):
-        scenario = parse_scenario(preset_scenario("comb5"), None)
-        trace = correlation_trace(simulate_interferogram(scenario.spectrum, scenario.time_grid))
-        got = _transformed(trace.values, trace.grid)[1]
-        want = self.twisted(trace.values, trace.grid)
-        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    def expected_half(g, grid):
+        """The half transform as one expression: conj(rfft) is the +i kernel."""
+        f = np.fft.rfftfreq(grid.count, d=grid.step)
+        return np.conj(np.fft.rfft(g)) * grid.step * np.exp(2j * np.pi * f * grid.start)
 
     @pytest.mark.parametrize("block", [7, 2048])
-    def test_block_twist_equals_the_complex_expression(self, monkeypatch, block):
-        # a start of +0 gives the negative frequencies a -0 phase, whose
-        # phasor is 1 - 0i; only amplitudes with a signed zero part show
-        # it, so some are set to one. Half the trials are 2-D batches, and
-        # with blocks of 7 about one in seven ends on a one-point block.
+    def test_half_equals_the_real_transform_expression(self, monkeypatch, block):
+        # odd and even counts, starts of +0 and -0, 1-D and 2-D inputs; with
+        # blocks of 7 about one in seven ends on a one-point block
         monkeypatch.setattr(_numerics, "_BLOCK", block)
         rng = np.random.default_rng(block)
-        for trial in range(50):
-            n = int(rng.integers(2, 3000))
-            start = [0.0, -0.0][trial] if trial < 2 else float(rng.uniform(-40.0, 40.0))
+        for trial in range(60):
+            n = int(rng.integers(2, 3000)) | 1 if trial % 4 < 2 else 2 * int(rng.integers(1, 1500))
+            start = [0.0, -0.0, 0.0, -0.0][trial] if trial < 4 else float(rng.uniform(-40.0, 40.0))
             dt = float(rng.uniform(1e-4, 1e-2))
-            g = rng.uniform(-1.0, 1.0, (2, n) if trial % 2 else n)
+            g = rng.uniform(-1.0, 1.0, (3, n) if trial % 2 else n)
             grid = FrequencyGrid(start, dt, n)
-            got, want = _transformed(g, grid)[1], self.twisted(g, grid)
+            two_sided, got = _transformed(g, grid)
+            df = 1.0 / (n * dt)
+            assert two_sided == FrequencyGrid(-(n // 2) * df, df, n)
+            assert got.shape == g.shape[:-1] + (n // 2 + 1,)
+            want = self.expected_half(g, grid)
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
-            raw = np.fft.ifft(g)
-            raw[..., ::3] = complex(1.0, -0.0)
-            raw[..., 1::3] = complex(-0.0, 0.0)
-            want = raw * np.exp(2j * np.pi * np.fft.fftfreq(n, d=dt) * start)
-            want = np.fft.fftshift(want, axes=-1)  # the walk also reorders
-            _twist(raw, n, dt, start)
-            np.testing.assert_array_equal(raw.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("n", [4095, 4096])
+    def test_batch_rows_equal_one_row_transforms(self, n):
+        # the study transforms a trial count's streams as one block; its
+        # independence of the split into workers rests on this
+        tg = centered_time_grid(5e-4, n)
+        g = np.random.default_rng(n).uniform(-1.0, 1.0, (9, n))
+        _, batch = _transformed(g, tg)
+        for row, want in zip(g, batch):
+            np.testing.assert_array_equal(_transformed(row, tg)[1].view(np.uint64), want.view(np.uint64))
+        np.testing.assert_array_equal(_folded(batch, n)[4], _folded(_transformed(g[4], tg)[1], n))
+
+    @pytest.mark.parametrize("n", [2, 3, 4096, 4097])
+    def test_hermitian_residual_is_exactly_zero(self, rng, n):
+        # the half fills the bins f >= 0 and, conjugated, those below DC;
+        # the -Nyquist bin of an even count is the conjugate of +Nyquist
+        tg = centered_time_grid(5e-4, n)
+        g = rng.uniform(-1.0, 1.0, n)
+        rec = fourier_recover(CorrelationTrace(tg, g))
+        half = _transformed(g, tg)[1]
+        amp, i0 = rec.amplitudes, rec.zero_index
+        assert i0 == n // 2 and amp[i0].imag == 0
+        k = min(n - 1 - i0, i0)
+        residual = np.abs(amp[i0 - k : i0][::-1] - np.conj(amp[i0 + 1 : i0 + 1 + k]))
+        assert residual.max(initial=0.0) == 0.0
+        np.testing.assert_array_equal(amp[i0:].view(np.uint64), half[: n - i0].view(np.uint64))
+        np.testing.assert_array_equal(amp[: i0 + 1][::-1], np.conj(half))
+        # recover writes these rows from the half, a row range at a time
+        rows = _mirrored(half, rec.grid)
+        for lo, hi in [(0, n), (0, 1), (i0, n), (1, i0 + 1), (n - 1, n)]:
+            np.testing.assert_array_equal(rows(lo, hi).view(np.uint64), amp[lo:hi].view(np.uint64))
+
+    @staticmethod
+    def longdouble_error(trace, amplitudes):
+        """Largest |F - F_ref| over about 64 bins f >= 0, relative to the
+        largest |F_ref|: the 32 strongest bins and 32 spread over the band.
+        F_ref is dt z(f) sum_j g_j exp(2 pi i k j / n), the sum in
+        np.longdouble, z the transform's own t-origin phasors: the figure
+        is the transform's rounding, not the phasors'."""
+        g, grid = np.asarray(trace.values), trace.grid
+        n, m = grid.count, grid.count // 2 + 1
+        strongest = np.argsort(np.abs(amplitudes[:m]))[-32:]
+        bins = np.unique(np.r_[strongest, np.linspace(0, m - 1, 32).round().astype(int)])
+        turn = 2 * np.arccos(np.longdouble(-1)) * np.arange(n) / n
+        cos, sin = np.cos(turn), np.sin(turn)  # exp(2 pi i r / n), r = k j mod n
+        j, gl = np.arange(n), np.longdouble(g)
+        ref = np.array([[(gl * cos[k * j % n]).sum(), (gl * sin[k * j % n]).sum()] for k in bins])
+        z = _numerics._phasors(bins * (1.0 / (n * grid.step)), 1, scale=grid.start)
+        re = (ref[:, 0] * np.longdouble(z.real) - ref[:, 1] * np.longdouble(z.imag)) * grid.step
+        im = (ref[:, 0] * np.longdouble(z.imag) + ref[:, 1] * np.longdouble(z.real)) * grid.step
+        got = amplitudes[bins]
+        err = np.hypot(np.longdouble(got.real) - re, np.longdouble(got.imag) - im)
+        return float(err.max() / np.hypot(re, im).max())
+
+    @pytest.mark.parametrize("preset", ["tpa3", "comb5"])
+    def test_half_is_no_less_accurate_than_the_complex_transform(self, preset):
+        # 1.65e-16 against 2.10e-16 on tpa3, 1.48e-16 against 1.84e-16 on
+        # comb5: ifft of the trace's complex copy, scaled by n dt, was the
+        # transform before the half
+        scenario = parse_scenario(preset_scenario(preset), None)
+        trace = correlation_trace(simulate_interferogram(scenario.spectrum, scenario.time_grid))
+        n, dt = trace.grid.count, trace.grid.step
+        complex_transform = np.fft.ifft(trace.values) * (n * dt)
+        complex_transform *= _numerics._phasors(np.fft.fftfreq(n, d=dt), 1, scale=trace.grid.start)
+        half = _transformed(np.asarray(trace.values), trace.grid)[1]
+        new, old = self.longdouble_error(trace, half), self.longdouble_error(trace, complex_transform)
+        assert new <= old < 1e-15
 
     def test_transform_holds_one_complex_array(self):
-        # ifft's complex cast of the trace and the fftshift copy held two
-        # more complex arrays: 2,164,807 bytes above a 2**16-point trace
+        # rfft writes the half into the spectrum's own array, whose rest is
+        # its mirror: 1,165,208 bytes above a 2**16-point trace. ifft's
+        # complex cast of the trace and the fftshift copy held two more
+        # complex arrays: 2,164,807 bytes
         tg = centered_time_grid(5e-4, 2**16)
         trace = bin_aligned_line(tg, 1000)[1]
         fourier_recover(trace)  # warm
         peak = peak_above_inputs(lambda: fourier_recover(trace))
         assert peak <= 16 * tg.count + 128 * 1024
 
-    def test_spectrum_keeps_the_transform_and_the_helper_returns_it_writeable(self):
-        # the noise study writes into the helper's output
+    def test_spectrum_keeps_the_transform_and_the_helper_returns_the_half(self):
         tg = centered_time_grid(5e-4, 64)
         trace = bin_aligned_line(tg, 5)[1]
-        amp = _transformed(np.asarray(trace.values), tg)[1]
-        assert amp.flags.writeable and amp.flags.owndata
+        half = _transformed(np.asarray(trace.values), tg)[1]
+        assert half.flags.writeable and half.flags.owndata and half.size == 33
         rec = fourier_recover(trace)
         assert rec.amplitudes.flags.owndata and not rec.amplitudes.flags.writeable
-        np.testing.assert_array_equal(rec.amplitudes, amp)
+        np.testing.assert_array_equal(rec.amplitudes[32:], half[:32])
 
     @pytest.mark.parametrize("step", [1e-310, 5e-324])
     def test_step_without_a_finite_resolution_rejected(self, step):
@@ -207,14 +262,28 @@ class TestFourierRecover:
 
 class TestFoldOneSided:
     def test_fold_peak_on_2_16_bins(self):
-        # 559,324 bytes above the spectrum, pinned plus 8 KiB: the weights and
-        # the mirrored modulus (262 kB each) and one block of the Hermitian
-        # residual. The whole half-length difference and its modulus held
-        # beside the amplitudes took 787,992
+        # 559,568 bytes above the spectrum, pinned plus 8 KiB: the weights
+        # (262 kB) and either the Hermitian residual's imaginary part, its
+        # real part taken in the weights' room, or the mirrored modulus.
+        # Taken a block of mirrored pairs at a time, the residual took the
+        # fold to 559,324, and the whole half-length complex difference
+        # and its modulus held beside the amplitudes to 787,992
         tg = centered_time_grid(5e-4, 2**16)
         rec = fourier_recover(bin_aligned_line(tg, 1000)[1])
         fold_one_sided(rec)  # warm
-        assert peak_above_inputs(lambda: fold_one_sided(rec)) <= 559_324 + 8192
+        assert peak_above_inputs(lambda: fold_one_sided(rec)) <= 559_568 + 8192
+
+    def test_half_transform_and_fold_peaks_on_2_16_bins(self):
+        # what recover and the noise study hold: the half transform 640,792
+        # bytes above the trace, pinned plus 8 KiB (the 524,304 of its
+        # 32,769 bins, a block's phasors and scratch), and its fold 262,584
+        # (the weights). The library's two-sided transform peaks at
+        # 1,165,208 and its fold at 559,568
+        tg = centered_time_grid(5e-4, 2**16)
+        g = np.asarray(bin_aligned_line(tg, 1000)[1].values)
+        half = _transformed(g, tg)[1]  # warm
+        assert peak_above_inputs(lambda: _transformed(g, tg)) <= 640_792 + 8192
+        assert peak_above_inputs(lambda: _folded(half, tg.count)) <= 262_584 + 8192
 
     def test_two_peaks_fold_to_one(self):
         tg = centered_time_grid(5e-4, 4096)
@@ -284,9 +353,8 @@ class TestFoldOneSided:
 
     @pytest.mark.parametrize("pair", [0, 2047, 2048, 4094])
     def test_broken_symmetry_found_in_any_block(self, rng, pair):
-        # the residual is taken 2,048 mirrored pairs at a time: a break in the
-        # first, at either edge of a block or in the last pair is reported
-        # with its relative error, and the symmetric spectrum folds
+        # a break in the first pair, in pairs 2,048 apart or in the last is
+        # reported with its relative error, and the symmetric spectrum folds
         n, i0 = 2**13, 2**12
         amp = rng.uniform(-0.5, 0.5, n) + 1j * rng.uniform(-0.5, 0.5, n)
         amp[i0 + 1] = 10.0  # sets the scale
@@ -325,7 +393,8 @@ class TestDetectFeatures:
         ids=["last", "first", "flat-top"],
     )
     def test_refinement_keeps_an_edge_or_flat_sample(self, signal, i):
-        assert _refined(np.array(signal), i) == (0.0, signal[i])
+        grid = FrequencyGrid(0.0, 0.5, len(signal))
+        assert _peak_at(np.array(signal), grid, i) == (0.5 * i, signal[i])
 
     def test_synthetic_dips_against_baseline(self):
         grid = make_frequency_grid(739.0, 0.002, 1001)
