@@ -14,9 +14,11 @@ points from their ideal values (:func:`_off_grid`) round them in the
 same order. No other module adds a grid's start to a multiple of its step.
 
 Every quantity on an axis is a column with one entry per grid point, and
-every series type checks its columns with one rule, :func:`_column`. Every
-scalar integer input of the package (a grid count, pairs per bin, a seed,
-a stream, a trial count, a repeat count, a chunk size) goes through one
+every series type checks its columns with one rule, :func:`_column`, whose
+bounds are numbers: a quantity that is one number for the whole axis, as
+the pairs sent per delay bin are, is stored as that number. Every scalar
+integer input of the package (a grid count, pairs per bin, a seed, a
+stream, a trial count, a repeat count, a chunk size) goes through one
 rule too, :func:`_integer`.
 """
 from __future__ import annotations
@@ -117,8 +119,7 @@ def _column(owner, field: str, shape: tuple, dtype=float, low=None, high=None) -
     always copied.
 
     The column must have ``shape`` and finite values within ``[low, high]``;
-    either bound may be None, a number or an array broadcast against the
-    column. An integer ``dtype`` takes a float column only when every value
+    either bound may be None or a number. An integer ``dtype`` takes a float column only when every value
     is integral and at most 2**53 in magnitude. Every message names the
     owner's type and the field.
     """
@@ -140,9 +141,9 @@ def _column(owner, field: str, shape: tuple, dtype=float, low=None, high=None) -
     if not np.all(np.isfinite(column)):
         raise ValueError(f"{name} must be finite")
     if low is not None and np.any(column < low):
-        raise ValueError(f"{name} must be at least {_bound(low)}")
+        raise ValueError(f"{name} must be at least {low:g}")
     if high is not None and np.any(column > high):
-        raise ValueError(f"{name} must be at most {_bound(high)}")
+        raise ValueError(f"{name} must be at most {high:g}")
 
 
 def _integer(value, name: str) -> int:
@@ -157,10 +158,6 @@ def _integer(value, name: str) -> int:
     if whole or isinstance(value, (int, np.integer)) and type(value) is not bool:
         return int(value)
     raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def _bound(bound) -> str:
-    return f"{bound:g}" if np.ndim(bound) == 0 else "its bound at each point"
 
 
 def infer_grid(values) -> UniformGrid:

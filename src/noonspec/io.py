@@ -489,7 +489,10 @@ def trace_table(path, trace: CorrelationTrace) -> tuple:
 
 
 def counts_table(path, counts: CountData) -> tuple:
-    return path, "t_ps,coincidences,pairs_sent", (counts.grid, counts.coincidences, counts.pairs_sent)
+    """The ``counts.csv`` table, whose pairs_sent column repeats the one
+    number of pairs, made one block of rows at a time."""
+    pairs = lambda lo, hi: np.full(hi - lo, counts.pairs)
+    return path, "t_ps,coincidences,pairs_sent", (counts.grid, counts.coincidences, pairs)
 
 
 def write_spectrum_csv(path, spectrum: SumFrequencySpectrum) -> None:
@@ -532,7 +535,11 @@ def write_json(path, doc) -> None:
 
 
 def read_counts_csv(path) -> CountData:
-    return CountData(*_read_columns(path, "t_ps,coincidences,pairs_sent"))
+    """The counts of ``counts.csv``, whose pairs_sent column must hold one number."""
+    grid, coincidences, pairs = _read_columns(path, "t_ps,coincidences,pairs_sent")
+    if np.any(pairs != pairs[0]):
+        raise ValueError(f"{path}: pairs_sent must hold one value, found {np.unique(pairs).size}")
+    return CountData(grid, coincidences, float(pairs[0]))
 
 
 def write_scaling_csv(path, study: ScalingStudy) -> None:

@@ -3,8 +3,9 @@
 Coincidence detection is modeled per delay bin as Binomial(pairs_per_bin,
 efficiency^2 * P(t) + dark_rate): a fixed number of pairs is sent at each
 delay and each survives detection independently. Dark counts enter as an
-additive probability floor. A :class:`CountData` holds the delay grid
-and two integer columns, coincidences and pairs sent.
+additive probability floor. A :class:`CountData` holds the delay grid,
+one integer column of coincidences and the one number of pairs sent per
+bin, an int checked by :func:`_check_pairs`, as every pairs count is.
 
 Randomness is drawn from counter-based Philox streams keyed by
 (seed, stream): one draw per stream gives every bin its uniform, the bin
@@ -80,6 +81,17 @@ def _check_dark_rate(dark_rate: float) -> None:
         raise ValueError("dark_rate must be non-negative")
 
 
+def _check_pairs(value, name: str) -> int:
+    """``value`` as an int of pairs per bin, the one rule for a pairs count:
+    an integer (``name`` in the message otherwise) in [1, MAX_PAIRS_PER_BIN]."""
+    pairs = _integer(value, name)
+    if not (1 <= pairs <= MAX_PAIRS_PER_BIN):
+        # the sampler is checked against binom.ppf up to here; binom.ppf
+        # returns NaN at 2**53 pairs and does not return at 2**62
+        raise ValueError(f"pairs_per_bin must lie in [1, {MAX_PAIRS_PER_BIN}]")
+    return pairs
+
+
 @dataclass(frozen=True)
 class NoiseConfig:
     pairs_per_bin: int
@@ -91,12 +103,8 @@ class NoiseConfig:
         # stored as the int the rule returns: 1000.0 as 1000, while True (one
         # pair, or seed 0 for False), 1000.5 pairs (drawn at n = 1000.5 and
         # recorded as 1000 sent) and seed 1.5 (the streams of seed 1) fail
-        object.__setattr__(self, "pairs_per_bin", _integer(self.pairs_per_bin, "pairs_per_bin"))
+        object.__setattr__(self, "pairs_per_bin", _check_pairs(self.pairs_per_bin, "pairs_per_bin"))
         object.__setattr__(self, "seed", _integer(self.seed, "seed"))
-        if not (1 <= self.pairs_per_bin <= MAX_PAIRS_PER_BIN):
-            # the sampler is checked against binom.ppf up to here; binom.ppf
-            # returns NaN at 2**53 pairs and does not return at 2**62
-            raise ValueError(f"pairs_per_bin must lie in [1, {MAX_PAIRS_PER_BIN}]")
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must fit in 64 bits")
         _check_dark_rate(self.dark_rate)
@@ -105,22 +113,22 @@ class NoiseConfig:
 
 @dataclass(frozen=True, eq=False)
 class CountData:
-    """Coincidences observed out of ``pairs_sent`` at each delay of ``grid``.
+    """Coincidences observed out of ``pairs`` sent at each delay of ``grid``.
 
-    ``coincidences`` and ``pairs_sent`` are int64 columns with one entry
-    per grid point; ``clamped`` marks a success probability clamped at 1
-    while sampling. ``len()`` is the number of delay bins.
+    ``coincidences`` is an int64 column with one entry per grid point, each
+    in [0, pairs]; ``pairs`` is the one number of pairs sent in every bin,
+    an int. ``clamped`` marks a success probability clamped at 1 while
+    sampling. ``len()`` is the number of delay bins.
     """
 
     grid: TimeGrid
     coincidences: np.ndarray
-    pairs_sent: np.ndarray
+    pairs: int
     clamped: bool = False
 
     def __post_init__(self):
-        shape = (self.grid.count,)
-        _column(self, "pairs_sent", shape, dtype=np.int64, low=1)
-        _column(self, "coincidences", shape, dtype=np.int64, low=0, high=self.pairs_sent)
+        object.__setattr__(self, "pairs", _check_pairs(self.pairs, "CountData pairs"))
+        _column(self, "coincidences", (self.grid.count,), dtype=np.int64, low=0, high=self.pairs)
 
     def __len__(self) -> int:
         return self.grid.count
@@ -435,7 +443,7 @@ def sample_counts(
     the one-stream draw of the block that a study draws for each trial
     count. It is deterministic and partition-independent: it walks the
     bins in blocks of at most ``_DRAW_BINS``, which bounds its memory
-    beyond the two columns, and ``chunk_size`` only splits those blocks
+    beyond the counts' column, and ``chunk_size`` only splits those blocks
     further, without changing a bit. ``stream``, an integer in
     [0, 2**64), distinguishes repeated experiments under the same seed.
     """
@@ -444,10 +452,8 @@ def sample_counts(
         raise ValueError("stream must fit in 64 bits")
     row = np.empty(interferogram.grid.count, dtype=np.int64)
     clamped = _sample_streams(interferogram, config, [stream], row[None], chunk_size)
-    pairs_sent = np.full_like(row, config.pairs_per_bin)
-    for column in (row, pairs_sent):
-        column.setflags(write=False)  # given up, so CountData keeps them without a copy
-    return CountData(interferogram.grid, row, pairs_sent, clamped)
+    row.setflags(write=False)  # given up, so CountData keeps it without a copy
+    return CountData(interferogram.grid, row, config.pairs_per_bin, clamped)
 
 
 def estimate_trace(
@@ -455,22 +461,24 @@ def estimate_trace(
 ) -> CorrelationTrace:
     """Efficiency- and dark-corrected correlation estimate from counts.
 
-    P_hat = (coincidences/pairs_sent - dark_rate)/efficiency^2 clamped to
+    P_hat = (coincidences/pairs - dark_rate)/efficiency^2 clamped to
     [0, 1], then G_hat = 2 P_hat - 1, on the counts' own delay grid.
     The output feeds :func:`noonspec.recovery.fourier_recover` unchanged.
     ``efficiency`` and ``dark_rate`` follow :class:`NoiseConfig`'s rules.
     """
-    g = _estimated(counts.coincidences, counts.pairs_sent, efficiency, dark_rate)
+    g = _estimated(counts.coincidences, counts.pairs, efficiency, dark_rate)
     g.setflags(write=False)  # so CorrelationTrace keeps it without a copy
     return CorrelationTrace(counts.grid, g)
 
 
-def _estimated(coincidences, pairs_sent, efficiency: float, dark_rate: float) -> np.ndarray:
-    """G_hat of :func:`estimate_trace`, elementwise."""
+def _estimated(coincidences, pairs: int, efficiency: float, dark_rate: float) -> np.ndarray:
+    """G_hat of :func:`estimate_trace`, elementwise. Each count and ``pairs``
+    are exact in float64, so dividing by the int has the bits of dividing
+    by a column of it."""
     _check_dark_rate(dark_rate)
     _check_efficiency(efficiency)
-    # the steps of (coincidences / pairs_sent - dark_rate) / efficiency**2, in place
-    p_hat = np.divide(coincidences, pairs_sent)
+    # the steps of (coincidences / pairs - dark_rate) / efficiency**2, in place
+    p_hat = np.divide(coincidences, pairs)
     p_hat -= dark_rate
     with np.errstate(over="ignore"):  # an overflow to +-inf clips to the bound it passed
         p_hat /= efficiency**2
@@ -666,19 +674,16 @@ def error_scaling_study(
     result is a pure function of its key, so the study is bit-identical
     for any number of workers.
     """
-    # every input is checked before any work: the study's own rules, and
-    # the config's on the largest count
+    # every input is checked before any work, each count by the pairs rule
     repeats, chunk_size = _integer(repeats, "repeats"), _chunk_size(chunk_size)
     if repeats < 2:
         raise ValueError("repeats must be at least 2")
-    counts = [_integer(n, "trial count") for n in trial_counts]
+    counts = [_check_pairs(n, "trial count") for n in trial_counts]
     if not counts:
         raise ValueError("trial_counts must not be empty")
-    if max(counts) > MAX_PAIRS_PER_BIN:  # named by its rule, even past int64
-        replace(config, pairs_per_bin=max(counts))
     n_trials = np.array(counts)
     zeros = np.zeros(n_trials.size)
-    ScalingStudy(n_trials, zeros, zeros)  # so every count is in the config's range
+    ScalingStudy(n_trials, zeros, zeros)  # so the counts are distinct
 
     pattern = simulate_interferogram(spectrum, grid)
     streams = np.arange(n_trials.size * repeats).reshape(-1, repeats)

@@ -884,11 +884,13 @@ class TestVerbPeakMemory:
         assert peak < 12 * count
 
     def test_simulate_noise_gauss_at_2_18_delays(self, tmp_path):
-        # 9,242,776 bytes, 35.3 a delay, set by the writes: P, the two count
-        # columns and G_hat, 8 a delay each, and a writer's block. The
-        # sampler walks the bins in blocks of its own bound. Every bin's
-        # uniforms and probabilities made before the walk took 11.3 MB, 43
-        # bytes a delay, and the whole grid drawn as one block 33.1 MB, 126
+        # 6,779,737 bytes, 25.9 a delay, set by the writes: P, the
+        # coincidences and G_hat, 8 a delay each, and a writer's block; the
+        # pairs sent are one number. With them as a second int64 column the
+        # verb took 8,876,525, 33.9 a delay. The sampler walks the bins in
+        # blocks of its own bound. Every bin's uniforms and probabilities
+        # made before the walk took 11.3 MB, 43 bytes a delay, and the whole
+        # grid drawn as one block 33.1 MB, 126
         count = 2**18
         doc = preset_scenario("noise-gauss")
         doc["time_grid"] = {"start_ps": -(count // 2) * 5e-4, "step_ps": 5e-4, "count": count}
@@ -897,7 +899,7 @@ class TestVerbPeakMemory:
         peak = max(
             peak_above_inputs(lambda: main([*args, str(tmp_path / f"sim{i}")])) for i in range(3)
         )
-        assert peak < 38 * count
+        assert peak < 30 * count
 
     def test_recover_tpa3_trace(self, tmp_path):
         # 1,690,101 bytes, set by the read (np.loadtxt's growth). The verb

@@ -117,7 +117,7 @@ def test_trace_non_uniform_grid(tmp_path):
 def test_table_headers(tmp_path, spectrum):
     tg = centered_time_grid(5e-4, 64)
     p = simulate_interferogram(spectrum, tg)
-    counts = CountData(tg, np.arange(64), np.full(64, 100))
+    counts = CountData(tg, np.arange(64), 100)
     io.save_tables([io.spectrum_table(tmp_path / "spectrum.csv", spectrum)])
     io.save_tables(
         [io.interferogram_table(tmp_path / "interferogram.csv", p),
@@ -160,14 +160,23 @@ def test_json_artifact_bytes(tmp_path):
 
 
 def test_counts_roundtrip(tmp_path):
-    counts = CountData(TimeGrid(-0.5, 0.5, 3), [3, 7, 10], [10, 10, 10])
+    counts = CountData(TimeGrid(-0.5, 0.5, 3), [3, 7, 10], 10)
     path = tmp_path / "counts.csv"
     io.save_tables([io.counts_table(path, counts)])
     assert path.read_text().splitlines()[0] == "t_ps,coincidences,pairs_sent"
     back = io.read_counts_csv(path)
     assert back.grid == counts.grid
-    for column in ("coincidences", "pairs_sent"):
-        np.testing.assert_array_equal(getattr(back, column), getattr(counts, column))
+    np.testing.assert_array_equal(back.coincidences, counts.coincidences)
+    assert back.pairs == 10 and type(back.pairs) is int
+
+
+def test_counts_csv_with_varying_pairs_rejected(tmp_path):
+    # every bin sends the same number of pairs: CountData holds it once
+    path = tmp_path / "counts.csv"
+    path.write_text("t_ps,coincidences,pairs_sent\n0.0,1,10\n0.5,1,10\n1.0,1,11\n")
+    with pytest.raises(ValueError, match="pairs_sent must hold one value, found 2$") as caught:
+        io.read_counts_csv(path)
+    assert "\n" not in str(caught.value)
 
 
 def test_non_uniform_counts_csv_rejected(tmp_path):
@@ -178,12 +187,12 @@ def test_non_uniform_counts_csv_rejected(tmp_path):
 
 
 def test_counts_columns_written_as_rows(tmp_path):
-    counts = CountData(TimeGrid(-0.5, 0.75, 2), [3, 1000], [10, 2**31])
+    counts = CountData(TimeGrid(-0.5, 0.75, 2), [3, 2**31], 2**31)
     path = tmp_path / "counts.csv"
     io.save_tables([io.counts_table(path, counts)])
-    assert path.read_text().splitlines()[1:] == ["-0.5,3,10", "0.25,1000,2147483648"]
+    assert path.read_text().splitlines()[1:] == ["-0.5,3,2147483648", "0.25,2147483648,2147483648"]
     back = io.read_counts_csv(path)
-    assert back.coincidences.dtype == back.pairs_sent.dtype == np.int64
+    assert back.coincidences.dtype == np.int64 and back.pairs == 2**31
     assert len(back) == 2
 
 
@@ -502,9 +511,9 @@ def test_ordinary_integers_take_the_numpy_path(tmp_path, monkeypatch):
     # ten, such as the noise preset's constant pairs_sent, is not rare
     rows = 65536
     rng = np.random.default_rng(4)
-    pairs = rng.integers(1, 2**31, rows, endpoint=True)
-    pairs[::2] = 1000
-    counts = CountData(TimeGrid(0.5, 0.25, rows), rng.integers(1, pairs, endpoint=True), pairs)
+    coincidences = rng.integers(1, 10**9, rows, endpoint=True)
+    coincidences[::2] = 1000
+    counts = CountData(TimeGrid(0.5, 0.25, rows), coincidences, 10**9)
     handed, put_text = [], io._put_text
 
     def spy(slots, at, texts):
@@ -515,7 +524,7 @@ def test_ordinary_integers_take_the_numpy_path(tmp_path, monkeypatch):
     path = tmp_path / "counts.csv"
     io.save_tables([io.counts_table(path, counts)])
     assert handed == []
-    columns = [counts.grid.values, counts.coincidences, counts.pairs_sent]
+    columns = [counts.grid.values, counts.coincidences, np.full(rows, counts.pairs)]
     header = "t_ps,coincidences,pairs_sent"
     assert path.read_text() == per_row_oracle(header, ["float", "int", "int"], columns)
 
@@ -611,14 +620,14 @@ def written_series(draw):
         return kind, SumFrequencySpectrum(grid, weights)
     if kind == "trace":
         return kind, CorrelationTrace(grid, rng.uniform(-1.0, 1.0, count))
-    pairs = rng.integers(1, 2**53, count, endpoint=True)
-    return kind, CountData(grid, rng.integers(0, pairs, endpoint=True), pairs)
+    pairs = int(rng.integers(1, 2**31, endpoint=True))
+    return kind, CountData(grid, rng.integers(0, pairs, count, endpoint=True), pairs)
 
 
 ROUND_TRIP = {
     "spectrum": (io.spectrum_table, io.read_spectrum_csv, ("weights",)),
     "trace": (io.trace_table, io.read_trace_csv, ("values",)),
-    "counts": (io.counts_table, io.read_counts_csv, ("coincidences", "pairs_sent")),
+    "counts": (io.counts_table, io.read_counts_csv, ("coincidences", "pairs")),
 }
 
 
@@ -639,5 +648,5 @@ def test_written_series_reads_back_on_the_same_points(tmp_path, drawn):
     # neighbouring step may give the same points
     assert back.grid.start == series.grid.start and back.grid.count == series.grid.count
     assert back.grid.values.tobytes() == series.grid.values.tobytes()
-    for column in columns:
-        assert getattr(back, column).tobytes() == getattr(series, column).tobytes()
+    for column in columns:  # the pairs, one int, as a 0-d array
+        assert np.asarray(getattr(back, column)).tobytes() == np.asarray(getattr(series, column)).tobytes()

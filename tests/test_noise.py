@@ -54,9 +54,10 @@ class TestSampleCounts:
         cfg = NoiseConfig(pairs_per_bin=10**6, seed=11, efficiency=0.8)
         data = sample_counts(pattern, cfg)
         p = 0.8**2 * pattern.values
-        for c, sent, p_bin in zip(data.coincidences, data.pairs_sent, p):
+        assert data.pairs == cfg.pairs_per_bin
+        for c, p_bin in zip(data.coincidences, p):
             sigma = math.sqrt(max(p_bin * (1 - p_bin), 1e-12) / cfg.pairs_per_bin)
-            assert abs(c / sent - p_bin) <= 3 * sigma + 1e-9
+            assert abs(c / data.pairs - p_bin) <= 3 * sigma + 1e-9
 
     def test_dark_free_zero_pattern_gives_zero_counts(self):
         tg = centered_time_grid(5e-4, 16)
@@ -70,11 +71,8 @@ class TestSampleCounts:
         full = sample_counts(pattern, cfg)
         for chunk in (1, 5, 17, 64):
             again = sample_counts(pattern, cfg, chunk_size=chunk)
-            assert again.grid == full.grid
-            for column in ("coincidences", "pairs_sent"):
-                np.testing.assert_array_equal(
-                    getattr(again, column), getattr(full, column)
-                )
+            assert again.grid == full.grid and again.pairs == full.pairs
+            np.testing.assert_array_equal(again.coincidences, full.coincidences)
         other_stream = sample_counts(pattern, cfg, stream=1)
         assert not np.array_equal(other_stream.coincidences, full.coincidences)
 
@@ -107,18 +105,18 @@ class TestSampleCounts:
         assert not out[:, :5].any() and not out[:, 66:].any()
 
     def test_sampling_holds_its_columns_and_one_block(self):
-        # 4,461,193 bytes at 2**18 bins, 17.02 a bin: the two int64 columns
-        # and CountData's one-byte checks; each block of the walk draws its
-        # own uniforms and probabilities. Drawing every bin's uniforms before
-        # the walk took 24.0 bytes a bin, and every bin's probabilities as
-        # well 34.7; the whole grid as one block took 117.3 (33.0 in chunks
-        # of 1000 bins)
+        # 2,881,087 bytes at 2**18 bins, 10.99 a bin: the int64 counts and
+        # CountData's one-byte checks; each block of the walk draws its own
+        # uniforms and probabilities. The pairs sent held as a second int64
+        # column took 17.05 a bin; drawing every bin's uniforms before the
+        # walk took 24.0, and every bin's probabilities as well 34.7; the
+        # whole grid as one block took 117.3 (33.0 in chunks of 1000 bins)
         pattern = small_interferogram(2**18)
         cfg = NoiseConfig(pairs_per_bin=1000, seed=3, efficiency=0.9)
         sample_counts(small_interferogram(), cfg)  # scipy's first-call set-up
         for chunk in (None, 1000):
             peak = peak_above_inputs(lambda: sample_counts(pattern, cfg, chunk_size=chunk))
-            assert peak < 18 * 2**18
+            assert peak < 12 * 2**18
 
     def test_non_positive_chunk_size_rejected(self, monkeypatch):
         pattern = small_interferogram()
@@ -147,7 +145,7 @@ class TestSampleCounts:
             pattern, NoiseConfig(pairs_per_bin=100, seed=1, dark_rate=0.5)
         )
         assert noisy.clamped
-        assert np.all(noisy.coincidences <= noisy.pairs_sent)
+        assert np.all(noisy.coincidences <= noisy.pairs)
 
 
 class TestBinomialQuantile:
@@ -454,7 +452,7 @@ class TestEstimateTrace:
         counts = CountData(
             TimeGrid(0.0, 0.1, p_values.size),
             [int(p * pairs) for p in p_values],
-            np.full(p_values.size, pairs),
+            pairs,
         )
         trace = estimate_trace(counts, efficiency=1.0)
         np.testing.assert_allclose(trace.values, 2 * p_values - 1)
@@ -465,7 +463,7 @@ class TestEstimateTrace:
         eff, dark = 0.9, 0.01
         observed = eff**2 * p_true + dark
         counts = CountData(
-            TimeGrid(0.0, 0.5, 2), [round(observed * pairs)] * 2, [pairs] * 2
+            TimeGrid(0.0, 0.5, 2), [round(observed * pairs)] * 2, pairs
         )
         trace = estimate_trace(counts, efficiency=eff, dark_rate=dark)
         assert trace.values[0] == pytest.approx(2 * p_true - 1, abs=1e-5)
@@ -523,9 +521,9 @@ TWO_BINS = TimeGrid(0.0, 0.5, 2)
 class TestCountDataValidation:
     def test_bounds(self):
         with pytest.raises(ValueError):
-            CountData(TWO_BINS, [-1, 0], [10, 10])
+            CountData(TWO_BINS, [-1, 0], 10)
         with pytest.raises(ValueError):
-            CountData(TWO_BINS, [11, 0], [10, 10])
+            CountData(TWO_BINS, [11, 0], 10)
         with pytest.raises(ValueError):
             NoiseConfig(pairs_per_bin=0, seed=1)
         with pytest.raises(ValueError):
@@ -533,25 +531,28 @@ class TestCountDataValidation:
 
     def test_columns_rejected(self):
         with pytest.raises(ValueError, match="one entry per grid point"):
-            CountData(TWO_BINS, [1], [10, 10])
+            CountData(TWO_BINS, [1], 10)
         with pytest.raises(ValueError, match="one entry per grid point"):
-            CountData(TWO_BINS, [[1, 1]], [[10, 10]])
+            CountData(TWO_BINS, [[1, 1]], 10)
         with pytest.raises(ValueError, match="one entry per grid point"):
-            CountData(TWO_BINS, [1, 1, 1], [10, 10, 10])
-        with pytest.raises(ValueError, match="pairs_sent"):
-            CountData(TWO_BINS, [0, 0], [10, 0])
+            CountData(TWO_BINS, [1, 1, 1], 10)
+        # the pairs are one count, by the rule every pairs count takes
+        with pytest.raises(ValueError, match=r"^pairs_per_bin must lie in \[1, 2147483648\]$"):
+            CountData(TWO_BINS, [0, 0], 0)
+        with pytest.raises(ValueError, match=r"^CountData pairs must be an integer, got 10.5$"):
+            CountData(TWO_BINS, [0, 0], 10.5)
         with pytest.raises(ValueError, match="coincidences"):
-            CountData(TWO_BINS, [2.5, 1.0], [10, 10])
-        with pytest.raises(ValueError, match="coincidences"):
-            CountData(TWO_BINS, [3, 12], [10, 10])
+            CountData(TWO_BINS, [2.5, 1.0], 10)
+        with pytest.raises(ValueError, match="^CountData coincidences must be at most 10$"):
+            CountData(TWO_BINS, [3, 12], 10)
 
     def test_columns_and_length(self):
         grid = TimeGrid(0.0, 0.5, 3)
-        counts = CountData(grid, [1.0, 2.0, 3.0], [10, 10, 10], clamped=True)
+        counts = CountData(grid, [1.0, 2.0, 3.0], np.int64(10), clamped=True)
         assert counts.grid is grid
         assert len(counts) == 3
         assert counts.coincidences.dtype == np.int64
-        assert counts.pairs_sent.dtype == np.int64
+        assert counts.pairs == 10 and type(counts.pairs) is int
         np.testing.assert_array_equal(counts.coincidences, [1, 2, 3])
         assert counts.clamped
 
@@ -563,13 +564,13 @@ class TestCountDataValidation:
             NoiseConfig(pairs_per_bin=10, seed=1, dark_rate=dark)
         # estimate_trace takes the same rule
         with pytest.raises(ValueError, match=f"dark_rate must be {match}"):
-            estimate_trace(CountData(TWO_BINS, [1, 2], [10, 10]), 1.0, dark)
+            estimate_trace(CountData(TWO_BINS, [1, 2], 10), 1.0, dark)
 
     def test_edge_values_accepted(self):
         # a floor of 1 or more clamps every bin, which the counts report
         for dark in (0.0, 1e-300, 1.0, 2.0):
             NoiseConfig(pairs_per_bin=10, seed=1, dark_rate=dark)
-            estimate_trace(CountData(TWO_BINS, [1, 2], [10, 10]), 1.0, dark)
+            estimate_trace(CountData(TWO_BINS, [1, 2], 10), 1.0, dark)
         # a numpy integer, the top 64-bit key, and floats of integral value,
         # each stored as the int it stands for
         for pairs, seed in ((np.int64(1000), 2**64 - 1), (1000.0, 0.0)):
