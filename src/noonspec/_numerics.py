@@ -71,21 +71,18 @@ def _cycles(a, b):
     return _frac(out)
 
 
-def _phasors(cycles, sign: int, out=None, scale=1.0) -> np.ndarray:
-    """exp(sign 2 pi i cycles scale), built in ``out`` (a new array if None).
+def _phasors(cycles, sign: int, out=None) -> np.ndarray:
+    """exp(sign 2 pi i cycles), built in ``out`` (a new array if None).
 
     The bits are those of ``np.exp(complex(0.0, sign * 2 * np.pi) * cycles)``
     without its complex temporaries: that product's imaginary part is
     +0 + sign 2 pi cycles, so a -0 turns +0, and its real part is a zero,
-    whose sign ``exp`` ignores. A ``scale`` multiplies the phase after the
-    sign 2 pi product, the bits of ``np.exp(2j * np.pi * f * scale)`` for
-    f >= 0; for a negative f that product keeps a -0 phase.
+    whose sign ``exp`` ignores.
     """
     if out is None:
         out = np.empty(cycles.shape, dtype=complex)
     out.real = 0.0
     phase = out.imag
     np.multiply(cycles, sign * 2 * np.pi, out=phase)
-    phase *= scale
     phase += 0.0
     return np.exp(out, out=out)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _numerics
-from ._numerics import _blocks, _phasors
+from ._numerics import _blocks, _cycles, _phasors
 from .errors import AsymmetryError, GridMismatchError
 from .grids import FrequencyGrid, TimeGrid, _column
 from .interferometer import CorrelationTrace
@@ -93,11 +93,14 @@ def _transformed(g: np.ndarray, grid: TimeGrid, window: str = "rect", out=None) 
     """The two-sided grid of :func:`fourier_recover` and its amplitudes at
     f >= 0 along g's last axis, g under ``window``: the n // 2 + 1 bins of
     ``np.fft.rfft``, written into ``out`` (a new array when None), with
-    the bits of ``conj(rfft(g)) * dt * exp(2 pi i f start)``.
+    the bits of ``conj(rfft(g)) * dt * exp(2 pi i (f start mod 1))``.
 
     A real trace's transform is Hermitian, so these bins hold all of it.
-    ``rfft`` carries the -i kernel; its conjugate is the +i one. The scale
-    and the t-origin phasors are applied a block of frequencies at a time,
+    ``rfft`` carries the -i kernel; its conjugate is the +i one. The
+    t-origin phase f start is reduced mod 1 exactly (``_cycles``, as the
+    synthesis reduces its phases), so a phasor is off by an ulp however
+    many cycles the phase spans. The scale and the t-origin phasors are
+    applied a block of frequencies at a time,
     each product with ``out=`` into an array of its own: numpy's in-place
     product takes another loop with other bits, and a strided block of
     rows is multiplied at half the speed, so it goes row by row.
@@ -116,9 +119,12 @@ def _transformed(g: np.ndarray, grid: TimeGrid, window: str = "rect", out=None) 
         raise ValueError(f"delay window {n} x {dt!r} ps is too long for a positive frequency step")
     half = np.fft.rfft(g, out=out)
     rows = list(np.ndindex(half.shape[:-1]))
-    buf = np.empty(min(_numerics._BLOCK, half.shape[-1]), dtype=complex)
-    for lo, hi in _blocks(half.shape[-1]):
-        z = _phasors(np.arange(lo, hi) * df, 1, scale=grid.start)
+    # half a block at a time: the phase's reduction mod 1 holds six float
+    # arrays of its block at once, which at a whole block raised the peak
+    block = _numerics._BLOCK // 2
+    buf = np.empty(min(block, half.shape[-1]), dtype=complex)
+    for lo, hi in _blocks(half.shape[-1], block):
+        z = _phasors(_cycles(np.arange(lo, hi) * df, grid.start), 1)
         t = buf[: hi - lo]
         for row in rows:
             x = half[row][lo:hi]

@@ -28,7 +28,7 @@ from noonspec import (
 )
 from noonspec import _numerics
 from noonspec.cli import parse_scenario
-from noonspec._numerics import _blocks, _phasors
+from noonspec._numerics import _blocks, _cycles, _phasors
 from noonspec.interferometer import RANGE_TOL, _correlation, _next_fast_len, _span, envelope
 from noonspec.presets import PRESETS, preset_scenario
 from conftest import (
@@ -206,7 +206,7 @@ class TestChirpZBuffers:
     @pytest.mark.parametrize("sign, start", [
         (1, None),
         (-1, None),
-        # the recovery's t-origin phasors exp(2j pi f start), with a scale
+        # the recovery's t-origin phasors, of f start reduced mod 1
         (1, 0.0),
         (1, -0.0),
         (1, "random"),
@@ -231,8 +231,8 @@ class TestChirpZBuffers:
                 start = float(rng.uniform(-40.0, 40.0))
             # the recovery's frequencies, rfftfreq's: 0 and the positive f
             f = np.concatenate([[0.0], cycles[cycles > 0]])
-            got = _phasors(f, sign, scale=start)
-            want = np.exp(2j * np.pi * f * start)
+            got = _phasors(_cycles(f, start), sign)
+            want = np.exp(2j * np.pi * _cycles(f, start))
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 

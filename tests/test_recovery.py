@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -142,12 +143,13 @@ class TestFourierRecover:
     def expected_half(g, grid):
         """The half transform as one expression: conj(rfft) is the +i kernel."""
         f = np.fft.rfftfreq(grid.count, d=grid.step)
-        return np.conj(np.fft.rfft(g)) * grid.step * np.exp(2j * np.pi * f * grid.start)
+        return np.conj(np.fft.rfft(g)) * grid.step * np.exp(2j * np.pi * _numerics._cycles(f, grid.start))
 
     @pytest.mark.parametrize("block", [7, 2048])
     def test_half_equals_the_real_transform_expression(self, monkeypatch, block):
-        # odd and even counts, starts of +0 and -0, 1-D and 2-D inputs; with
-        # blocks of 7 about one in seven ends on a one-point block
+        # odd and even counts, starts of +0 and -0, 1-D and 2-D inputs; the
+        # phasors go half a block at a time, so with blocks of 7 about one
+        # in three ends on a one-point block
         monkeypatch.setattr(_numerics, "_BLOCK", block)
         rng = np.random.default_rng(block)
         for trial in range(60):
@@ -195,12 +197,26 @@ class TestFourierRecover:
             np.testing.assert_array_equal(rows(lo, hi).view(np.uint64), amp[lo:hi].view(np.uint64))
 
     @staticmethod
-    def longdouble_error(trace, amplitudes):
+    def exact_phasors(f, start):
+        """exp(2 pi i f start) in np.longdouble for float64 ``f`` and
+        ``start``, the product reduced mod 1 exactly, as fractions."""
+        cycles = []
+        for x in f.tolist():
+            c = Fraction(x) * Fraction(start) % 1
+            hi = float(c)
+            cycles.append(np.longdouble(hi) + np.longdouble(float(c - Fraction(hi))))
+        turn = 2 * np.arccos(np.longdouble(-1)) * np.array(cycles)
+        return np.cos(turn), np.sin(turn)
+
+    @classmethod
+    def longdouble_error(cls, trace, amplitudes, exact=False):
         """Largest |F - F_ref| over about 64 bins f >= 0, relative to the
         largest |F_ref|: the 32 strongest bins and 32 spread over the band.
         F_ref is dt z(f) sum_j g_j exp(2 pi i k j / n), the sum in
-        np.longdouble, z the transform's own t-origin phasors: the figure
-        is the transform's rounding, not the phasors'."""
+        np.longdouble, z the transform's own t-origin phasors, so the figure
+        is the transform's rounding, not the phasors'; or, when ``exact``,
+        exp(2 pi i f start) at the transform's frequencies f = k df, its
+        phase exact, so the figure counts the phasors too."""
         g, grid = np.asarray(trace.values), trace.grid
         n, m = grid.count, grid.count // 2 + 1
         strongest = np.argsort(np.abs(amplitudes[:m]))[-32:]
@@ -209,9 +225,14 @@ class TestFourierRecover:
         cos, sin = np.cos(turn), np.sin(turn)  # exp(2 pi i r / n), r = k j mod n
         j, gl = np.arange(n), np.longdouble(g)
         ref = np.array([[(gl * cos[k * j % n]).sum(), (gl * sin[k * j % n]).sum()] for k in bins])
-        z = _numerics._phasors(bins * (1.0 / (n * grid.step)), 1, scale=grid.start)
-        re = (ref[:, 0] * np.longdouble(z.real) - ref[:, 1] * np.longdouble(z.imag)) * grid.step
-        im = (ref[:, 0] * np.longdouble(z.imag) + ref[:, 1] * np.longdouble(z.real)) * grid.step
+        f = bins * (1.0 / (n * grid.step))
+        if exact:
+            zr, zi = cls.exact_phasors(f, grid.start)
+        else:
+            z = _numerics._phasors(_numerics._cycles(f, grid.start), 1)
+            zr, zi = np.longdouble(z.real), np.longdouble(z.imag)
+        re = (ref[:, 0] * zr - ref[:, 1] * zi) * grid.step
+        im = (ref[:, 0] * zi + ref[:, 1] * zr) * grid.step
         got = amplitudes[bins]
         err = np.hypot(np.longdouble(got.real) - re, np.longdouble(got.imag) - im)
         return float(err.max() / np.hypot(re, im).max())
@@ -225,14 +246,23 @@ class TestFourierRecover:
         trace = correlation_trace(simulate_interferogram(scenario.spectrum, scenario.time_grid))
         n, dt = trace.grid.count, trace.grid.step
         complex_transform = np.fft.ifft(trace.values) * (n * dt)
-        complex_transform *= _numerics._phasors(np.fft.fftfreq(n, d=dt), 1, scale=trace.grid.start)
+        complex_transform *= _numerics._phasors(_numerics._cycles(np.fft.fftfreq(n, d=dt), trace.grid.start), 1)
         half = _transformed(np.asarray(trace.values), trace.grid)[1]
         new, old = self.longdouble_error(trace, half), self.longdouble_error(trace, complex_transform)
         assert new <= old < 1e-15
 
+    @pytest.mark.parametrize("preset", ["tpa3", "comb5"])
+    def test_transform_is_accurate_with_the_exact_t_origin_phase(self, preset):
+        # 5.7e-16 on tpa3 and 3.3e-16 on comb5; with the phase 2 pi f start
+        # not reduced mod 1 first, over up to 16,384 cycles, 1.4e-11 and 9.7e-12
+        scenario = parse_scenario(preset_scenario(preset), None)
+        trace = correlation_trace(simulate_interferogram(scenario.spectrum, scenario.time_grid))
+        half = _transformed(np.asarray(trace.values), trace.grid)[1]
+        assert self.longdouble_error(trace, half, exact=True) < 1e-15
+
     def test_transform_holds_one_complex_array(self):
         # rfft writes the half into the spectrum's own array, whose rest is
-        # its mirror: 1,165,208 bytes above a 2**16-point trace. ifft's
+        # its mirror: 1,132,656 bytes above a 2**16-point trace. ifft's
         # complex cast of the trace and the fftshift copy held two more
         # complex arrays: 2,164,807 bytes
         tg = centered_time_grid(5e-4, 2**16)
@@ -274,15 +304,16 @@ class TestFoldOneSided:
         assert peak_above_inputs(lambda: fold_one_sided(rec)) <= 559_568 + 8192
 
     def test_half_transform_and_fold_peaks_on_2_16_bins(self):
-        # what recover and the noise study hold: the half transform 640,792
+        # what recover and the noise study hold: the half transform 608,240
         # bytes above the trace, pinned plus 8 KiB (the 524,304 of its
-        # 32,769 bins, a block's phasors and scratch), and its fold 262,584
-        # (the weights). The library's two-sided transform peaks at
-        # 1,165,208 and its fold at 559,568
+        # 32,769 bins, half a block's phasors and scratch; a whole block's
+        # with the phase reduced mod 1 took 690,120, and with it unreduced
+        # 640,792), and its fold 262,584 (the weights). The library's
+        # two-sided transform peaks at 1,132,656 and its fold at 559,568
         tg = centered_time_grid(5e-4, 2**16)
         g = np.asarray(bin_aligned_line(tg, 1000)[1].values)
         half = _transformed(g, tg)[1]  # warm
-        assert peak_above_inputs(lambda: _transformed(g, tg)) <= 640_792 + 8192
+        assert peak_above_inputs(lambda: _transformed(g, tg)) <= 608_240 + 8192
         assert peak_above_inputs(lambda: _folded(half, tg.count)) <= 262_584 + 8192
 
     def test_two_peaks_fold_to_one(self):
