@@ -119,9 +119,9 @@ def _column(owner, field: str, shape: tuple, dtype=float, low=None, high=None) -
     always copied.
 
     The column must have ``shape`` and finite values within ``[low, high]``;
-    either bound may be None or a number. An integer ``dtype`` takes a float column only when every value
-    is integral and at most 2**53 in magnitude. Every message names the
-    owner's type and the field.
+    either bound may be None or a number. An integer ``dtype`` takes a
+    float column only when every value is integral and at most 2**53 in
+    magnitude. Every message names the owner's type and the field.
     """
     name = f"{type(owner).__name__} {field}"
     values = np.asarray(getattr(owner, field))

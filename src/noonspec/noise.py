@@ -83,7 +83,8 @@ def _check_dark_rate(dark_rate: float) -> None:
 
 def _check_pairs(value, name: str) -> int:
     """``value`` as an int of pairs per bin, the one rule for a pairs count:
-    an integer (``name`` in the message otherwise) in [1, MAX_PAIRS_PER_BIN]."""
+    the integer rule, whose message names ``name``, then the range
+    [1, MAX_PAIRS_PER_BIN], whose message names ``pairs_per_bin``."""
     pairs = _integer(value, name)
     if not (1 <= pairs <= MAX_PAIRS_PER_BIN):
         # the sampler is checked against binom.ppf up to here; binom.ppf

@@ -100,10 +100,10 @@ def _transformed(g: np.ndarray, grid: TimeGrid, window: str = "rect", out=None) 
     t-origin phase f start is reduced mod 1 exactly (``_cycles``, as the
     synthesis reduces its phases), so a phasor is off by an ulp however
     many cycles the phase spans. The scale and the t-origin phasors are
-    applied a block of frequencies at a time,
-    each product with ``out=`` into an array of its own: numpy's in-place
-    product takes another loop with other bits, and a strided block of
-    rows is multiplied at half the speed, so it goes row by row.
+    applied half a block of frequencies at a time, each product with
+    ``out=`` into an array of its own: numpy's in-place product takes
+    another loop with other bits, and a strided block of rows is
+    multiplied at half the speed, so it goes row by row.
     """
     if window == "hann":
         g = g * np.hanning(g.shape[-1])

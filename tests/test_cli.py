@@ -26,6 +26,7 @@ from noonspec import (
 from noonspec.absorption import transmitted_spectrum
 from noonspec.cli import ScenarioError, main, parse_scenario
 from noonspec.io import read_trace_csv, write_recovered_csv, write_spectrum_csv
+from noonspec.noise import _estimated
 from noonspec.presets import preset_scenario
 from noonspec.recovery import detect_features, fold_one_sided, fourier_recover
 
@@ -1579,8 +1580,8 @@ def test_fuzzed_trace_ends_in_a_documented_exit(tmp_path, capsys, data):
 @st.composite
 def valid_scenarios(draw) -> dict:
     """A gaussian or comb pump in the 1-40 THz band on 256 to 2048 delays
-    within Nyquist, with or without a sample of total strength at most 0.95
-    and with or without noise."""
+    within Nyquist, t = 0 among them or not, with or without a sample of
+    total strength at most 0.95 and with or without noise."""
     start = draw(st.floats(1.0, 30.0))
     count = draw(st.integers(64, 400))
     step = draw(st.floats(1e-3, (40.0 - start) / (count - 1)))
@@ -1602,7 +1603,9 @@ def valid_scenarios(draw) -> dict:
         pump = {"kind": "comb", "grid": grid, "lines": lines}
     t_step = draw(st.floats(0.05, 0.99)) / (2 * stop)  # below 1/(2 pump_max_thz)
     t_count = draw(st.integers(256, 2048))
-    t_start = draw(st.floats(-t_count * t_step, 0.0))
+    # or a start that puts t = 0 on the grid: point m, -m step + m step, is 0 exactly
+    on_grid = st.integers(0, t_count - 1).map(lambda m: -m * t_step)
+    t_start = draw(st.floats(-t_count * t_step, 0.0) | on_grid)
     doc = {
         "version": 1,
         "pump": pump,
@@ -1658,11 +1661,25 @@ def test_valid_scenario_keeps_the_physics_invariants(tmp_path, doc):
         assert summary["surviving_fraction"] == 1.0
         assert (out / "transmitted.csv").read_bytes() == (out / "spectrum.csv").read_bytes()
     p = np.loadtxt(out / "interferogram.csv", delimiter=",", skiprows=1, usecols=1, ndmin=1)
-    np.testing.assert_array_equal(_bits(out / "trace.csv", 1), (2 * p - 1).view(np.uint64))
+    g = _bits(out / "trace.csv", 1)
+    np.testing.assert_array_equal(g, (2 * p - 1).view(np.uint64))
     t = doc["time_grid"]
-    axis = UniformGrid(t["start_ps"], t["step_ps"], t["count"]).values.view(np.uint64)
-    for name in ("interferogram.csv", "trace.csv"):
-        np.testing.assert_array_equal(_bits(out / name, 0), axis)
+    axis = UniformGrid(t["start_ps"], t["step_ps"], t["count"]).values
+    # the spectrum the delays see has unit mass, sample or not: G(0) = 1
+    assert np.all(np.abs(g.view(float)[axis == 0.0] - 1.0) <= 1e-12)
+    delays = ["interferogram.csv", "trace.csv"]
+    if "noise" in doc:
+        noise = doc["noise"]
+        _, coincidences, sent = np.loadtxt(out / "counts.csv", delimiter=",", skiprows=1, ndmin=2).T
+        assert np.all(sent == noise["pairs_per_bin"])
+        assert np.all((0 <= coincidences) & (coincidences <= sent))
+        g_hat = _estimated(
+            coincidences.astype(np.int64), noise["pairs_per_bin"], noise["efficiency"], noise["dark_rate"]
+        )
+        np.testing.assert_array_equal(_bits(out / "trace_estimated.csv", 1), g_hat.view(np.uint64))
+        delays += ["counts.csv", "trace_estimated.csv"]
+    for name in delays:
+        np.testing.assert_array_equal(_bits(out / name, 0), axis.view(np.uint64))
     for again in outs[1:]:  # a rerun, and a finer partition of the draws
         for path in sorted(out.iterdir()):
             assert (again / path.name).read_bytes() == path.read_bytes(), path.name
