@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numerics import _two_product
+from ._numerics import _blocks, _two_product
 from .errors import NonUniformGridError
 
 
@@ -55,13 +55,9 @@ class UniformGrid:
             raise ValueError(f"grid step {self.step} is below the float spacing of its points")
 
     def points(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
-        """Points ``lo`` to ``hi - 1`` (to the last when None), the one rule
-        for a point: the bits of ``start + step * np.arange(lo, hi)``, but
-        one array held, float, scaled and shifted in place."""
-        v = np.arange(lo, self.count if hi is None else hi, dtype=float)
-        v *= self.step
-        v += self.start
-        return v
+        """Points ``lo`` to ``hi - 1`` (to the last when None), by the one
+        rule for a point, :func:`_points`."""
+        return _points(self.start, self.step, lo, self.count if hi is None else hi)
 
     values = property(points)
     __call__ = points  # a column of rows [lo, hi), as the CSV writer takes one
@@ -103,6 +99,16 @@ def _off_grid(grid, lo: int, hi: int) -> np.ndarray:
     off += v
     off -= ideal_err
     return off
+
+
+def _points(start: float, step: float, lo: int, hi: int) -> np.ndarray:
+    """The one rule for a grid point: the bits of ``start + step *
+    np.arange(lo, hi)``, but one array held, float, scaled and shifted in
+    place."""
+    v = np.arange(lo, hi, dtype=float)
+    v *= step
+    v += start
+    return v
 
 
 FrequencyGrid = UniformGrid
@@ -151,13 +157,16 @@ def _integer(value, name: str) -> int:
 
     A Python or numpy integer of any size, or an integral float such as
     ``1024.0``, is taken; a bool (``True`` would pass as 1), a non-number,
-    a fraction, NaN or an infinity raises ``ValueError`` naming ``name``.
-    Range checks are the caller's, on the int this returns.
+    a fraction, NaN or an infinity raises ``ValueError`` naming ``name``
+    and the value, or for an array its type and shape, so the message is
+    one line. Range checks are the caller's, on the int this returns.
     """
     whole = isinstance(value, (float, np.floating)) and value.is_integer()
     if whole or isinstance(value, (int, np.integer)) and type(value) is not bool:
         return int(value)
-    raise ValueError(f"{name} must be an integer, got {value!r}")
+    shape = getattr(value, "shape", ())
+    got = f"{type(value).__name__} of shape {shape}" if shape else repr(value)
+    raise ValueError(f"{name} must be an integer, got {got}")
 
 
 def infer_grid(values) -> UniformGrid:
@@ -165,12 +174,17 @@ def infer_grid(values) -> UniformGrid:
 
     Of three candidate steps (the endpoint step, its shortest decimal
     within the endpoints' rounding, the first difference) the first whose
-    ``start + step*arange(n)`` reproduces ``values`` bit for bit is taken.
-    Failing all three, :func:`_bisect_step` searches the float64 steps
-    around the endpoint step for one that does. Failing that too, the
-    endpoint step stands if every difference matches it to 1e-9 of
-    max(step, 1). Raises ``NonUniformGridError`` for an uneven axis and
-    ``ValueError`` for fewer than two points.
+    points reproduce ``values`` bit for bit is taken. Failing all three,
+    :func:`_bisect_step` searches the float64 steps around the endpoint
+    step for one that does. Failing that too, the endpoint step stands if
+    every difference matches it to 1e-9 of max(step, 1). Raises
+    ``NonUniformGridError`` for an uneven axis and ``ValueError`` for
+    fewer than two points.
+
+    Every path walks ``values`` a ``_blocks`` block at a time, a
+    candidate's points made on the block's rows by the one rule for a
+    point, so beside ``values``, which may be a strided column of the
+    body just read, it holds a few block-sized arrays.
     """
     values = np.asarray(values, dtype=float)
     n = values.size
@@ -186,31 +200,37 @@ def infer_grid(values) -> UniformGrid:
     for candidate in dict.fromkeys((step, shortest, float(values[1]) - start)):
         if candidate > 0:
             grid = UniformGrid(start, candidate, n)
-            if np.array_equal(grid.values, values):
+            if all(np.array_equal(grid.points(lo, hi), values[lo:hi]) for lo, hi in _blocks(n)):
                 return grid
     grid = UniformGrid(start, step, n)  # rejects a non-finite start or step
     exact = _bisect_step(values, step)
     if exact is not None:
         return UniformGrid(start, exact, n)
-    if not np.all(np.abs(np.diff(values) - step) <= 1e-9 * max(step, 1.0)):
-        raise NonUniformGridError("axis is not uniformly spaced")
+    bound = 1e-9 * max(step, 1.0)
+    for lo, hi in _blocks(n - 1):  # the differences, values[lo + 1 : hi + 1] - values[lo:hi]
+        gaps = np.diff(values[lo : hi + 1])
+        gaps -= step
+        if not np.all(np.abs(gaps, out=gaps) <= bound):
+            raise NonUniformGridError("axis is not uniformly spaced")
     return grid
 
 
 def _bisect_step(values: np.ndarray, step: float) -> float | None:
-    """A float64 step near ``step`` whose ``start + s*arange(n)`` is ``values``.
+    """A float64 step near ``step`` whose points are ``values``.
 
-    Every point of ``start + s*arange(n)`` is correctly rounded, hence
-    monotone in ``s``, so the steps that reproduce ``values`` form an
-    interval: a point above its value means a smaller step, one below a
-    larger, and both at once that no step reproduces the axis. The search
-    bisects the float64 steps within ``128 + 2 max(|start|, |stop|) /
-    (stop - start)`` ulps of ``step``, a bound on the endpoint step's
-    rounding error: a narrow axis far from zero needs thousands of ulps.
-    Returns None when none reproduces ``values``.
+    Every point ``start + s*k`` is correctly rounded, hence monotone in
+    ``s``, so the steps that reproduce ``values`` form an interval: a
+    point above its value means a smaller step, one below a larger, and
+    both at once that no step reproduces the axis. The search bisects the
+    float64 steps within ``128 + 2 max(|start|, |stop|) / (stop - start)``
+    ulps of ``step``, a bound on the endpoint step's rounding error: a
+    narrow axis far from zero needs thousands of ulps. A candidate's
+    points are :func:`_points`, the rule of :meth:`UniformGrid.points`,
+    taken a block at a time; its last may run past the float range, which
+    no grid allows, so none is made. Returns None when none reproduces
+    ``values``.
     """
     start, n = float(values[0]), values.size
-    ramp = np.arange(n)
     reach = max(abs(start), abs(float(values[-1]))) / (float(values[-1]) - start)
     bits = int(np.float64(step).view(np.int64))
     infinity = int(np.float64(np.inf).view(np.int64))
@@ -219,11 +239,19 @@ def _bisect_step(values: np.ndarray, step: float) -> float | None:
     while lo <= hi:
         mid = (lo + hi) // 2
         candidate = float(np.int64(bits + mid).view(np.float64))
-        with np.errstate(over="ignore"):  # a point past the float range is above its value
-            points = start + candidate * ramp
-        above, below = np.any(points > values), np.any(points < values)
-        if above == below:  # both, or neither when the axis holds a NaN
-            return candidate if np.array_equal(points, values) else None
+        above = below = False
+        equal = True
+        for first, last in _blocks(n):
+            with np.errstate(over="ignore"):  # a point past the float range is above its value
+                points = _points(start, candidate, first, last)
+            block = values[first:last]
+            above |= bool(np.any(points > block))
+            below |= bool(np.any(points < block))
+            equal &= np.array_equal(points, block)
+            if above and below:
+                return None  # no step reproduces the axis
+        if above == below:  # neither: equal, unless the axis holds a NaN
+            return candidate if equal else None
         if above:
             hi = mid - 1
         else:

@@ -5,6 +5,10 @@ byte-order mark is skipped on read); floats are written with 17
 significant digits so a read-back is exact.
 In memory every series carries its grid; the one CSV reader,
 ``_read_columns``, returns the grid it infers (``grids.infer_grid``).
+It holds the body alone: a first pass counts the file's non-empty lines
+(``_row_bound``), so ``np.loadtxt`` allocates the rows once, the grid is
+inferred a block of rows at a time, and the grid column is dropped in
+place, so a two-column file's values are the array it was read into.
 Every CSV goes through one walk, ``save_tables``: it writes the tables
 of one row count, each a path, a header and columns, in one pass over
 their rows, so a column that several tables share is formatted once.
@@ -88,6 +92,7 @@ Every JSON artifact goes through one writer, ``write_json``.
 from __future__ import annotations
 
 import json
+import os
 import warnings
 from contextlib import ExitStack
 from pathlib import Path
@@ -102,6 +107,7 @@ from .spectral import SumFrequencySpectrum
 
 
 _BLOCK_VALUES = 8192  # values formatted per block of whole rows; bounds the transients
+_COUNT_BYTES = 2**18  # bytes a read of the CSV reader's row count takes
 
 
 def _powers_of_ten(low: int, high: int) -> tuple[np.ndarray, np.ndarray]:
@@ -444,20 +450,48 @@ def save_tables(tables) -> None:
             del lanes  # not held while the next block's slots are filled
 
 
+def _row_bound(path) -> int:
+    """The lines of a file that hold at least one byte, as universal
+    newlines split it: ``\\n``, ``\\r`` and ``\\r\\n`` each end a line, so a
+    line end not right after another closes such a line, and so does the
+    file's end after a byte that is not one. ``np.loadtxt`` skips an empty
+    line, so the rows it reads are at most these. The file is read
+    unbuffered into one reused buffer of ``_COUNT_BYTES``, whose bytes,
+    once their line ends are found, are the comparison's scratch."""
+    lines, after_end = 0, True  # the file's first byte starts a line
+    with open(Path(path), "rb", buffering=0) as fh:
+        buffer = bytearray(min(_COUNT_BYTES, os.fstat(fh.fileno()).st_size))
+        data = np.frombuffer(buffer, np.uint8)
+        scratch, ends = data.view(bool), np.empty(data.size, bool)
+        while size := fh.readinto(buffer):
+            end = np.equal(data[:size], 10, out=ends[:size])
+            end |= np.equal(data[:size], 13, out=scratch[:size])
+            lines += np.count_nonzero(np.greater(end[1:], end[:-1], out=scratch[: size - 1]))
+            lines += bool(end[0]) and not after_end
+            after_end = bool(end[-1])
+    return lines + (not after_end)
+
+
 def _read_columns(path, expected_header: str) -> tuple:
     """The grid inferred from the first column of a CSV whose header must
-    match exactly, followed by each further column."""
+    match exactly, followed by each further column: for a two-column file
+    one owned, read-only array, the body the file was read into."""
     with open(Path(path), encoding="utf-8-sig") as fh:
         header = fh.readline().strip()
+    del fh  # its buffers are not held through the read
     if header != expected_header:
         raise ValueError(f"unexpected header {header!r} in {path}, expected {expected_header!r}")
     try:
-        # an empty body is reported just below, so numpy's warning is not
+        # an empty body is reported just below, so numpy's warnings of an
+        # empty body or line are not
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            # numpy opens the path itself, faster than a handle; '#' starts no comment
+            warnings.filterwarnings("ignore", r"Input line \d+ contained no data", UserWarning)
+            # numpy opens the path itself, faster than a handle; '#' starts
+            # no comment; the bound on the rows lets it allocate them once
             body = np.loadtxt(
-                path, delimiter=",", skiprows=1, encoding="utf-8-sig", ndmin=2, comments=None
+                path, delimiter=",", skiprows=1, encoding="utf-8-sig", ndmin=2, comments=None,
+                max_rows=_row_bound(path) - 1,
             )
     except ValueError as exc:
         raise ValueError(f"malformed CSV body in {path}: {exc}") from exc
@@ -466,7 +500,19 @@ def _read_columns(path, expected_header: str) -> tuple:
     columns = expected_header.count(",") + 1
     if body.shape[1] != columns:
         raise ValueError(f"{path}: expected {columns} columns, found {body.shape[1]}")
-    return (infer_grid(body[:, 0]), *body[:, 1:].T)
+    grid = infer_grid(body[:, 0])
+    # each row's other values move forward over its grid value, a block of
+    # rows at a time (no destination passes its source), and the body
+    # shrinks in place: resize refuses while a view of it is alive
+    rows, width = body.shape[0], columns - 1
+    flat = body.reshape(-1)
+    for lo, hi in _blocks(rows):
+        rest = flat[lo * columns : hi * columns].reshape(-1, columns)[:, 1:]
+        flat[lo * width : hi * width].reshape(-1, width)[:] = rest
+    del flat, rest
+    body.resize(rows if width == 1 else (rows, width))
+    body.setflags(write=False)
+    return (grid, body) if width == 1 else (grid, *body.T)
 
 
 def spectrum_table(path, spectrum: SumFrequencySpectrum) -> tuple:

@@ -903,20 +903,23 @@ class TestVerbPeakMemory:
         assert peak < 30 * count
 
     def test_recover_tpa3_trace(self, tmp_path):
-        # 1,690,101 bytes, set by the read (np.loadtxt's growth). The verb
-        # holds the half spectrum alone, the 32,769 bins at f >= 0, and
-        # writes recovered.csv's rows below DC as their conjugate mirror,
-        # so the write peaks at 1.24 MB: the half, its fold and the
-        # writer's block. With the two-sided spectrum (1.05 MB) held
-        # through the write, the verb took 1,765,337; with the fill's fresh
-        # int64 and float64 arrays 1,927,048; with ifft's complex cast of
-        # the trace and the fftshift copy 2.72 MB, and with the writer's
-        # block of fresh arrays at every step 3.05 MB
+        # 1,240,973 bytes, set by the recovered.csv write: the half
+        # spectrum alone, the 32,769 bins at f >= 0, its fold and the
+        # writer's block; the rows below DC are written as the half's
+        # conjugate mirror. The read, which np.loadtxt allocates once to a
+        # counted bound and whose grid column is dropped in place, peaks
+        # at 1.12 MB. Reading with np.loadtxt's growth, the grid's points
+        # built beside the body and the values copied out, the verb took
+        # 1,690,101, set by the read. With the two-sided spectrum (1.05
+        # MB) held through the write, the verb took 1,765,337; with the
+        # fill's fresh int64 and float64 arrays 1,927,048; with ifft's
+        # complex cast of the trace and the fftshift copy 2.72 MB, and with
+        # the writer's block of fresh arrays at every step 3.05 MB
         assert main(["simulate", "--preset", "tpa3", "--out", str(tmp_path / "sim")]) == 0
         args = ["recover", str(tmp_path / "sim" / "trace.csv"), "--out"]
         assert main([*args, str(tmp_path / "warm")]) == 0
         peak = peak_above_inputs(lambda: main([*args, str(tmp_path / "rec")]))
-        assert peak <= 1_690_101 + 8192
+        assert peak <= 1_240_973 + 8192
 
 
 class TestNoiseStudy:

@@ -187,6 +187,18 @@ def test_every_integer_input_refuses_the_rest_by_one_rule(monkeypatch, entry, va
         call(value)
 
 
+@pytest.mark.parametrize("value", [np.full(64, 3), np.full((2, 3), 1.5)], ids=["64", "2x3"])
+@pytest.mark.parametrize("entry", INTEGER_INPUTS)
+def test_an_array_is_refused_by_its_type_and_shape(monkeypatch, entry, value):
+    # an array's repr spans lines and grows with it, so the one-line
+    # message names its type and shape instead
+    monkeypatch.setattr(noise, "_sample_streams", None)
+    name, _, call = INTEGER_INPUTS[entry]
+    message = f"{name} must be an integer, got ndarray of shape {value.shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(value)
+
+
 @pytest.mark.parametrize("dtype", [int, float])
 def test_trial_counts_may_be_an_array(dtype):
     assert _study(trial_counts=np.array([100, 300], dtype)) == _study(trial_counts=[100, 300])

@@ -541,6 +541,11 @@ class TestCountDataValidation:
             CountData(TWO_BINS, [0, 0], 0)
         with pytest.raises(ValueError, match=r"^CountData pairs must be an integer, got 10.5$"):
             CountData(TWO_BINS, [0, 0], 10.5)
+        # the old column of pairs sent: named by its type and shape, on one line
+        grid = TimeGrid(0.0, 0.5, 64)
+        with pytest.raises(ValueError) as caught:
+            CountData(grid, np.arange(64), np.full(64, 100))
+        assert str(caught.value) == "CountData pairs must be an integer, got ndarray of shape (64,)"
         with pytest.raises(ValueError, match="coincidences"):
             CountData(TWO_BINS, [2.5, 1.0], 10)
         with pytest.raises(ValueError, match="^CountData coincidences must be at most 10$"):
